@@ -8,9 +8,8 @@ averaging, and certifies the answer with a computable duality gap.
 
 __version__ = "0.1.0"
 
-from .costs import AffineCost, ConstantCost, DualDomain, LinkCost, PowerCost
+from .costs import AffineCost, ConstantCost, LinkCost, PowerCost
 from .loading import (
-    CapExceededError,
     LoadingError,
     LoadResult,
     MassLeakError,
@@ -40,9 +39,7 @@ from .solver import (
     SolverConfig,
     alpha_step,
     duality_gap,
-    grad_map,
     lipschitz_bound_diagnostic,
-    mirror_map,
     solve,
 )
 
@@ -50,10 +47,8 @@ __all__ = [
     "__version__",
     "AffineCost",
     "ConstantCost",
-    "DualDomain",
     "LinkCost",
     "PowerCost",
-    "CapExceededError",
     "LoadingError",
     "LoadResult",
     "MassLeakError",
@@ -79,8 +74,6 @@ __all__ = [
     "SolverConfig",
     "alpha_step",
     "duality_gap",
-    "grad_map",
     "lipschitz_bound_diagnostic",
-    "mirror_map",
     "solve",
 ]

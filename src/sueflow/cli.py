@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -29,7 +30,6 @@ from .model import (
     ODRef,
     validate_hierarchy,
 )
-from .oracle import loading_by_enumeration
 from .solver import BacktrackBudgetError, SolverConfig, lipschitz_bound_diagnostic, solve
 
 __all__ = ["ParseError", "parse_network", "serialize_network", "load_config", "main"]
@@ -57,8 +57,9 @@ def _require_keys(obj: dict, where: str, required: tuple[str, ...], optional: tu
 
 
 def _number(obj, where: str) -> float:
-    if not isinstance(obj, (int, float)) or isinstance(obj, bool):
-        raise _fail(where, f"expected a number, got {obj!r}")
+    # json.loads accepts NaN and Infinity; neither is a valid model value.
+    if not isinstance(obj, (int, float)) or isinstance(obj, bool) or not math.isfinite(obj):
+        raise _fail(where, f"expected a finite number, got {obj!r}")
     return float(obj)
 
 
@@ -191,7 +192,7 @@ def serialize_network(net: NetworkHierarchy, path: str | Path) -> None:
     Path(path).write_text(json.dumps(network_to_dict(net), indent=2) + "\n")
 
 
-_CONFIG_KEYS = ("L0", "max_iters", "gap_tol", "max_backtracks_per_iter", "seed")
+_CONFIG_KEYS = ("L0", "max_iters", "gap_tol", "max_backtracks_per_iter")
 
 
 def load_config(path: str | Path | None) -> SolverConfig:
@@ -208,7 +209,7 @@ def load_config(path: str | Path | None) -> SolverConfig:
     for key in _CONFIG_KEYS:
         if key in doc:
             value = doc[key]
-            if key in ("max_iters", "max_backtracks_per_iter", "seed"):
+            if key in ("max_iters", "max_backtracks_per_iter"):
                 if not isinstance(value, int) or isinstance(value, bool):
                     raise _fail(f"{path}:{key}", f"expected an integer, got {value!r}")
                 kwargs[key] = value
@@ -253,7 +254,7 @@ def _manifest(command: str, args: argparse.Namespace) -> dict:
         "command": command,
         "tool_version": __version__,
         "network_path": args.network,
-        "out_dir": getattr(args, "out", None),
+        "out_dir": args.out,
     }
     digests = {"network": _digest(args.network)}
     if getattr(args, "config", None):
@@ -373,58 +374,30 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     return 0 if certificate.gap <= cfg.gap_tol else 1
 
 
-def _cmd_oracle_compare(args: argparse.Namespace) -> int:
-    try:
-        net = parse_network(args.network)
-        times = (
-            load_times(args.t_file, net) if args.t_file else net.free_flow_times()
-        )
-    except (ParseError, FileNotFoundError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    result = network_loading(net, times)
-    flows, _ = loading_by_enumeration(net, times, budget=args.budget)
-    worst = 0.0
-    for k, level in enumerate(net.levels):
-        for pos, edge in enumerate(level.edges):
-            dp = result.flows[k][pos]
-            ref = flows[k][edge.id]
-            worst = max(worst, abs(dp - ref) / (1.0 + abs(ref)))
-    print(f"max scaled flow deviation: {worst:.3e}")
-    return 0 if worst <= 1e-10 else 1
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="sueflow",
         description="Stochastic-user-equilibrium flows on hierarchical networks.",
     )
-    sub = parser.add_subparsers(dest="command", required=True, metavar="{solve,load,validate}")
+    sub = parser.add_subparsers(dest="command", required=True)
 
     p_solve = sub.add_parser("solve", help="compute equilibrium flows and a gap certificate")
     p_load = sub.add_parser("load", help="one network loading at given edge times")
     p_validate = sub.add_parser("validate", help="check a network file")
-    p_oracle = sub.add_parser("oracle-compare")  # hidden: test-harness cross-check
 
-    for p in (p_solve, p_load, p_validate, p_oracle):
+    for p in (p_solve, p_load, p_validate):
         p.add_argument("--network", required=True, help="network JSON file")
     for p in (p_solve, p_load):
         p.add_argument("--out", required=True, help="output directory")
-    for p in (p_solve, p_load, p_validate):
-        p.add_argument("--config", default=None, help="solver config JSON file")
-    p_validate.add_argument("--out", default=None, help=argparse.SUPPRESS)
+    p_solve.add_argument("--config", default=None, help="solver config JSON file")
     p_load.add_argument("--t-file", dest="t_file", default=None, help="edge times JSON file")
-    p_oracle.add_argument("--t-file", dest="t_file", default=None)
-    p_oracle.add_argument("--budget", type=int, default=10_000)
 
     args = parser.parse_args(argv)
     if args.command == "validate":
         return _cmd_validate(args)
     if args.command == "load":
         return _cmd_load(args)
-    if args.command == "solve":
-        return _cmd_solve(args)
-    return _cmd_oracle_compare(args)
+    return _cmd_solve(args)
 
 
 if __name__ == "__main__":

@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 __all__ = [
-    "DualDomain",
     "LinkCost",
     "ConstantCost",
     "AffineCost",
@@ -24,22 +23,6 @@ __all__ = [
 
 # Inner solves for prox/root operations.
 _ROOT_ITERS = 200
-
-
-@dataclass(frozen=True)
-class DualDomain:
-    """Interval on which the conjugate is finite and carries flow.
-
-    ``lower`` is the free-flow time: below it the conjugate is identically
-    zero (no flow is induced). ``upper`` is ``+inf`` unless the time map is
-    bounded, as for a constant cost.
-    """
-
-    lower: float
-    upper: float
-
-    def contains(self, t: float) -> bool:
-        return t <= self.upper
 
 
 class LinkCost:
@@ -68,10 +51,6 @@ class LinkCost:
     @property
     def free_flow_time(self) -> float:
         return self.travel_time(0.0)
-
-    @property
-    def domain(self) -> DualDomain:
-        return DualDomain(self.free_flow_time, math.inf)
 
     def _check_flow(self, f: float) -> None:
         if f < 0.0:
@@ -114,10 +93,6 @@ class ConstantCost(LinkCost):
     def prox_conjugate(self, v: float, step: float) -> float:
         self._check_step(step)
         return min(v, self.t0)
-
-    @property
-    def domain(self) -> DualDomain:
-        return DualDomain(self.t0, self.t0)
 
 
 @dataclass(frozen=True)
@@ -260,8 +235,8 @@ def cost_from_dict(obj: dict) -> LinkCost:
     params = {}
     for k in fields:
         val = obj[k]
-        if not isinstance(val, (int, float)) or isinstance(val, bool):
-            raise ValueError(f"cost parameter {k!r} must be a number, got {val!r}")
+        if not isinstance(val, (int, float)) or isinstance(val, bool) or not math.isfinite(val):
+            raise ValueError(f"cost parameter {k!r} must be a finite number, got {val!r}")
         params[k] = float(val)
     return cls(**params)
 

@@ -8,8 +8,12 @@ edge-choice probabilities), and the primal/dual objectives used for gap
 certification.
 
 Soft-min distances on a DAG level are exact in one reverse-topological
-pass. Cyclic levels, admitted only with a walk cap, iterate the relaxation
-and then sum over walks rather than simple paths.
+pass. On a cyclic level the soft-min sums over all walks, not just simple
+paths: it is the walk sum of a Markov chain absorbed at the destination,
+and one linear solve per destination gives it exactly (Akamatsu 1996,
+"Cyclic flows, Markov process and stochastic traffic assignment"). The
+through-flows of the loading are a second solve with the resulting choice
+probabilities. A walk sum that diverges raises ``LoadingError``.
 """
 
 from __future__ import annotations
@@ -24,7 +28,6 @@ __all__ = [
     "LoadResult",
     "LoadingError",
     "NoPathError",
-    "CapExceededError",
     "MassLeakError",
     "softmin_potentials",
     "hierarchical_weights",
@@ -37,7 +40,6 @@ __all__ = [
     "verify_conservation",
 ]
 
-_STABILIZE_RTOL = 1e-14  # relative settle tolerance for the capped relaxation
 _MASS_TOL = 1e-9  # leak budget for outgoing choice probabilities
 
 
@@ -46,10 +48,6 @@ class LoadingError(Exception):
 
 
 class NoPathError(LoadingError):
-    pass
-
-
-class CapExceededError(LoadingError):
     pass
 
 
@@ -89,6 +87,7 @@ class _LevelTopo:
     """Index structures for one level, shared across loadings."""
 
     __slots__ = (
+        "nodes",
         "n_nodes",
         "node_index",
         "tails",
@@ -102,6 +101,7 @@ class _LevelTopo:
     )
 
     def __init__(self, level: LevelGraph) -> None:
+        self.nodes = level.nodes
         self.node_index = {v: i for i, v in enumerate(level.nodes)}
         self.n_nodes = len(level.nodes)
         self.tails = [self.node_index[e.tail] for e in level.edges]
@@ -145,40 +145,73 @@ def _lse_min(terms: list[float], gamma: float) -> float:
 
 
 def _softmin(
-    topo: _LevelTopo, weights: Sequence[float], gamma: float, dst: int, cap: int | None
+    topo: _LevelTopo, weights: Sequence[float], gamma: float, dst: int
 ) -> list[float]:
     """Soft-min distance to ``dst`` per node; destination is absorbing."""
+    if topo.topo is None:
+        return _softmin_cyclic(topo, weights, gamma, dst)
     rho = [math.inf] * topo.n_nodes
     rho[dst] = 0.0
-    if topo.topo is not None:
-        for v in reversed(topo.topo):
-            if v == dst:
-                continue
-            terms = [weights[e] + rho[topo.heads[e]] for e in topo.out_edges[v]]
-            rho[v] = _lse_min(terms, gamma)
-        return rho
-    if cap is None:
-        raise CapExceededError("cyclic level graph requires an explicit walk-length cap")
-    for _ in range(cap):
-        nxt = [math.inf] * topo.n_nodes
-        nxt[dst] = 0.0
-        moved = 0.0
-        for v in range(topo.n_nodes):
-            if v == dst:
-                continue
-            terms = [weights[e] + rho[topo.heads[e]] for e in topo.out_edges[v]]
-            nxt[v] = _lse_min(terms, gamma)
-            if nxt[v] != rho[v]:
-                if math.isinf(rho[v]):
-                    moved = math.inf
-                else:
-                    moved = max(moved, abs(nxt[v] - rho[v]) / (1.0 + abs(nxt[v])))
-        rho = nxt
-        if moved <= _STABILIZE_RTOL:
-            return rho
-    raise CapExceededError(
-        f"soft-min relaxation did not stabilise within the {cap}-round walk cap"
-    )
+    for v in reversed(topo.topo):
+        if v == dst:
+            continue
+        terms = [weights[e] + rho[topo.heads[e]] for e in topo.out_edges[v]]
+        rho[v] = _lse_min(terms, gamma)
+    return rho
+
+
+def _divergent(topo: _LevelTopo, dst: int) -> LoadingError:
+    return LoadingError(f"the walk sum to destination {topo.nodes[dst]!r} diverges")
+
+
+def _softmin_cyclic(
+    topo: _LevelTopo, weights: Sequence[float], gamma: float, dst: int
+) -> list[float]:
+    """Soft-min over all walks to ``dst``, as ``rho = d - gamma * log(y)``.
+
+    ``d`` is the shortest-path distance to ``dst`` and ``y`` solves
+    ``(I - A) y = e_dst``, where ``A[v, u]`` sums ``exp(-(w + d[u] - d[v]) /
+    gamma)`` over the edges ``v -> u``. The shift by ``d`` keeps every
+    exponent at or below zero, so the solve does not depend on the unit of
+    time. A positive ``y`` exists only when the walk sum converges: it
+    bounds the spectral radius of ``A`` (Collatz-Wielandt).
+    """
+    # Imported here so that runs on DAG levels never load numpy.
+    import numpy as np
+
+    n = topo.n_nodes
+    tails, heads = np.array(topo.tails), np.array(topo.heads)
+    live = tails != dst  # a walk ends on reaching the destination
+    tails, heads = tails[live], heads[live]
+    w = np.asarray(weights, dtype=float)[live]
+    d = np.full(n, math.inf)
+    d[dst] = 0.0
+    # Bellman-Ford: shortest paths have at most n - 1 edges, so a change in
+    # round n means a negative cycle, around which the walk sum diverges.
+    for _ in range(n):
+        relaxed = d.copy()
+        np.minimum.at(relaxed, tails, w + d[heads])
+        if np.array_equal(relaxed, d):
+            break
+        d = relaxed
+    else:
+        raise _divergent(topo, dst)
+    keep = np.isfinite(d[heads])  # then the tail reaches ``dst`` too
+    tails, heads = tails[keep], heads[keep]
+    system = np.eye(n)
+    np.subtract.at(system, (tails, heads), np.exp((d[tails] - w[keep] - d[heads]) / gamma))
+    unit = np.zeros(n)
+    unit[dst] = 1.0
+    try:
+        y = np.linalg.solve(system, unit)
+    except np.linalg.LinAlgError:
+        raise _divergent(topo, dst) from None
+    reach = np.isfinite(d)
+    if not (np.isfinite(y[reach]).all() and (y[reach] > 0.0).all()):
+        raise _divergent(topo, dst)
+    rho = np.full(n, math.inf)
+    rho[reach] = d[reach] - gamma * np.log(y[reach])
+    return rho.tolist()
 
 
 def softmin_potentials(
@@ -186,13 +219,13 @@ def softmin_potentials(
     weights: Mapping[str, float],
     gamma: float,
     dest: str,
-    cap: int | None = None,
 ) -> dict[str, float]:
     """Soft-min distance from every node to ``dest`` under per-edge weights.
 
     Unreachable nodes map to ``+inf``. The value at a trip's origin is the
     smoothed trip cost; it tends to the shortest-path distance as
-    ``gamma -> 0``.
+    ``gamma -> 0``. On a cyclic level it sums over all walks and raises
+    ``LoadingError`` when that sum diverges.
     """
     if gamma <= 0.0:
         raise ValueError(f"gamma must be positive, got {gamma}")
@@ -200,7 +233,7 @@ def softmin_potentials(
     if dest not in topo.node_index:
         raise ValueError(f"unknown destination node {dest!r}")
     w = [float(weights[e.id]) for e in level.edges]
-    rho = _softmin(topo, w, gamma, topo.node_index[dest], cap)
+    rho = _softmin(topo, w, gamma, topo.node_index[dest])
     return {v: rho[i] for v, i in topo.node_index.items()}
 
 
@@ -236,7 +269,10 @@ def _sweep_weights(
         weights[k] = w
         gamma = net.gammas[k]
         for j, (src, dst) in enumerate(topo.od_nodes):
-            rho = _softmin(topo, w, gamma, dst, net.walk_cap)
+            try:
+                rho = _softmin(topo, w, gamma, dst)
+            except LoadingError as err:
+                raise LoadingError(f"{err} at level {k + 1}") from None
             if math.isinf(rho[src]):
                 od = level.od_pairs[j]
                 raise NoPathError(
@@ -314,51 +350,30 @@ def _forward_cyclic(
     dst: int,
     demand: float,
     flows: list[float],
-    cap: int,
 ) -> float:
-    """Walk-measure loading: expected node visits solve h = b + P^T h."""
-    probs: list[float] = [0.0] * len(weights)
-    for v in range(topo.n_nodes):
-        if v == dst or math.isinf(rho[v]):
-            continue
-        mass = 0.0
-        for e in topo.out_edges[v]:
-            p = math.exp((rho[v] - weights[e] - rho[topo.heads[e]]) / gamma)
-            probs[e] = p
-            mass += p
-        if abs(mass - 1.0) > _MASS_TOL:
-            raise MassLeakError(f"outgoing choice probabilities sum to {mass}")
-        for e in topo.out_edges[v]:
-            probs[e] /= mass
-    through = [0.0] * topo.n_nodes
-    through[src] = demand
-    for _ in range(64 * cap):
-        nxt = [0.0] * topo.n_nodes
-        nxt[src] = demand
-        for v in range(topo.n_nodes):
-            if v == dst or through[v] <= 0.0 or math.isinf(rho[v]):
-                continue
-            for e in topo.out_edges[v]:
-                nxt[topo.heads[e]] += through[v] * probs[e]
-        moved = max(abs(a - b) for a, b in zip(nxt, through))
-        through = nxt
-        if moved <= 1e-15 * (1.0 + demand):
-            break
-    else:
-        raise CapExceededError("walk loading did not stabilise under the cap")
-    entropy = 0.0
-    for v in range(topo.n_nodes):
-        h = through[v]
-        if h <= 0.0 or v == dst or math.isinf(rho[v]):
-            continue
-        local = 0.0
-        for e in topo.out_edges[v]:
-            p = probs[e]
-            if p > 0.0:
-                local -= p * math.log(p)
-                flows[e] += h * p
-        entropy += h * local
-    return entropy
+    """Walk-measure loading: expected node visits solve ``(I - Q^T) h = b``."""
+    import numpy as np
+
+    n = topo.n_nodes
+    tails, heads = np.array(topo.tails), np.array(topo.heads)
+    r = np.asarray(rho)
+    edges = np.flatnonzero((tails != dst) & np.isfinite(r[heads]))
+    tails, heads = tails[edges], heads[edges]
+    probs = np.exp((r[tails] - np.asarray(weights, dtype=float)[edges] - r[heads]) / gamma)
+    mass = np.zeros(n)
+    np.add.at(mass, tails, probs)
+    probs /= mass[tails]  # exact conservation; the raw sums are 1 up to rounding
+    system = np.eye(n)  # I - Q^T
+    np.subtract.at(system, (heads, tails), probs)
+    source = np.zeros(n)
+    source[src] = demand
+    # The exact visits are nonnegative; clip rounding residue below zero.
+    through = np.maximum(np.linalg.solve(system, source), 0.0)
+    edge_flows = through[tails] * probs
+    for e, f in zip(edges.tolist(), edge_flows.tolist()):
+        flows[e] += f
+    used = probs > 0.0
+    return float(-np.dot(edge_flows[used], np.log(probs[used])))
 
 
 def network_loading(net: NetworkHierarchy, t: Sequence[float]) -> LoadResult:
@@ -381,28 +396,16 @@ def network_loading(net: NetworkHierarchy, t: Sequence[float]) -> LoadResult:
         level, topo, gamma = net.levels[k], topos[k], net.gammas[k]
         level_flows = [0.0] * len(level.edges)
         level_entropy = 0.0
+        forward = _forward_dag if topo.topo is not None else _forward_cyclic
         for j, (src, dst) in enumerate(topo.od_nodes):
             d = demands[k][j]
             if k == 0:
                 smooth -= d * rho_fields[0][j][src]
             if d <= 0.0 or src == dst:
                 continue
-            if topo.topo is not None:
-                level_entropy += _forward_dag(
-                    topo, weights[k], rho_fields[k][j], gamma, src, dst, d, level_flows
-                )
-            else:
-                level_entropy += _forward_cyclic(
-                    topo,
-                    weights[k],
-                    rho_fields[k][j],
-                    gamma,
-                    src,
-                    dst,
-                    d,
-                    level_flows,
-                    net.walk_cap,
-                )
+            level_entropy += forward(
+                topo, weights[k], rho_fields[k][j], gamma, src, dst, d, level_flows
+            )
         flows.append(level_flows)
         entropies.append(level_entropy)
         if k + 1 < m:

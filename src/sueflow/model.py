@@ -85,9 +85,10 @@ class Violation:
 class NetworkHierarchy:
     """Immutable level stack with per-level rationality temperatures.
 
-    ``walk_cap`` admits cyclic level graphs: the soft-min relaxation then
-    iterates at most that many rounds instead of one exact pass in reverse
-    topological order. Without a cap every level must be a DAG.
+    ``walk_cap`` admits cyclic level graphs; without it every level must be
+    a DAG. Loading on a cyclic level sums over all walks, solved exactly,
+    and fails when that sum diverges; the cap only bounds the walk length
+    that ``longest_path_bound`` measures.
     """
 
     def __init__(
@@ -152,12 +153,6 @@ class NetworkHierarchy:
                     f"times given for unknown or portal edges {sorted(extra)} at level {k + 1}"
                 )
         return values
-
-    def dual_to_map(self, values: list[float]) -> list[dict[str, float]]:
-        out: list[dict[str, float]] = [{} for _ in self.levels]
-        for (k, i), v in zip(self.plain_edge_order(), values, strict=True):
-            out[k][self.levels[k].edges[i].id] = float(v)
-        return out
 
 
 def validate_hierarchy(net: NetworkHierarchy) -> list[Violation]:

@@ -41,8 +41,6 @@ __all__ = [
     "GapCertificate",
     "BacktrackBudgetError",
     "alpha_step",
-    "grad_map",
-    "mirror_map",
     "minimize_composite",
     "solve",
     "duality_gap",
@@ -60,7 +58,6 @@ class SolverConfig:
     max_iters: int = 20000
     gap_tol: float = 1e-8
     max_backtracks_per_iter: int = 60
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.L0 <= 0.0:
@@ -134,28 +131,6 @@ def _grad_trial(
     y = _prox_all(costs, [xi - gi / L for xi, gi in zip(x, grad)], 1.0 / L)
     fy = value_fn(y)
     return y, fy, fy <= _descent_bound(fx, grad, y, x, L)
-
-
-def grad_map(
-    net: NetworkHierarchy,
-    x: Sequence[float],
-    L: float,
-    grad: Sequence[float],
-    fx: float,
-) -> tuple[list[float], float, bool]:
-    """Proximal trial step on the network dual with its acceptance test."""
-    if L <= 0.0:
-        raise ValueError(f"L must be positive, got {L}")
-    return _grad_trial(lambda y: dual_smooth_value(net, y), net.plain_costs(), x, L, grad, fx)
-
-
-def mirror_map(
-    net: NetworkHierarchy, z: Sequence[float], grad: Sequence[float], alpha: float
-) -> list[float]:
-    """Euclidean mirror step: per-edge conjugate prox of ``z - alpha*grad``."""
-    if alpha <= 0.0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
-    return _prox_all(net.plain_costs(), [zi - alpha * gi for zi, gi in zip(z, grad)], alpha)
 
 
 @dataclass

@@ -3,9 +3,15 @@
 from __future__ import annotations
 
 import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import sueflow
 from sueflow import AffineCost, PowerCost
 from sueflow.cli import (
     ParseError,
@@ -103,7 +109,7 @@ class TestParseNetwork:
 class TestConfig:
     def test_defaults(self):
         cfg = load_config(None)
-        assert cfg.L0 == 1.0 and cfg.max_backtracks_per_iter == 60 and cfg.seed == 0
+        assert cfg.L0 == 1.0 and cfg.max_backtracks_per_iter == 60
 
     def test_reads_values(self, tmp_path):
         p = tmp_path / "cfg.json"
@@ -314,17 +320,55 @@ class TestSolveCommand:
                 assert stripped_a == stripped_b
 
 
-class TestOracleCompareCommand:
-    def test_two_level(self, capsys):
-        code = run_cli(
-            "oracle-compare",
-            "--network", FIXTURES / "two_level.json",
-            "--t-file", FIXTURES / "two_level_times.json",
-        )
-        assert code == 0
-        assert "deviation" in capsys.readouterr().out
+class TestNonFiniteInput:
+    """json.loads accepts NaN and Infinity; every command must reject them."""
 
+    @pytest.mark.parametrize(
+        "case, commands, where",
+        [
+            ("cost", ("validate", "load", "solve"), "$.levels[0].edges[0].cost: cost parameter 'a'"),
+            ("demand", ("validate", "load", "solve"), "$.levels[0].od_pairs[0].demand"),
+            ("gamma", ("validate", "load", "solve"), "$.gammas[0]"),
+            ("times", ("load",), "t.json:times[0].e2"),
+            ("config", ("solve",), "cfg.json:L0"),
+        ],
+    )
+    def test_exit_2_naming_the_value(self, tmp_path, capsys, case, commands, where):
+        doc = json.loads((FIXTURES / "two_edge.json").read_text())
+        times = {"version": 1, "times": [{"e1": 1.0, "e2": 2.0}]}
+        config = {"max_iters": 5}
+        if case == "cost":
+            doc["levels"][0]["edges"][0]["cost"]["a"] = math.nan
+        elif case == "demand":
+            doc["levels"][0]["od_pairs"][0]["demand"] = math.inf
+        elif case == "gamma":
+            doc["gammas"] = [math.inf]
+        elif case == "times":
+            times["times"][0]["e2"] = -math.inf
+        else:
+            config["L0"] = math.nan
+        paths = {"net": tmp_path / "net.json", "t": tmp_path / "t.json", "cfg": tmp_path / "cfg.json"}
+        for name, obj in (("net", doc), ("t", times), ("cfg", config)):
+            paths[name].write_text(json.dumps(obj))  # writes NaN / Infinity literals
+        extra = {
+            "validate": [],
+            "load": ["--t-file", paths["t"], "--out", tmp_path / "out"],
+            "solve": ["--config", paths["cfg"], "--out", tmp_path / "out"],
+        }
+        for command in commands:
+            assert run_cli(command, "--network", paths["net"], *extra[command]) == 2
+            err = capsys.readouterr().err
+            assert where in err and "finite number" in err, err
+
+
+class TestOracleCompareCommand:
     def test_hidden_from_help(self, capsys):
         with pytest.raises(SystemExit):
             main(["--help"])
         assert "oracle-compare" not in capsys.readouterr().out
+
+    def test_cli_does_not_import_the_oracle(self):
+        # The path-enumeration oracle is a test-only reference implementation.
+        env = dict(os.environ, PYTHONPATH=str(Path(sueflow.__file__).parents[1]))
+        code = "import sys, sueflow.cli; sys.exit('sueflow.oracle' in sys.modules)"
+        assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0

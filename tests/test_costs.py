@@ -105,12 +105,11 @@ class TestConjugate:
         cost = ConstantCost(3.0)
         assert cost.conjugate(3.0) == 0.0
         assert math.isinf(cost.conjugate(3.0001))
-        assert cost.domain.upper == 3.0
 
     @pytest.mark.parametrize("cost", FAMILIES)
     def test_nonnegative_monotone(self, cost):
         grid = [cost.free_flow_time + d for d in (-1.0, -0.2, 0.0, 0.2, 0.5, 1.5)]
-        vals = [cost.conjugate(t) for t in grid if cost.domain.contains(t)]
+        vals = [cost.conjugate(t) for t in grid]
         assert all(v >= 0.0 for v in vals)
         assert all(a <= b + 1e-12 for a, b in zip(vals, vals[1:]))
 
@@ -150,8 +149,6 @@ class TestFenchelYoung:
         t00 = cost.free_flow_time
         for f in (0.0, 0.2, 0.7, 1.9, 4.0):
             for t in (t00 - 0.8, t00 - 0.1, t00, t00 + 0.3, t00 + 1.1):
-                if not cost.domain.contains(t):
-                    continue
                 slack = cost.integral(f) + cost.conjugate(t) - f * t
                 assert slack >= -1e-12
 
@@ -175,7 +172,8 @@ def prox_residual(cost, v, step):
     subgradients g at the returned point, taken at one-ulp float resolution
     (the derivative interval collapses to a point wherever it is smooth)."""
     t = cost.prox_conjugate(v, step)
-    if t >= cost.domain.upper:  # upper boundary: subgradient ray [cd(t), inf)
+    if math.isinf(cost.conjugate(math.nextafter(t, math.inf))):
+        # upper end of the conjugate's domain: subgradient ray [cd(t), inf)
         g_lo, g_hi = cost.conjugate_derivative(t), math.inf
     else:
         g_lo = cost.conjugate_derivative(math.nextafter(t, -math.inf))
@@ -219,9 +217,7 @@ class TestProx:
         obj = lambda u: (u - v) ** 2 / (2 * step) + cost.conjugate(u)
         base = obj(t)
         for delta in (-1e-4, -1e-6, 1e-6, 1e-4):
-            u = t + delta
-            if cost.domain.contains(u):
-                assert obj(u) >= base - 1e-14
+            assert obj(t + delta) >= base - 1e-14
 
     def test_constant_clamps(self):
         assert ConstantCost(3.0).prox_conjugate(5.0, 0.3) == 3.0

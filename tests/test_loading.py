@@ -5,12 +5,15 @@ from __future__ import annotations
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sueflow import (
     AffineCost,
     ConstantCost,
     Edge,
     LevelGraph,
+    LoadingError,
     NetworkHierarchy,
     NoPathError,
     ODPair,
@@ -37,6 +40,20 @@ from conftest import (
 
 def level_of(net, k=0):
     return net.levels[k]
+
+
+def cyclic_level(demand=1.0):
+    """a <-> b, each with an exit edge to d."""
+    return LevelGraph(
+        nodes=("a", "b", "d"),
+        edges=(
+            Edge("ab", "a", "b", cost=ConstantCost(1.0)),
+            Edge("ba", "b", "a", cost=ConstantCost(1.2)),
+            Edge("ad", "a", "d", cost=ConstantCost(2.0)),
+            Edge("bd", "b", "d", cost=ConstantCost(1.5)),
+        ),
+        od_pairs=(ODPair("a", "d", demand),),
+    )
 
 
 class TestSoftminPotentials:
@@ -78,40 +95,45 @@ class TestSoftminPotentials:
 
     def test_cyclic_walk_sum(self):
         # a <-> b with exit edges; closed-form geometric walk sums
-        level = LevelGraph(
-            nodes=("a", "b", "d"),
-            edges=(
-                Edge("ab", "a", "b", cost=ConstantCost(1.0)),
-                Edge("ba", "b", "a", cost=ConstantCost(1.0)),
-                Edge("ad", "a", "d", cost=ConstantCost(1.0)),
-                Edge("bd", "b", "d", cost=ConstantCost(1.0)),
-            ),
-            od_pairs=(ODPair("a", "d", 1.0),),
-        )
         w = {"ab": 1.0, "ba": 1.2, "ad": 2.0, "bd": 1.5}
         gamma = 0.9
         e = {k: math.exp(-v / gamma) for k, v in w.items()}
         # q_a = e_ad + e_ab*q_b ; q_b = e_bd + e_ba*q_a
         q_a = (e["ad"] + e["ab"] * e["bd"]) / (1.0 - e["ab"] * e["ba"])
         q_b = e["bd"] + e["ba"] * q_a
-        rho = softmin_potentials(level, w, gamma, "d", cap=4000)
+        rho = softmin_potentials(cyclic_level(), w, gamma, "d")
         assert rho["a"] == pytest.approx(-gamma * math.log(q_a), abs=1e-10)
         assert rho["b"] == pytest.approx(-gamma * math.log(q_b), abs=1e-10)
 
-    def test_cyclic_requires_cap(self):
+    @pytest.mark.parametrize("c", [1e-3, 1.0, 1e4])
+    def test_cyclic_walk_sum_scales_with_units(self, c):
+        w = {"ab": 1.0, "ba": 1.2, "ad": 2.0, "bd": 1.5}
+        base = softmin_potentials(cyclic_level(), w, 0.9, "d")
+        scaled = softmin_potentials(
+            cyclic_level(), {k: c * v for k, v in w.items()}, c * 0.9, "d"
+        )
+        for v in ("a", "b"):
+            assert scaled[v] == pytest.approx(c * base[v], rel=1e-12)
+
+    def test_cyclic_divergent_raises(self):
+        # two parallel edges each way between a and b: spectral radius 2*exp(-0.1)
         level = LevelGraph(
             nodes=("a", "b", "d"),
             edges=(
-                Edge("ab", "a", "b", cost=ConstantCost(1.0)),
-                Edge("ba", "b", "a", cost=ConstantCost(1.0)),
+                Edge("ab1", "a", "b", cost=ConstantCost(1.0)),
+                Edge("ab2", "a", "b", cost=ConstantCost(1.0)),
+                Edge("ba1", "b", "a", cost=ConstantCost(1.0)),
+                Edge("ba2", "b", "a", cost=ConstantCost(1.0)),
                 Edge("bd", "b", "d", cost=ConstantCost(1.0)),
             ),
             od_pairs=(ODPair("a", "d", 1.0),),
         )
-        from sueflow import CapExceededError
-
-        with pytest.raises(CapExceededError):
-            softmin_potentials(level, {"ab": 1.0, "ba": 1.0, "bd": 1.0}, 1.0, "d")
+        w = {"ab1": 0.1, "ab2": 0.1, "ba1": 0.1, "ba2": 0.1, "bd": 1.0}
+        with pytest.raises(LoadingError, match="destination 'd' diverges"):
+            softmin_potentials(level, w, 1.0, "d")
+        net = NetworkHierarchy([level], [1.0], walk_cap=1)
+        with pytest.raises(LoadingError, match="'d' diverges at level 1"):
+            network_loading(net, [w[e.id] for e in level.edges])
 
 
 class TestHierarchicalWeights:
@@ -282,17 +304,7 @@ class TestNetworkLoading:
             network_loading(net, [1.0])
 
     def test_cyclic_loading_conserves(self):
-        level = LevelGraph(
-            nodes=("a", "b", "d"),
-            edges=(
-                Edge("ab", "a", "b", cost=ConstantCost(1.0)),
-                Edge("ba", "b", "a", cost=ConstantCost(1.2)),
-                Edge("ad", "a", "d", cost=ConstantCost(2.0)),
-                Edge("bd", "b", "d", cost=ConstantCost(1.5)),
-            ),
-            od_pairs=(ODPair("a", "d", 2.0),),
-        )
-        net = NetworkHierarchy([level], [0.9], walk_cap=4000)
+        net = NetworkHierarchy([cyclic_level(demand=2.0)], [0.9], walk_cap=1)
         res = network_loading(net, [1.0, 1.2, 2.0, 1.5])
         verify_conservation(net, res, tol=1e-9)
         # gradient identity also holds for the walk-measure loading
@@ -304,6 +316,44 @@ class TestNetworkLoading:
             tm[pos] -= h
             fd = (dual_smooth_value(net, tp) - dual_smooth_value(net, tm)) / (2 * h)
             assert abs(fd + flows[pos]) <= 1e-5 * max(abs(flows[pos]), 1e-9)
+
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_cyclic_loading_random_levels(self, data):
+        # A bidirectional ring plus random chords, each direction weighted on
+        # its own. With every weight at least w_min and at most `degree` out
+        # edges per node, gamma < w_min / log(degree) keeps each row of the
+        # walk matrix summing below 1, so the walk sum converges.
+        n = data.draw(st.integers(3, 6), label="nodes")
+        pairs = {(i, i + 1) for i in range(n - 1)} | {(0, n - 1)}
+        for i in range(n):
+            for j in range(i + 2, n):
+                if data.draw(st.booleans(), label=f"chord {i}-{j}"):
+                    pairs.add((i, j))
+        arcs = sorted(pairs) + sorted((j, i) for i, j in pairs)
+        weight = st.floats(0.5, 2.0)
+        t = [data.draw(weight, label=f"w{i}-{j}") for i, j in arcs]
+        degree = max(sum(1 for a, _ in arcs if a == v) for v in range(n))
+        gamma = data.draw(st.floats(0.1, 0.9), label="gamma factor") * min(t) / math.log(degree)
+        demand = data.draw(st.floats(0.5, 3.0), label="demand")
+        level = LevelGraph(
+            nodes=tuple(f"v{i}" for i in range(n)),
+            edges=tuple(
+                Edge(f"e{i}-{j}", f"v{i}", f"v{j}", cost=ConstantCost(1.0)) for i, j in arcs
+            ),
+            od_pairs=(ODPair("v0", f"v{n - 1}", demand),),
+        )
+        net = NetworkHierarchy([level], [gamma], walk_cap=1)
+        res = network_loading(net, t)
+        verify_conservation(net, res)
+        flows = res.plain_flows(net)
+        h = 1e-5
+        for pos in range(len(t)):
+            tp, tm = list(t), list(t)
+            tp[pos] += h
+            tm[pos] -= h
+            fd = (dual_smooth_value(net, tp) - dual_smooth_value(net, tm)) / (2 * h)
+            assert abs(fd + flows[pos]) <= 1e-6 * demand
 
 
 class TestPrimalObjective:

@@ -13,13 +13,12 @@ from sueflow import (
     SolverConfig,
     alpha_step,
     duality_gap,
-    grad_map,
+    dual_smooth_value,
     lipschitz_bound_diagnostic,
-    mirror_map,
     solve,
 )
 from sueflow.loading import network_loading
-from sueflow.solver import minimize_composite
+from sueflow.solver import _grad_trial, _prox_all, minimize_composite
 from sueflow import oracle
 
 from conftest import chain3_net, parallel_net, two_edge_net
@@ -69,6 +68,16 @@ class TestAlphaStep:
         assert 0.0 < tau <= 1.0 + 1e-12
         lhs = alpha * alpha * L_next - alpha
         assert lhs == pytest.approx(alpha_k * alpha_k * L_k, rel=1e-12, abs=1e-12)
+
+
+def grad_map(net, x, L, grad, fx):
+    """The proximal trial step of ``minimize_composite`` on the network dual."""
+    return _grad_trial(lambda y: dual_smooth_value(net, y), net.plain_costs(), x, L, grad, fx)
+
+
+def mirror_map(net, z, grad, alpha):
+    """The mirror step of ``minimize_composite``: prox of ``z - alpha*grad``."""
+    return _prox_all(net.plain_costs(), [zi - alpha * gi for zi, gi in zip(z, grad)], alpha)
 
 
 class TestProxMaps:

@@ -180,3 +180,35 @@ def test_parallel_portal_and_plain_edge():
     # equal one-edge costs either way: an even logit split
     assert res.flows[0][0] == pytest.approx(0.5)
     assert res.induced_demands[1][0] == pytest.approx(0.5)
+
+
+def test_cyclic_grid_matches_enumeration():
+    # Bidirectional 3x3 grid. At this temperature a walk that repeats a node
+    # carries under exp(-80) of an OD's mass, so the walk sum of the cyclic
+    # loading and the oracle's simple-path enumeration must agree.
+    def node(i, j):
+        return f"r{i}c{j}"
+
+    edges = []
+    for i in range(3):
+        for j in range(3):
+            for ni, nj in ((i, j + 1), (i + 1, j), (i, j - 1), (i - 1, j)):
+                if 0 <= ni < 3 and 0 <= nj < 3:
+                    a = 0.8 + 0.05 * ((3 * i + 7 * j + 5 * ni + nj) % 9)
+                    edges.append(
+                        Edge(f"e{len(edges)}", node(i, j), node(ni, nj), cost=AffineCost(a, 0.1))
+                    )
+    level = LevelGraph(
+        nodes=tuple(node(i, j) for i in range(3) for j in range(3)),
+        edges=tuple(edges),
+        od_pairs=(ODPair("r0c0", "r2c2", 1.0), ODPair("r2c0", "r0c2", 2.0)),
+    )
+    net = NetworkHierarchy([level], [0.02], walk_cap=1)
+    assert validate_hierarchy(net) == []
+    t = net.free_flow_times()
+    res = network_loading(net, t)
+    verify_conservation(net, res)
+    ref, _ = oracle.loading_by_enumeration(net, t)
+    for pos, edge in enumerate(level.edges):
+        want = ref[0][edge.id]
+        assert abs(res.flows[0][pos] - want) <= 1e-9 * (1.0 + abs(want))
