@@ -29,7 +29,6 @@ from .model import (
     ODRef,
     Violation,
     longest_path_bound,
-    portal_demand_map,
     validate_hierarchy,
 )
 from .solver import (
@@ -66,7 +65,6 @@ __all__ = [
     "ODRef",
     "Violation",
     "longest_path_bound",
-    "portal_demand_map",
     "validate_hierarchy",
     "BacktrackBudgetError",
     "GapCertificate",

@@ -13,16 +13,18 @@ paths: it is the walk sum of a Markov chain absorbed at the destination,
 and one linear solve per destination gives it exactly (Akamatsu 1996,
 "Cyclic flows, Markov process and stochastic traffic assignment"). The
 through-flows of the loading are a second solve with the resulting choice
-probabilities. A walk sum that diverges raises ``LoadingError``.
+probabilities. A walk sum that diverges raises ``LoadingError``. Both
+passes read each level's compiled index, ``LevelGraph.index``.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .model import LevelGraph, NetworkHierarchy, topological_order
+from .model import LevelGraph, LevelIndex, NetworkHierarchy
 
 __all__ = [
     "LoadResult",
@@ -40,7 +42,7 @@ __all__ = [
     "verify_conservation",
 ]
 
-_MASS_TOL = 1e-9  # leak budget for outgoing choice probabilities
+_MASS_TOL = 1e-9  # leak budget for outgoing choice probabilities, plus rounding
 
 
 class LoadingError(Exception):
@@ -73,61 +75,8 @@ class LoadResult:
     induced_demands: list[list[float]]
     entropies: list[float]
 
-    def flow_maps(self, net: NetworkHierarchy) -> list[dict[str, float]]:
-        out = []
-        for level, values in zip(net.levels, self.flows):
-            out.append({e.id: v for e, v in zip(level.edges, values)})
-        return out
-
     def plain_flows(self, net: NetworkHierarchy) -> list[float]:
         return [self.flows[k][i] for k, i in net.plain_edge_order()]
-
-
-class _LevelTopo:
-    """Index structures for one level, shared across loadings."""
-
-    __slots__ = (
-        "nodes",
-        "n_nodes",
-        "node_index",
-        "tails",
-        "heads",
-        "out_edges",
-        "in_edges",
-        "topo",
-        "od_nodes",
-        "portal_for_od",
-        "plain_positions",
-    )
-
-    def __init__(self, level: LevelGraph) -> None:
-        self.nodes = level.nodes
-        self.node_index = {v: i for i, v in enumerate(level.nodes)}
-        self.n_nodes = len(level.nodes)
-        self.tails = [self.node_index[e.tail] for e in level.edges]
-        self.heads = [self.node_index[e.head] for e in level.edges]
-        self.out_edges: list[list[int]] = [[] for _ in level.nodes]
-        self.in_edges: list[list[int]] = [[] for _ in level.nodes]
-        for pos, (t, h) in enumerate(zip(self.tails, self.heads)):
-            self.out_edges[t].append(pos)
-            self.in_edges[h].append(pos)
-        order = topological_order(level)
-        self.topo = None if order is None else [self.node_index[v] for v in order]
-        self.od_nodes = [
-            (self.node_index[od.origin], self.node_index[od.destination])
-            for od in level.od_pairs
-        ]
-        self.portal_for_od: dict[int, int] = {}
-        for pos, e in enumerate(level.edges):
-            if e.is_portal:
-                self.portal_for_od[e.target_od.od] = pos
-        self.plain_positions = [pos for pos, e in enumerate(level.edges) if e.is_plain]
-
-
-def _topologies(net: NetworkHierarchy) -> list[_LevelTopo]:
-    if net._topologies is None:
-        net._topologies = [_LevelTopo(level) for level in net.levels]
-    return net._topologies
 
 
 def _lse_min(terms: list[float], gamma: float) -> float:
@@ -145,27 +94,27 @@ def _lse_min(terms: list[float], gamma: float) -> float:
 
 
 def _softmin(
-    topo: _LevelTopo, weights: Sequence[float], gamma: float, dst: int
+    index: LevelIndex, weights: Sequence[float], gamma: float, dst: int
 ) -> list[float]:
     """Soft-min distance to ``dst`` per node; destination is absorbing."""
-    if topo.topo is None:
-        return _softmin_cyclic(topo, weights, gamma, dst)
-    rho = [math.inf] * topo.n_nodes
+    if index.topo is None:
+        return _softmin_cyclic(index, weights, gamma, dst)
+    rho = [math.inf] * index.n_nodes
     rho[dst] = 0.0
-    for v in reversed(topo.topo):
+    for v in reversed(index.topo):
         if v == dst:
             continue
-        terms = [weights[e] + rho[topo.heads[e]] for e in topo.out_edges[v]]
+        terms = [weights[e] + rho[index.heads[e]] for e in index.out_edges[v]]
         rho[v] = _lse_min(terms, gamma)
     return rho
 
 
-def _divergent(topo: _LevelTopo, dst: int) -> LoadingError:
-    return LoadingError(f"the walk sum to destination {topo.nodes[dst]!r} diverges")
+def _divergent(index: LevelIndex, dst: int) -> LoadingError:
+    return LoadingError(f"the walk sum to destination {index.nodes[dst]!r} diverges")
 
 
 def _softmin_cyclic(
-    topo: _LevelTopo, weights: Sequence[float], gamma: float, dst: int
+    index: LevelIndex, weights: Sequence[float], gamma: float, dst: int
 ) -> list[float]:
     """Soft-min over all walks to ``dst``, as ``rho = d - gamma * log(y)``.
 
@@ -179,8 +128,8 @@ def _softmin_cyclic(
     # Imported here so that runs on DAG levels never load numpy.
     import numpy as np
 
-    n = topo.n_nodes
-    tails, heads = np.array(topo.tails), np.array(topo.heads)
+    n = index.n_nodes
+    tails, heads = np.array(index.tails), np.array(index.heads)
     live = tails != dst  # a walk ends on reaching the destination
     tails, heads = tails[live], heads[live]
     w = np.asarray(weights, dtype=float)[live]
@@ -195,7 +144,7 @@ def _softmin_cyclic(
             break
         d = relaxed
     else:
-        raise _divergent(topo, dst)
+        raise _divergent(index, dst)
     keep = np.isfinite(d[heads])  # then the tail reaches ``dst`` too
     tails, heads = tails[keep], heads[keep]
     system = np.eye(n)
@@ -205,10 +154,10 @@ def _softmin_cyclic(
     try:
         y = np.linalg.solve(system, unit)
     except np.linalg.LinAlgError:
-        raise _divergent(topo, dst) from None
+        raise _divergent(index, dst) from None
     reach = np.isfinite(d)
     if not (np.isfinite(y[reach]).all() and (y[reach] > 0.0).all()):
-        raise _divergent(topo, dst)
+        raise _divergent(index, dst)
     rho = np.full(n, math.inf)
     rho[reach] = d[reach] - gamma * np.log(y[reach])
     return rho.tolist()
@@ -229,12 +178,12 @@ def softmin_potentials(
     """
     if gamma <= 0.0:
         raise ValueError(f"gamma must be positive, got {gamma}")
-    topo = _LevelTopo(level)
-    if dest not in topo.node_index:
+    index = level.index
+    if dest not in index.node_index:
         raise ValueError(f"unknown destination node {dest!r}")
     w = [float(weights[e.id]) for e in level.edges]
-    rho = _softmin(topo, w, gamma, topo.node_index[dest])
-    return {v: rho[i] for v, i in topo.node_index.items()}
+    rho = _softmin(index, w, gamma, index.node_index[dest])
+    return {v: rho[i] for v, i in index.node_index.items()}
 
 
 def _sweep_weights(
@@ -245,7 +194,6 @@ def _sweep_weights(
     A portal edge's weight is the soft-min trip cost of its target OD pair
     one level down, so levels are processed deepest first.
     """
-    topos = _topologies(net)
     m = net.num_levels
     weights: list[list[float] | None] = [None] * m
     rho_fields: list[list[list[float]]] = [[] for _ in range(m)]
@@ -258,7 +206,8 @@ def _sweep_weights(
         flat_pos += 1
 
     for k in range(m - 1, -1, -1):
-        level, topo = net.levels[k], topos[k]
+        level = net.levels[k]
+        index = level.index
         w = [0.0] * len(level.edges)
         it = iter(plain_values[k])
         for pos, edge in enumerate(level.edges):
@@ -268,9 +217,9 @@ def _sweep_weights(
                 w[pos] = trip_cost[k + 1][edge.target_od.od]
         weights[k] = w
         gamma = net.gammas[k]
-        for j, (src, dst) in enumerate(topo.od_nodes):
+        for j, (src, dst) in enumerate(index.od_nodes):
             try:
-                rho = _softmin(topo, w, gamma, dst)
+                rho = _softmin(index, w, gamma, dst)
             except LoadingError as err:
                 raise LoadingError(f"{err} at level {k + 1}") from None
             if math.isinf(rho[src]):
@@ -295,16 +244,16 @@ def hierarchical_weights(net: NetworkHierarchy, t: Sequence[float]) -> list[dict
 def dual_smooth_value(net: NetworkHierarchy, t: Sequence[float]) -> float:
     """Smooth dual term: minus the demand-weighted soft-min trip costs."""
     _, rho_fields = _sweep_weights(net, t)
-    topos = _topologies(net)
+    index = net.levels[0].index
     total = 0.0
     for j, od in enumerate(net.levels[0].od_pairs):
-        src = topos[0].od_nodes[j][0]
+        src = index.od_nodes[j][0]
         total -= od.demand * rho_fields[0][j][src]
     return total
 
 
 def _forward_dag(
-    topo: _LevelTopo,
+    index: LevelIndex,
     weights: Sequence[float],
     rho: Sequence[float],
     gamma: float,
@@ -314,35 +263,59 @@ def _forward_dag(
     flows: list[float],
 ) -> float:
     """Propagate ``demand`` from ``src``; returns the trajectory entropy."""
-    through = [0.0] * topo.n_nodes
+    through = [0.0] * index.n_nodes
     through[src] = demand
     entropy = 0.0
-    for v in topo.topo:
+    for v in index.topo:
         h = through[v]
         if h <= 0.0 or v == dst:
             continue
         if math.isinf(rho[v]):
             raise NoPathError("flow reached a node with no route to the destination")
         probs = [
-            math.exp((rho[v] - weights[e] - rho[topo.heads[e]]) / gamma)
-            for e in topo.out_edges[v]
+            math.exp((rho[v] - weights[e] - rho[index.heads[e]]) / gamma)
+            for e in index.out_edges[v]
         ]
         mass = sum(probs)
-        if abs(mass - 1.0) > _MASS_TOL:
+        leak = abs(mass - 1.0)
+        if leak > _MASS_TOL and leak > _leak_budget(index, weights, rho, gamma, v, probs):
             raise MassLeakError(f"outgoing choice probabilities sum to {mass}")
         local = 0.0
-        for e, p in zip(topo.out_edges[v], probs):
+        for e, p in zip(index.out_edges[v], probs):
             p /= mass  # exact conservation; the raw sum is 1 up to rounding
             if p > 0.0:
                 local -= p * math.log(p)
                 flows[e] += h * p
-                through[topo.heads[e]] += h * p
+                through[index.heads[e]] += h * p
         entropy += h * local
     return entropy
 
 
+def _leak_budget(
+    index: LevelIndex,
+    weights: Sequence[float],
+    rho: Sequence[float],
+    gamma: float,
+    v: int,
+    probs: Sequence[float],
+) -> float:
+    """Mass deviation at node ``v`` that the rounding of the potentials explains.
+
+    Each exponent is a difference of a potential, a weight and a potential,
+    so it is off by a few ulps of their magnitudes over ``gamma``, and
+    ``exp`` turns that into the same relative error of the probability.
+    Large potentials against a small ``gamma`` thus leave the raw sum
+    further from 1 than ``_MASS_TOL`` without any mass being lost.
+    """
+    spread = 0.0
+    for e, p in zip(index.out_edges[v], probs):
+        if p > 0.0:
+            spread += p * (abs(rho[v]) + abs(weights[e]) + abs(rho[index.heads[e]]))
+    return _MASS_TOL + 4.0 * sys.float_info.epsilon * spread / gamma
+
+
 def _forward_cyclic(
-    topo: _LevelTopo,
+    index: LevelIndex,
     weights: Sequence[float],
     rho: Sequence[float],
     gamma: float,
@@ -354,8 +327,8 @@ def _forward_cyclic(
     """Walk-measure loading: expected node visits solve ``(I - Q^T) h = b``."""
     import numpy as np
 
-    n = topo.n_nodes
-    tails, heads = np.array(topo.tails), np.array(topo.heads)
+    n = index.n_nodes
+    tails, heads = np.array(index.tails), np.array(index.heads)
     r = np.asarray(rho)
     edges = np.flatnonzero((tails != dst) & np.isfinite(r[heads]))
     tails, heads = tails[edges], heads[edges]
@@ -384,7 +357,6 @@ def network_loading(net: NetworkHierarchy, t: Sequence[float]) -> LoadResult:
     sweep runs top-down after the bottom-up weight pass.
     """
     weights, rho_fields = _sweep_weights(net, t)
-    topos = _topologies(net)
     m = net.num_levels
 
     demands: list[list[float]] = [[] for _ in range(m)]
@@ -393,24 +365,25 @@ def network_loading(net: NetworkHierarchy, t: Sequence[float]) -> LoadResult:
     entropies: list[float] = []
     smooth = 0.0
     for k in range(m):
-        level, topo, gamma = net.levels[k], topos[k], net.gammas[k]
+        level, gamma = net.levels[k], net.gammas[k]
+        index = level.index
         level_flows = [0.0] * len(level.edges)
         level_entropy = 0.0
-        forward = _forward_dag if topo.topo is not None else _forward_cyclic
-        for j, (src, dst) in enumerate(topo.od_nodes):
+        forward = _forward_dag if index.topo is not None else _forward_cyclic
+        for j, (src, dst) in enumerate(index.od_nodes):
             d = demands[k][j]
             if k == 0:
                 smooth -= d * rho_fields[0][j][src]
             if d <= 0.0 or src == dst:
                 continue
             level_entropy += forward(
-                topo, weights[k], rho_fields[k][j], gamma, src, dst, d, level_flows
+                index, weights[k], rho_fields[k][j], gamma, src, dst, d, level_flows
             )
         flows.append(level_flows)
         entropies.append(level_entropy)
         if k + 1 < m:
             demands[k + 1] = [
-                level_flows[topo.portal_for_od[j]]
+                level_flows[index.portal_for_od[j]]
                 for j in range(len(net.levels[k + 1].od_pairs))
             ]
     return LoadResult(
@@ -450,7 +423,7 @@ def primal_objective(
             if k == 0:
                 demand = od.demand
             else:
-                portal = _topologies(net)[k - 1].portal_for_od[j]
+                portal = net.levels[k - 1].index.portal_for_od[j]
                 demand = flows[k - 1][portal]
             total = 0.0
             for route, x in table.items():
@@ -481,7 +454,7 @@ def primal_objective(
 
     integral_sum = 0.0
     for k, level in enumerate(net.levels):
-        for pos in _topologies(net)[k].plain_positions:
+        for pos in level.index.plain_positions:
             integral_sum += level.edges[pos].cost.integral(flows[k][pos])
     return integral_sum + entropy_sum
 
@@ -493,7 +466,7 @@ def surrogate_primal(
     nested-entropy term (exact for one loading, an upper bound for averages)."""
     total = entropy
     for k, level in enumerate(net.levels):
-        for pos in _topologies(net)[k].plain_positions:
+        for pos in level.index.plain_positions:
             total += level.edges[pos].cost.integral(flows[k][pos])
     return total
 
@@ -514,13 +487,13 @@ def verify_conservation(
 ) -> None:
     """Raise unless flow balances at every node and portals feed demands."""
     for k, level in enumerate(net.levels):
-        topo = _topologies(net)[k]
+        index = level.index
         scale = 1.0 + max((abs(v) for v in result.flows[k]), default=0.0)
-        balance = [0.0] * topo.n_nodes
+        balance = [0.0] * index.n_nodes
         for pos in range(len(level.edges)):
-            balance[topo.tails[pos]] -= result.flows[k][pos]
-            balance[topo.heads[pos]] += result.flows[k][pos]
-        for j, (src, dst) in enumerate(topo.od_nodes):
+            balance[index.tails[pos]] -= result.flows[k][pos]
+            balance[index.heads[pos]] += result.flows[k][pos]
+        for j, (src, dst) in enumerate(index.od_nodes):
             d = result.induced_demands[k][j]
             balance[src] += d
             balance[dst] -= d
@@ -531,7 +504,7 @@ def verify_conservation(
                 )
         if k + 1 < net.num_levels:
             for j in range(len(net.levels[k + 1].od_pairs)):
-                portal_flow = result.flows[k][topo.portal_for_od[j]]
+                portal_flow = result.flows[k][index.portal_for_od[j]]
                 if abs(portal_flow - result.induced_demands[k + 1][j]) > tol * scale:
                     raise AssertionError(
                         f"portal flow and induced demand disagree for level-{k + 2} OD {j}"

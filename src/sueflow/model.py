@@ -11,6 +11,7 @@ target OD pair at runtime.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, Mapping
 
 from .costs import LinkCost
@@ -20,11 +21,12 @@ __all__ = [
     "ODPair",
     "Edge",
     "LevelGraph",
+    "LevelIndex",
     "NetworkHierarchy",
     "Violation",
     "validate_hierarchy",
-    "portal_demand_map",
     "longest_path_bound",
+    "longest_path_bounds",
 ]
 
 
@@ -74,6 +76,67 @@ class LevelGraph:
     edges: tuple[Edge, ...]
     od_pairs: tuple[ODPair, ...]
 
+    @cached_property
+    def index(self) -> LevelIndex:
+        """The level compiled to integer positions, built on first use.
+
+        Every edge and OD endpoint must be a node of the level;
+        ``validate_hierarchy`` reads the index only once that holds.
+        """
+        return LevelIndex(self)
+
+
+class LevelIndex:
+    """Integer index of one level graph, shared by validation, route-length
+    bounds and loading.
+
+    Nodes and edges are numbered by their position in the level. ``topo``
+    is a Kahn order of the node positions, or ``None`` when the graph has a
+    cycle.
+    """
+
+    __slots__ = (
+        "nodes",
+        "n_nodes",
+        "node_index",
+        "tails",
+        "heads",
+        "out_edges",
+        "topo",
+        "od_nodes",
+        "portal_for_od",
+        "plain_positions",
+    )
+
+    def __init__(self, level: LevelGraph) -> None:
+        self.nodes = level.nodes
+        self.node_index = {v: i for i, v in enumerate(level.nodes)}
+        self.n_nodes = len(level.nodes)
+        self.tails = [self.node_index[e.tail] for e in level.edges]
+        self.heads = [self.node_index[e.head] for e in level.edges]
+        self.out_edges: list[list[int]] = [[] for _ in level.nodes]
+        indeg = [0] * self.n_nodes
+        for pos, (t, h) in enumerate(zip(self.tails, self.heads)):
+            self.out_edges[t].append(pos)
+            indeg[h] += 1
+        order = [v for v in range(self.n_nodes) if indeg[v] == 0]
+        for v in order:  # the loop also visits the nodes it appends
+            for e in self.out_edges[v]:
+                u = self.heads[e]
+                indeg[u] -= 1
+                if indeg[u] == 0:
+                    order.append(u)
+        self.topo = order if len(order) == self.n_nodes else None
+        self.od_nodes = [
+            (self.node_index[od.origin], self.node_index[od.destination])
+            for od in level.od_pairs
+        ]
+        self.portal_for_od: dict[int, int] = {}
+        for pos, e in enumerate(level.edges):
+            if e.is_portal:
+                self.portal_for_od[e.target_od.od] = pos
+        self.plain_positions = [pos for pos, e in enumerate(level.edges) if e.is_plain]
+
 
 @dataclass(frozen=True)
 class Violation:
@@ -101,7 +164,6 @@ class NetworkHierarchy:
         self.gammas: tuple[float, ...] = tuple(float(g) for g in gammas)
         self.walk_cap = walk_cap
         self._plain_order: list[tuple[int, int]] | None = None
-        self._topologies = None  # built lazily by the loading module
 
     @property
     def num_levels(self) -> int:
@@ -177,10 +239,13 @@ def validate_hierarchy(net: NetworkHierarchy) -> list[Violation]:
                 Violation("NonpositiveGamma", f"gammas[{k}]", f"gamma must be > 0, got {g}")
             )
 
-    # Per-level structural checks.
+    # Per-level structural checks. A level whose endpoints all name its own
+    # nodes is compiled; the graph checks below read that index.
+    indexes: list[LevelIndex | None] = []
     for k, level in enumerate(net.levels):
         where = f"levels[{k}]"
         nodes = set(level.nodes)
+        endpoints_known = True
         if len(nodes) != len(level.nodes):
             out.append(Violation("DuplicateNodeId", f"{where}.nodes", "repeated node id"))
         seen_edge_ids = set()
@@ -193,6 +258,7 @@ def validate_hierarchy(net: NetworkHierarchy) -> list[Violation]:
                 out.append(Violation("SelfLoop", epath, "self-loops are not allowed"))
             for endpoint in (edge.tail, edge.head):
                 if endpoint not in nodes:
+                    endpoints_known = False
                     out.append(
                         Violation("UnknownEndpoint", epath, f"node {endpoint!r} not in level")
                     )
@@ -223,6 +289,7 @@ def validate_hierarchy(net: NetworkHierarchy) -> list[Violation]:
             opath = f"{where}.od_pairs[{j}]"
             for endpoint in (od.origin, od.destination):
                 if endpoint not in nodes:
+                    endpoints_known = False
                     out.append(
                         Violation("UnknownEndpoint", opath, f"node {endpoint!r} not in level")
                     )
@@ -241,6 +308,7 @@ def validate_hierarchy(net: NetworkHierarchy) -> list[Violation]:
                         "demands below level 1 are induced by portal flow, not data",
                     )
                 )
+        indexes.append(level.index if endpoints_known else None)
 
     # Portal <-> OD bijection between consecutive levels.
     for k in range(m - 1):
@@ -268,14 +336,12 @@ def validate_hierarchy(net: NetworkHierarchy) -> list[Violation]:
                 )
 
     # Reachability of every OD on its own level (plain + portal topology).
-    for k, level in enumerate(net.levels):
-        adjacency: dict[str, list[str]] = {}
-        for edge in level.edges:
-            adjacency.setdefault(edge.tail, []).append(edge.head)
-        for j, od in enumerate(level.od_pairs):
-            if od.origin not in set(level.nodes) or od.destination not in set(level.nodes):
-                continue  # already reported above
-            if not _reaches(adjacency, od.origin, od.destination):
+    for k, index in enumerate(indexes):
+        if index is None:
+            continue  # endpoints already reported above
+        for j, (src, dst) in enumerate(index.od_nodes):
+            if not _reaches(index, src, dst):
+                od = net.levels[k].od_pairs[j]
                 out.append(
                     Violation(
                         "NoPathForOD",
@@ -286,8 +352,8 @@ def validate_hierarchy(net: NetworkHierarchy) -> list[Violation]:
 
     # Cycles are only admitted under an explicit walk-length cap.
     if net.walk_cap is None:
-        for k, level in enumerate(net.levels):
-            if _has_cycle(level):
+        for k, index in enumerate(indexes):
+            if index is not None and index.topo is None:
                 out.append(
                     Violation(
                         "CyclicLevelWithoutCap",
@@ -301,60 +367,18 @@ def validate_hierarchy(net: NetworkHierarchy) -> list[Violation]:
     return out
 
 
-def _reaches(adjacency: Mapping[str, list[str]], src: str, dst: str) -> bool:
+def _reaches(index: LevelIndex, src: int, dst: int) -> bool:
     stack, seen = [src], {src}
     while stack:
         v = stack.pop()
         if v == dst:
             return True
-        for u in adjacency.get(v, ()):
+        for e in index.out_edges[v]:
+            u = index.heads[e]
             if u not in seen:
                 seen.add(u)
                 stack.append(u)
     return False
-
-
-def _has_cycle(level: LevelGraph) -> bool:
-    order = topological_order(level)
-    return order is None
-
-
-def topological_order(level: LevelGraph) -> list[str] | None:
-    """Kahn order over node names, or None when the level graph is cyclic."""
-    indeg = {v: 0 for v in level.nodes}
-    adjacency: dict[str, list[str]] = {v: [] for v in level.nodes}
-    for edge in level.edges:
-        if edge.tail in indeg and edge.head in indeg:
-            adjacency[edge.tail].append(edge.head)
-            indeg[edge.head] += 1
-    ready = [v for v in level.nodes if indeg[v] == 0]
-    order: list[str] = []
-    i = 0
-    while i < len(ready):
-        v = ready[i]
-        i += 1
-        order.append(v)
-        for u in adjacency[v]:
-            indeg[u] -= 1
-            if indeg[u] == 0:
-                ready.append(u)
-    return order if len(order) == len(level.nodes) else None
-
-
-def portal_demand_map(
-    net: NetworkHierarchy, level: int, flows: Mapping[str, float]
-) -> dict[int, float]:
-    """Demands induced at ``level + 1``: od index -> flow on its binding portal."""
-    if not 0 <= level < net.num_levels - 1:
-        raise ValueError(f"level {level} has no next level")
-    demands: dict[int, float] = {}
-    for edge in net.levels[level].edges:
-        if not edge.is_portal:
-            continue
-        if edge.id not in flows:
-            raise ValueError(f"missing flow for portal edge {edge.id!r} at level {level + 1}")
-        demands[edge.target_od.od] = float(flows[edge.id])
-    return demands
 
 
 def longest_path_bound(net: NetworkHierarchy, od_index: int) -> int:
@@ -366,58 +390,58 @@ def longest_path_bound(net: NetworkHierarchy, od_index: int) -> int:
     """
     if not 0 <= od_index < len(net.levels[0].od_pairs):
         raise ValueError(f"no level-1 OD pair with index {od_index}")
+    return longest_path_bounds(net)[0][od_index]
+
+
+def longest_path_bounds(net: NetworkHierarchy) -> list[list[int]]:
+    """``longest_path_bound`` of every OD pair of every level, per level,
+    in one bottom-up pass that measures each OD pair once."""
     bounds: list[list[int]] = [[] for _ in net.levels]
     for k in range(net.num_levels - 1, -1, -1):
         level = net.levels[k]
-        weights = []
-        for edge in level.edges:
-            weights.append(1 if edge.is_plain else bounds[k + 1][edge.target_od.od])
-        for od in level.od_pairs:
-            bounds[k].append(_longest_route(net, level, weights, od))
-    return bounds[0][od_index]
+        weights = [
+            1 if edge.is_plain else bounds[k + 1][edge.target_od.od] for edge in level.edges
+        ]
+        bounds[k] = [
+            _longest_route(level.index, weights, j, net.walk_cap)
+            for j in range(len(level.od_pairs))
+        ]
+    return bounds
 
 
-def _longest_route(
-    net: NetworkHierarchy, level: LevelGraph, weights: list[int], od: ODPair
-) -> int:
-    node_index = {v: i for i, v in enumerate(level.nodes)}
-    out_edges: list[list[tuple[int, int]]] = [[] for _ in level.nodes]
-    for i, edge in enumerate(level.edges):
-        out_edges[node_index[edge.tail]].append((i, node_index[edge.head]))
-    src, dst = node_index[od.origin], node_index[od.destination]
-    order = topological_order(level)
+def _longest_route(index: LevelIndex, weights: list[int], od: int, walk_cap: int | None) -> int:
+    """Largest total weight of a route of OD ``od``; the destination absorbs."""
+    src, dst = index.od_nodes[od]
     none = -1
-    if order is not None:
-        best = [none] * len(level.nodes)
-        best[dst] = 0
-        for name in reversed(order):
-            v = node_index[name]
+    best = [none] * index.n_nodes
+    best[dst] = 0
+    if index.topo is not None:
+        for v in reversed(index.topo):
             if v == dst:
                 continue
-            for e, u in out_edges[v]:
+            for e in index.out_edges[v]:
+                u = index.heads[e]
                 if best[u] != none:
                     cand = weights[e] + best[u]
                     if cand > best[v]:
                         best[v] = cand
-        value = best[src]
     else:
         # Longest walk of at most walk_cap edges, max-plus relaxation.
-        if net.walk_cap is None:
+        if walk_cap is None:
             raise ValueError("cyclic level graph requires an explicit walk-length cap")
-        best = [none] * len(level.nodes)
-        best[dst] = 0
-        for _ in range(net.walk_cap):
+        for _ in range(walk_cap):
             nxt = list(best)
-            for v in range(len(level.nodes)):
+            for v in range(index.n_nodes):
                 if v == dst:
                     continue
-                for e, u in out_edges[v]:
+                for e in index.out_edges[v]:
+                    u = index.heads[e]
                     if best[u] != none:
                         cand = weights[e] + best[u]
                         if cand > nxt[v]:
                             nxt[v] = cand
             best = nxt
-        value = best[src]
-    if value == none:
-        raise ValueError(f"no path {od.origin!r} -> {od.destination!r}")
-    return value
+    if best[src] == none:
+        origin, destination = index.nodes[src], index.nodes[dst]
+        raise ValueError(f"no path {origin!r} -> {destination!r}")
+    return best[src]

@@ -3,11 +3,11 @@
 The driver minimises ``smooth(t) + sum_e conjugate_e(t_e)`` where the
 composite part separates over coordinates, each carrying a link-cost
 conjugate. No Lipschitz constant is supplied: each iteration halves the
-previous local estimate and doubles it until the quadratic upper bound
-holds at the proximal trial point. The step weights follow the recursion
-``alpha' ** 2 * L' - alpha' = alpha ** 2 * L``, which makes the mixing
-weight ``1 / (alpha' * L')`` a valid convex-combination coefficient and
-the weight sum telescope into the accumulated ``A``.
+previous local estimate, but not below ``L0``, and doubles it until the
+quadratic upper bound holds at the proximal trial point. The step weights
+follow the recursion ``alpha' ** 2 * L' - alpha' = alpha ** 2 * L``, which
+makes the mixing weight ``1 / (alpha' * L')`` a valid convex-combination
+coefficient and the weight sum telescope into the accumulated ``A``.
 
 For the network dual, weighted averages of flows and route entropies over
 the gradient points yield a computable duality gap: dual value at the
@@ -33,7 +33,7 @@ from .loading import (
     primal_objective,
     surrogate_primal,
 )
-from .model import NetworkHierarchy, longest_path_bound
+from .model import NetworkHierarchy, longest_path_bounds
 
 __all__ = [
     "SolverConfig",
@@ -335,7 +335,6 @@ def lipschitz_bound_diagnostic(net: NetworkHierarchy) -> float:
     """A-priori curvature bound of the smooth dual term (diagnostic only)."""
     gamma_min = min(net.gammas)
     total = 0.0
-    for j, od in enumerate(net.levels[0].od_pairs):
-        length = longest_path_bound(net, j)
+    for od, length in zip(net.levels[0].od_pairs, longest_path_bounds(net)[0]):
         total += od.demand * length * length
     return total / gamma_min

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +15,7 @@ from sueflow import (
     Edge,
     LevelGraph,
     LoadingError,
+    MassLeakError,
     NetworkHierarchy,
     NoPathError,
     ODPair,
@@ -25,6 +27,7 @@ from sueflow import (
     primal_objective,
     softmin_potentials,
 )
+from sueflow import loading
 from sueflow.loading import entropy_term, surrogate_primal, verify_conservation
 from sueflow import oracle
 
@@ -354,6 +357,44 @@ class TestNetworkLoading:
             tm[pos] -= h
             fd = (dual_smooth_value(net, tp) - dual_smooth_value(net, tm)) / (2 * h)
             assert abs(fd + flows[pos]) <= 1e-6 * demand
+
+
+def jittered_chain(stages, time, gamma, seed):
+    """Stages of two parallel links, each time within 1 % of ``time``."""
+    rng = random.Random(seed)
+    nodes = tuple(f"s{i}" for i in range(stages + 1))
+    edges, t = [], []
+    for i in range(stages):
+        for side in "ab":
+            edges.append(Edge(f"{side}{i}", nodes[i], nodes[i + 1], cost=ConstantCost(time)))
+            t.append(time * (1.0 + rng.uniform(-0.01, 0.01)))
+    level = LevelGraph(nodes, tuple(edges), (ODPair(nodes[0], nodes[-1], 1.0),))
+    return NetworkHierarchy([level], [gamma]), t
+
+
+class TestMassLeak:
+    # Potentials near stages * time carry rounding of about eps * rho / gamma
+    # into each exponent, which moved the raw probability sums of these
+    # chains 3e-9 and 1e-9 away from 1 with no mass lost.
+    @pytest.mark.parametrize("stages, time, gamma", [(500, 100.0, 1e-3), (2000, 600.0, 0.1)])
+    def test_long_chain_at_large_cost_over_gamma(self, stages, time, gamma):
+        for seed in range(5):
+            net, t = jittered_chain(stages, time, gamma, seed)
+            res = network_loading(net, t)
+            verify_conservation(net, res)
+            assert sum(res.flows[0][:2]) == pytest.approx(1.0, abs=1e-12)
+
+    def test_wrong_potential_raises(self):
+        net, t = jittered_chain(10, 1.0, 0.5, seed=0)
+        weights, rho_fields = loading._sweep_weights(net, t)
+        rho = list(rho_fields[0][0])
+        rho[5] += 0.01 * net.gammas[0]
+        index = net.levels[0].index
+        src, dst = index.od_nodes[0]
+        with pytest.raises(MassLeakError):
+            loading._forward_dag(
+                index, weights[0], rho, net.gammas[0], src, dst, 1.0, [0.0] * len(t)
+            )
 
 
 class TestPrimalObjective:

@@ -1,8 +1,12 @@
-"""Hierarchy validation, portal demand propagation, and route-length bounds."""
+"""Hierarchy validation, the compiled level index, and route-length bounds."""
 
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import breadth_first_order, connected_components
 
 from sueflow import (
     AffineCost,
@@ -12,12 +16,12 @@ from sueflow import (
     ODPair,
     ODRef,
     longest_path_bound,
-    portal_demand_map,
     validate_hierarchy,
 )
+from sueflow.model import longest_path_bounds
 from sueflow.oracle import expand_paths
 
-from conftest import chain3_net, diamond_net, parallel_net, two_edge_net
+from conftest import chain3_net, diamond_net, parallel_net, random_hierarchy, two_edge_net
 
 
 def codes(net):
@@ -165,50 +169,65 @@ class TestValidate:
             Edge("e", "o", "d", cost=AffineCost(1.0, 1.0), target_od=ODRef(1, 0))
 
 
-class TestPortalDemandMap:
-    def test_copies_flow(self):
-        net = chain3_net()
-        assert portal_demand_map(net, 0, {"c1": 3.0, "g1": 3.0}) == {0: 3.0}
-
-    def test_two_portals(self):
-        level1 = LevelGraph(
-            nodes=("o", "a", "d"),
-            edges=(
-                Edge("g1", "o", "a", target_od=ODRef(1, 0)),
-                Edge("g2", "a", "d", target_od=ODRef(1, 1)),
-            ),
-            od_pairs=(ODPair("o", "d", 3.0),),
+class TestLevelIndex:
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_order_and_reachability_match_scipy(self, data):
+        # Random level graphs without self-loops; cycles and parallel edges allowed.
+        n = data.draw(st.integers(1, 7), label="nodes")
+        node = st.integers(0, n - 1)
+        arcs = data.draw(
+            st.lists(st.tuples(node, node).filter(lambda a: a[0] != a[1]), max_size=14),
+            label="edges",
         )
-        level2 = LevelGraph(
-            nodes=("u", "w"),
-            edges=(
-                Edge("q1", "u", "w", cost=AffineCost(1.0, 1.0)),
-                Edge("q2", "u", "w", cost=AffineCost(1.0, 1.0)),
+        ods = data.draw(st.lists(st.tuples(node, node), min_size=1, max_size=4), label="ods")
+        level = LevelGraph(
+            nodes=tuple(f"v{i}" for i in range(n)),
+            edges=tuple(
+                Edge(f"e{i}", f"v{a}", f"v{b}", cost=AffineCost(1.0, 1.0))
+                for i, (a, b) in enumerate(arcs)
             ),
-            od_pairs=(ODPair("u", "w"), ODPair("u", "w")),
+            od_pairs=tuple(ODPair(f"v{o}", f"v{d}", 1.0) for o, d in ods),
         )
-        net = NetworkHierarchy([level1, level2], [1.0, 1.0])
-        out = portal_demand_map(net, 0, {"g1": 1.0, "g2": 2.0})
-        assert out == {0: 1.0, 1: 2.0}
+        graph = csr_matrix(
+            ([1.0] * len(arcs), ([a for a, _ in arcs], [b for _, b in arcs])), shape=(n, n)
+        )
+        _, labels = connected_components(graph, directed=True, connection="strong")
+        cyclic = len(set(labels.tolist())) < n
+        index = level.index
+        assert (index.topo is None) == cyclic
+        if index.topo is not None:
+            assert sorted(index.topo) == list(range(n))
+            position = {v: i for i, v in enumerate(index.topo)}
+            for t, h in zip(index.tails, index.heads):
+                assert position[t] < position[h]
+        found = {
+            v.path
+            for v in validate_hierarchy(NetworkHierarchy([level], [1.0], walk_cap=1))
+            if v.code == "NoPathForOD"
+        }
+        expected = {
+            f"levels[0].od_pairs[{j}]"
+            for j, (o, d) in enumerate(ods)
+            if d not in breadth_first_order(graph, o, directed=True, return_predecessors=False)
+        }
+        assert found == expected
 
-    def test_zero_flow(self):
-        net = chain3_net()
-        assert portal_demand_map(net, 0, {"g1": 0.0}) == {0: 0.0}
+    def test_compiled_once_per_level(self, two_level_net):
+        level = two_level_net.levels[0]
+        assert level.index is level.index
+        assert level.index.portal_for_od == {0: 2}
+        assert level.index.plain_positions == [0, 1, 3]
 
-    def test_missing_flow(self):
-        net = chain3_net()
-        with pytest.raises(ValueError, match="missing flow"):
-            portal_demand_map(net, 0, {"c1": 3.0})
-
-    def test_conserves_mass(self):
-        net = chain3_net()
-        flows = {"g1": 2.5}
-        out = portal_demand_map(net, 0, flows)
-        assert sum(out.values()) == pytest.approx(flows["g1"])
-
-    def test_level_out_of_range(self):
-        with pytest.raises(ValueError):
-            portal_demand_map(two_edge_net(), 0, {})
+    def test_invalid_endpoints_are_not_compiled(self):
+        # The graph checks skip a level whose edges name unknown nodes.
+        level = LevelGraph(
+            nodes=("o", "d"),
+            edges=(Edge("e", "o", "x", cost=AffineCost(1.0, 1.0)),),
+            od_pairs=(ODPair("o", "d", 1.0),),
+        )
+        assert codes(NetworkHierarchy([level], [1.0])) == ["UnknownEndpoint"]
+        assert "index" not in vars(level)
 
 
 class TestLongestPathBound:
@@ -227,6 +246,22 @@ class TestLongestPathBound:
         expanded = expand_paths(two_level_net, ODRef(0, 0))
         brute = max(p.total_plain_edges for p in expanded)
         assert longest_path_bound(two_level_net, 0) == brute == 3
+        self.assert_every_od_matches_expansion(two_level_net)
+
+    @pytest.mark.parametrize("seed", [100, 101, 102, 103])
+    def test_every_od_vs_expansion_random(self, seed):
+        net, _ = random_hierarchy(seed)
+        self.assert_every_od_matches_expansion(net)
+
+    @staticmethod
+    def assert_every_od_matches_expansion(net):
+        bounds = longest_path_bounds(net)
+        for k, level in enumerate(net.levels):
+            for j in range(len(level.od_pairs)):
+                brute = max(p.total_plain_edges for p in expand_paths(net, ODRef(k, j)))
+                assert bounds[k][j] == brute
+                if k == 0:
+                    assert longest_path_bound(net, j) == brute
 
     def test_monotone_under_edge_addition(self):
         base = diamond_net()

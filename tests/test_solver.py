@@ -311,6 +311,46 @@ class TestLipschitzDiagnostic:
         # demand 2, longest expanded route 3 edges, min gamma 0.8
         assert lipschitz_bound_diagnostic(two_level_net) == pytest.approx(22.5)
 
+    def test_measures_each_od_once(self, monkeypatch):
+        # Three level-1 ODs over two portals into a level with two ODs.
+        from collections import Counter
+
+        from sueflow import model
+        from sueflow import ConstantCost, Edge, LevelGraph, NetworkHierarchy, ODPair
+
+        level1 = LevelGraph(
+            nodes=("o", "m", "d"),
+            edges=(
+                Edge("g1", "o", "m", target_od=ODRef(1, 0)),
+                Edge("g2", "m", "d", target_od=ODRef(1, 1)),
+                Edge("od", "o", "d", cost=ConstantCost(2.0)),
+            ),
+            od_pairs=(ODPair("o", "d", 1.0), ODPair("o", "m", 2.0), ODPair("m", "d", 0.5)),
+        )
+        level2 = LevelGraph(
+            nodes=("u", "v", "w"),
+            edges=(
+                Edge("uv", "u", "v", cost=ConstantCost(0.4)),
+                Edge("vw", "v", "w", cost=ConstantCost(0.5)),
+                Edge("uw", "u", "w", cost=ConstantCost(1.0)),
+            ),
+            od_pairs=(ODPair("u", "w"), ODPair("v", "w")),
+        )
+        net = NetworkHierarchy([level1, level2], [1.0, 0.5])
+        calls = Counter()
+        measure = model._longest_route
+
+        def counted(index, weights, od, walk_cap):
+            calls[index, od] += 1
+            return measure(index, weights, od, walk_cap)
+
+        monkeypatch.setattr(model, "_longest_route", counted)
+        # Routes of 3, 2 and 1 plain edges: (1 * 9 + 2 * 4 + 0.5 * 1) / 0.5.
+        assert lipschitz_bound_diagnostic(net) == pytest.approx(35.0)
+        expected = {(level1.index, j) for j in range(3)} | {(level2.index, j) for j in range(2)}
+        assert set(calls) == expected
+        assert set(calls.values()) == {1}
+
 
 class TestDriver:
     def test_quadratic_reaches_minimiser(self):
