@@ -15,6 +15,12 @@ and one linear solve per destination gives it exactly (Akamatsu 1996,
 through-flows of the loading are a second solve with the resulting choice
 probabilities. A walk sum that diverges raises ``LoadingError``. Both
 passes read each level's compiled index, ``LevelGraph.index``.
+
+OD pairs enter only through their destinations: pairs that share one share
+its soft-min field, and since flows and trajectory entropy are linear in
+the through-flow, one forward pass carries the demand of all their origins
+(the destination-based form of Dial's STOCH loading). Each level thus
+costs one soft-min sweep and one forward pass per distinct destination.
 """
 
 from __future__ import annotations
@@ -96,7 +102,10 @@ def _lse_min(terms: list[float], gamma: float) -> float:
 def _softmin(
     index: LevelIndex, weights: Sequence[float], gamma: float, dst: int
 ) -> list[float]:
-    """Soft-min distance to ``dst`` per node; destination is absorbing."""
+    """Soft-min distance to ``dst`` per node; destination is absorbing.
+
+    One field serves every OD pair of the level that ends at ``dst``.
+    """
     if index.topo is None:
         return _softmin_cyclic(index, weights, gamma, dst)
     rho = [math.inf] * index.n_nodes
@@ -174,7 +183,8 @@ def softmin_potentials(
     Unreachable nodes map to ``+inf``. The value at a trip's origin is the
     smoothed trip cost; it tends to the shortest-path distance as
     ``gamma -> 0``. On a cyclic level it sums over all walks and raises
-    ``LoadingError`` when that sum diverges.
+    ``LoadingError`` when that sum diverges. An edge or OD pair naming a
+    node the level lacks raises ``ValueError``.
     """
     if gamma <= 0.0:
         raise ValueError(f"gamma must be positive, got {gamma}")
@@ -189,7 +199,8 @@ def softmin_potentials(
 def _sweep_weights(
     net: NetworkHierarchy, t: Sequence[float]
 ) -> tuple[list[list[float]], list[list[list[float]]]]:
-    """Bottom-up pass: per-level edge weights and per-OD soft-min fields.
+    """Bottom-up pass: per-level edge weights and per-destination soft-min
+    fields, in the order of ``LevelIndex.dests``.
 
     A portal edge's weight is the soft-min trip cost of its target OD pair
     one level down, so levels are processed deepest first.
@@ -207,7 +218,10 @@ def _sweep_weights(
 
     for k in range(m - 1, -1, -1):
         level = net.levels[k]
-        index = level.index
+        try:
+            index = level.index
+        except ValueError as err:
+            raise ValueError(f"{err} at level {k + 1}") from None
         w = [0.0] * len(level.edges)
         it = iter(plain_values[k])
         for pos, edge in enumerate(level.edges):
@@ -217,18 +231,19 @@ def _sweep_weights(
                 w[pos] = trip_cost[k + 1][edge.target_od.od]
         weights[k] = w
         gamma = net.gammas[k]
-        for j, (src, dst) in enumerate(index.od_nodes):
+        for dst in index.dests:
             try:
-                rho = _softmin(index, w, gamma, dst)
+                rho_fields[k].append(_softmin(index, w, gamma, dst))
             except LoadingError as err:
                 raise LoadingError(f"{err} at level {k + 1}") from None
-            if math.isinf(rho[src]):
+        for j, (src, _) in enumerate(index.od_nodes):
+            cost = rho_fields[k][index.dest_slot[j]][src]
+            if math.isinf(cost):
                 od = level.od_pairs[j]
                 raise NoPathError(
                     f"no path {od.origin!r} -> {od.destination!r} at level {k + 1}"
                 )
-            rho_fields[k].append(rho)
-            trip_cost[k].append(rho[src])
+            trip_cost[k].append(cost)
     return weights, rho_fields
 
 
@@ -248,7 +263,7 @@ def dual_smooth_value(net: NetworkHierarchy, t: Sequence[float]) -> float:
     total = 0.0
     for j, od in enumerate(net.levels[0].od_pairs):
         src = index.od_nodes[j][0]
-        total -= od.demand * rho_fields[0][j][src]
+        total -= od.demand * rho_fields[0][index.dest_slot[j]][src]
     return total
 
 
@@ -257,21 +272,29 @@ def _forward_dag(
     weights: Sequence[float],
     rho: Sequence[float],
     gamma: float,
-    src: int,
     dst: int,
-    demand: float,
+    supply: list[float],
     flows: list[float],
+    k: int,
 ) -> float:
-    """Propagate ``demand`` from ``src``; returns the trajectory entropy."""
-    through = [0.0] * index.n_nodes
-    through[src] = demand
+    """Carry the demand bound for ``dst`` to it in one topological sweep.
+
+    ``supply[v]`` is the summed demand of the level's OD pairs from node
+    ``v`` to ``dst``; it becomes the through-flow in place. Adds the edge
+    flows to ``flows`` and returns the demand-weighted trajectory entropy.
+    ``k`` is the level's position, for error messages.
+    """
+    through = supply
     entropy = 0.0
     for v in index.topo:
         h = through[v]
         if h <= 0.0 or v == dst:
             continue
         if math.isinf(rho[v]):
-            raise NoPathError("flow reached a node with no route to the destination")
+            raise NoPathError(
+                f"flow toward {index.nodes[dst]!r} reached node {index.nodes[v]!r}, "
+                f"which has no route to it, at level {k + 1}"
+            )
         probs = [
             math.exp((rho[v] - weights[e] - rho[index.heads[e]]) / gamma)
             for e in index.out_edges[v]
@@ -279,7 +302,10 @@ def _forward_dag(
         mass = sum(probs)
         leak = abs(mass - 1.0)
         if leak > _MASS_TOL and leak > _leak_budget(index, weights, rho, gamma, v, probs):
-            raise MassLeakError(f"outgoing choice probabilities sum to {mass}")
+            raise MassLeakError(
+                f"choice probabilities out of node {index.nodes[v]!r} toward "
+                f"{index.nodes[dst]!r} sum to {mass} at level {k + 1}"
+            )
         local = 0.0
         for e, p in zip(index.out_edges[v], probs):
             p /= mass  # exact conservation; the raw sum is 1 up to rounding
@@ -319,12 +345,16 @@ def _forward_cyclic(
     weights: Sequence[float],
     rho: Sequence[float],
     gamma: float,
-    src: int,
     dst: int,
-    demand: float,
+    supply: list[float],
     flows: list[float],
+    k: int,
 ) -> float:
-    """Walk-measure loading: expected node visits solve ``(I - Q^T) h = b``."""
+    """Walk-measure loading toward ``dst``: the expected node visits solve
+    ``(I - Q^T) h = supply``, one solve for every origin bound for ``dst``.
+
+    Arguments and result are those of ``_forward_dag``.
+    """
     import numpy as np
 
     n = index.n_nodes
@@ -338,10 +368,8 @@ def _forward_cyclic(
     probs /= mass[tails]  # exact conservation; the raw sums are 1 up to rounding
     system = np.eye(n)  # I - Q^T
     np.subtract.at(system, (heads, tails), probs)
-    source = np.zeros(n)
-    source[src] = demand
     # The exact visits are nonnegative; clip rounding residue below zero.
-    through = np.maximum(np.linalg.solve(system, source), 0.0)
+    through = np.maximum(np.linalg.solve(system, np.asarray(supply)), 0.0)
     edge_flows = through[tails] * probs
     for e, f in zip(edges.tolist(), edge_flows.tolist()):
         flows[e] += f
@@ -354,7 +382,8 @@ def network_loading(net: NetworkHierarchy, t: Sequence[float]) -> LoadResult:
 
     The plain-edge flows are minus the gradient of ``dual_smooth_value``
     componentwise. Portal flows become the next level's OD demands, so the
-    sweep runs top-down after the bottom-up weight pass.
+    sweep runs top-down after the bottom-up weight pass. Each level runs
+    one forward pass per destination with positive demand.
     """
     weights, rho_fields = _sweep_weights(net, t)
     m = net.num_levels
@@ -370,14 +399,21 @@ def network_loading(net: NetworkHierarchy, t: Sequence[float]) -> LoadResult:
         level_flows = [0.0] * len(level.edges)
         level_entropy = 0.0
         forward = _forward_dag if index.topo is not None else _forward_cyclic
+        supplies: dict[int, list[float]] = {}  # destination slot -> demand per origin
         for j, (src, dst) in enumerate(index.od_nodes):
             d = demands[k][j]
+            slot = index.dest_slot[j]
             if k == 0:
-                smooth -= d * rho_fields[0][j][src]
+                smooth -= d * rho_fields[0][slot][src]
             if d <= 0.0 or src == dst:
                 continue
+            if slot not in supplies:
+                supplies[slot] = [0.0] * index.n_nodes
+            supplies[slot][src] += d
+        for slot, supply in supplies.items():
             level_entropy += forward(
-                index, weights[k], rho_fields[k][j], gamma, src, dst, d, level_flows
+                index, weights[k], rho_fields[k][slot], gamma, index.dests[slot],
+                supply, level_flows, k,
             )
         flows.append(level_flows)
         entropies.append(level_entropy)

@@ -80,8 +80,9 @@ class LevelGraph:
     def index(self) -> LevelIndex:
         """The level compiled to integer positions, built on first use.
 
-        Every edge and OD endpoint must be a node of the level;
-        ``validate_hierarchy`` reads the index only once that holds.
+        Every edge and OD endpoint must be a node of the level, or
+        ``ValueError`` names the first that is not; ``validate_hierarchy``
+        reads the index only once its own endpoint checks pass.
         """
         return LevelIndex(self)
 
@@ -92,7 +93,9 @@ class LevelIndex:
 
     Nodes and edges are numbered by their position in the level. ``topo``
     is a Kahn order of the node positions, or ``None`` when the graph has a
-    cycle.
+    cycle. ``dests`` lists the distinct OD destinations in order of first
+    appearance, and ``dest_slot[j]`` is the position of OD ``j``'s
+    destination in it: loading computes one soft-min field per destination.
     """
 
     __slots__ = (
@@ -104,6 +107,8 @@ class LevelIndex:
         "out_edges",
         "topo",
         "od_nodes",
+        "dests",
+        "dest_slot",
         "portal_for_od",
         "plain_positions",
     )
@@ -112,8 +117,8 @@ class LevelIndex:
         self.nodes = level.nodes
         self.node_index = {v: i for i, v in enumerate(level.nodes)}
         self.n_nodes = len(level.nodes)
-        self.tails = [self.node_index[e.tail] for e in level.edges]
-        self.heads = [self.node_index[e.head] for e in level.edges]
+        self.tails = [self._position(e.tail, f"edge {e.id!r}") for e in level.edges]
+        self.heads = [self._position(e.head, f"edge {e.id!r}") for e in level.edges]
         self.out_edges: list[list[int]] = [[] for _ in level.nodes]
         indeg = [0] * self.n_nodes
         for pos, (t, h) in enumerate(zip(self.tails, self.heads)):
@@ -128,14 +133,24 @@ class LevelIndex:
                     order.append(u)
         self.topo = order if len(order) == self.n_nodes else None
         self.od_nodes = [
-            (self.node_index[od.origin], self.node_index[od.destination])
-            for od in level.od_pairs
+            (self._position(od.origin, f"OD pair {j}"),
+             self._position(od.destination, f"OD pair {j}"))
+            for j, od in enumerate(level.od_pairs)
         ]
+        slot_of: dict[int, int] = {}
+        self.dest_slot = [slot_of.setdefault(dst, len(slot_of)) for _, dst in self.od_nodes]
+        self.dests = list(slot_of)
         self.portal_for_od: dict[int, int] = {}
         for pos, e in enumerate(level.edges):
             if e.is_portal:
                 self.portal_for_od[e.target_od.od] = pos
         self.plain_positions = [pos for pos, e in enumerate(level.edges) if e.is_plain]
+
+    def _position(self, node: str, owner: str) -> int:
+        try:
+            return self.node_index[node]
+        except KeyError:
+            raise ValueError(f"{owner} names node {node!r}, which the level lacks") from None
 
 
 @dataclass(frozen=True)

@@ -359,6 +359,97 @@ class TestNetworkLoading:
             assert abs(fd + flows[pos]) <= 1e-6 * demand
 
 
+class TestUnknownNode:
+    # an edge naming a node its level lacks; validate_hierarchy reports it,
+    # and the library entry points that skip validation name it too
+    @staticmethod
+    def bad_level(od_demand=1.0):
+        return LevelGraph(
+            nodes=("o", "d"),
+            edges=(Edge("e1", "o", "x", cost=ConstantCost(1.0)),),
+            od_pairs=(ODPair("o", "d", od_demand),),
+        )
+
+    def test_softmin_potentials(self):
+        with pytest.raises(ValueError, match="edge 'e1' names node 'x'"):
+            softmin_potentials(self.bad_level(), {"e1": 1.0}, 1.0, "d")
+
+    def test_network_loading_names_the_level(self):
+        level1 = LevelGraph(
+            nodes=("o", "d"),
+            edges=(Edge("g", "o", "d", target_od=ODRef(1, 0)),),
+            od_pairs=(ODPair("o", "d", 1.0),),
+        )
+        net = NetworkHierarchy([level1, self.bad_level(None)], [1.0, 1.0])
+        with pytest.raises(ValueError, match="edge 'e1' names node 'x', .* at level 2"):
+            network_loading(net, [1.0])
+        with pytest.raises(ValueError, match="node 'x', .* at level 1"):
+            network_loading(NetworkHierarchy([self.bad_level()], [1.0]), [1.0])
+
+
+def shared_destination_grid():
+    """Two levels of right/down grids, their OD pairs bound for few corners.
+
+    Level 1 (4x4) has twelve OD pairs over three destinations, one of them
+    with no demand, and two portals; level 2 (3x3) has the two portal trips,
+    which share a destination.
+    """
+    def grid(size, k, portals):
+        nodes = tuple(f"r{i}c{j}" for i in range(size) for j in range(size))
+        edges = []
+        for i in range(size):
+            for j in range(size):
+                for ni, nj in ((i, j + 1), (i + 1, j)):
+                    if ni < size and nj < size:
+                        edges.append(Edge(
+                            f"L{k}e{len(edges)}", f"r{i}c{j}", f"r{ni}c{nj}",
+                            cost=AffineCost(1.0 + 0.05 * ((3 * i + 5 * j) % 4), 0.1),
+                        ))
+        for od, (tail, head) in enumerate(portals):
+            edges.append(Edge(f"L{k}g{od}", tail, head, target_od=ODRef(k + 1, od)))
+        return nodes, tuple(edges)
+
+    origins = ("r0c0", "r0c1", "r1c0", "r0c2", "r1c1", "r2c0")
+    nodes, edges = grid(4, 0, [("r0c0", "r1c1"), ("r1c1", "r2c2")])
+    ods = [ODPair(o, d, 0.5 + 0.1 * j) for j, o in enumerate(origins) for d in ("r3c3", "r3c2")]
+    ods.append(ODPair("r0c0", "r2c2", 0.0))
+    level1 = LevelGraph(nodes, edges, tuple(ods))
+    nodes, edges = grid(3, 1, [])
+    level2 = LevelGraph(nodes, edges, (ODPair("r0c0", "r2c2"), ODPair("r0c1", "r2c2")))
+    return NetworkHierarchy([level1, level2], [0.8, 0.5])
+
+
+class TestOncePerDestination:
+    def test_one_field_and_one_forward_pass_per_destination(self, monkeypatch):
+        net = shared_destination_grid()
+        softmin_calls, forward_calls = [], []
+        softmin, forward = loading._softmin, loading._forward_dag
+
+        def counted_softmin(index, weights, gamma, dst):
+            softmin_calls.append((id(index), dst))
+            return softmin(index, weights, gamma, dst)
+
+        def counted_forward(index, weights, rho, gamma, dst, supply, flows, k):
+            forward_calls.append((k, dst))
+            return forward(index, weights, rho, gamma, dst, supply, flows, k)
+
+        monkeypatch.setattr(loading, "_softmin", counted_softmin)
+        monkeypatch.setattr(loading, "_forward_dag", counted_forward)
+        res = network_loading(net, [c.free_flow_time for c in net.plain_costs()])
+        verify_conservation(net, res)
+
+        level1, level2 = (level.index for level in net.levels)
+        by_name = level1.node_index
+        assert sorted(softmin_calls) == sorted(
+            [(id(level1), by_name[v]) for v in ("r3c3", "r3c2", "r2c2")]
+            + [(id(level2), level2.node_index["r2c2"])]
+        )
+        # r2c2 at level 1 carries no demand, so it gets no forward pass
+        assert sorted(forward_calls) == sorted(
+            [(0, by_name["r3c3"]), (0, by_name["r3c2"]), (1, level2.node_index["r2c2"])]
+        )
+
+
 def jittered_chain(stages, time, gamma, seed):
     """Stages of two parallel links, each time within 1 % of ``time``."""
     rng = random.Random(seed)
@@ -391,10 +482,15 @@ class TestMassLeak:
         rho[5] += 0.01 * net.gammas[0]
         index = net.levels[0].index
         src, dst = index.od_nodes[0]
-        with pytest.raises(MassLeakError):
+        supply = [0.0] * index.n_nodes
+        supply[src] = 1.0
+        with pytest.raises(MassLeakError) as caught:
             loading._forward_dag(
-                index, weights[0], rho, net.gammas[0], src, dst, 1.0, [0.0] * len(t)
+                index, weights[0], rho, net.gammas[0], dst, supply, [0.0] * len(t), 0
             )
+        # the shift at s5 upsets the choice at s4, whose successor it is
+        assert "node 's4' toward 's10'" in str(caught.value)
+        assert "at level 1" in str(caught.value)
 
 
 class TestPrimalObjective:

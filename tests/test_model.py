@@ -229,6 +229,41 @@ class TestLevelIndex:
         assert codes(NetworkHierarchy([level], [1.0])) == ["UnknownEndpoint"]
         assert "index" not in vars(level)
 
+    def test_unknown_node_raises_value_error(self):
+        level = LevelGraph(
+            nodes=("o", "d"),
+            edges=(Edge("e1", "o", "x", cost=AffineCost(1.0, 1.0)),),
+            od_pairs=(ODPair("o", "d", 1.0),),
+        )
+        with pytest.raises(ValueError, match="edge 'e1' names node 'x', which the level lacks"):
+            level.index
+        level = LevelGraph(
+            nodes=("o", "d"),
+            edges=(Edge("e1", "o", "d", cost=AffineCost(1.0, 1.0)),),
+            od_pairs=(ODPair("o", "d", 1.0), ODPair("o", "y", 1.0)),
+        )
+        with pytest.raises(ValueError, match="OD pair 1 names node 'y'"):
+            level.index
+
+    def test_destination_slots(self):
+        # distinct destinations in order of first appearance, one slot per OD
+        level = LevelGraph(
+            nodes=("a", "b", "c", "d", "e"),
+            edges=(
+                Edge("ad", "a", "d", cost=AffineCost(1.0, 1.0)),
+                Edge("be", "b", "e", cost=AffineCost(1.0, 1.0)),
+                Edge("cd", "c", "d", cost=AffineCost(1.0, 1.0)),
+            ),
+            od_pairs=(
+                ODPair("a", "d", 1.0),
+                ODPair("b", "e", 1.0),
+                ODPair("c", "d", 1.0),
+                ODPair("a", "d", 2.0),
+            ),
+        )
+        assert level.index.dests == [3, 4]
+        assert level.index.dest_slot == [0, 1, 0, 0]
+
 
 class TestLongestPathBound:
     def test_parallel(self):
