@@ -20,7 +20,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .costs import cost_from_dict, cost_to_dict
+from .costs import ProxConvergenceError, cost_from_dict, cost_to_dict
 from .loading import LoadingError, network_loading, hierarchical_weights
 from .model import (
     Edge,
@@ -340,7 +340,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         return 2
     try:
         t_final, certificate, history = solve(net, cfg)
-    except (BacktrackBudgetError, LoadingError) as err:
+    except (BacktrackBudgetError, LoadingError, ProxConvergenceError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 3
 

@@ -3,26 +3,44 @@
 Every cost family is a non-decreasing travel time ``tau(f)`` on flows
 ``f >= 0`` with a closed-form running integral ``sigma``, the convex
 conjugate ``sigma*`` of that integral (maximised over nonnegative flows),
-the conjugate derivative (the inverse time map), and the scalar prox of
-the conjugate that the composite solver applies edge by edge.
+the conjugate derivative (the inverse time map), and the prox of the
+conjugate.
+
+The composite solver does not call these methods edge by edge: a
+``CostTable`` compiles the plain-edge costs of a network into one array per
+family and parameter, and evaluates the prox, the summed conjugate and the
+summed integral with one array kernel per family. The per-edge methods
+serve validation, the objectives and the tests; ``PowerCost.prox_conjugate``
+is a one-element call of the table's Newton kernel. numpy is imported only
+by the table and that kernel, so parsing and validation never load it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING, Sequence
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "LinkCost",
     "ConstantCost",
     "AffineCost",
     "PowerCost",
+    "CostTable",
+    "ProxConvergenceError",
     "cost_from_dict",
     "cost_to_dict",
 ]
 
-# Inner solves for prox/root operations.
+# Newton iterations allowed to the power-cost prox before it gives up.
 _ROOT_ITERS = 200
+
+
+class ProxConvergenceError(ArithmeticError):
+    """The power-cost prox did not converge within ``_ROOT_ITERS`` steps."""
 
 
 class LinkCost:
@@ -170,8 +188,11 @@ class PowerCost(LinkCost):
     def conjugate(self, t: float) -> float:
         if t <= self.t0:
             return 0.0
-        f = self.conjugate_derivative(t)
-        return f * t - self.integral(f)
+        # f*t - integral(f) at tau(f) = t, simplified so that nothing cancels
+        # near free flow.
+        d = t - self.t0
+        f = self.cap * (d / (self.t0 * self.beta)) ** (1.0 / self.mu)
+        return f * d * self.mu / (self.mu + 1.0)
 
     def conjugate_derivative(self, t: float) -> float:
         if t <= self.t0:
@@ -182,33 +203,175 @@ class PowerCost(LinkCost):
         self._check_step(step)
         if v <= self.t0:
             return v
-        # The minimiser satisfies t = v - step*f with tau(f) = t, so solve
-        # q(f) = tau(f) - v + step*f = 0 on [0, (v - t0)/step]. q is strictly
-        # increasing (q' >= step) with no derivative singularity, unlike the
-        # same root in the t variable, so safeguarded Newton is reliable.
-        lo, hi = 0.0, (v - self.t0) / step
-        f = hi
-        for _ in range(_ROOT_ITERS):
-            q = self.travel_time(f) - v + step * f
-            if abs(q) <= 1e-15 * (1.0 + abs(v)) or hi - lo <= 1e-16 * (1.0 + hi):
-                break
-            if q > 0.0:
-                hi = f
-            else:
-                lo = f
-            slope = (
-                self.t0 * self.beta * self.mu / self.cap * (f / self.cap) ** (self.mu - 1.0)
-                + step
-            )
-            f_new = f - q / slope
-            if not lo < f_new < hi:
-                f_new = 0.5 * (lo + hi)
-            if f_new == f:
-                break
-            f = f_new
-        # Report the time through tau(f): near the free-flow kink the form
-        # v - step*f cancels catastrophically while tau keeps full precision.
-        return self.travel_time(f)
+        import numpy as np
+
+        t = _power_prox(
+            np.array([v]), step, np.array([self.t0]), np.array([self.beta]),
+            np.array([self.cap]), np.array([self.mu]),
+        )
+        return float(t[0])
+
+
+def _power_prox(v, step, t0, beta, cap, mu):
+    """Prox of the power-cost conjugates, elementwise, for ``v > t0``.
+
+    The minimiser satisfies ``t = v - step*f`` with ``tau(f) = t``, so each
+    element solves ``q(f) = tau(f) - v + step*f = 0``. ``q`` is convex and
+    strictly increasing (``q' >= step``) with no derivative singularity,
+    unlike the same root in the t variable, so safeguarded Newton is
+    reliable. It starts at ``min((v - t0)/step, tau^-1(v))``: both bound the
+    root from above and the root is at least half the smaller one. The loop
+    runs until its slowest element has converged and raises
+    ``ProxConvergenceError`` if that takes more than ``_ROOT_ITERS`` steps.
+    """
+    import numpy as np
+
+    excess = v - t0
+    t0_beta = t0 * beta
+    hi = np.minimum(excess / step, cap * (excess / t0_beta) ** (1.0 / mu))
+    lo = np.zeros_like(hi)
+    f = hi.copy()
+    slope_coef = t0_beta * mu / cap
+    q_tol = 1e-15 * (1.0 + np.abs(v))
+    live = np.ones(v.shape, dtype=bool)
+    # In-place updates under masks: on small tables numpy's cost per call,
+    # not per element, sets the time.
+    for _ in range(_ROOT_ITERS):
+        r = f / cap
+        # tau(f) as t0 plus the congestion term, which rounds once: near the
+        # free-flow kink t0*(1 + beta*r**mu) loses the last bits of t - t0.
+        tau = t0 + t0_beta * r**mu
+        q = tau - v + step * f
+        live &= (np.abs(q) > q_tol) & (hi - lo > 1e-16 * (1.0 + hi))
+        if not np.count_nonzero(live):
+            break
+        # Elements that have stopped keep their f, so their bracket may move.
+        above = q > 0.0
+        np.copyto(hi, f, where=above)
+        np.copyto(lo, f, where=~above)
+        f_new = f - q / (slope_coef * r ** (mu - 1.0) + step)
+        np.copyto(f_new, 0.5 * (lo + hi), where=(f_new <= lo) | (f_new >= hi))
+        live &= f_new != f
+        np.copyto(f, f_new, where=live)
+    else:
+        raise ProxConvergenceError(
+            f"power-cost prox did not converge in {_ROOT_ITERS} Newton steps "
+            f"(step {step!r}, {int(live.sum())} of {v.size} elements left)"
+        )
+    # Report the time through tau(f), not v - step*f, which cancels
+    # catastrophically near the kink. A prox never exceeds v; the clamp only
+    # removes rounding in tau.
+    return np.minimum(tau, v)
+
+
+class CostTable:
+    """Plain-edge costs compiled into one array per family and parameter.
+
+    ``costs`` is in the network's canonical plain-edge order, and so are the
+    arrays the kernels take and return. Each family keeps the positions of
+    its edges (``const_idx``, ``affine_idx``, ``power_idx``) and its
+    parameters in that order; a family with no edges has empty arrays.
+    """
+
+    def __init__(self, costs: Sequence[LinkCost]) -> None:
+        import numpy as np
+
+        families: dict[type, list[tuple[int, LinkCost]]] = {
+            ConstantCost: [], AffineCost: [], PowerCost: [],
+        }
+        for pos, cost in enumerate(costs):
+            if type(cost) not in families:
+                raise TypeError(f"unknown cost class {type(cost).__name__}")
+            families[type(cost)].append((pos, cost))
+
+        def column(family: type, attr: str | None = None) -> np.ndarray:
+            if attr is None:
+                return np.array([pos for pos, _ in families[family]], dtype=np.intp)
+            return np.array([getattr(c, attr) for _, c in families[family]], dtype=np.float64)
+
+        self.size = len(costs)
+        self.const_idx, self.const_t0 = column(ConstantCost), column(ConstantCost, "t0")
+        self.affine_idx = column(AffineCost)
+        self.affine_a, self.affine_b = column(AffineCost, "a"), column(AffineCost, "b")
+        self.power_idx = column(PowerCost)
+        self.power_params = tuple(column(PowerCost, attr) for attr in ("t0", "beta", "cap", "mu"))
+        t0, beta, cap, mu = self.power_params
+        # Coefficient of the power integral's polynomial term.
+        self._power_int_coef = t0 * beta * cap / (mu + 1.0)
+
+    def prox(self, v: np.ndarray, step: float) -> np.ndarray:
+        """Elementwise ``argmin_t (t - v)**2 / (2*step) + conjugate(t)``.
+
+        A clamp at ``t0`` for constant costs, the closed form for affine
+        costs and the array Newton of ``_power_prox`` for power costs; below
+        free flow the prox is the identity.
+        """
+        import numpy as np
+
+        if step <= 0.0:
+            raise ValueError(f"prox step must be positive, got {step}")
+        t = np.array(v, dtype=np.float64)
+        if self.const_idx.size:
+            t[self.const_idx] = np.minimum(t[self.const_idx], self.const_t0)
+        if self.affine_idx.size:
+            va, a, b = t[self.affine_idx], self.affine_a, self.affine_b
+            # Stationarity of (t - v)^2/(2 step) + (t - a)^2/(2 b) on t >= a.
+            t[self.affine_idx] = np.where(va <= a, va, (b * va + step * a) / (b + step))
+        if self.power_idx.size:
+            vp = t[self.power_idx]
+            congested = vp > self.power_params[0]
+            if congested.all():
+                t[self.power_idx] = _power_prox(vp, step, *self.power_params)
+            elif congested.any():
+                t[self.power_idx[congested]] = _power_prox(
+                    vp[congested], step, *(p[congested] for p in self.power_params)
+                )
+        return t
+
+    def conjugate(self, t: np.ndarray) -> float:
+        """Sum of the conjugates at ``t``; ``+inf`` outside the domain."""
+        import numpy as np
+
+        if self.const_idx.size and (t[self.const_idx] > self.const_t0).any():
+            return math.inf
+        terms = []  # the constant costs add 0 inside their domain
+        if self.affine_idx.size:
+            d = np.maximum(t[self.affine_idx] - self.affine_a, 0.0)
+            terms.append((self.affine_idx, d * d / (2.0 * self.affine_b)))
+        if self.power_idx.size:
+            t0, beta, cap, mu = self.power_params
+            d = np.maximum(t[self.power_idx] - t0, 0.0)
+            f = cap * (d / (t0 * beta)) ** (1.0 / mu)
+            terms.append((self.power_idx, f * d * mu / (mu + 1.0)))
+        return self._ordered_sum(0.0, terms)
+
+    def integral(self, f: np.ndarray, start: float = 0.0) -> float:
+        """``start`` plus the sum of the cost integrals at the flows ``f``."""
+        terms = []
+        if self.const_idx.size:
+            terms.append((self.const_idx, self.const_t0 * f[self.const_idx]))
+        if self.affine_idx.size:
+            fa = f[self.affine_idx]
+            terms.append((self.affine_idx, self.affine_a * fa + 0.5 * self.affine_b * fa * fa))
+        if self.power_idx.size:
+            t0, _, cap, mu = self.power_params
+            fp = f[self.power_idx]
+            poly = self._power_int_coef * (fp / cap) ** (mu + 1.0)
+            terms.append((self.power_idx, t0 * fp + poly))
+        return self._ordered_sum(start, terms)
+
+    def _ordered_sum(self, start: float, terms: list[tuple[np.ndarray, np.ndarray]]) -> float:
+        """``start`` plus the per-edge ``(positions, values)`` of each family,
+        added left to right in plain-edge order: the order of the per-edge
+        loops that the table replaces, so a sum of the same values keeps its
+        bits. Positions no family lists add 0."""
+        import numpy as np
+
+        ordered = np.zeros(self.size + 1)
+        ordered[0] = start
+        for idx, values in terms:
+            ordered[1 + idx] = values
+        return float(np.add.accumulate(ordered)[-1])
 
 
 _COST_TYPES = {

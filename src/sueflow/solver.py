@@ -9,6 +9,12 @@ follow the recursion ``alpha' ** 2 * L' - alpha' = alpha ** 2 * L``, which
 makes the mixing weight ``1 / (alpha' * L')`` a valid convex-combination
 coefficient and the weight sum telescope into the accumulated ``A``.
 
+The composite step is vectorised: the iterates are float64 arrays, the
+link-cost conjugates are compiled once per solve into a ``CostTable``, and
+each prox, the summed conjugate of the dual value and the cost integrals
+of the primal value run as one array kernel per cost family. Lists appear
+only where the network loading is called and where ``solve`` returns.
+
 For the network dual, weighted averages of flows and route entropies over
 the gradient points yield a computable duality gap: dual value at the
 estimate sequence plus the (path-free) primal value at the averages. It is
@@ -18,12 +24,13 @@ rate.
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
-from .costs import LinkCost
+from .costs import CostTable, LinkCost
 from .loading import (
     LoadResult,
     dual_objective,
@@ -34,6 +41,9 @@ from .loading import (
     surrogate_primal,
 )
 from .model import NetworkHierarchy, longest_path_bounds
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "SolverConfig",
@@ -104,35 +114,6 @@ def alpha_step(alpha_k: float, L_k: float, L_next: float) -> tuple[float, float]
     return alpha_next, 1.0 / (alpha_next * L_next)
 
 
-def _prox_all(costs: Sequence[LinkCost], v: Sequence[float], step: float) -> list[float]:
-    return [c.prox_conjugate(vi, step) for c, vi in zip(costs, v)]
-
-
-def _descent_bound(
-    fx: float, grad: Sequence[float], y: Sequence[float], x: Sequence[float], L: float
-) -> float:
-    inner = 0.0
-    sq = 0.0
-    for g, yi, xi in zip(grad, y, x):
-        d = yi - xi
-        inner += g * d
-        sq += d * d
-    return fx + inner + 0.5 * L * sq + 1e-12 * (1.0 + abs(fx))
-
-
-def _grad_trial(
-    value_fn: Callable[[list[float]], float],
-    costs: Sequence[LinkCost],
-    x: Sequence[float],
-    L: float,
-    grad: Sequence[float],
-    fx: float,
-) -> tuple[list[float], float, bool]:
-    y = _prox_all(costs, [xi - gi / L for xi, gi in zip(x, grad)], 1.0 / L)
-    fy = value_fn(y)
-    return y, fy, fy <= _descent_bound(fx, grad, y, x, L)
-
-
 @dataclass
 class StepInfo:
     """Snapshot of one accepted iteration handed to the acceptance hook."""
@@ -141,30 +122,35 @@ class StepInfo:
     alpha: float
     A: float
     L: float
-    x: list[float]
-    grad: list[float]
+    x: np.ndarray
+    grad: np.ndarray
     aux: object
-    y: list[float]
+    y: np.ndarray
     smooth_y: float
     dual_value: float
 
 
 def minimize_composite(
     smooth,
-    costs: Sequence[LinkCost],
+    costs: CostTable | Sequence[LinkCost],
     t0: Sequence[float],
     cfg: SolverConfig,
     on_accept: Callable[[StepInfo], float | None] | None = None,
-) -> tuple[list[float], list[IterationRecord]]:
+) -> tuple[np.ndarray, list[IterationRecord]]:
     """Run the adaptive accelerated loop from ``t0``.
 
     ``smooth`` duck-types two methods: ``value_and_grad(t) -> (value, grad,
-    aux)`` and ``value(t) -> value``; both count as one oracle call each.
+    aux)`` and ``value(t) -> value``; both count as one oracle call each and
+    receive float64 arrays. ``costs`` is the compiled ``CostTable`` of the
+    composite part, or the per-coordinate costs to compile into one.
     ``on_accept`` may return a duality gap, which both lands in the history
     and stops the loop once it reaches ``cfg.gap_tol``.
     """
-    y = [float(v) for v in t0]
-    z = list(y)
+    import numpy as np
+
+    table = costs if isinstance(costs, CostTable) else CostTable(costs)
+    y = np.array(t0, dtype=np.float64)
+    z = y.copy()
     alpha = 0.0
     A = 0.0
     L_acc = cfg.L0
@@ -177,12 +163,16 @@ def minimize_composite(
         doublings = 0
         while True:
             alpha_next, tau = alpha_step(alpha, L_acc, L)
-            x = [tau * zi + (1.0 - tau) * yi for zi, yi in zip(z, y)]
+            x = tau * z + (1.0 - tau) * y
             fx, grad, aux = smooth.value_and_grad(x)
+            grad = np.asarray(grad, dtype=np.float64)
             evals += 1
-            y_next, fy, accepted = _grad_trial(smooth.value, costs, x, L, grad, fx)
+            y_next = table.prox(x - grad / L, 1.0 / L)
+            fy = smooth.value(y_next)
             evals += 1
-            if accepted:
+            d = y_next - x
+            # Quadratic upper bound of the smooth part at the trial point.
+            if fy <= fx + float(grad @ d) + 0.5 * L * float(d @ d) + 1e-12 * (1.0 + abs(fx)):
                 break
             doublings += 1
             if doublings > cfg.max_backtracks_per_iter:
@@ -191,13 +181,13 @@ def minimize_composite(
                     f"{cfg.max_backtracks_per_iter} doublings at iteration {k}"
                 )
             L *= 2.0
-        z = _prox_all(costs, [zi - alpha_next * gi for zi, gi in zip(z, grad)], alpha_next)
+        z = table.prox(z - alpha_next * grad, alpha_next)
         y = y_next
         alpha = alpha_next
         A += alpha_next
         L_acc = L
 
-        dual_value = fy + sum(c.conjugate(v) for c, v in zip(costs, y))
+        dual_value = fy + table.conjugate(y)
         gap = None
         if on_accept is not None:
             gap = on_accept(
@@ -237,38 +227,53 @@ class _DualSmooth:
     def __init__(self, net: NetworkHierarchy) -> None:
         self.net = net
 
-    def value_and_grad(self, t: list[float]) -> tuple[float, list[float], LoadResult]:
-        result = network_loading(self.net, t)
-        grad = [-f for f in result.plain_flows(self.net)]
+    def value_and_grad(self, t: np.ndarray) -> tuple[float, np.ndarray, LoadResult]:
+        import numpy as np
+
+        result = network_loading(self.net, t.tolist())
+        grad = -np.array(result.plain_flows(self.net), dtype=np.float64)
         return result.smooth_value, grad, result
 
-    def value(self, t: list[float]) -> float:
-        return dual_smooth_value(self.net, t)
+    def value(self, t: np.ndarray) -> float:
+        return dual_smooth_value(self.net, t.tolist())
 
 
 class _PrimalAverager:
-    """Weighted running averages of flows and nested entropy terms."""
+    """Weighted running averages of flows and nested entropy terms.
 
-    def __init__(self, net: NetworkHierarchy) -> None:
+    The flow sums are one array over every edge of every level, in level
+    order; the cost integrals of the primal value go through ``table``.
+    """
+
+    def __init__(self, net: NetworkHierarchy, table: CostTable) -> None:
+        import numpy as np
+
         self.net = net
+        self.table = table
         self.weight = 0.0
-        self.flow_sums = [[0.0] * len(level.edges) for level in net.levels]
+        offsets = [0, *itertools.accumulate(len(level.edges) for level in net.levels)]
+        self.level_ends = offsets[1:-1]
+        self.plain = np.array(
+            [offsets[k] + pos for k, pos in net.plain_edge_order()], dtype=np.intp
+        )
+        self.flow_sums = np.zeros(offsets[-1])
         self.entropy_sum = 0.0
 
     def add(self, alpha: float, result: LoadResult) -> None:
+        import numpy as np
+
         self.weight += alpha
-        for acc, level_flows in zip(self.flow_sums, result.flows):
-            for pos, f in enumerate(level_flows):
-                acc[pos] += alpha * f
+        self.flow_sums += alpha * np.concatenate(result.flows)
         self.entropy_sum += alpha * entropy_term(self.net, result)
 
     def averaged_flows(self) -> list[list[float]]:
-        return [[f / self.weight for f in acc] for acc in self.flow_sums]
+        import numpy as np
+
+        return [part.tolist() for part in np.split(self.flow_sums / self.weight, self.level_ends)]
 
     def primal_value(self) -> float:
-        return surrogate_primal(
-            self.net, self.averaged_flows(), self.entropy_sum / self.weight
-        )
+        avg_plain = self.flow_sums[self.plain] / self.weight
+        return self.table.integral(avg_plain, start=self.entropy_sum / self.weight)
 
 
 def solve(
@@ -283,15 +288,14 @@ def solve(
     """
     cfg = cfg or SolverConfig()
     start = net.free_flow_times() if t0 is None else [float(v) for v in t0]
-    averager = _PrimalAverager(net)
+    table = CostTable(net.plain_costs())
+    averager = _PrimalAverager(net, table)
 
     def on_accept(info: StepInfo) -> float:
         averager.add(info.alpha, info.aux)
         return info.dual_value + averager.primal_value()
 
-    t_final, history = minimize_composite(
-        _DualSmooth(net), net.plain_costs(), start, cfg, on_accept
-    )
+    t_final, history = minimize_composite(_DualSmooth(net), table, start, cfg, on_accept)
     certificate = GapCertificate(
         dual_value=history[-1].dual_value,
         primal_value=averager.primal_value(),
@@ -300,7 +304,7 @@ def solve(
         avg_flows=averager.averaged_flows(),
         avg_entropy=averager.entropy_sum / averager.weight,
     )
-    return t_final, certificate, history
+    return t_final.tolist(), certificate, history
 
 
 def duality_gap(

@@ -286,6 +286,14 @@ class TestSolveCommand:
         )
         assert code == 3
 
+    def test_prox_failure_gives_exit_3(self, tmp_path, monkeypatch, capsys):
+        from sueflow import costs
+
+        monkeypatch.setattr(costs, "_ROOT_ITERS", 1)
+        out = tmp_path / "out"
+        assert run_cli("solve", "--network", FIXTURES / "two_level.json", "--out", out) == 3
+        assert "did not converge" in capsys.readouterr().err
+
     def test_byte_identical_reruns(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text('{"gap_tol": 1e-6, "max_iters": 5000}')
@@ -367,8 +375,27 @@ class TestOracleCompareCommand:
             main(["--help"])
         assert "oracle-compare" not in capsys.readouterr().out
 
-    def test_cli_does_not_import_the_oracle(self):
-        # The path-enumeration oracle is a test-only reference implementation.
+    def test_cli_does_not_import_the_oracle(self, tmp_path):
+        # The path-enumeration oracle is a test-only reference implementation,
+        # and numpy is loaded only by solve and by cyclic levels: importing
+        # the CLI, validating and loading a DAG network leave both out.
         env = dict(os.environ, PYTHONPATH=str(Path(sueflow.__file__).parents[1]))
-        code = "import sys, sueflow.cli; sys.exit('sueflow.oracle' in sys.modules)"
-        assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+        net, times = FIXTURES / "two_level.json", FIXTURES / "two_level_times.json"
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"gap_tol": 1e-4}')
+        code = "\n".join([
+            "import sys, sueflow.cli",
+            "def loaded():",
+            "    return sorted(m for m in ('sueflow.oracle', 'numpy') if m in sys.modules)",
+            "assert not loaded(), loaded()",
+            f"assert sueflow.cli.main(['validate', '--network', {str(net)!r}]) == 0",
+            "assert not loaded(), loaded()",
+            f"assert sueflow.cli.main(['load', '--network', {str(net)!r}, "
+            f"'--t-file', {str(times)!r}, '--out', {str(tmp_path / 'load')!r}]) == 0",
+            "assert not loaded(), loaded()",
+            f"assert sueflow.cli.main(['solve', '--network', {str(net)!r}, '--config', "
+            f"{str(cfg)!r}, '--out', {str(tmp_path / 'solve')!r}]) == 0",
+            "assert loaded() == ['numpy'], loaded()",
+        ])
+        run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        assert run.returncode == 0, run.stderr

@@ -4,13 +4,15 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, optimize
 
 from sueflow import AffineCost, ConstantCost, PowerCost
-from sueflow.costs import cost_from_dict, cost_to_dict
+from sueflow import costs as costs_module
+from sueflow.costs import CostTable, ProxConvergenceError, cost_from_dict, cost_to_dict
 
 FAMILIES = [
     ConstantCost(3.0),
@@ -167,11 +169,13 @@ class TestFenchelYoung:
             assert cost.integral(f) + cost.conjugate(t) - f * t >= -1e-11
 
 
-def prox_residual(cost, v, step):
+def prox_residual(cost, v, step, t=None):
     """Stationarity defect |t - v + step*g| minimised over the conjugate's
-    subgradients g at the returned point, taken at one-ulp float resolution
+    subgradients g at the returned point ``t`` (by default
+    ``cost.prox_conjugate(v, step)``), taken at one-ulp float resolution
     (the derivative interval collapses to a point wherever it is smooth)."""
-    t = cost.prox_conjugate(v, step)
+    if t is None:
+        t = cost.prox_conjugate(v, step)
     if math.isinf(cost.conjugate(math.nextafter(t, math.inf))):
         # upper end of the conjugate's domain: subgradient ray [cd(t), inf)
         g_lo, g_hi = cost.conjugate_derivative(t), math.inf
@@ -226,6 +230,181 @@ class TestProx:
     def test_bad_step_rejected(self):
         with pytest.raises(ValueError):
             AffineCost(1.0, 1.0).prox_conjugate(1.0, 0.0)
+
+
+def prox_by_root(cost, v, step):
+    """Independent prox: bracketed root of the stationarity condition in t."""
+    if v <= cost.free_flow_time:
+        return v
+    return optimize.brentq(
+        lambda t: t - v + step * cost.conjugate_derivative(t), cost.free_flow_time, v,
+        xtol=1e-15, rtol=4 * np.finfo(float).eps,
+    )
+
+
+class TestPowerProxSmallSteps:
+    """A tiny step puts ``(v - t0)/step`` far above the root; the Newton
+    iteration starts at the smaller bound ``tau^-1(v)`` instead."""
+
+    def test_converges_where_the_step_bound_is_far_off(self):
+        cost = PowerCost(1.0, 0.15, 1.0, 20.0)
+        t = cost.prox_conjugate(50.0, 1e-6)
+        assert t <= 50.0
+        assert t == pytest.approx(prox_by_root(cost, 50.0, 1e-6), rel=1e-14)
+        assert t == pytest.approx(49.99999866, abs=1e-8)
+
+    def test_no_overflow_at_step_1e_18(self):
+        cost = PowerCost(1.0, 0.15, 1.0, 20.0)
+        t = cost.prox_conjugate(50.0, 1e-18)
+        assert 1.0 < t <= 50.0
+        assert prox_residual(cost, 50.0, 1e-18, t) <= 1e-10 * 50.0
+
+    def test_no_overflow_at_step_1e_80(self):
+        cost = PowerCost(1.0, 0.15, 1.0, 4.0)
+        t = cost.prox_conjugate(50.0, 1e-80)
+        assert 1.0 < t <= 50.0
+        assert prox_residual(cost, 50.0, 1e-80, t) <= 1e-10 * 50.0
+
+    def test_running_out_of_iterations_raises(self, monkeypatch):
+        monkeypatch.setattr(costs_module, "_ROOT_ITERS", 1)
+        with pytest.raises(ProxConvergenceError):
+            PowerCost(1.0, 0.15, 2.0, 4.0).prox_conjugate(1.3, 0.5)
+        table = CostTable([AffineCost(1.0, 1.0), PowerCost(1.0, 0.15, 2.0, 4.0)])
+        with pytest.raises(ProxConvergenceError):
+            table.prox(np.array([1.5, 1.3]), 0.5)
+
+    @given(
+        t0=st.floats(0.01, 100.0),
+        beta=st.floats(0.01, 10.0),
+        cap=st.floats(0.1, 1000.0),
+        mu=st.floats(1.0, 30.0),
+        log_step=st.floats(-18.0, 6.0),
+        v_ratio=st.floats(0.0, 1e4),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_hypothesis_any_step(self, t0, beta, cap, mu, log_step, v_ratio):
+        cost = PowerCost(t0, beta, cap, mu)
+        v, step = v_ratio * t0, 10.0**log_step
+        t = cost.prox_conjugate(v, step)
+        assert t <= v
+        assert prox_residual(cost, v, step, t) <= 1e-10 * (1.0 + abs(v))
+
+
+class TestConjugateNearFreeFlow:
+    """``f*t - integral(f)`` cancels as t approaches t0; the closed form
+    ``f*(t - t0)*mu/(mu + 1)`` does not."""
+
+    @pytest.mark.parametrize(
+        "cost", [PowerCost(1.0, 0.15, 2.0, 4.0), PowerCost(0.8, 0.3, 1.5, 1.0)]
+    )
+    @pytest.mark.parametrize("delta", [10.0**-k for k in range(14)])
+    def test_matches_quadrature_of_the_derivative(self, cost, delta):
+        t = cost.t0 * (1.0 + delta)
+        d = t - cost.t0  # exact: t and t0 are within a factor 2
+        # Quadrature nodes t0 + x would round to the float grid around t0,
+        # which is coarse next to x when delta is tiny. The same derivative
+        # with its free flow moved next to 0 (t0*beta kept) takes exact
+        # offsets, so integrate that one over [tiny, tiny + d].
+        tiny = 2.0**-80
+        shifted = PowerCost(tiny, cost.t0 * cost.beta / tiny, cost.cap, cost.mu)
+        reference, _ = integrate.quad(
+            shifted.conjugate_derivative, tiny, tiny + d, epsabs=0.0, epsrel=1e-13, limit=200
+        )
+        # abs=0: the values reach 1e-26, far below approx's default abs.
+        assert cost.conjugate(t) == pytest.approx(reference, rel=1e-12, abs=0.0)
+        table_value = CostTable([cost]).conjugate(np.array([t]))
+        assert table_value == pytest.approx(reference, rel=1e-12, abs=0.0)
+
+
+COST_STRATEGY = st.one_of(
+    st.builds(ConstantCost, st.floats(0.1, 5.0)),
+    st.builds(AffineCost, st.floats(0.0, 5.0), st.floats(0.05, 5.0)),
+    st.builds(PowerCost, st.floats(0.1, 5.0), st.floats(0.05, 2.0), st.floats(0.5, 5.0),
+              st.floats(1.0, 8.0)),
+)
+
+
+def mixed_tables(min_size=1):
+    """Lists of costs from any subset of the families, so that some tables
+    leave one or two families empty."""
+    return st.lists(COST_STRATEGY, min_size=min_size, max_size=12)
+
+
+class TestCostTable:
+    @given(costs=mixed_tables(), data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_identity_below_free_flow(self, costs, data):
+        offsets = data.draw(st.lists(st.floats(1e-9, 3.0), min_size=len(costs),
+                                     max_size=len(costs)))
+        step = data.draw(st.floats(1e-3, 1e3))
+        v = np.array([c.free_flow_time - off for c, off in zip(costs, offsets)])
+        t = CostTable(costs).prox(v, step)
+        assert t.tobytes() == v.tobytes()
+
+    @given(costs=mixed_tables(), data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_stationarity(self, costs, data):
+        offsets = data.draw(st.lists(st.floats(-1.0, 3.0), min_size=len(costs),
+                                     max_size=len(costs)))
+        step = data.draw(st.floats(0.01, 10.0))
+        v = np.array([c.free_flow_time + off for c, off in zip(costs, offsets)])
+        t = CostTable(costs).prox(v, step)
+        for cost, vi, ti in zip(costs, v.tolist(), t.tolist()):
+            assert prox_residual(cost, vi, step, ti) <= 1e-10
+
+    @given(costs=mixed_tables(min_size=0), data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_sums_match_the_per_edge_methods(self, costs, data):
+        n = len(costs)
+        offsets = data.draw(st.lists(st.floats(-1.0, 3.0), min_size=n, max_size=n))
+        flows = data.draw(st.lists(st.floats(0.0, 10.0), min_size=n, max_size=n))
+        # Constant costs above t0 are outside the domain; keep them inside.
+        t = [c.free_flow_time + (min(off, 0.0) if isinstance(c, ConstantCost) else off)
+             for c, off in zip(costs, offsets)]
+        table = CostTable(costs)
+        conj = sum(c.conjugate(ti) for c, ti in zip(costs, t))
+        integ = sum(c.integral(f) for c, f in zip(costs, flows))
+        assert table.conjugate(np.array(t)) == pytest.approx(conj, rel=1e-12, abs=0.0)
+        assert table.integral(np.array(flows)) == pytest.approx(integ, rel=1e-12, abs=0.0)
+
+    def test_conjugate_is_infinite_outside_the_domain(self):
+        table = CostTable(
+            [AffineCost(1.0, 1.0), ConstantCost(3.0), PowerCost(1.0, 0.15, 2.0, 4.0)]
+        )
+        assert table.conjugate(np.array([1.5, 3.0, 1.2])) < math.inf
+        assert table.conjugate(np.array([1.5, 3.0001, 1.2])) == math.inf
+
+    @pytest.mark.parametrize(
+        "others", [[], [ConstantCost(3.0)], [AffineCost(0.5, 2.0), ConstantCost(3.0)]]
+    )
+    def test_power_against_root_oracle(self, others):
+        # The case of TestProx.test_power_against_root_oracle, inside a table.
+        cost = PowerCost(1.0, 0.15, 2.0, 4.0)
+        v, step = 1.3, 0.5
+        root = optimize.brentq(
+            lambda t: t - v + step * cost.conjugate_derivative(t), cost.t0, v, xtol=1e-14
+        )
+        table = CostTable(others + [cost])
+        t = table.prox(np.array([c.free_flow_time + 0.2 for c in others] + [v]), step)
+        assert t[-1] == pytest.approx(root, abs=1e-12)
+
+    def test_matches_the_per_edge_prox(self):
+        costs = FAMILIES + [PowerCost(1.2, 0.15, 3.0, 4.0)]
+        v = np.array([c.free_flow_time + 0.6 for c in costs])
+        t = CostTable(costs).prox(v, 0.7)
+        for cost, vi, ti in zip(costs, v.tolist(), t.tolist()):
+            assert ti == pytest.approx(cost.prox_conjugate(vi, 0.7), rel=1e-15)
+
+    def test_unknown_cost_class_rejected(self):
+        class Odd(ConstantCost):
+            pass
+
+        with pytest.raises(TypeError, match="unknown cost class"):
+            CostTable([Odd(1.0)])
+
+    def test_bad_step_rejected(self):
+        with pytest.raises(ValueError):
+            CostTable([AffineCost(1.0, 1.0)]).prox(np.array([2.0]), 0.0)
 
 
 class TestConstruction:

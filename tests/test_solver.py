@@ -4,11 +4,18 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 
 from sueflow import (
     AffineCost,
     BacktrackBudgetError,
+    ConstantCost,
+    Edge,
+    LevelGraph,
+    NetworkHierarchy,
+    ODPair,
+    PowerCost,
     ODRef,
     SolverConfig,
     alpha_step,
@@ -17,8 +24,9 @@ from sueflow import (
     lipschitz_bound_diagnostic,
     solve,
 )
+from sueflow.costs import CostTable
 from sueflow.loading import network_loading
-from sueflow.solver import _grad_trial, _prox_all, minimize_composite
+from sueflow.solver import minimize_composite
 from sueflow import oracle
 
 from conftest import chain3_net, parallel_net, two_edge_net
@@ -71,13 +79,22 @@ class TestAlphaStep:
 
 
 def grad_map(net, x, L, grad, fx):
-    """The proximal trial step of ``minimize_composite`` on the network dual."""
-    return _grad_trial(lambda y: dual_smooth_value(net, y), net.plain_costs(), x, L, grad, fx)
+    """The proximal trial step of ``minimize_composite`` on the network dual:
+    the trial point, its smooth value and whether the descent test holds."""
+    table = CostTable(net.plain_costs())
+    x, grad = np.array(x, dtype=float), np.array(grad, dtype=float)
+    y = table.prox(x - grad / L, 1.0 / L)
+    fy = dual_smooth_value(net, y.tolist())
+    d = y - x
+    accepted = fy <= fx + grad @ d + 0.5 * L * (d @ d) + 1e-12 * (1.0 + abs(fx))
+    return y.tolist(), fy, accepted
 
 
 def mirror_map(net, z, grad, alpha):
     """The mirror step of ``minimize_composite``: prox of ``z - alpha*grad``."""
-    return _prox_all(net.plain_costs(), [zi - alpha * gi for zi, gi in zip(z, grad)], alpha)
+    table = CostTable(net.plain_costs())
+    v = np.array(z, dtype=float) - alpha * np.array(grad, dtype=float)
+    return table.prox(v, alpha).tolist()
 
 
 class TestProxMaps:
@@ -208,6 +225,51 @@ class TestSolve:
             two_level_net, cert.avg_flows, t, T=cert.T, avg_entropy=cert.avg_entropy
         )
         assert recheck.gap == pytest.approx(cert.gap, abs=1e-12)
+
+
+def bpr_corridor(stages=4, links=5):
+    """One OD through ``stages`` stages of parallel BPR links."""
+    nodes = tuple(f"n{i}" for i in range(stages + 1))
+    edges = tuple(
+        Edge(f"s{i}l{j}", nodes[i], nodes[i + 1],
+             cost=PowerCost(1.0 + 0.1 * j, 0.15, 1.0 + 0.2 * ((i + j) % 3), 4.0))
+        for i in range(stages) for j in range(links)
+    )
+    level = LevelGraph(nodes=nodes, edges=edges, od_pairs=(ODPair(nodes[0], nodes[-1], 3.0),))
+    return NetworkHierarchy([level], [0.5])
+
+
+class TestVectorisedStep:
+    def test_solve_never_calls_the_per_edge_prox(self, two_level_net, monkeypatch):
+        # two_level.json has constant, affine and power edges.
+        def refuse(self, v, step):
+            raise AssertionError(f"per-edge prox called on {self!r}")
+
+        for cls in (ConstantCost, AffineCost, PowerCost):
+            monkeypatch.setattr(cls, "prox_conjugate", refuse)
+        assert {type(c) for c in two_level_net.plain_costs()} == {
+            ConstantCost, AffineCost, PowerCost
+        }
+        _, cert, _ = solve(two_level_net, SolverConfig(gap_tol=1e-6))
+        assert 0.0 <= cert.gap <= 1e-6
+
+    def test_bpr_corridor_reruns_are_identical(self):
+        net = bpr_corridor()
+        runs = []
+        for _ in range(2):
+            t, cert, history = solve(net, SolverConfig(gap_tol=1e-6))
+            runs.append(repr((t, cert, [(r.iter, r.L_used, r.n_func_evals, r.dual_value,
+                                         r.gap, r.alpha, r.A) for r in history])))
+        assert runs[0] == runs[1]
+        assert "np." not in runs[0]  # plain floats and lists, no numpy scalars
+
+    def test_bpr_corridor_certificate(self):
+        net = bpr_corridor()
+        t, cert, _ = solve(net, SolverConfig(gap_tol=1e-6))
+        assert 0.0 <= cert.gap <= 1e-6
+        from sueflow import dual_objective
+
+        assert cert.dual_value == pytest.approx(dual_objective(net, t), rel=1e-12)
 
 
 class TestDualityGap:
