@@ -365,6 +365,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         "primal_value": certificate.primal_value,
         "gap": certificate.gap,
         "T": certificate.T,
+        "stop": certificate.stop,
         "L2_diagnostic": lipschitz_bound_diagnostic(net),
     }
     with (out_dir / "certificate.json").open("w", newline="\n") as fh:

@@ -232,7 +232,9 @@ def _power_prox(v, step, t0, beta, cap, mu):
     lo = np.zeros_like(hi)
     f = hi.copy()
     slope_coef = t0_beta * mu / cap
-    q_tol = 1e-15 * (1.0 + np.abs(v))
+    # Relative to v (> t0 > 0), with no absolute term: in another unit of
+    # time the same Newton steps stop at the same element.
+    q_tol = 1e-15 * v
     live = np.ones(v.shape, dtype=bool)
     # In-place updates under masks: on small tables numpy's cost per call,
     # not per element, sets the time.

@@ -2,8 +2,10 @@
 
 The driver minimises ``smooth(t) + sum_e conjugate_e(t_e)`` where the
 composite part separates over coordinates, each carrying a link-cost
-conjugate. No Lipschitz constant is supplied: each iteration halves the
-previous local estimate, but not below ``L0``, and doubles it until the
+conjugate. No Lipschitz constant is supplied: ``L0`` is only the first
+local estimate. Each later iteration first tries a multiple of the secant
+curvature measured over the last accepted step, kept between half of the
+last accepted estimate and that estimate, and doubles it until the
 quadratic upper bound holds at the proximal trial point. The step weights
 follow the recursion ``alpha' ** 2 * L' - alpha' = alpha ** 2 * L``, which
 makes the mixing weight ``1 / (alpha' * L')`` a valid convex-combination
@@ -19,13 +21,17 @@ For the network dual, weighted averages of flows and route entropies over
 the gradient points yield a computable duality gap: dual value at the
 estimate sequence plus the (path-free) primal value at the averages. It is
 nonnegative, vanishes exactly at equilibrium, and decays at the accelerated
-rate.
+rate. The run stops once the gap reaches ``gap_tol``, or once it is within a
+few units of round-off of ``|dual| + |primal|``, where the two values agree
+to their last bits, or at ``max_iters``; the certificate's ``stop`` field
+names which (``gap_reached``, ``roundoff`` or ``iteration_cap``).
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import sys
 import time
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Mapping, Sequence
@@ -56,6 +62,12 @@ __all__ = [
     "duality_gap",
     "lipschitz_bound_diagnostic",
 ]
+
+
+# Multiple of the measured secant curvature tried first at the next iteration.
+_SECANT_MARGIN = 1.5
+# Units of round-off in |dual| + |primal| below which a gap is noise.
+_ROUNDOFF_ULPS = 8.0
 
 
 class BacktrackBudgetError(Exception):
@@ -92,7 +104,11 @@ class IterationRecord:
 
 @dataclass
 class GapCertificate:
-    """Dual value at the estimate plus primal value at the averaged pair."""
+    """Dual value at the estimate plus primal value at the averaged pair.
+
+    ``stop`` says why the run that produced it ended: ``"gap_reached"``,
+    ``"roundoff"`` or ``"iteration_cap"`` (see ``_stop_reason``).
+    """
 
     dual_value: float
     primal_value: float
@@ -100,6 +116,7 @@ class GapCertificate:
     T: int
     avg_flows: list[list[float]] | None = None
     avg_entropy: float | None = None
+    stop: str | None = None
 
 
 def alpha_step(alpha_k: float, L_k: float, L_next: float) -> tuple[float, float]:
@@ -144,7 +161,8 @@ def minimize_composite(
     receive float64 arrays. ``costs`` is the compiled ``CostTable`` of the
     composite part, or the per-coordinate costs to compile into one.
     ``on_accept`` may return a duality gap, which both lands in the history
-    and stops the loop once it reaches ``cfg.gap_tol``.
+    and stops the loop once it reaches ``cfg.gap_tol`` or round-off (see
+    ``_stop_reason``).
     """
     import numpy as np
 
@@ -153,13 +171,13 @@ def minimize_composite(
     z = y.copy()
     alpha = 0.0
     A = 0.0
-    L_acc = cfg.L0
+    L_acc = L_next = cfg.L0
     evals = 0
     history: list[IterationRecord] = []
     started = time.perf_counter()
 
     for k in range(cfg.max_iters):
-        L = max(cfg.L0, L_acc / 2.0)
+        L = L_next
         doublings = 0
         while True:
             alpha_next, tau = alpha_step(alpha, L_acc, L)
@@ -171,8 +189,11 @@ def minimize_composite(
             fy = smooth.value(y_next)
             evals += 1
             d = y_next - x
-            # Quadratic upper bound of the smooth part at the trial point.
-            if fy <= fx + float(grad @ d) + 0.5 * L * float(d @ d) + 1e-12 * (1.0 + abs(fx)):
+            grad_d = float(grad @ d)
+            d_d = float(d @ d)
+            # Quadratic upper bound of the smooth part at the trial point, up
+            # to a round-off slack relative to |fx|, so free of the time unit.
+            if fy <= fx + grad_d + 0.5 * L * d_d + 1e-12 * abs(fx):
                 break
             doublings += 1
             if doublings > cfg.max_backtracks_per_iter:
@@ -186,6 +207,7 @@ def minimize_composite(
         alpha = alpha_next
         A += alpha_next
         L_acc = L
+        L_next = _next_estimate(L, fy - fx - grad_d, d_d)
 
         dual_value = fy + table.conjugate(y)
         gap = None
@@ -216,9 +238,44 @@ def minimize_composite(
                 A=A,
             )
         )
-        if gap is not None and gap <= cfg.gap_tol:
+        if _stop_reason(gap, dual_value, cfg.gap_tol) is not None:
             break
     return y, history
+
+
+def _next_estimate(L: float, excess: float, d_d: float) -> float:
+    """First estimate tried at the next iteration after ``L`` was accepted.
+
+    ``excess = fy - fx - <grad, d>`` over the accepted step ``d`` measures
+    the secant curvature ``L_sec = 2 * excess / <d, d>`` of the smooth part,
+    which the accepted bound caps at about ``L``. The next trial follows it
+    down, ``_SECANT_MARGIN * L_sec``, by at most half of ``L`` per iteration
+    and never above ``L``. The at-most-halving keeps the universal method's
+    oracle bound ``4k + 2 log2(L_max / L0) + O(1)``; the secant keeps ``L``
+    from falling below curvature the last step has already seen, which
+    would cost a rejected trial at the next iteration.
+    """
+    L_sec = 2.0 * excess / d_d if d_d > 0.0 else 0.0
+    return max(0.5 * L, min(L, _SECANT_MARGIN * L_sec))
+
+
+def _stop_reason(gap: float | None, dual_value: float, gap_tol: float) -> str | None:
+    """Why a run with this certificate stops, or ``None`` to go on.
+
+    ``"gap_reached"`` once ``gap <= gap_tol``; ``"roundoff"`` once the gap is
+    within ``_ROUNDOFF_ULPS`` units of round-off of ``|dual| + |primal|``,
+    where the dual and primal values agree to their last bits and further
+    iterations only move the gap by rounding, possibly below zero. Both
+    scales are relative, so the stop does not depend on the unit of time.
+    """
+    if gap is None:
+        return None
+    if gap <= gap_tol:
+        return "gap_reached"
+    primal_value = gap - dual_value
+    if gap <= _ROUNDOFF_ULPS * sys.float_info.epsilon * (abs(dual_value) + abs(primal_value)):
+        return "roundoff"
+    return None
 
 
 class _DualSmooth:
@@ -303,6 +360,8 @@ def solve(
         T=history[-1].iter,
         avg_flows=averager.averaged_flows(),
         avg_entropy=averager.entropy_sum / averager.weight,
+        stop=_stop_reason(history[-1].gap, history[-1].dual_value, cfg.gap_tol)
+        or "iteration_cap",
     )
     return t_final.tolist(), certificate, history
 

@@ -272,6 +272,28 @@ class TestSolveCommand:
         history = (out / "history.csv").read_text().splitlines()
         assert len(history) == 3  # manifest, header, one record
 
+    @pytest.mark.parametrize(
+        "config, code, stop",
+        [
+            ('{"gap_tol": 1e-8}', 0, "gap_reached"),
+            ('{"gap_tol": 0, "max_iters": 1000}', 1, "roundoff"),
+            ('{"gap_tol": 1e-8, "max_iters": 2}', 1, "iteration_cap"),
+        ],
+    )
+    def test_certificate_says_why_it_stopped(self, tmp_path, config, code, stop):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(config)
+        out = tmp_path / "out"
+        assert run_cli(
+            "solve", "--network", FIXTURES / "two_level.json", "--config", cfg, "--out", out
+        ) == code
+        cert = json.loads((out / "certificate.json").read_text())
+        assert cert["stop"] == stop
+        # Deterministic fields only: no wall-clock data.
+        assert set(cert) == {
+            "manifest", "dual_value", "primal_value", "gap", "T", "stop", "L2_diagnostic"
+        }
+
     def test_malformed_network_gives_exit_2(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{}")

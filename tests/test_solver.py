@@ -26,7 +26,7 @@ from sueflow import (
 )
 from sueflow.costs import CostTable
 from sueflow.loading import network_loading
-from sueflow.solver import minimize_composite
+from sueflow.solver import minimize_composite, _stop_reason
 from sueflow import oracle
 
 from conftest import chain3_net, parallel_net, two_edge_net
@@ -429,3 +429,57 @@ class TestDriver:
         prob = Quadratic([1.0], [1.0])
         _, history = minimize_composite(prob, [AffineCost(0.2, 1.0)], [0.0], SolverConfig(max_iters=5, gap_tol=0.0))
         assert all(r.gap is None for r in history)
+
+
+class TestStepEstimate:
+    """``L0`` is only the first estimate: the estimate follows the measured
+    curvature down, and the run stops once the gap is round-off."""
+
+    def test_default_config_solves_two_level_fixture_quickly(self, two_level_net):
+        # With L0 as a floor this took 8156 iterations.
+        _, cert, history = solve(two_level_net)
+        assert cert.stop == "gap_reached"
+        assert cert.gap <= SolverConfig().gap_tol
+        assert cert.T < 100
+
+    def test_estimate_falls_below_L0(self):
+        curvature = 1e-3
+        prob = Quadratic([curvature] * 3, [2.0, -1.0, 0.5])
+        costs = [AffineCost(0.5, 1.0)] * 3
+        t, history = minimize_composite(
+            prob, costs, [0.0, 0.0, 0.0], SolverConfig(L0=1.0, max_iters=200, gap_tol=0.0)
+        )
+        assert history[0].L_used == 1.0
+        assert min(r.L_used for r in history) < curvature
+        # At most one halving per iteration.
+        for prev, rec in zip(history, history[1:]):
+            assert rec.L_used >= 0.5 * prev.L_used
+        for c, ti in zip([2.0, -1.0, 0.5], t):
+            # Minimiser of d/2 (t - c)^2 + (t - 0.5)_+^2 / 2.
+            expected = c if c <= 0.5 else (curvature * c + 0.5) / (curvature + 1.0)
+            assert ti == pytest.approx(expected, abs=1e-6)
+
+    def test_stops_at_roundoff(self, two_level_net):
+        _, cert, history = solve(two_level_net, SolverConfig(gap_tol=0.0, max_iters=1000))
+        assert cert.stop == "roundoff"
+        assert cert.T < 1000
+        assert history[-1].gap == cert.gap
+        assert cert.gap >= 0.0
+        scale = abs(cert.dual_value) + abs(cert.primal_value)
+        assert cert.gap <= 8 * np.finfo(float).eps * scale
+
+    def test_iteration_cap(self):
+        _, cert, _ = solve(two_edge_net(), SolverConfig(gap_tol=0.0, max_iters=3))
+        assert (cert.T, cert.stop) == (3, "iteration_cap")
+
+    @pytest.mark.parametrize("c", [2.0**-30, 1.0, 2.0**30])
+    def test_stop_reason_is_relative(self, c):
+        eps = np.finfo(float).eps
+        # Dual -1, primal 1 + gap: round-off below 16 eps, in any unit.
+        assert _stop_reason(None, -c, 0.0) is None
+        assert _stop_reason(c * 1e-8, -c, c * 1e-8) == "gap_reached"
+        assert _stop_reason(c * 1e-8, -c, 0.0) is None
+        assert _stop_reason(c * 4 * eps, -c, 0.0) == "roundoff"
+        # A gap below zero is within any tolerance, as the exit code has it.
+        assert _stop_reason(-c * eps, -c, 0.0) == "gap_reached"
+        assert _stop_reason(c * 64 * eps, -c, 0.0) is None
