@@ -324,7 +324,11 @@ def _cmd_load(args: argparse.Namespace) -> int:
     except (ParseError, FileNotFoundError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    result = network_loading(net, times)
+    try:
+        result = network_loading(net, times)
+    except LoadingError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 3
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_flows(out_dir / "flows.csv", _manifest("load", args), net, result.flows, times)

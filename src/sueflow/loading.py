@@ -21,6 +21,9 @@ its soft-min field, and since flows and trajectory entropy are linear in
 the through-flow, one forward pass carries the demand of all their origins
 (the destination-based form of Dial's STOCH loading). Each level thus
 costs one soft-min sweep and one forward pass per distinct destination.
+On an acyclic level both cover only the nodes between that destination's
+origins and it (``LevelIndex.dest_subgraphs``): elsewhere the soft-min is
+``+inf`` and the flow zero, so skipping them changes no result.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ import sys
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .model import LevelGraph, LevelIndex, NetworkHierarchy
+from .model import LevelGraph, LevelIndex, NetworkHierarchy, Subgraph
 
 __all__ = [
     "LoadResult",
@@ -100,20 +103,24 @@ def _lse_min(terms: list[float], gamma: float) -> float:
 
 
 def _softmin(
-    index: LevelIndex, weights: Sequence[float], gamma: float, dst: int
+    index: LevelIndex, weights: Sequence[float], gamma: float, dst: int, graph: Subgraph
 ) -> list[float]:
     """Soft-min distance to ``dst`` per node; destination is absorbing.
 
-    One field serves every OD pair of the level that ends at ``dst``.
+    One field serves every OD pair of the level that ends at ``dst``. On an
+    acyclic level the sweep visits the nodes and edges of ``graph`` (the
+    whole level, or the part of it that leads to ``dst``) and leaves every
+    other node at ``+inf``; a cyclic level is solved whole.
     """
     if index.topo is None:
         return _softmin_cyclic(index, weights, gamma, dst)
     rho = [math.inf] * index.n_nodes
     rho[dst] = 0.0
-    for v in reversed(index.topo):
+    heads, out_edges = index.heads, graph.out_edges
+    for v in reversed(graph.topo):
         if v == dst:
             continue
-        terms = [weights[e] + rho[index.heads[e]] for e in index.out_edges[v]]
+        terms = [weights[e] + rho[heads[e]] for e in out_edges[v]]
         rho[v] = _lse_min(terms, gamma)
     return rho
 
@@ -192,7 +199,7 @@ def softmin_potentials(
     if dest not in index.node_index:
         raise ValueError(f"unknown destination node {dest!r}")
     w = [float(weights[e.id]) for e in level.edges]
-    rho = _softmin(index, w, gamma, index.node_index[dest])
+    rho = _softmin(index, w, gamma, index.node_index[dest], index.whole)
     return {v: rho[i] for v, i in index.node_index.items()}
 
 
@@ -203,7 +210,9 @@ def _sweep_weights(
     fields, in the order of ``LevelIndex.dests``.
 
     A portal edge's weight is the soft-min trip cost of its target OD pair
-    one level down, so levels are processed deepest first.
+    one level down, so levels are processed deepest first. Each field is
+    finite only on its destination's subgraph, which holds every origin
+    that can reach the destination.
     """
     m = net.num_levels
     weights: list[list[float] | None] = [None] * m
@@ -231,9 +240,9 @@ def _sweep_weights(
                 w[pos] = trip_cost[k + 1][edge.target_od.od]
         weights[k] = w
         gamma = net.gammas[k]
-        for dst in index.dests:
+        for dst, graph in zip(index.dests, index.dest_subgraphs):
             try:
-                rho_fields[k].append(_softmin(index, w, gamma, dst))
+                rho_fields[k].append(_softmin(index, w, gamma, dst, graph))
             except LoadingError as err:
                 raise LoadingError(f"{err} at level {k + 1}") from None
         for j, (src, _) in enumerate(index.od_nodes):
@@ -272,21 +281,25 @@ def _forward_dag(
     weights: Sequence[float],
     rho: Sequence[float],
     gamma: float,
-    dst: int,
+    slot: int,
     supply: list[float],
     flows: list[float],
     k: int,
 ) -> float:
-    """Carry the demand bound for ``dst`` to it in one topological sweep.
+    """Carry the demand bound for destination ``slot`` to it in one
+    topological sweep of its subgraph, which holds all the flow.
 
     ``supply[v]`` is the summed demand of the level's OD pairs from node
-    ``v`` to ``dst``; it becomes the through-flow in place. Adds the edge
-    flows to ``flows`` and returns the demand-weighted trajectory entropy.
-    ``k`` is the level's position, for error messages.
+    ``v`` to that destination; it becomes the through-flow in place. Adds
+    the edge flows to ``flows`` and returns the demand-weighted trajectory
+    entropy. ``k`` is the level's position, for error messages.
     """
+    dst = index.dests[slot]
+    graph = index.dest_subgraphs[slot]
+    heads, out_edges = index.heads, graph.out_edges
     through = supply
     entropy = 0.0
-    for v in index.topo:
+    for v in graph.topo:
         h = through[v]
         if h <= 0.0 or v == dst:
             continue
@@ -295,24 +308,22 @@ def _forward_dag(
                 f"flow toward {index.nodes[dst]!r} reached node {index.nodes[v]!r}, "
                 f"which has no route to it, at level {k + 1}"
             )
-        probs = [
-            math.exp((rho[v] - weights[e] - rho[index.heads[e]]) / gamma)
-            for e in index.out_edges[v]
-        ]
+        out = out_edges[v]
+        probs = [math.exp((rho[v] - weights[e] - rho[heads[e]]) / gamma) for e in out]
         mass = sum(probs)
         leak = abs(mass - 1.0)
-        if leak > _MASS_TOL and leak > _leak_budget(index, weights, rho, gamma, v, probs):
+        if leak > _MASS_TOL and leak > _leak_budget(index, weights, rho, gamma, v, out, probs):
             raise MassLeakError(
                 f"choice probabilities out of node {index.nodes[v]!r} toward "
                 f"{index.nodes[dst]!r} sum to {mass} at level {k + 1}"
             )
         local = 0.0
-        for e, p in zip(index.out_edges[v], probs):
+        for e, p in zip(out, probs):
             p /= mass  # exact conservation; the raw sum is 1 up to rounding
             if p > 0.0:
                 local -= p * math.log(p)
                 flows[e] += h * p
-                through[index.heads[e]] += h * p
+                through[heads[e]] += h * p
         entropy += h * local
     return entropy
 
@@ -323,6 +334,7 @@ def _leak_budget(
     rho: Sequence[float],
     gamma: float,
     v: int,
+    out: Sequence[int],
     probs: Sequence[float],
 ) -> float:
     """Mass deviation at node ``v`` that the rounding of the potentials explains.
@@ -331,10 +343,11 @@ def _leak_budget(
     so it is off by a few ulps of their magnitudes over ``gamma``, and
     ``exp`` turns that into the same relative error of the probability.
     Large potentials against a small ``gamma`` thus leave the raw sum
-    further from 1 than ``_MASS_TOL`` without any mass being lost.
+    further from 1 than ``_MASS_TOL`` without any mass being lost. ``out``
+    lists the edges out of ``v`` that ``probs`` belong to.
     """
     spread = 0.0
-    for e, p in zip(index.out_edges[v], probs):
+    for e, p in zip(out, probs):
         if p > 0.0:
             spread += p * (abs(rho[v]) + abs(weights[e]) + abs(rho[index.heads[e]]))
     return _MASS_TOL + 4.0 * sys.float_info.epsilon * spread / gamma
@@ -345,18 +358,20 @@ def _forward_cyclic(
     weights: Sequence[float],
     rho: Sequence[float],
     gamma: float,
-    dst: int,
+    slot: int,
     supply: list[float],
     flows: list[float],
     k: int,
 ) -> float:
-    """Walk-measure loading toward ``dst``: the expected node visits solve
-    ``(I - Q^T) h = supply``, one solve for every origin bound for ``dst``.
+    """Walk-measure loading toward destination ``slot`` over the whole
+    level: the expected node visits solve ``(I - Q^T) h = supply``, one
+    solve for every origin bound for it.
 
     Arguments and result are those of ``_forward_dag``.
     """
     import numpy as np
 
+    dst = index.dests[slot]
     n = index.n_nodes
     tails, heads = np.array(index.tails), np.array(index.heads)
     r = np.asarray(rho)
@@ -412,8 +427,7 @@ def network_loading(net: NetworkHierarchy, t: Sequence[float]) -> LoadResult:
             supplies[slot][src] += d
         for slot, supply in supplies.items():
             level_entropy += forward(
-                index, weights[k], rho_fields[k][slot], gamma, index.dests[slot],
-                supply, level_flows, k,
+                index, weights[k], rho_fields[k][slot], gamma, slot, supply, level_flows, k
             )
         flows.append(level_flows)
         entropies.append(level_entropy)

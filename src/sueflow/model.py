@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Mapping
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
 from .costs import LinkCost
 
@@ -22,6 +22,7 @@ __all__ = [
     "Edge",
     "LevelGraph",
     "LevelIndex",
+    "Subgraph",
     "NetworkHierarchy",
     "Violation",
     "validate_hierarchy",
@@ -87,6 +88,19 @@ class LevelGraph:
         return LevelIndex(self)
 
 
+class Subgraph(NamedTuple):
+    """The part of a level that one loading pass visits.
+
+    ``topo`` lists its nodes in the level's Kahn order (``None`` on a cyclic
+    level). ``out_edges[v]`` holds, in the level's order, the positions of
+    the edges out of node ``v`` that stay inside it; it is empty for nodes
+    outside it.
+    """
+
+    topo: list[int] | None
+    out_edges: Sequence[Sequence[int]]
+
+
 class LevelIndex:
     """Integer index of one level graph, shared by validation, route-length
     bounds and loading.
@@ -95,7 +109,8 @@ class LevelIndex:
     is a Kahn order of the node positions, or ``None`` when the graph has a
     cycle. ``dests`` lists the distinct OD destinations in order of first
     appearance, and ``dest_slot[j]`` is the position of OD ``j``'s
-    destination in it: loading computes one soft-min field per destination.
+    destination in it: loading computes one soft-min field per destination,
+    over that destination's ``dest_subgraphs`` entry.
     """
 
     __slots__ = (
@@ -111,6 +126,7 @@ class LevelIndex:
         "dest_slot",
         "portal_for_od",
         "plain_positions",
+        "_dest_subgraphs",
     )
 
     def __init__(self, level: LevelGraph) -> None:
@@ -145,6 +161,57 @@ class LevelIndex:
             if e.is_portal:
                 self.portal_for_od[e.target_od.od] = pos
         self.plain_positions = [pos for pos, e in enumerate(level.edges) if e.is_plain]
+        self._dest_subgraphs: list[Subgraph] | None = None
+
+    @property
+    def whole(self) -> Subgraph:
+        """The whole level as a ``Subgraph``."""
+        return Subgraph(self.topo, self.out_edges)
+
+    @property
+    def dest_subgraphs(self) -> list[Subgraph]:
+        """Per destination slot, the nodes between its OD origins and it.
+
+        On an acyclic level these are the descendants of the origins of the
+        OD pairs bound for the destination that are also its ancestors, and
+        each keeps only the edges whose heads are among them. Outside them
+        the soft-min distance is ``+inf`` and the flow toward the
+        destination zero, so a loading pass over the subgraph computes the
+        whole level's trip costs and flows exactly. On a cyclic level every
+        slot gets the whole level. Built on first use and kept: validation
+        never reads them.
+        """
+        if self._dest_subgraphs is None:
+            if self.topo is None:
+                self._dest_subgraphs = [self.whole] * len(self.dests)
+            else:
+                origins: list[list[int]] = [[] for _ in self.dests]
+                for (src, _), slot in zip(self.od_nodes, self.dest_slot):
+                    origins[slot].append(src)
+                self._dest_subgraphs = [
+                    self._between(srcs, dst) for srcs, dst in zip(origins, self.dests)
+                ]
+        return self._dest_subgraphs
+
+    def _between(self, origins: list[int], dst: int) -> Subgraph:
+        """Subgraph of the nodes on some route from ``origins`` to ``dst``."""
+        below = [False] * self.n_nodes  # a descendant of some origin
+        for v in origins:
+            below[v] = True
+        for v in self.topo:
+            if below[v]:
+                for e in self.out_edges[v]:
+                    below[self.heads[e]] = True
+        keep = [False] * self.n_nodes  # also an ancestor of ``dst``
+        keep[dst] = below[dst]
+        out_edges: list[Sequence[int]] = [()] * self.n_nodes
+        for v in reversed(self.topo):
+            if below[v] and v != dst:
+                out = [e for e in self.out_edges[v] if keep[self.heads[e]]]
+                if out:
+                    keep[v] = True
+                    out_edges[v] = out
+        return Subgraph([v for v in self.topo if keep[v]], out_edges)
 
     def _position(self, node: str, owner: str) -> int:
         try:

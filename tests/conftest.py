@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from sueflow import (
     AffineCost,
@@ -183,3 +184,51 @@ def random_hierarchy(seed: int) -> tuple[NetworkHierarchy, list[float]]:
     net = NetworkHierarchy(levels=levels, gammas=gammas)
     t = [c.free_flow_time + float(rng.uniform(0.0, 0.05)) for c in net.plain_costs()]
     return net, t
+
+
+@st.composite
+def dag_hierarchies(draw) -> tuple[NetworkHierarchy, list[float]]:
+    """Random valid DAG hierarchy plus a dual point, built deepest level first.
+
+    Each level lists its nodes and edges in a drawn order, and its OD pairs
+    join any node to one it reaches, so a destination often has several
+    origins, some upstream of others, and an OD pair may start at its
+    destination. Portals join any nodes a route can use, so some carry no
+    flow and their lower-level OD pairs get zero demand.
+    """
+    m = draw(st.integers(1, 3), label="levels")
+    levels: list[LevelGraph] = []
+    portals = 0  # the OD pairs of the level below, one portal each
+    for k in range(m - 1, -1, -1):
+        n = draw(st.integers(2, 7), label="nodes")
+        forward = st.sampled_from([(a, b) for a in range(n) for b in range(a + 1, n)])
+        arcs = draw(st.lists(forward, min_size=1, max_size=12), label="plain edges")
+        gates = draw(st.lists(forward, min_size=portals, max_size=portals), label="portals")
+        edges = [
+            Edge(f"L{k}e{i}", f"L{k}n{a}", f"L{k}n{b}", cost=ConstantCost(1.0))
+            for i, (a, b) in enumerate(arcs)
+        ] + [
+            Edge(f"L{k}g{j}", f"L{k}n{a}", f"L{k}n{b}", target_od=ODRef(k + 1, j))
+            for j, (a, b) in enumerate(gates)
+        ]
+        reach = [{v} for v in range(n)]
+        for a in range(n - 1, -1, -1):
+            for tail, head in arcs + gates:
+                if tail == a:
+                    reach[a] |= reach[head]
+        pairs = [(o, d) for o in range(n) for d in sorted(reach[o])]
+        ods = draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=6), label="OD pairs")
+        demand = st.floats(0.5, 2.0) if k == 0 else st.none()
+        od_pairs = tuple(ODPair(f"L{k}n{o}", f"L{k}n{d}", draw(demand)) for o, d in ods)
+        nodes = tuple(draw(st.permutations([f"L{k}n{i}" for i in range(n)]), label="node order"))
+        edges = tuple(draw(st.permutations(edges), label="edge order"))
+        levels.insert(0, LevelGraph(nodes, edges, od_pairs))
+        portals = len(od_pairs)
+    gammas = [draw(st.floats(0.2, 2.0), label="gamma") for _ in range(m)]
+    net = NetworkHierarchy(levels=levels, gammas=gammas)
+    t = [draw(st.floats(0.2, 3.0), label="time") for _ in range(net.num_plain_edges())]
+    return net, t
+
+
+# Every DAG hierarchy source above, for property tests of loading.
+any_dag_hierarchy = st.one_of(st.integers(0, 299).map(random_hierarchy), dag_hierarchies())

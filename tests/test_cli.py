@@ -237,6 +237,35 @@ class TestLoadCommand:
         )
         assert code == 2
 
+    def test_loading_error_gives_exit_3(self, tmp_path, capsys):
+        # Each time is finite, but the route o -> m -> d costs 2e308, which
+        # overflows to inf: the loading finds no path of finite cost.
+        doc = {
+            "version": 1,
+            "gammas": [1.0],
+            "levels": [
+                {
+                    "nodes": ["o", "m", "d"],
+                    "edges": [
+                        {"id": "om", "from": "o", "to": "m", "kind": "plain",
+                         "cost": {"type": "affine", "a": 1.0, "b": 1.0}},
+                        {"id": "md", "from": "m", "to": "d", "kind": "plain",
+                         "cost": {"type": "affine", "a": 1.0, "b": 1.0}},
+                    ],
+                    "od_pairs": [{"origin": "o", "destination": "d", "demand": 1.0}],
+                }
+            ],
+        }
+        netfile = tmp_path / "net.json"
+        netfile.write_text(json.dumps(doc))
+        tfile = tmp_path / "t.json"
+        tfile.write_text('{"version": 1, "times": [{"om": 1e308, "md": 1e308}]}')
+        out = tmp_path / "out"
+        assert run_cli("load", "--network", netfile, "--t-file", tfile, "--out", out) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "'o' -> 'd'" in err
+        assert not (out / "flows.csv").exists()
+
     def test_t_file_required(self, tmp_path):
         assert (
             run_cli("load", "--network", FIXTURES / "two_edge.json", "--out", tmp_path / "o")

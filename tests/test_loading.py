@@ -29,9 +29,11 @@ from sueflow import (
 )
 from sueflow import loading
 from sueflow.loading import entropy_term, surrogate_primal, verify_conservation
+from sueflow.model import LevelIndex
 from sueflow import oracle
 
 from conftest import (
+    any_dag_hierarchy,
     chain3_net,
     diamond_net,
     parallel_net,
@@ -425,13 +427,13 @@ class TestOncePerDestination:
         softmin_calls, forward_calls = [], []
         softmin, forward = loading._softmin, loading._forward_dag
 
-        def counted_softmin(index, weights, gamma, dst):
+        def counted_softmin(index, weights, gamma, dst, graph):
             softmin_calls.append((id(index), dst))
-            return softmin(index, weights, gamma, dst)
+            return softmin(index, weights, gamma, dst, graph)
 
-        def counted_forward(index, weights, rho, gamma, dst, supply, flows, k):
-            forward_calls.append((k, dst))
-            return forward(index, weights, rho, gamma, dst, supply, flows, k)
+        def counted_forward(index, weights, rho, gamma, slot, supply, flows, k):
+            forward_calls.append((k, index.dests[slot]))
+            return forward(index, weights, rho, gamma, slot, supply, flows, k)
 
         monkeypatch.setattr(loading, "_softmin", counted_softmin)
         monkeypatch.setattr(loading, "_forward_dag", counted_forward)
@@ -448,6 +450,38 @@ class TestOncePerDestination:
         assert sorted(forward_calls) == sorted(
             [(0, by_name["r3c3"]), (0, by_name["r3c2"]), (1, level2.node_index["r2c2"])]
         )
+
+
+class TestDestinationSubgraphs:
+    # Outside a destination's subgraph every soft-min term is +inf, whose
+    # exp adds an exact 0.0, and every choice probability is 0.0: passes
+    # over the subgraph and over the whole level agree to the last bit.
+    @given(case=any_dag_hierarchy)
+    @settings(max_examples=150, deadline=None)
+    def test_restricted_loading_equals_whole_level(self, case):
+        net, t = case
+        restricted = network_loading(net, t), dual_smooth_value(net, t)
+        whole_level = property(lambda index: [index.whole] * len(index.dests))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(LevelIndex, "dest_subgraphs", whole_level)
+            whole = network_loading(net, t), dual_smooth_value(net, t)
+        assert restricted == whole
+
+    @given(case=any_dag_hierarchy)
+    @settings(max_examples=150, deadline=None)
+    def test_trip_costs_are_whole_level_potentials(self, case):
+        net, t = case
+        weights = hierarchical_weights(net, t)
+        _, rho_fields = loading._sweep_weights(net, t)
+        for k, level in enumerate(net.levels):
+            index = level.index
+            for j, od in enumerate(level.od_pairs):
+                rho = softmin_potentials(level, weights[k], net.gammas[k], od.destination)
+                src = index.node_index[od.origin]
+                assert rho_fields[k][index.dest_slot[j]][src] == rho[od.origin]
+                if k > 0:
+                    portal = net.levels[k - 1].edges[net.levels[k - 1].index.portal_for_od[j]]
+                    assert weights[k - 1][portal.id] == rho[od.origin]
 
 
 def jittered_chain(stages, time, gamma, seed):
@@ -481,12 +515,13 @@ class TestMassLeak:
         rho = list(rho_fields[0][0])
         rho[5] += 0.01 * net.gammas[0]
         index = net.levels[0].index
-        src, dst = index.od_nodes[0]
+        src, _ = index.od_nodes[0]
         supply = [0.0] * index.n_nodes
         supply[src] = 1.0
         with pytest.raises(MassLeakError) as caught:
             loading._forward_dag(
-                index, weights[0], rho, net.gammas[0], dst, supply, [0.0] * len(t), 0
+                index, weights[0], rho, net.gammas[0], index.dest_slot[0], supply,
+                [0.0] * len(t), 0,
             )
         # the shift at s5 upsets the choice at s4, whose successor it is
         assert "node 's4' toward 's10'" in str(caught.value)

@@ -16,12 +16,22 @@ from sueflow import (
     ODPair,
     ODRef,
     longest_path_bound,
+    network_loading,
     validate_hierarchy,
 )
+from sueflow.cli import parse_network
 from sueflow.model import longest_path_bounds
 from sueflow.oracle import expand_paths
 
-from conftest import chain3_net, diamond_net, parallel_net, random_hierarchy, two_edge_net
+from conftest import (
+    FIXTURES,
+    any_dag_hierarchy,
+    chain3_net,
+    diamond_net,
+    parallel_net,
+    random_hierarchy,
+    two_edge_net,
+)
 
 
 def codes(net):
@@ -263,6 +273,60 @@ class TestLevelIndex:
         )
         assert level.index.dests == [3, 4]
         assert level.index.dest_slot == [0, 1, 0, 0]
+
+
+class TestDestinationSubgraphs:
+    @given(case=any_dag_hierarchy)
+    @settings(max_examples=200, deadline=None)
+    def test_between_origins_and_destination(self, case):
+        # descendants of the origins that are ancestors of the destination,
+        # in Kahn order, each keeping its out-edges into the set in order
+        net, _ = case
+        for level in net.levels:
+            index = level.index
+            n = index.n_nodes
+            graph = csr_matrix(
+                ([1.0] * len(index.tails), (index.tails, index.heads)), shape=(n, n)
+            )
+            assert len(index.dest_subgraphs) == len(index.dests)
+            for slot, (dst, sub) in enumerate(zip(index.dests, index.dest_subgraphs)):
+                below = set()
+                for (src, _), s in zip(index.od_nodes, index.dest_slot):
+                    if s == slot:
+                        below.update(breadth_first_order(
+                            graph, src, directed=True, return_predecessors=False
+                        ).tolist())
+                above = breadth_first_order(
+                    graph.T.tocsr(), dst, directed=True, return_predecessors=False
+                ).tolist()
+                members = below & set(above)
+                assert sub.topo == [v for v in index.topo if v in members]
+                for v in range(n):
+                    kept = [e for e in index.out_edges[v] if index.heads[e] in members]
+                    assert list(sub.out_edges[v]) == (kept if v in members else [])
+
+    def test_built_on_first_loading_not_by_validation(self):
+        net = parse_network(FIXTURES / "two_level.json")
+        assert validate_hierarchy(net) == []
+        assert all(level.index._dest_subgraphs is None for level in net.levels)
+        network_loading(net, net.free_flow_times())
+        built = [level.index._dest_subgraphs for level in net.levels]
+        assert all(b is not None for b in built)
+        network_loading(net, net.free_flow_times())
+        assert all(level.index.dest_subgraphs is b for level, b in zip(net.levels, built))
+
+    def test_cyclic_level_keeps_the_whole_level(self):
+        level = LevelGraph(
+            nodes=("a", "b", "d", "x"),
+            edges=(
+                Edge("ab", "a", "b", cost=AffineCost(1.0, 1.0)),
+                Edge("ba", "b", "a", cost=AffineCost(1.0, 1.0)),
+                Edge("bd", "b", "d", cost=AffineCost(1.0, 1.0)),
+                Edge("dx", "d", "x", cost=AffineCost(1.0, 1.0)),
+            ),
+            od_pairs=(ODPair("a", "d", 1.0),),
+        )
+        assert level.index.dest_subgraphs == [level.index.whole]
 
 
 class TestLongestPathBound:
