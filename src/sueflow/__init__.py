@@ -18,7 +18,6 @@ from .loading import (
     dual_smooth_value,
     hierarchical_weights,
     network_loading,
-    primal_objective,
     softmin_potentials,
 )
 from .model import (
@@ -28,7 +27,6 @@ from .model import (
     ODPair,
     ODRef,
     Violation,
-    longest_path_bound,
     validate_hierarchy,
 )
 from .solver import (
@@ -56,7 +54,6 @@ __all__ = [
     "dual_smooth_value",
     "hierarchical_weights",
     "network_loading",
-    "primal_objective",
     "softmin_potentials",
     "Edge",
     "LevelGraph",
@@ -64,7 +61,6 @@ __all__ = [
     "ODPair",
     "ODRef",
     "Violation",
-    "longest_path_bound",
     "validate_hierarchy",
     "BacktrackBudgetError",
     "GapCertificate",

@@ -69,14 +69,21 @@ def _string(obj, where: str) -> str:
     return obj
 
 
-def parse_network(path: str | Path) -> NetworkHierarchy:
-    """Strict parse of a network file; the result always validates clean."""
-    text = Path(path).read_text()
+def _read_json(path: str | Path):
+    """The JSON document in ``path``, read as UTF-8; any failure is a ``ParseError``."""
     try:
-        doc = json.loads(text)
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except OSError as err:
+        raise _fail(str(path), f"cannot read: {err.strerror or err}") from err
+    except UnicodeDecodeError as err:
+        raise _fail(str(path), f"not UTF-8 text at byte {err.start}") from err
     except json.JSONDecodeError as err:
         raise _fail(str(path), f"invalid JSON at line {err.lineno}, column {err.colno}") from err
-    net = network_from_dict(doc)
+
+
+def parse_network(path: str | Path) -> NetworkHierarchy:
+    """Strict parse of a network file; the result always validates clean."""
+    net = network_from_dict(_read_json(path))
     violations = validate_hierarchy(net)
     if violations:
         lines = "; ".join(f"[{v.code}] {v.path}: {v.message}" for v in violations)
@@ -199,11 +206,7 @@ def load_config(path: str | Path | None) -> SolverConfig:
     """Solver settings from JSON; keys mirror SolverConfig, all optional."""
     if path is None:
         return SolverConfig()
-    text = Path(path).read_text()
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as err:
-        raise _fail(str(path), f"invalid JSON at line {err.lineno}, column {err.colno}") from err
+    doc = _read_json(path)
     _require_keys(doc, str(path), (), _CONFIG_KEYS)
     kwargs = {}
     for key in _CONFIG_KEYS:
@@ -223,11 +226,7 @@ def load_config(path: str | Path | None) -> SolverConfig:
 
 def load_times(path: str | Path, net: NetworkHierarchy) -> list[float]:
     """Edge times from JSON: {"version": 1, "times": [{edge id: value}, ...]}."""
-    text = Path(path).read_text()
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as err:
-        raise _fail(str(path), f"invalid JSON at line {err.lineno}, column {err.colno}") from err
+    doc = _read_json(path)
     _require_keys(doc, str(path), ("version", "times"))
     if doc["version"] != _FORMAT_VERSION:
         raise _fail(f"{path}:version", f"unsupported version {doc['version']!r}")
@@ -297,13 +296,8 @@ def _write_flows(
 
 def _cmd_validate(args: argparse.Namespace) -> int:
     try:
-        text = Path(args.network).read_text()
-        doc = json.loads(text)
-        net = network_from_dict(doc)
-    except FileNotFoundError:
-        print(f"error: no such file: {args.network}", file=sys.stderr)
-        return 2
-    except (json.JSONDecodeError, ParseError) as err:
+        net = network_from_dict(_read_json(args.network))
+    except ParseError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     violations = validate_hierarchy(net)
@@ -321,7 +315,7 @@ def _cmd_load(args: argparse.Namespace) -> int:
         if args.t_file is None:
             raise _fail("load", "--t-file is required")
         times = load_times(args.t_file, net)
-    except (ParseError, FileNotFoundError) as err:
+    except ParseError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     try:
@@ -339,7 +333,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     try:
         net = parse_network(args.network)
         cfg = load_config(args.config)
-    except (ParseError, FileNotFoundError) as err:
+    except ParseError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     try:

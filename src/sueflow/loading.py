@@ -4,8 +4,9 @@ The dual problem's smooth part is the demand-weighted soft-min travel cost
 over all level-1 routes, where a portal edge's weight is the soft-min cost
 of its target OD trip one level down. This module computes that value, its
 gradient (minus the edge flows, obtained by propagating demand with logit
-edge-choice probabilities), and the primal/dual objectives used for gap
-certification.
+edge-choice probabilities), and the dual objective and path-free primal
+value of the gap certificate. Nothing here enumerates routes; the
+path-based primal is the oracle's, an independent cross-check.
 
 Soft-min distances on a DAG level are exact in one reverse-topological
 pass. On a cyclic level the soft-min sums over all walks, not just simple
@@ -45,7 +46,6 @@ __all__ = [
     "dual_smooth_value",
     "network_loading",
     "entropy_term",
-    "primal_objective",
     "surrogate_primal",
     "dual_objective",
     "verify_conservation",
@@ -212,7 +212,9 @@ def _sweep_weights(
     A portal edge's weight is the soft-min trip cost of its target OD pair
     one level down, so levels are processed deepest first. Each field is
     finite only on its destination's subgraph, which holds every origin
-    that can reach the destination.
+    that can reach the destination. An infinite trip cost raises
+    ``NoPathError`` if the trip has no route, and ``LoadingError`` if its
+    cost overflowed.
     """
     m = net.num_levels
     weights: list[list[float] | None] = [None] * m
@@ -245,13 +247,14 @@ def _sweep_weights(
                 rho_fields[k].append(_softmin(index, w, gamma, dst, graph))
             except LoadingError as err:
                 raise LoadingError(f"{err} at level {k + 1}") from None
-        for j, (src, _) in enumerate(index.od_nodes):
+        for j, (src, dst) in enumerate(index.od_nodes):
             cost = rho_fields[k][index.dest_slot[j]][src]
             if math.isinf(cost):
                 od = level.od_pairs[j]
-                raise NoPathError(
-                    f"no path {od.origin!r} -> {od.destination!r} at level {k + 1}"
-                )
+                trip = f"{od.origin!r} -> {od.destination!r} at level {k + 1}"
+                if index.reaches(src, dst):
+                    raise LoadingError(f"the trip cost {trip} overflows to inf")
+                raise NoPathError(f"no path {trip}")
             trip_cost[k].append(cost)
     return weights, rho_fields
 
@@ -446,78 +449,14 @@ def entropy_term(net: NetworkHierarchy, result: LoadResult) -> float:
     return -sum(g * e for g, e in zip(net.gammas, result.entropies))
 
 
-def primal_objective(
-    net: NetworkHierarchy,
-    paths: Mapping[tuple[int, int], Mapping[tuple[str, ...], float]],
-    flows: Sequence[Sequence[float]],
-    rtol: float = 1e-8,
-) -> float:
-    """Cost integrals plus nested route entropy at an explicit path assignment.
-
-    ``paths`` maps (level, od index) to per-route flows keyed by edge-id
-    sequences; ``flows`` gives every edge flow per level. The two must be
-    consistent: routes reproduce the edge flows, per-OD route flows sum to
-    the demand (exogenous at level 1, the binding portal flow below).
-    """
-    m = net.num_levels
-    edge_pos = [
-        {e.id: pos for pos, e in enumerate(level.edges)} for level in net.levels
-    ]
-
-    recovered = [[0.0] * len(level.edges) for level in net.levels]
-    entropy_sum = 0.0
-    for k in range(m):
-        gamma = net.gammas[k]
-        for j, od in enumerate(net.levels[k].od_pairs):
-            table = paths.get((k, j), {})
-            if k == 0:
-                demand = od.demand
-            else:
-                portal = net.levels[k - 1].index.portal_for_od[j]
-                demand = flows[k - 1][portal]
-            total = 0.0
-            for route, x in table.items():
-                if x < 0.0:
-                    raise ValueError(f"negative path flow {x} on {route} (level {k + 1})")
-                total += x
-                for eid in route:
-                    recovered[k][edge_pos[k][eid]] += x
-            if abs(total - demand) > rtol * (1.0 + abs(demand)):
-                raise ValueError(
-                    f"path flows for level-{k + 1} OD {j} sum to {total}, demand is {demand}"
-                )
-            if demand > 0.0:
-                od_entropy = 0.0
-                for x in table.values():
-                    if x > 0.0:
-                        od_entropy += x * math.log(x / demand)
-                entropy_sum += gamma * od_entropy
-
-    scale = max((abs(v) for level in flows for v in level), default=1.0)
-    for k, level in enumerate(net.levels):
-        for pos in range(len(level.edges)):
-            if abs(recovered[k][pos] - flows[k][pos]) > rtol * (1.0 + scale):
-                raise ValueError(
-                    f"edge {level.edges[pos].id!r} at level {k + 1}: path flows give "
-                    f"{recovered[k][pos]}, edge flow is {flows[k][pos]}"
-                )
-
-    integral_sum = 0.0
-    for k, level in enumerate(net.levels):
-        for pos in level.index.plain_positions:
-            integral_sum += level.edges[pos].cost.integral(flows[k][pos])
-    return integral_sum + entropy_sum
-
-
 def surrogate_primal(
     net: NetworkHierarchy, flows: Sequence[Sequence[float]], entropy: float
 ) -> float:
     """Path-free primal value: cost integrals at the flows plus a supplied
     nested-entropy term (exact for one loading, an upper bound for averages)."""
     total = entropy
-    for k, level in enumerate(net.levels):
-        for pos in level.index.plain_positions:
-            total += level.edges[pos].cost.integral(flows[k][pos])
+    for k, pos in net.plain_edge_order():
+        total += net.levels[k].edges[pos].cost.integral(flows[k][pos])
     return total
 
 

@@ -10,6 +10,7 @@ target OD pair at runtime.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Mapping, NamedTuple, Sequence
@@ -26,7 +27,6 @@ __all__ = [
     "NetworkHierarchy",
     "Violation",
     "validate_hierarchy",
-    "longest_path_bound",
     "longest_path_bounds",
 ]
 
@@ -125,7 +125,6 @@ class LevelIndex:
         "dests",
         "dest_slot",
         "portal_for_od",
-        "plain_positions",
         "_dest_subgraphs",
     )
 
@@ -160,7 +159,6 @@ class LevelIndex:
         for pos, e in enumerate(level.edges):
             if e.is_portal:
                 self.portal_for_od[e.target_od.od] = pos
-        self.plain_positions = [pos for pos, e in enumerate(level.edges) if e.is_plain]
         self._dest_subgraphs: list[Subgraph] | None = None
 
     @property
@@ -213,6 +211,20 @@ class LevelIndex:
                     out_edges[v] = out
         return Subgraph([v for v in self.topo if keep[v]], out_edges)
 
+    def reaches(self, src: int, dst: int) -> bool:
+        """Whether some route of the level leads from ``src`` to ``dst``."""
+        stack, seen = [src], {src}
+        while stack:
+            v = stack.pop()
+            if v == dst:
+                return True
+            for e in self.out_edges[v]:
+                u = self.heads[e]
+                if u not in seen:
+                    seen.add(u)
+                    stack.append(u)
+        return False
+
     def _position(self, node: str, owner: str) -> int:
         try:
             return self.node_index[node]
@@ -231,9 +243,9 @@ class NetworkHierarchy:
     """Immutable level stack with per-level rationality temperatures.
 
     ``walk_cap`` admits cyclic level graphs; without it every level must be
-    a DAG. Loading on a cyclic level sums over all walks, solved exactly,
-    and fails when that sum diverges; the cap only bounds the walk length
-    that ``longest_path_bound`` measures.
+    a DAG. Only ``validate_hierarchy`` reads it, as that opt-in: loading on
+    a cyclic level sums over walks of every length, solved exactly, and
+    fails when that sum diverges.
     """
 
     def __init__(
@@ -422,7 +434,7 @@ def validate_hierarchy(net: NetworkHierarchy) -> list[Violation]:
         if index is None:
             continue  # endpoints already reported above
         for j, (src, dst) in enumerate(index.od_nodes):
-            if not _reaches(index, src, dst):
+            if not index.reaches(src, dst):
                 od = net.levels[k].od_pairs[j]
                 out.append(
                     Violation(
@@ -449,80 +461,46 @@ def validate_hierarchy(net: NetworkHierarchy) -> list[Violation]:
     return out
 
 
-def _reaches(index: LevelIndex, src: int, dst: int) -> bool:
-    stack, seen = [src], {src}
-    while stack:
-        v = stack.pop()
-        if v == dst:
-            return True
-        for e in index.out_edges[v]:
-            u = index.heads[e]
-            if u not in seen:
-                seen.add(u)
-                stack.append(u)
-    return False
+def longest_path_bounds(net: NetworkHierarchy) -> list[list[float]]:
+    """Most plain edges any fully expanded route of each OD pair can
+    traverse, per level, in one bottom-up pass that measures each OD pair
+    once.
 
-
-def longest_path_bound(net: NetworkHierarchy, od_index: int) -> int:
-    """Most plain edges any fully expanded route of a level-1 OD can traverse.
-
-    Portal edges contribute the bound of their target OD pair, computed
-    bottom-up, so the value equals exhaustive path expansion on DAG levels.
-    Cyclic levels are measured over walks of at most ``walk_cap`` edges.
+    A portal edge counts the bound of its target OD pair, so on DAG levels
+    the value equals exhaustive path expansion. Loading on a cyclic level
+    sums over walks of every length, so there the bound is ``inf``, and so
+    is that of every OD pair above whose routes may cross its portals.
     """
-    if not 0 <= od_index < len(net.levels[0].od_pairs):
-        raise ValueError(f"no level-1 OD pair with index {od_index}")
-    return longest_path_bounds(net)[0][od_index]
-
-
-def longest_path_bounds(net: NetworkHierarchy) -> list[list[int]]:
-    """``longest_path_bound`` of every OD pair of every level, per level,
-    in one bottom-up pass that measures each OD pair once."""
-    bounds: list[list[int]] = [[] for _ in net.levels]
+    bounds: list[list[float]] = [[] for _ in net.levels]
     for k in range(net.num_levels - 1, -1, -1):
         level = net.levels[k]
         weights = [
             1 if edge.is_plain else bounds[k + 1][edge.target_od.od] for edge in level.edges
         ]
-        bounds[k] = [
-            _longest_route(level.index, weights, j, net.walk_cap)
-            for j in range(len(level.od_pairs))
-        ]
+        bounds[k] = [_longest_route(level.index, weights, j) for j in range(len(level.od_pairs))]
     return bounds
 
 
-def _longest_route(index: LevelIndex, weights: list[int], od: int, walk_cap: int | None) -> int:
-    """Largest total weight of a route of OD ``od``; the destination absorbs."""
+def _longest_route(index: LevelIndex, weights: list[float], od: int) -> float:
+    """Largest total weight of a route of OD ``od``; the destination absorbs.
+
+    ``inf`` on a cyclic level, whose walks have no longest.
+    """
+    if index.topo is None:
+        return math.inf
     src, dst = index.od_nodes[od]
     none = -1
     best = [none] * index.n_nodes
     best[dst] = 0
-    if index.topo is not None:
-        for v in reversed(index.topo):
-            if v == dst:
-                continue
-            for e in index.out_edges[v]:
-                u = index.heads[e]
-                if best[u] != none:
-                    cand = weights[e] + best[u]
-                    if cand > best[v]:
-                        best[v] = cand
-    else:
-        # Longest walk of at most walk_cap edges, max-plus relaxation.
-        if walk_cap is None:
-            raise ValueError("cyclic level graph requires an explicit walk-length cap")
-        for _ in range(walk_cap):
-            nxt = list(best)
-            for v in range(index.n_nodes):
-                if v == dst:
-                    continue
-                for e in index.out_edges[v]:
-                    u = index.heads[e]
-                    if best[u] != none:
-                        cand = weights[e] + best[u]
-                        if cand > nxt[v]:
-                            nxt[v] = cand
-            best = nxt
+    for v in reversed(index.topo):
+        if v == dst:
+            continue
+        for e in index.out_edges[v]:
+            u = index.heads[e]
+            if best[u] != none:
+                cand = weights[e] + best[u]
+                if cand > best[v]:
+                    best[v] = cand
     if best[src] == none:
         origin, destination = index.nodes[src], index.nodes[dst]
         raise ValueError(f"no path {origin!r} -> {destination!r}")

@@ -1,17 +1,18 @@
 """Brute-force reference implementations for the test suite.
 
 Everything here enumerates explicitly: route sets, the closed-form logit
-distribution over them, Monte-Carlo perturbed best response, and a damped
-fixed-point solve for tiny instances. None of it shares code with the
-dynamic-programming loading path, so agreement between the two is evidence,
-not tautology. Hard budgets keep enumeration honest.
+distribution over them, the primal objective at explicit route flows,
+Monte-Carlo perturbed best response, and a damped fixed-point solve for
+tiny instances. None of it shares code with the dynamic-programming
+loading path, so agreement between the two is evidence, not tautology.
+Hard budgets keep enumeration honest.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -27,6 +28,7 @@ __all__ = [
     "trip_soft_cost",
     "logit_path_distribution",
     "loading_by_enumeration",
+    "primal_objective",
     "gumbel_monte_carlo",
     "gumbel_max_mean",
     "fixed_point_small",
@@ -223,6 +225,74 @@ def loading_by_enumeration(
                     next_demands[e.target_od.od] = flows[k][e.id]
             demands = next_demands
     return flows, tables
+
+
+def primal_objective(
+    net: NetworkHierarchy,
+    paths: Mapping[tuple[int, int], Mapping[tuple[str, ...], float]],
+    flows: Sequence[Sequence[float]],
+    rtol: float = 1e-8,
+) -> float:
+    """Cost integrals plus nested route entropy at an explicit path assignment.
+
+    ``paths`` maps (level, od index) to per-route flows keyed by edge-id
+    sequences, as ``loading_by_enumeration`` returns them; ``flows`` gives
+    every edge flow per level. The two must be consistent: routes reproduce
+    the edge flows, per-OD route flows sum to the demand (exogenous at level
+    1, the binding portal flow below).
+    """
+    m = net.num_levels
+    edge_pos = [
+        {e.id: pos for pos, e in enumerate(level.edges)} for level in net.levels
+    ]
+    portal_pos = [
+        {e.target_od.od: pos for pos, e in enumerate(level.edges) if e.is_portal}
+        for level in net.levels
+    ]
+
+    recovered = [[0.0] * len(level.edges) for level in net.levels]
+    entropy_sum = 0.0
+    for k in range(m):
+        gamma = net.gammas[k]
+        for j, od in enumerate(net.levels[k].od_pairs):
+            table = paths.get((k, j), {})
+            if k == 0:
+                demand = od.demand
+            else:
+                demand = flows[k - 1][portal_pos[k - 1][j]]
+            total = 0.0
+            for route, x in table.items():
+                if x < 0.0:
+                    raise ValueError(f"negative path flow {x} on {route} (level {k + 1})")
+                total += x
+                for eid in route:
+                    recovered[k][edge_pos[k][eid]] += x
+            if abs(total - demand) > rtol * (1.0 + abs(demand)):
+                raise ValueError(
+                    f"path flows for level-{k + 1} OD {j} sum to {total}, demand is {demand}"
+                )
+            if demand > 0.0:
+                od_entropy = 0.0
+                for x in table.values():
+                    if x > 0.0:
+                        od_entropy += x * math.log(x / demand)
+                entropy_sum += gamma * od_entropy
+
+    scale = max((abs(v) for level in flows for v in level), default=1.0)
+    for k, level in enumerate(net.levels):
+        for pos in range(len(level.edges)):
+            if abs(recovered[k][pos] - flows[k][pos]) > rtol * (1.0 + scale):
+                raise ValueError(
+                    f"edge {level.edges[pos].id!r} at level {k + 1}: path flows give "
+                    f"{recovered[k][pos]}, edge flow is {flows[k][pos]}"
+                )
+
+    integral_sum = 0.0
+    for k, level in enumerate(net.levels):
+        for pos, edge in enumerate(level.edges):
+            if edge.is_plain:
+                integral_sum += edge.cost.integral(flows[k][pos])
+    return integral_sum + entropy_sum
 
 
 def _gumbel_samples(

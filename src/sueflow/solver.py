@@ -34,7 +34,7 @@ import math
 import sys
 import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from .costs import CostTable, LinkCost
 from .loading import (
@@ -43,7 +43,6 @@ from .loading import (
     dual_smooth_value,
     entropy_term,
     network_loading,
-    primal_objective,
     surrogate_primal,
 )
 from .model import NetworkHierarchy, longest_path_bounds
@@ -133,17 +132,13 @@ def alpha_step(alpha_k: float, L_k: float, L_next: float) -> tuple[float, float]
 
 @dataclass
 class StepInfo:
-    """Snapshot of one accepted iteration handed to the acceptance hook."""
+    """Snapshot of one accepted iteration handed to the acceptance hook:
+    the step weight, the gradient point with the loading made there, and
+    the dual value at the new estimate."""
 
-    iter: int
     alpha: float
-    A: float
-    L: float
     x: np.ndarray
-    grad: np.ndarray
     aux: object
-    y: np.ndarray
-    smooth_y: float
     dual_value: float
 
 
@@ -212,20 +207,7 @@ def minimize_composite(
         dual_value = fy + table.conjugate(y)
         gap = None
         if on_accept is not None:
-            gap = on_accept(
-                StepInfo(
-                    iter=k + 1,
-                    alpha=alpha_next,
-                    A=A,
-                    L=L,
-                    x=x,
-                    grad=grad,
-                    aux=aux,
-                    y=y,
-                    smooth_y=fy,
-                    dual_value=dual_value,
-                )
-            )
+            gap = on_accept(StepInfo(alpha=alpha_next, x=x, aux=aux, dual_value=dual_value))
         history.append(
             IterationRecord(
                 iter=k + 1,
@@ -371,23 +353,17 @@ def duality_gap(
     avg_flows: Sequence[Sequence[float]],
     y_final: Sequence[float],
     T: int,
-    avg_paths: Mapping[tuple[int, int], Mapping[tuple[str, ...], float]] | None = None,
-    avg_entropy: float | None = None,
+    avg_entropy: float,
 ) -> GapCertificate:
-    """Certificate from explicit averages.
+    """Certificate from explicit averages: the dual value at ``y_final``
+    plus the path-free primal value at the averaged flows and the
+    weighted-average nested entropy accumulated alongside them.
 
-    With ``avg_paths`` the primal value is exact; otherwise the path-free
-    form needs the weighted-average nested entropy accumulated alongside the
-    flows. The gap is nonnegative up to float slack; a materially negative
-    value means the averages do not belong to the run.
+    The gap is nonnegative up to float slack; a materially negative value
+    means the averages do not belong to the run.
     """
     dual_value = dual_objective(net, y_final)
-    if avg_paths is not None:
-        primal_value = primal_objective(net, avg_paths, avg_flows)
-    elif avg_entropy is not None:
-        primal_value = surrogate_primal(net, avg_flows, avg_entropy)
-    else:
-        raise ValueError("either avg_paths or avg_entropy is required")
+    primal_value = surrogate_primal(net, avg_flows, avg_entropy)
     gap = dual_value + primal_value
     if gap < -1e-9:
         raise ValueError(f"negative duality gap {gap}: inconsistent averages")
@@ -395,7 +371,8 @@ def duality_gap(
 
 
 def lipschitz_bound_diagnostic(net: NetworkHierarchy) -> float:
-    """A-priori curvature bound of the smooth dual term (diagnostic only)."""
+    """A-priori curvature bound of the smooth dual term (diagnostic only);
+    ``inf`` when a level-1 OD pair's routes may cross a cyclic level."""
     gamma_min = min(net.gammas)
     total = 0.0
     for od, length in zip(net.levels[0].od_pairs, longest_path_bounds(net)[0]):

@@ -109,6 +109,28 @@ def three_level_net() -> NetworkHierarchy:
     return NetworkHierarchy(levels=[level1, level2, level3], gammas=[1.0, 0.7, 0.5])
 
 
+def grid3_level(od_pairs) -> LevelGraph:
+    """Bidirectional 3x3 grid of affine edges, nodes ``r{i}c{j}``: a cyclic level."""
+
+    def node(i, j):
+        return f"r{i}c{j}"
+
+    edges = []
+    for i in range(3):
+        for j in range(3):
+            for ni, nj in ((i, j + 1), (i + 1, j), (i, j - 1), (i - 1, j)):
+                if 0 <= ni < 3 and 0 <= nj < 3:
+                    a = 0.8 + 0.05 * ((3 * i + 7 * j + 5 * ni + nj) % 9)
+                    edges.append(
+                        Edge(f"e{len(edges)}", node(i, j), node(ni, nj), cost=AffineCost(a, 0.1))
+                    )
+    return LevelGraph(
+        nodes=tuple(node(i, j) for i in range(3) for j in range(3)),
+        edges=tuple(edges),
+        od_pairs=tuple(od_pairs),
+    )
+
+
 @pytest.fixture(scope="session")
 def two_level_net() -> NetworkHierarchy:
     return parse_network(FIXTURES / "two_level.json")

@@ -239,7 +239,7 @@ class TestLoadCommand:
 
     def test_loading_error_gives_exit_3(self, tmp_path, capsys):
         # Each time is finite, but the route o -> m -> d costs 2e308, which
-        # overflows to inf: the loading finds no path of finite cost.
+        # overflows to inf: the loading reports the overflow, not a missing path.
         doc = {
             "version": 1,
             "gammas": [1.0],
@@ -418,6 +418,39 @@ class TestNonFiniteInput:
             assert run_cli(command, "--network", paths["net"], *extra[command]) == 2
             err = capsys.readouterr().err
             assert where in err and "finite number" in err, err
+
+
+class TestUnreadableInput:
+    """An input file that cannot be read as UTF-8 JSON is bad input, exit 2."""
+
+    @pytest.mark.parametrize("kind", ["directory", "not utf-8"])
+    @pytest.mark.parametrize(
+        "command, option",
+        [
+            ("validate", "--network"),
+            ("load", "--network"),
+            ("load", "--t-file"),
+            ("solve", "--network"),
+            ("solve", "--config"),
+        ],
+    )
+    def test_exit_2_naming_the_file(self, tmp_path, capsys, kind, command, option):
+        bad = tmp_path / "bad.json"
+        if kind == "directory":
+            bad.mkdir()
+        else:
+            bad.write_bytes(b'{"version": 1, "\xff": 0}')
+        inputs = {"--network": FIXTURES / "two_level.json"}
+        if command == "load":
+            inputs["--t-file"] = FIXTURES / "two_level_times.json"
+        inputs[option] = bad
+        args = [arg for pair in inputs.items() for arg in pair]
+        if command != "validate":
+            args += ["--out", tmp_path / "out"]
+        assert run_cli(command, *args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: "), err
+        assert not (tmp_path / "out").exists()
 
 
 class TestOracleCompareCommand:

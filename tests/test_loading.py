@@ -24,7 +24,6 @@ from sueflow import (
     dual_smooth_value,
     hierarchical_weights,
     network_loading,
-    primal_objective,
     softmin_potentials,
 )
 from sueflow import loading
@@ -305,8 +304,24 @@ class TestNetworkLoading:
             od_pairs=(ODPair("o", "d", 1.0),),
         )
         net = NetworkHierarchy([level], [1.0])
-        with pytest.raises(NoPathError):
+        with pytest.raises(NoPathError, match="no path 'o' -> 'd' at level 1"):
             network_loading(net, [1.0])
+
+    def test_overflowing_trip_cost_is_not_a_missing_path(self):
+        # Each time is finite, but the route o -> m -> d costs 2e308.
+        level = LevelGraph(
+            nodes=("o", "m", "d"),
+            edges=(
+                Edge("om", "o", "m", cost=ConstantCost(1.0)),
+                Edge("md", "m", "d", cost=ConstantCost(1.0)),
+            ),
+            od_pairs=(ODPair("o", "d", 1.0),),
+        )
+        net = NetworkHierarchy([level], [1.0])
+        with pytest.raises(LoadingError) as caught:
+            network_loading(net, [1e308, 1e308])
+        assert not isinstance(caught.value, NoPathError)
+        assert str(caught.value) == "the trip cost 'o' -> 'd' at level 1 overflows to inf"
 
     def test_cyclic_loading_conserves(self):
         net = NetworkHierarchy([cyclic_level(demand=2.0)], [0.9], walk_cap=1)
@@ -534,32 +549,32 @@ class TestPrimalObjective:
         paths = {(0, 0): {("e1",): 1.0}}
         flows = [[1.0, 0.0]]
         expected = AffineCost(1.0, 1.0).integral(1.0)
-        assert primal_objective(net, paths, flows) == pytest.approx(expected, abs=1e-14)
+        assert oracle.primal_objective(net, paths, flows) == pytest.approx(expected, abs=1e-14)
 
     def test_uniform_split(self):
         net = parallel_net([AffineCost(1.0, 1.0), AffineCost(1.0, 1.0)])
         paths = {(0, 0): {("e1",): 0.5, ("e2",): 0.5}}
         flows = [[0.5, 0.5]]
         expected = 2 * 0.625 - math.log(2.0)
-        assert primal_objective(net, paths, flows) == pytest.approx(expected, abs=1e-14)
+        assert oracle.primal_objective(net, paths, flows) == pytest.approx(expected, abs=1e-14)
 
     def test_inconsistent_flows_rejected(self):
         net = two_edge_net()
         paths = {(0, 0): {("e1",): 1.0}}
         with pytest.raises(ValueError, match="path flows"):
-            primal_objective(net, paths, [[0.5, 0.5]])
+            oracle.primal_objective(net, paths, [[0.5, 0.5]])
 
     def test_negative_path_flow_rejected(self):
         net = two_edge_net()
         paths = {(0, 0): {("e1",): 1.5, ("e2",): -0.5}}
         with pytest.raises(ValueError, match="negative"):
-            primal_objective(net, paths, [[1.5, -0.5]])
+            oracle.primal_objective(net, paths, [[1.5, -0.5]])
 
     def test_demand_mismatch_rejected(self):
         net = two_edge_net()
         paths = {(0, 0): {("e1",): 0.4, ("e2",): 0.4}}
         with pytest.raises(ValueError, match="demand"):
-            primal_objective(net, paths, [[0.4, 0.4]])
+            oracle.primal_objective(net, paths, [[0.4, 0.4]])
 
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_pathfree_surrogate_for_one_loading(self, seed):
@@ -569,7 +584,7 @@ class TestPrimalObjective:
         ref_flows, tables = oracle.loading_by_enumeration(net, t)
         flows = [[ref_flows[k][e.id] for e in level.edges]
                  for k, level in enumerate(net.levels)]
-        exact = primal_objective(net, tables, flows)
+        exact = oracle.primal_objective(net, tables, flows)
         pathfree = surrogate_primal(net, res.flows, entropy_term(net, res))
         assert exact == pytest.approx(pathfree, abs=1e-9 * (1 + abs(exact)))
 

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import math
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,7 +18,7 @@ from sueflow import (
     NetworkHierarchy,
     ODPair,
     ODRef,
-    longest_path_bound,
+    lipschitz_bound_diagnostic,
     network_loading,
     validate_hierarchy,
 )
@@ -28,6 +31,7 @@ from conftest import (
     any_dag_hierarchy,
     chain3_net,
     diamond_net,
+    grid3_level,
     parallel_net,
     random_hierarchy,
     two_edge_net,
@@ -227,7 +231,7 @@ class TestLevelIndex:
         level = two_level_net.levels[0]
         assert level.index is level.index
         assert level.index.portal_for_od == {0: 2}
-        assert level.index.plain_positions == [0, 1, 3]
+        assert [i for k, i in two_level_net.plain_edge_order() if k == 0] == [0, 1, 3]
 
     def test_invalid_endpoints_are_not_compiled(self):
         # The graph checks skip a level whose edges name unknown nodes.
@@ -332,19 +336,19 @@ class TestDestinationSubgraphs:
 class TestLongestPathBound:
     def test_parallel(self):
         # routes of 1 edge each
-        assert longest_path_bound(two_edge_net(), 0) == 1
+        assert longest_path_bounds(two_edge_net())[0][0] == 1
 
     def test_diamond(self):
-        assert longest_path_bound(diamond_net(), 0) == 2
+        assert longest_path_bounds(diamond_net())[0][0] == 2
 
     def test_chain_of_levels(self):
         # one plain edge at each of three levels
-        assert longest_path_bound(chain3_net(), 0) == 3
+        assert longest_path_bounds(chain3_net())[0][0] == 3
 
     def test_two_level_fixture_vs_expansion(self, two_level_net):
         expanded = expand_paths(two_level_net, ODRef(0, 0))
         brute = max(p.total_plain_edges for p in expanded)
-        assert longest_path_bound(two_level_net, 0) == brute == 3
+        assert longest_path_bounds(two_level_net)[0][0] == brute == 3
         self.assert_every_od_matches_expansion(two_level_net)
 
     @pytest.mark.parametrize("seed", [100, 101, 102, 103])
@@ -360,7 +364,7 @@ class TestLongestPathBound:
                 brute = max(p.total_plain_edges for p in expand_paths(net, ODRef(k, j)))
                 assert bounds[k][j] == brute
                 if k == 0:
-                    assert longest_path_bound(net, j) == brute
+                    assert longest_path_bounds(net)[0][j] == brute
 
     def test_monotone_under_edge_addition(self):
         base = diamond_net()
@@ -371,9 +375,29 @@ class TestLongestPathBound:
             od_pairs=level.od_pairs,
         )
         bigger = NetworkHierarchy([more], base.gammas)
-        assert longest_path_bound(bigger, 0) >= longest_path_bound(base, 0)
-        assert longest_path_bound(bigger, 0) == 3
+        assert longest_path_bounds(bigger)[0][0] >= longest_path_bounds(base)[0][0]
+        assert longest_path_bounds(bigger)[0][0] == 3
 
-    def test_bad_index(self):
-        with pytest.raises(ValueError):
-            longest_path_bound(two_edge_net(), 5)
+    def test_cyclic_level_is_unbounded(self):
+        # Loading on a cyclic level sums over walks of every length, so no
+        # walk length, however large the cap, bounds its routes; the bound is
+        # inf at once, on the level and through a portal into it.
+        grid = grid3_level((ODPair("r0c0", "r2c2", 1.0),))
+        flat = NetworkHierarchy([grid], [0.02], walk_cap=100000)
+        above = LevelGraph(
+            nodes=("o", "d"),
+            edges=(
+                Edge("gate", "o", "d", target_od=ODRef(1, 0)),
+                Edge("od", "o", "d", cost=AffineCost(1.0, 1.0)),
+            ),
+            od_pairs=(ODPair("o", "d", 1.0),),
+        )
+        below = LevelGraph(grid.nodes, grid.edges, (ODPair("r0c0", "r2c2"),))
+        stacked = NetworkHierarchy([above, below], [1.0, 0.02], walk_cap=100000)
+        assert validate_hierarchy(flat) == validate_hierarchy(stacked) == []
+        start = time.perf_counter()
+        assert longest_path_bounds(flat) == [[math.inf]]
+        assert longest_path_bounds(stacked) == [[math.inf], [math.inf]]
+        assert lipschitz_bound_diagnostic(flat) == math.inf
+        assert lipschitz_bound_diagnostic(stacked) == math.inf
+        assert time.perf_counter() - start < 1.0

@@ -18,11 +18,12 @@ from sueflow import (
     ODRef,
     dual_smooth_value,
     network_loading,
-    primal_objective,
     validate_hierarchy,
 )
 from sueflow.loading import entropy_term, surrogate_primal, verify_conservation
 from sueflow import oracle
+
+from conftest import grid3_level
 
 
 def assert_matches_enumeration(net, t):
@@ -189,23 +190,7 @@ def test_cyclic_grid_matches_enumeration():
     # Bidirectional 3x3 grid. At this temperature a walk that repeats a node
     # carries under exp(-80) of an OD's mass, so the walk sum of the cyclic
     # loading and the oracle's simple-path enumeration must agree.
-    def node(i, j):
-        return f"r{i}c{j}"
-
-    edges = []
-    for i in range(3):
-        for j in range(3):
-            for ni, nj in ((i, j + 1), (i + 1, j), (i, j - 1), (i - 1, j)):
-                if 0 <= ni < 3 and 0 <= nj < 3:
-                    a = 0.8 + 0.05 * ((3 * i + 7 * j + 5 * ni + nj) % 9)
-                    edges.append(
-                        Edge(f"e{len(edges)}", node(i, j), node(ni, nj), cost=AffineCost(a, 0.1))
-                    )
-    level = LevelGraph(
-        nodes=tuple(node(i, j) for i in range(3) for j in range(3)),
-        edges=tuple(edges),
-        od_pairs=(ODPair("r0c0", "r2c2", 1.0), ODPair("r2c0", "r0c2", 2.0)),
-    )
+    level = grid3_level((ODPair("r0c0", "r2c2", 1.0), ODPair("r2c0", "r0c2", 2.0)))
     net = NetworkHierarchy([level], [0.02], walk_cap=1)
     assert validate_hierarchy(net) == []
     t = net.free_flow_times()
@@ -226,7 +211,7 @@ def assert_entropy_exact(net, t, res):
     # the path-free primal with the batched entropy equals the primal at the
     # enumerated route flows
     _, tables = oracle.loading_by_enumeration(net, t)
-    exact = primal_objective(net, tables, res.flows)
+    exact = oracle.primal_objective(net, tables, res.flows)
     assert surrogate_primal(net, res.flows, entropy_term(net, res)) == pytest.approx(
         exact, rel=1e-12
     )
@@ -300,23 +285,7 @@ def test_lower_level_trips_share_a_destination():
 def test_cyclic_grid_two_origins_into_one_corner():
     # the grid and temperature of test_cyclic_grid_matches_enumeration, with
     # both trips bound for r2c2
-    def node(i, j):
-        return f"r{i}c{j}"
-
-    edges = []
-    for i in range(3):
-        for j in range(3):
-            for ni, nj in ((i, j + 1), (i + 1, j), (i, j - 1), (i - 1, j)):
-                if 0 <= ni < 3 and 0 <= nj < 3:
-                    a = 0.8 + 0.05 * ((3 * i + 7 * j + 5 * ni + nj) % 9)
-                    edges.append(
-                        Edge(f"e{len(edges)}", node(i, j), node(ni, nj), cost=AffineCost(a, 0.1))
-                    )
-    level = LevelGraph(
-        nodes=tuple(node(i, j) for i in range(3) for j in range(3)),
-        edges=tuple(edges),
-        od_pairs=(ODPair("r0c0", "r2c2", 1.0), ODPair("r2c0", "r2c2", 2.0)),
-    )
+    level = grid3_level((ODPair("r0c0", "r2c2", 1.0), ODPair("r2c0", "r2c2", 2.0)))
     net = NetworkHierarchy([level], [0.02], walk_cap=1)
     assert validate_hierarchy(net) == []
     t = net.free_flow_times()
