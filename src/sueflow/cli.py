@@ -357,6 +357,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
                 f"{_fmt(rec.dual_value)},{_fmt(rec.gap)}\n"
             )
 
+    l2 = lipschitz_bound_diagnostic(net)
     certificate_doc = {
         "manifest": manifest,
         "dual_value": certificate.dual_value,
@@ -364,10 +365,11 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         "gap": certificate.gap,
         "T": certificate.T,
         "stop": certificate.stop,
-        "L2_diagnostic": lipschitz_bound_diagnostic(net),
+        # JSON has no Infinity: a bound that overflows is written as null.
+        "L2_diagnostic": l2 if math.isfinite(l2) else None,
     }
     with (out_dir / "certificate.json").open("w", newline="\n") as fh:
-        json.dump(certificate_doc, fh, indent=2)
+        json.dump(certificate_doc, fh, indent=2, allow_nan=False)
         fh.write("\n")
 
     return 0 if certificate.gap <= cfg.gap_tol else 1

@@ -20,11 +20,17 @@ passes read each level's compiled index, ``LevelGraph.index``.
 OD pairs enter only through their destinations: pairs that share one share
 its soft-min field, and since flows and trajectory entropy are linear in
 the through-flow, one forward pass carries the demand of all their origins
-(the destination-based form of Dial's STOCH loading). Each level thus
-costs one soft-min sweep and one forward pass per distinct destination.
-On an acyclic level both cover only the nodes between that destination's
-origins and it (``LevelIndex.dest_subgraphs``): elsewhere the soft-min is
-``+inf`` and the flow zero, so skipping them changes no result.
+(the destination-based form of Dial's STOCH loading). On an acyclic level
+each distinct destination costs one soft-min sweep and one forward pass,
+both over only the nodes between that destination's origins and it
+(``LevelIndex.dest_subgraphs``): elsewhere the soft-min is ``+inf`` and the
+flow zero, so skipping them changes no result. A cyclic level runs each
+pass once for all its destinations: one Bellman-Ford over a (destinations,
+nodes) array and one stacked solve of the per-destination systems, in
+groups of ``_STACK_FLOATS // n**2`` destinations (at least one) so that a
+stack holds at most ``max(n**2, _STACK_FLOATS)`` floats. Each destination
+sees the float operations of a pass of its own, so the grouping changes no
+bit of the result.
 """
 
 from __future__ import annotations
@@ -52,6 +58,12 @@ __all__ = [
 ]
 
 _MASS_TOL = 1e-9  # leak budget for outgoing choice probabilities, plus rounding
+# Floats in one stack of a cyclic level's (n, n) systems. Stacking every
+# destination would take D * n**2 floats per pass (100 MB for 50
+# destinations at n = 500); groups of _STACK_FLOATS // n**2 cap a stack at
+# max(n**2, _STACK_FLOATS) floats (512 KiB), no more than one system takes
+# for n >= 256, where the O(n**3) solve dwarfs numpy's cost per call anyway.
+_STACK_FLOATS = 2**16
 
 
 class LoadingError(Exception):
@@ -105,15 +117,14 @@ def _lse_min(terms: list[float], gamma: float) -> float:
 def _softmin(
     index: LevelIndex, weights: Sequence[float], gamma: float, dst: int, graph: Subgraph
 ) -> list[float]:
-    """Soft-min distance to ``dst`` per node; destination is absorbing.
+    """Soft-min distance to ``dst`` per node on an acyclic level; the
+    destination is absorbing.
 
-    One field serves every OD pair of the level that ends at ``dst``. On an
-    acyclic level the sweep visits the nodes and edges of ``graph`` (the
-    whole level, or the part of it that leads to ``dst``) and leaves every
-    other node at ``+inf``; a cyclic level is solved whole.
+    One field serves every OD pair of the level that ends at ``dst``. The
+    sweep visits the nodes and edges of ``graph`` (the whole level, or the
+    part of it that leads to ``dst``) and leaves every other node at
+    ``+inf``.
     """
-    if index.topo is None:
-        return _softmin_cyclic(index, weights, gamma, dst)
     rho = [math.inf] * index.n_nodes
     rho[dst] = 0.0
     heads, out_edges = index.heads, graph.out_edges
@@ -129,54 +140,105 @@ def _divergent(index: LevelIndex, dst: int) -> LoadingError:
     return LoadingError(f"the walk sum to destination {index.nodes[dst]!r} diverges")
 
 
-def _softmin_cyclic(
-    index: LevelIndex, weights: Sequence[float], gamma: float, dst: int
-) -> list[float]:
-    """Soft-min over all walks to ``dst``, as ``rho = d - gamma * log(y)``.
+def _groups(n_nodes: int, items: Sequence) -> list:
+    """``items`` in runs of ``max(1, _STACK_FLOATS // n_nodes**2)``, the
+    destinations whose ``(n, n)`` systems one stack holds."""
+    size = max(1, _STACK_FLOATS // n_nodes**2)
+    return [items[i:i + size] for i in range(0, len(items), size)]
 
-    ``d`` is the shortest-path distance to ``dst`` and ``y`` solves
-    ``(I - A) y = e_dst``, where ``A[v, u]`` sums ``exp(-(w + d[u] - d[v]) /
-    gamma)`` over the edges ``v -> u``. The shift by ``d`` keeps every
-    exponent at or below zero, so the solve does not depend on the unit of
-    time. A positive ``y`` exists only when the walk sum converges: it
-    bounds the spectral radius of ``A`` (Collatz-Wielandt).
+
+def _walk_edges(tails, heads, n_nodes: int, dsts):
+    """Per destination in the array ``dsts`` (one row each), the edges a
+    walk toward it can take: all but those out of it, where the walk ends.
+
+    ``tails`` and ``heads`` are the level's edge endpoints as arrays.
+    Returns, row by row and in the level's edge order, each entry's row and
+    edge position, and the positions of the edge's tail and head in the
+    flattened ``(rows, nodes)`` array of per-row node values.
+    """
+    rows, edges = (tails != dsts[:, None]).nonzero()
+    offset = rows * n_nodes
+    return rows, edges, offset + tails[edges], offset + heads[edges]
+
+
+def _softmin_cyclic(
+    index: LevelIndex, weights: Sequence[float], gamma: float, dsts: Sequence[int]
+) -> list[list[float]]:
+    """Soft-min over all walks to each of ``dsts``, one field per
+    destination, as ``rho = d - gamma * log(y)``.
+
+    ``d`` is the shortest-path distance to the destination and ``y``
+    solves ``(I - A) y = e_dst``, where ``A[v, u]`` sums ``exp(-(w + d[u] -
+    d[v]) / gamma)`` over the edges ``v -> u``. The shift by ``d`` keeps
+    every exponent at or below zero, so the solve does not depend on the
+    unit of time. A positive ``y`` exists only when the walk sum converges:
+    it bounds the spectral radius of ``A`` (Collatz-Wielandt). Otherwise
+    ``LoadingError`` names the first destination, in the order of
+    ``dsts``, whose sum diverges.
+
+    Destinations are taken in groups (``_groups``): Bellman-Ford relaxes
+    one ``(group, nodes)`` distance array, and one stacked solve gives
+    every ``y`` of the group. Each row sees the same float operations, in
+    the same order, as a solve for its destination alone.
     """
     # Imported here so that runs on DAG levels never load numpy.
     import numpy as np
 
     n = index.n_nodes
+    w = np.asarray(weights, dtype=float)
     tails, heads = np.array(index.tails), np.array(index.heads)
-    live = tails != dst  # a walk ends on reaching the destination
-    tails, heads = tails[live], heads[live]
-    w = np.asarray(weights, dtype=float)[live]
-    d = np.full(n, math.inf)
-    d[dst] = 0.0
-    # Bellman-Ford: shortest paths have at most n - 1 edges, so a change in
-    # round n means a negative cycle, around which the walk sum diverges.
-    for _ in range(n):
-        relaxed = d.copy()
-        np.minimum.at(relaxed, tails, w + d[heads])
-        if np.array_equal(relaxed, d):
-            break
-        d = relaxed
-    else:
-        raise _divergent(index, dst)
-    keep = np.isfinite(d[heads])  # then the tail reaches ``dst`` too
-    tails, heads = tails[keep], heads[keep]
-    system = np.eye(n)
-    np.subtract.at(system, (tails, heads), np.exp((d[tails] - w[keep] - d[heads]) / gamma))
-    unit = np.zeros(n)
-    unit[dst] = 1.0
-    try:
-        y = np.linalg.solve(system, unit)
-    except np.linalg.LinAlgError:
-        raise _divergent(index, dst) from None
-    reach = np.isfinite(d)
-    if not (np.isfinite(y[reach]).all() and (y[reach] > 0.0).all()):
-        raise _divergent(index, dst)
-    rho = np.full(n, math.inf)
-    rho[reach] = d[reach] - gamma * np.log(y[reach])
-    return rho.tolist()
+    eye = np.eye(n)
+    fields: list[list[float]] = []
+    for group in _groups(n, dsts):
+        g = len(group)
+        dst = np.array(group)
+        at_dst = np.arange(g) * n + dst
+        rows, edges, at_tail, at_head = _walk_edges(tails, heads, n, dst)
+        w_walk = w[edges]
+        d = np.full(g * n, math.inf)
+        d[at_dst] = 0.0
+        # Bellman-Ford: shortest paths have at most n - 1 edges, so a change
+        # in round n means a negative cycle, around which the walk sum
+        # diverges. A row that stops changing stays fixed.
+        bad = np.zeros(g, dtype=bool)
+        for _ in range(n):
+            relaxed = d.copy()
+            np.minimum.at(relaxed, at_tail, w_walk + d[at_head])
+            if (relaxed == d).all():
+                break
+            d, last = relaxed, d
+        else:
+            bad = (d != last).reshape(g, n).any(axis=1)
+        # Edges into nodes that reach the destination; their tails reach it too.
+        keep = np.isfinite(d[at_head]) & ~bad[rows]
+        at_tail, at_head, w_walk = at_tail[keep], at_head[keep], w_walk[keep]
+        system = np.empty((g, n, n))
+        system[:] = eye
+        np.subtract.at(
+            system.reshape(-1),
+            at_tail * n + heads[edges[keep]],
+            np.exp((d[at_tail] - w_walk - d[at_head]) / gamma),
+        )
+        unit = np.zeros((g, n, 1))
+        unit.reshape(-1)[at_dst] = 1.0
+        try:
+            y = np.linalg.solve(system, unit).reshape(-1)
+        except np.linalg.LinAlgError:
+            y = np.full((g, n, 1), math.nan)  # find the singular systems one by one
+            for i in range(g):
+                try:
+                    y[i] = np.linalg.solve(system[i], unit[i])
+                except np.linalg.LinAlgError:
+                    pass
+            y = y.reshape(-1)
+        reach = np.isfinite(d)
+        bad |= (reach & ~(np.isfinite(y) & (y > 0.0))).reshape(g, n).any(axis=1)
+        if bad.any():
+            raise _divergent(index, group[int(bad.argmax())])
+        rho = np.full(g * n, math.inf)
+        rho[reach] = d[reach] - gamma * np.log(y[reach])
+        fields.extend(rho.reshape(g, n).tolist())
+    return fields
 
 
 def softmin_potentials(
@@ -191,15 +253,23 @@ def softmin_potentials(
     smoothed trip cost; it tends to the shortest-path distance as
     ``gamma -> 0``. On a cyclic level it sums over all walks and raises
     ``LoadingError`` when that sum diverges. An edge or OD pair naming a
-    node the level lacks raises ``ValueError``.
+    node the level lacks, or an edge missing from ``weights``, raises
+    ``ValueError``.
     """
     if gamma <= 0.0:
         raise ValueError(f"gamma must be positive, got {gamma}")
     index = level.index
     if dest not in index.node_index:
         raise ValueError(f"unknown destination node {dest!r}")
-    w = [float(weights[e.id]) for e in level.edges]
-    rho = _softmin(index, w, gamma, index.node_index[dest], index.whole)
+    try:
+        w = [float(weights[e.id]) for e in level.edges]
+    except KeyError as err:
+        raise ValueError(f"no weight for edge {err.args[0]!r} of the level") from None
+    dst = index.node_index[dest]
+    if index.topo is None:
+        rho = _softmin_cyclic(index, w, gamma, [dst])[0]
+    else:
+        rho = _softmin(index, w, gamma, dst, index.whole)
     return {v: rho[i] for v, i in index.node_index.items()}
 
 
@@ -242,11 +312,16 @@ def _sweep_weights(
                 w[pos] = trip_cost[k + 1][edge.target_od.od]
         weights[k] = w
         gamma = net.gammas[k]
-        for dst, graph in zip(index.dests, index.dest_subgraphs):
+        if index.topo is None:
             try:
-                rho_fields[k].append(_softmin(index, w, gamma, dst, graph))
+                rho_fields[k] = _softmin_cyclic(index, w, gamma, index.dests)
             except LoadingError as err:
                 raise LoadingError(f"{err} at level {k + 1}") from None
+        else:
+            rho_fields[k] = [
+                _softmin(index, w, gamma, dst, graph)
+                for dst, graph in zip(index.dests, index.dest_subgraphs)
+            ]
         for j, (src, dst) in enumerate(index.od_nodes):
             cost = rho_fields[k][index.dest_slot[j]][src]
             if math.isinf(cost):
@@ -359,40 +434,56 @@ def _leak_budget(
 def _forward_cyclic(
     index: LevelIndex,
     weights: Sequence[float],
-    rho: Sequence[float],
+    rho_fields: Sequence[Sequence[float]],
     gamma: float,
-    slot: int,
-    supply: list[float],
+    supplies: Mapping[int, Sequence[float]],
     flows: list[float],
-    k: int,
 ) -> float:
-    """Walk-measure loading toward destination ``slot`` over the whole
-    level: the expected node visits solve ``(I - Q^T) h = supply``, one
-    solve for every origin bound for it.
+    """Walk-measure loading of a cyclic level toward every destination slot
+    in ``supplies``, over the whole level: the expected node visits solve
+    ``(I - Q^T) h = supply``, one solve for every origin bound for it.
 
-    Arguments and result are those of ``_forward_dag``.
+    ``supplies`` maps a destination slot to the summed demand per origin
+    node; ``rho_fields`` holds the soft-min field per slot. Adds the edge
+    flows to ``flows``, destination by destination in the order of
+    ``supplies``, and returns the demand-weighted trajectory entropy summed
+    in that order. Destinations are taken in the groups of
+    ``_softmin_cyclic``, each one stacked computation of the choice
+    probabilities and one stacked solve.
     """
     import numpy as np
 
-    dst = index.dests[slot]
     n = index.n_nodes
+    w = np.asarray(weights, dtype=float)
     tails, heads = np.array(index.tails), np.array(index.heads)
-    r = np.asarray(rho)
-    edges = np.flatnonzero((tails != dst) & np.isfinite(r[heads]))
-    tails, heads = tails[edges], heads[edges]
-    probs = np.exp((r[tails] - np.asarray(weights, dtype=float)[edges] - r[heads]) / gamma)
-    mass = np.zeros(n)
-    np.add.at(mass, tails, probs)
-    probs /= mass[tails]  # exact conservation; the raw sums are 1 up to rounding
-    system = np.eye(n)  # I - Q^T
-    np.subtract.at(system, (heads, tails), probs)
-    # The exact visits are nonnegative; clip rounding residue below zero.
-    through = np.maximum(np.linalg.solve(system, np.asarray(supply)), 0.0)
-    edge_flows = through[tails] * probs
-    for e, f in zip(edges.tolist(), edge_flows.tolist()):
-        flows[e] += f
-    used = probs > 0.0
-    return float(-np.dot(edge_flows[used], np.log(probs[used])))
+    eye = np.eye(n)
+    entropy = 0.0
+    for group in _groups(n, list(supplies)):
+        g = len(group)
+        r = np.array([rho_fields[slot] for slot in group]).reshape(-1)
+        dst = np.array([index.dests[slot] for slot in group])
+        rows, edges, at_tail, at_head = _walk_edges(tails, heads, n, dst)
+        live = np.isfinite(r[at_head])
+        rows, edges, at_tail, at_head = rows[live], edges[live], at_tail[live], at_head[live]
+        probs = np.exp((r[at_tail] - w[edges] - r[at_head]) / gamma)
+        mass = np.zeros(g * n)
+        np.add.at(mass, at_tail, probs)
+        probs /= mass[at_tail]  # exact conservation; the raw sums are 1 up to rounding
+        system = np.empty((g, n, n))  # I - Q^T per destination
+        system[:] = eye
+        np.subtract.at(system.reshape(-1), at_head * n + tails[edges], probs)
+        supply = np.array([supplies[slot] for slot in group])[:, :, None]
+        # The exact visits are nonnegative; clip rounding residue below zero.
+        through = np.maximum(np.linalg.solve(system, supply).reshape(-1), 0.0)
+        edge_flows = through[at_tail] * probs
+        for e, f in zip(edges.tolist(), edge_flows.tolist()):
+            flows[e] += f
+        used = probs > 0.0
+        used_flows, logs = edge_flows[used], np.log(probs[used])
+        bounds = np.searchsorted(rows[used], np.arange(g + 1)).tolist()
+        for lo, hi in zip(bounds, bounds[1:]):  # one destination each
+            entropy -= float(np.dot(used_flows[lo:hi], logs[lo:hi]))
+    return entropy
 
 
 def network_loading(net: NetworkHierarchy, t: Sequence[float]) -> LoadResult:
@@ -400,8 +491,9 @@ def network_loading(net: NetworkHierarchy, t: Sequence[float]) -> LoadResult:
 
     The plain-edge flows are minus the gradient of ``dual_smooth_value``
     componentwise. Portal flows become the next level's OD demands, so the
-    sweep runs top-down after the bottom-up weight pass. Each level runs
-    one forward pass per destination with positive demand.
+    sweep runs top-down after the bottom-up weight pass. An acyclic level
+    runs one forward pass per destination with positive demand, a cyclic
+    level one batched pass over all of them.
     """
     weights, rho_fields = _sweep_weights(net, t)
     m = net.num_levels
@@ -416,7 +508,6 @@ def network_loading(net: NetworkHierarchy, t: Sequence[float]) -> LoadResult:
         index = level.index
         level_flows = [0.0] * len(level.edges)
         level_entropy = 0.0
-        forward = _forward_dag if index.topo is not None else _forward_cyclic
         supplies: dict[int, list[float]] = {}  # destination slot -> demand per origin
         for j, (src, dst) in enumerate(index.od_nodes):
             d = demands[k][j]
@@ -428,10 +519,15 @@ def network_loading(net: NetworkHierarchy, t: Sequence[float]) -> LoadResult:
             if slot not in supplies:
                 supplies[slot] = [0.0] * index.n_nodes
             supplies[slot][src] += d
-        for slot, supply in supplies.items():
-            level_entropy += forward(
-                index, weights[k], rho_fields[k][slot], gamma, slot, supply, level_flows, k
+        if index.topo is None:
+            level_entropy = _forward_cyclic(
+                index, weights[k], rho_fields[k], gamma, supplies, level_flows
             )
+        else:
+            for slot, supply in supplies.items():
+                level_entropy += _forward_dag(
+                    index, weights[k], rho_fields[k][slot], gamma, slot, supply, level_flows, k
+                )
         flows.append(level_flows)
         entropies.append(level_entropy)
         if k + 1 < m:

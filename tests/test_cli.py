@@ -290,6 +290,22 @@ class TestSolveCommand:
         assert cert["gap"] <= 1e-8
         assert cert["L2_diagnostic"] == pytest.approx(1.0)
 
+    def test_certificate_is_strict_json(self, tmp_path):
+        # 1/gamma overflows, so the L2 bound is inf, which JSON cannot hold
+        doc = json.loads((FIXTURES / "two_edge.json").read_text())
+        doc["gammas"] = [1e-309]
+        network = tmp_path / "net.json"
+        network.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert run_cli("solve", "--network", network, "--out", out) == 0
+
+        def reject(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        cert = json.loads((out / "certificate.json").read_text(), parse_constant=reject)
+        assert cert["L2_diagnostic"] is None
+        assert cert["stop"] == "gap_reached"
+
     def test_iteration_cap_gives_exit_1(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text('{"gap_tol": 1e-8, "max_iters": 1}')

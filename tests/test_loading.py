@@ -25,6 +25,7 @@ from sueflow import (
     hierarchical_weights,
     network_loading,
     softmin_potentials,
+    validate_hierarchy,
 )
 from sueflow import loading
 from sueflow.loading import entropy_term, surrogate_primal, verify_conservation
@@ -35,6 +36,7 @@ from conftest import (
     any_dag_hierarchy,
     chain3_net,
     diamond_net,
+    grid3_level,
     parallel_net,
     random_hierarchy,
     three_level_net,
@@ -96,6 +98,15 @@ class TestSoftminPotentials:
         weights = {"oa": 1.0, "ad": 1.0, "ob": 1.2, "bd": 0.9}
         rho = softmin_potentials(level_of(net), weights, 1e-3, "d")
         assert rho["o"] == pytest.approx(2.0, abs=1e-2)
+
+    @pytest.mark.parametrize("cyclic", [False, True])
+    def test_missing_weight_names_the_edge(self, cyclic):
+        if cyclic:
+            level, weights, missing = cyclic_level(), {"ab": 1.0, "ba": 1.2, "ad": 2.0}, "bd"
+        else:
+            level, weights, missing = level_of(two_edge_net()), {"e1": 1.0}, "e2"
+        with pytest.raises(ValueError, match=f"no weight for edge '{missing}' of the level"):
+            softmin_potentials(level, weights, 1.0, "d")
 
     def test_cyclic_walk_sum(self):
         # a <-> b with exit edges; closed-form geometric walk sums
@@ -340,40 +351,56 @@ class TestNetworkLoading:
     @given(data=st.data())
     @settings(max_examples=40, deadline=None)
     def test_cyclic_loading_random_levels(self, data):
-        # A bidirectional ring plus random chords, each direction weighted on
-        # its own. With every weight at least w_min and at most `degree` out
-        # edges per node, gamma < w_min / log(degree) keeps each row of the
-        # walk matrix summing below 1, so the walk sum converges.
-        n = data.draw(st.integers(3, 6), label="nodes")
-        pairs = {(i, i + 1) for i in range(n - 1)} | {(0, n - 1)}
-        for i in range(n):
-            for j in range(i + 2, n):
-                if data.draw(st.booleans(), label=f"chord {i}-{j}"):
-                    pairs.add((i, j))
-        arcs = sorted(pairs) + sorted((j, i) for i, j in pairs)
-        weight = st.floats(0.5, 2.0)
-        t = [data.draw(weight, label=f"w{i}-{j}") for i, j in arcs]
-        degree = max(sum(1 for a, _ in arcs if a == v) for v in range(n))
-        gamma = data.draw(st.floats(0.1, 0.9), label="gamma factor") * min(t) / math.log(degree)
+        n, arcs, t, gamma = draw_ring(data)
         demand = data.draw(st.floats(0.5, 3.0), label="demand")
-        level = LevelGraph(
-            nodes=tuple(f"v{i}" for i in range(n)),
-            edges=tuple(
-                Edge(f"e{i}-{j}", f"v{i}", f"v{j}", cost=ConstantCost(1.0)) for i, j in arcs
-            ),
-            od_pairs=(ODPair("v0", f"v{n - 1}", demand),),
-        )
+        level = ring_level(n, arcs, [ODPair("v0", f"v{n - 1}", demand)])
         net = NetworkHierarchy([level], [gamma], walk_cap=1)
         res = network_loading(net, t)
         verify_conservation(net, res)
-        flows = res.plain_flows(net)
-        h = 1e-5
-        for pos in range(len(t)):
-            tp, tm = list(t), list(t)
-            tp[pos] += h
-            tm[pos] -= h
-            fd = (dual_smooth_value(net, tp) - dual_smooth_value(net, tm)) / (2 * h)
-            assert abs(fd + flows[pos]) <= 1e-6 * demand
+        assert_flows_are_minus_gradient(net, t, res, 1e-6 * demand)
+
+
+def draw_ring(data):
+    """A bidirectional ring plus random chords, each direction weighted on
+    its own: the node count, the arcs, their weights and a gamma.
+
+    With every weight at least w_min and at most `degree` out edges per
+    node, gamma < w_min / log(degree) keeps each row of the walk matrix
+    summing below 1, so the walk sum converges.
+    """
+    n = data.draw(st.integers(3, 6), label="nodes")
+    pairs = {(i, i + 1) for i in range(n - 1)} | {(0, n - 1)}
+    for i in range(n):
+        for j in range(i + 2, n):
+            if data.draw(st.booleans(), label=f"chord {i}-{j}"):
+                pairs.add((i, j))
+    arcs = sorted(pairs) + sorted((j, i) for i, j in pairs)
+    weight = st.floats(0.5, 2.0)
+    t = [data.draw(weight, label=f"w{i}-{j}") for i, j in arcs]
+    degree = max(sum(1 for a, _ in arcs if a == v) for v in range(n))
+    gamma = data.draw(st.floats(0.1, 0.9), label="gamma factor") * min(t) / math.log(degree)
+    return n, arcs, t, gamma
+
+
+def ring_level(n, arcs, od_pairs):
+    return LevelGraph(
+        nodes=tuple(f"v{i}" for i in range(n)),
+        edges=tuple(
+            Edge(f"e{i}-{j}", f"v{i}", f"v{j}", cost=ConstantCost(1.0)) for i, j in arcs
+        ),
+        od_pairs=tuple(od_pairs),
+    )
+
+
+def assert_flows_are_minus_gradient(net, t, res, tol, h=1e-5):
+    """Central differences of the smooth dual term match minus the flows."""
+    flows = res.plain_flows(net)
+    for pos in range(len(t)):
+        tp, tm = list(t), list(t)
+        tp[pos] += h
+        tm[pos] -= h
+        fd = (dual_smooth_value(net, tp) - dual_smooth_value(net, tm)) / (2 * h)
+        assert abs(fd + flows[pos]) <= tol
 
 
 class TestUnknownNode:
@@ -465,6 +492,148 @@ class TestOncePerDestination:
         assert sorted(forward_calls) == sorted(
             [(0, by_name["r3c3"]), (0, by_name["r3c2"]), (1, level2.node_index["r2c2"])]
         )
+
+
+def two_way_cycle_level(cycle, od_pairs):
+    """a <-> b by two parallel edges each way, both exits from b.
+
+    At gamma 1 the walk matrix on {a, b} has spectral radius
+    2 * exp(-cycle): the walk sum to d or e diverges for any cycle weight
+    below log 2, by Bellman-Ford's round count when the weight is negative
+    and by the solve otherwise. Walks to a end on reaching it, which cuts
+    the cycle.
+    """
+    arcs = ["ab1", "ab2", "ba1", "ba2", "bd", "be"]
+    edges = tuple(Edge(e, e[0], e[1], cost=ConstantCost(1.0)) for e in arcs)
+    level = LevelGraph(("a", "b", "d", "e"), edges, tuple(od_pairs))
+    return NetworkHierarchy([level], [1.0], walk_cap=1), [cycle] * 4 + [1.0, 1.0]
+
+
+class TestBatchedCyclicPasses:
+    # A cyclic level's backward and forward passes run over all its
+    # destinations at once; each destination's row sees the float
+    # operations, in the same order, of a pass of its own.
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_matches_one_destination_at_a_time(self, data):
+        n, arcs, t, gamma = draw_ring(data)
+        node = st.integers(0, n - 1)
+        first = data.draw(node, label="first destination")
+        second = data.draw(node.filter(lambda v: v != first), label="second destination")
+        demand = st.floats(0.5, 3.0)
+        stay = data.draw(node, label="origin = destination")
+        ods = [
+            (data.draw(node, label="origin 1"), first, data.draw(demand, label="demand 1")),
+            (data.draw(node, label="origin 2"), first, data.draw(demand, label="demand 2")),
+            (data.draw(node, label="origin 3"), second, data.draw(demand, label="demand 3")),
+            (data.draw(node, label="origin 4"), second, 0.0),
+            (stay, stay, data.draw(demand, label="demand 5")),
+        ]
+        pairs = [ODPair(f"v{o}", f"v{d}", x) for o, d, x in ods]
+        level = ring_level(n, arcs, pairs)
+        net = NetworkHierarchy([level], [gamma], walk_cap=1)
+
+        weights, rho_fields = loading._sweep_weights(net, t)
+        by_id = {e.id: w for e, w in zip(level.edges, weights[0])}
+        for slot, dst in enumerate(level.index.dests):
+            alone = softmin_potentials(level, by_id, gamma, level.nodes[dst])
+            assert rho_fields[0][slot] == [alone[v] for v in level.nodes]
+
+        res = network_loading(net, t)
+        verify_conservation(net, res)
+        summed = [0.0] * len(arcs)
+        for od in pairs:
+            one = network_loading(NetworkHierarchy([ring_level(n, arcs, [od])], [gamma]), t)
+            summed = [a + b for a, b in zip(summed, one.flows[0])]
+        assert res.flows[0] == pytest.approx(summed, rel=1e-12, abs=1e-12)
+        assert_flows_are_minus_gradient(net, t, res, 1e-6 * sum(x for *_, x in ods))
+
+    @pytest.mark.parametrize("per_group", [1, 2])
+    def test_groups_change_no_bit(self, monkeypatch, per_group):
+        ods = [("r0c0", "r2c2"), ("r2c0", "r0c2"), ("r1c1", "r2c2"), ("r0c2", "r1c0"),
+               ("r2c2", "r0c0")]
+        level = grid3_level([ODPair(o, d, 0.5 + 0.2 * j) for j, (o, d) in enumerate(ods)])
+        net = NetworkHierarchy([level], [0.3], walk_cap=1)
+        t = [1.1 * c.free_flow_time for c in net.plain_costs()]
+        one_group = network_loading(net, t), dual_smooth_value(net, t)
+        n = level.index.n_nodes
+        monkeypatch.setattr(loading, "_STACK_FLOATS", per_group * n * n)
+        assert [len(g) for g in loading._groups(n, level.index.dests)] == (
+            [1, 1, 1, 1] if per_group == 1 else [2, 2]
+        )
+        assert (network_loading(net, t), dual_smooth_value(net, t)) == one_group
+
+    @pytest.mark.parametrize("n", [1, 2, 16, 255, 256, 500])
+    def test_stacks_stay_within_the_budget(self, n):
+        groups = loading._groups(n, list(range(300)))
+        assert [x for g in groups for x in g] == list(range(300))
+        assert max(len(g) for g in groups) * n * n <= max(n * n, 2**16)
+
+    @pytest.mark.parametrize("cycle", [0.1, -0.5])
+    @pytest.mark.parametrize("per_group", [None, 1])
+    def test_divergence_names_the_first_divergent_destination(
+        self, monkeypatch, cycle, per_group
+    ):
+        if per_group is not None:
+            monkeypatch.setattr(loading, "_STACK_FLOATS", per_group * 4 * 4)
+        # the walk sum to a converges; the one to d does not
+        net, t = two_way_cycle_level(cycle, [ODPair("b", "a", 1.0), ODPair("a", "d", 1.0)])
+        message = "^the walk sum to destination 'd' diverges at level 1$"
+        with pytest.raises(LoadingError, match=message):
+            network_loading(net, t)
+        with pytest.raises(LoadingError, match="'d' diverges at level 1$"):
+            dual_smooth_value(net, t)
+        for first, second in (("d", "e"), ("e", "d")):
+            net, t = two_way_cycle_level(
+                cycle, [ODPair("b", "a", 1.0), ODPair("a", first, 1.0), ODPair("a", second, 1.0)]
+            )
+            with pytest.raises(LoadingError, match=f"destination '{first}' diverges"):
+                network_loading(net, t)
+        weights = {e.id: w for e, w in zip(net.levels[0].edges, t)}
+        assert softmin_potentials(net.levels[0], weights, 1.0, "a")["b"] < math.inf
+        with pytest.raises(LoadingError, match="^the walk sum to destination 'e' diverges$"):
+            softmin_potentials(net.levels[0], weights, 1.0, "e")
+
+    def test_singular_walk_matrix_names_its_destination(self):
+        # a <-> b at weight 0 and gamma 1: the walk matrix toward d has
+        # spectral radius exactly 1, so the stacked solve finds a singular
+        # system; walks toward a end there and converge.
+        level = LevelGraph(
+            nodes=("a", "b", "d"),
+            edges=tuple(
+                Edge(u + v, u, v, cost=ConstantCost(1.0)) for u, v in ("ab", "ba", "bd")
+            ),
+            od_pairs=(ODPair("b", "a", 1.0), ODPair("a", "d", 1.0)),
+        )
+        net = NetworkHierarchy([level], [1.0], walk_cap=1)
+        message = "^the walk sum to destination 'd' diverges at level 1$"
+        with pytest.raises(LoadingError, match=message):
+            network_loading(net, [0.0, 0.0, 1.0])
+
+    def test_cyclic_level_below_portals_matches_enumeration(self):
+        # Simple paths stand in for walks: at gamma 0.02 any walk with a
+        # cycle (at least 1.6 longer) carries under exp(-80) of a trip.
+        level1 = LevelGraph(
+            nodes=("o", "m", "d"),
+            edges=(
+                Edge("g0", "o", "m", target_od=ODRef(1, 0)),
+                Edge("om", "o", "m", cost=AffineCost(4.2, 0.3)),
+                Edge("g1", "m", "d", target_od=ODRef(1, 1)),
+                Edge("md", "m", "d", cost=AffineCost(3.9, 0.2)),
+            ),
+            od_pairs=(ODPair("o", "d", 2.0),),
+        )
+        level2 = grid3_level([ODPair("r0c0", "r2c2"), ODPair("r0c2", "r2c0")])
+        net = NetworkHierarchy([level1, level2], [1.0, 0.02], walk_cap=1)
+        assert validate_hierarchy(net) == []
+        t = [(1 + 0.05 * math.sin(i)) * c.free_flow_time for i, c in enumerate(net.plain_costs())]
+        res = network_loading(net, t)
+        verify_conservation(net, res)
+        expected, _ = oracle.loading_by_enumeration(net, t)
+        for k, level in enumerate(net.levels):
+            for pos, edge in enumerate(level.edges):
+                assert res.flows[k][pos] == pytest.approx(expected[k][edge.id], abs=1e-9)
+        assert 0.1 < res.flows[0][0] < 1.9  # both levels carry real route choice
 
 
 class TestDestinationSubgraphs:
