@@ -9,10 +9,14 @@ conjugate.
 The composite solver does not call these methods edge by edge: a
 ``CostTable`` compiles the plain-edge costs of a network into one array per
 family and parameter, and evaluates the prox, the summed conjugate and the
-summed integral with one array kernel per family. The per-edge methods
-serve validation, the objectives and the tests; ``PowerCost.prox_conjugate``
-is a one-element call of the table's Newton kernel. numpy is imported only
-by the table and that kernel, so parsing and validation never load it.
+summed integral with one array kernel per family. The power-cost prox
+solves for the edge flow behind each prox point by Newton's method; the
+solver passes the flows of its latest loading, near which that root lies
+once the steps settle, so Newton starts there. The per-edge methods serve
+validation, the objectives and the tests; ``PowerCost.prox_conjugate`` is a
+one-element call of the table's Newton kernel, started cold. numpy is
+imported only by the table and that kernel, so parsing and validation
+never load it.
 """
 
 from __future__ import annotations
@@ -212,17 +216,21 @@ class PowerCost(LinkCost):
         return float(t[0])
 
 
-def _power_prox(v, step, t0, beta, cap, mu):
+def _power_prox(v, step, t0, beta, cap, mu, flows=None):
     """Prox of the power-cost conjugates, elementwise, for ``v > t0``.
 
     The minimiser satisfies ``t = v - step*f`` with ``tau(f) = t``, so each
     element solves ``q(f) = tau(f) - v + step*f = 0``. ``q`` is convex and
     strictly increasing (``q' >= step``) with no derivative singularity,
     unlike the same root in the t variable, so safeguarded Newton is
-    reliable. It starts at ``min((v - t0)/step, tau^-1(v))``: both bound the
-    root from above and the root is at least half the smaller one. The loop
-    runs until its slowest element has converged and raises
-    ``ProxConvergenceError`` if that takes more than ``_ROOT_ITERS`` steps.
+    reliable. The root lies in the bracket ``[0, hi]`` with
+    ``hi = min((v - t0)/step, tau^-1(v))``. Newton starts at ``flows``, an
+    estimate of the root, clamped into that bracket, so that a negative or
+    NaN estimate starts at 0 and one above ``hi`` (or ``+inf``) at ``hi``;
+    without an estimate it starts at ``hi``. Each pass narrows the bracket,
+    and a step that leaves it is replaced by bisection. The loop runs until
+    its slowest element has converged and raises ``ProxConvergenceError``
+    if that takes more than ``_ROOT_ITERS`` steps.
     """
     import numpy as np
 
@@ -230,8 +238,9 @@ def _power_prox(v, step, t0, beta, cap, mu):
     t0_beta = t0 * beta
     hi = np.minimum(excess / step, cap * (excess / t0_beta) ** (1.0 / mu))
     lo = np.zeros_like(hi)
-    f = hi.copy()
+    f = hi.copy() if flows is None else np.fmin(np.fmax(flows, lo), hi)
     slope_coef = t0_beta * mu / cap
+    mu_1 = mu - 1.0
     # Relative to v (> t0 > 0), with no absolute term: in another unit of
     # time the same Newton steps stop at the same element.
     q_tol = 1e-15 * v
@@ -240,9 +249,10 @@ def _power_prox(v, step, t0, beta, cap, mu):
     # not per element, sets the time.
     for _ in range(_ROOT_ITERS):
         r = f / cap
+        r_1 = r**mu_1  # the one power of the pass, shared by tau and q'
         # tau(f) as t0 plus the congestion term, which rounds once: near the
         # free-flow kink t0*(1 + beta*r**mu) loses the last bits of t - t0.
-        tau = t0 + t0_beta * r**mu
+        tau = t0 + t0_beta * (r_1 * r)
         q = tau - v + step * f
         live &= (np.abs(q) > q_tol) & (hi - lo > 1e-16 * (1.0 + hi))
         if not np.count_nonzero(live):
@@ -251,7 +261,7 @@ def _power_prox(v, step, t0, beta, cap, mu):
         above = q > 0.0
         np.copyto(hi, f, where=above)
         np.copyto(lo, f, where=~above)
-        f_new = f - q / (slope_coef * r ** (mu - 1.0) + step)
+        f_new = f - q / (slope_coef * r_1 + step)
         np.copyto(f_new, 0.5 * (lo + hi), where=(f_new <= lo) | (f_new >= hi))
         live &= f_new != f
         np.copyto(f, f_new, where=live)
@@ -301,12 +311,16 @@ class CostTable:
         # Coefficient of the power integral's polynomial term.
         self._power_int_coef = t0 * beta * cap / (mu + 1.0)
 
-    def prox(self, v: np.ndarray, step: float) -> np.ndarray:
+    def prox(self, v: np.ndarray, step: float, flows: np.ndarray | None = None) -> np.ndarray:
         """Elementwise ``argmin_t (t - v)**2 / (2*step) + conjugate(t)``.
 
         A clamp at ``t0`` for constant costs, the closed form for affine
         costs and the array Newton of ``_power_prox`` for power costs; below
-        free flow the prox is the identity.
+        free flow the prox is the identity. ``flows``, in plain-edge order,
+        estimates each edge's flow ``(v - t)/step`` at the answer; the power
+        costs' Newton iteration starts there instead of at the top of its
+        bracket. Any estimate gives the same answer up to Newton's
+        tolerance.
         """
         import numpy as np
 
@@ -321,12 +335,14 @@ class CostTable:
             t[self.affine_idx] = np.where(va <= a, va, (b * va + step * a) / (b + step))
         if self.power_idx.size:
             vp = t[self.power_idx]
+            fp = None if flows is None else np.asarray(flows, dtype=np.float64)[self.power_idx]
             congested = vp > self.power_params[0]
             if congested.all():
-                t[self.power_idx] = _power_prox(vp, step, *self.power_params)
+                t[self.power_idx] = _power_prox(vp, step, *self.power_params, flows=fp)
             elif congested.any():
                 t[self.power_idx[congested]] = _power_prox(
-                    vp[congested], step, *(p[congested] for p in self.power_params)
+                    vp[congested], step, *(p[congested] for p in self.power_params),
+                    flows=None if fp is None else fp[congested],
                 )
         return t
 

@@ -275,27 +275,32 @@ def softmin_potentials(
 
 def _sweep_weights(
     net: NetworkHierarchy, t: Sequence[float]
-) -> tuple[list[list[float]], list[list[list[float]]]]:
+) -> tuple[list[Sequence[float]], list[list[list[float]]]]:
     """Bottom-up pass: per-level edge weights and per-destination soft-min
     fields, in the order of ``LevelIndex.dests``.
 
     A portal edge's weight is the soft-min trip cost of its target OD pair
-    one level down, so levels are processed deepest first. Each field is
+    one level down, so levels are processed deepest first. Each level's
+    weights come from its gather, compiled once from the plain-edge order
+    (``NetworkHierarchy.weight_gathers``): the level's contiguous slice of
+    ``t``, with the next level's trip costs after it, picked into edge order
+    in one call. So ``t`` must hold exactly one value per plain edge, or
+    ``ValueError`` names both lengths; a longer or shorter ``t`` would
+    shift the slices and misread the trip costs. Each field is
     finite only on its destination's subgraph, which holds every origin
     that can reach the destination. An infinite trip cost raises
     ``NoPathError`` if the trip has no route, and ``LoadingError`` if its
     cost overflowed.
     """
+    n_plain = net.num_plain_edges()
+    if len(t) != n_plain:
+        raise ValueError(f"expected {n_plain} dual values, one per plain edge, got {len(t)}")
+    values = list(map(float, t))
+    gathers = net.weight_gathers()
     m = net.num_levels
-    weights: list[list[float] | None] = [None] * m
+    weights: list[Sequence[float]] = [()] * m
     rho_fields: list[list[list[float]]] = [[] for _ in range(m)]
     trip_cost: list[list[float]] = [[] for _ in range(m)]
-
-    flat_pos = 0
-    plain_values: list[list[float]] = [[] for _ in range(m)]
-    for k, _ in net.plain_edge_order():
-        plain_values[k].append(float(t[flat_pos]))
-        flat_pos += 1
 
     for k in range(m - 1, -1, -1):
         level = net.levels[k]
@@ -303,13 +308,10 @@ def _sweep_weights(
             index = level.index
         except ValueError as err:
             raise ValueError(f"{err} at level {k + 1}") from None
-        w = [0.0] * len(level.edges)
-        it = iter(plain_values[k])
-        for pos, edge in enumerate(level.edges):
-            if edge.is_plain:
-                w[pos] = next(it)
-            else:
-                w[pos] = trip_cost[k + 1][edge.target_od.od]
+        start, stop, pick = gathers[k]
+        w = values[start:stop]
+        if pick is not None:
+            w = pick(w + trip_cost[k + 1])
         weights[k] = w
         gamma = net.gammas[k]
         if index.topo is None:

@@ -14,8 +14,13 @@ coefficient and the weight sum telescope into the accumulated ``A``.
 The composite step is vectorised: the iterates are float64 arrays, the
 link-cost conjugates are compiled once per solve into a ``CostTable``, and
 each prox, the summed conjugate of the dual value and the cost integrals
-of the primal value run as one array kernel per cost family. Lists appear
-only where the network loading is called and where ``solve`` returns.
+of the primal value run as one array kernel per cost family. Both proxes
+of an iteration start the power costs' Newton iteration at the flows of
+the loading just made, minus the gradient: the prox's flow variable
+``(v - t)/step`` is minus the gradient plus the step's own move over its
+step size, so it tends to the loading's flows as the iterates settle.
+Lists appear only where the network loading is called and where ``solve``
+returns.
 
 For the network dual, weighted averages of flows and route entropies over
 the gradient points yield a computable duality gap: dual value at the
@@ -179,8 +184,9 @@ def minimize_composite(
             x = tau * z + (1.0 - tau) * y
             fx, grad, aux = smooth.value_and_grad(x)
             grad = np.asarray(grad, dtype=np.float64)
+            flows = -grad
             evals += 1
-            y_next = table.prox(x - grad / L, 1.0 / L)
+            y_next = table.prox(x - grad / L, 1.0 / L, flows)
             fy = smooth.value(y_next)
             evals += 1
             d = y_next - x
@@ -197,7 +203,7 @@ def minimize_composite(
                     f"{cfg.max_backtracks_per_iter} doublings at iteration {k}"
                 )
             L *= 2.0
-        z = table.prox(z - alpha_next * grad, alpha_next)
+        z = table.prox(z - alpha_next * grad, alpha_next, flows)
         y = y_next
         alpha = alpha_next
         A += alpha_next

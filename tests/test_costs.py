@@ -407,6 +407,71 @@ class TestCostTable:
             CostTable([AffineCost(1.0, 1.0)]).prox(np.array([2.0]), 0.0)
 
 
+START_KINDS = ["zero", "root", "hi", "10hi", "minus one", "nan", "inf", "random"]
+
+
+def bracket_top(cost, v, step):
+    """Top of the power prox's Newton bracket: min((v - t0)/step, tau^-1(v))."""
+    return min((v - cost.t0) / step, cost.conjugate_derivative(v))
+
+
+def flow_start(kind, root, hi, u):
+    """A Newton start of the given kind; ``u`` in [0, 2] scales a random one."""
+    return {
+        "zero": 0.0, "root": root, "hi": hi, "10hi": 10.0 * hi, "minus one": -1.0,
+        "nan": math.nan, "inf": math.inf, "random": u * hi,
+    }[kind]
+
+
+class TestWarmStart:
+    """``CostTable.prox`` starts the power costs' Newton iteration at a flow
+    estimate, clamped into its bracket; from any start it lands on the cold
+    start's answer within Newton's tolerance."""
+
+    @given(costs=mixed_tables(), data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_any_start_gives_the_cold_answer(self, costs, data):
+        n = len(costs)
+        offsets = data.draw(st.lists(st.floats(-1.0, 3.0), min_size=n, max_size=n))
+        step = data.draw(st.floats(0.01, 10.0))
+        kinds = data.draw(st.lists(st.sampled_from(START_KINDS), min_size=n, max_size=n))
+        scales = data.draw(st.lists(st.floats(0.0, 2.0), min_size=n, max_size=n))
+        v = np.array([c.free_flow_time + off for c, off in zip(costs, offsets)])
+        table = CostTable(costs)
+        cold = table.prox(v, step)
+        flows = []
+        for cost, vi, ti, kind, u in zip(costs, v.tolist(), cold.tolist(), kinds, scales):
+            if isinstance(cost, PowerCost) and vi > cost.t0:
+                root = cost.conjugate_derivative(ti)
+                flows.append(flow_start(kind, root, bracket_top(cost, vi, step), u))
+            else:  # not a Newton element; the table must ignore it
+                flows.append(flow_start(kind, 0.0, 1.0, u))
+        t = table.prox(v, step, np.array(flows))
+        for cost, vi, ti, ci in zip(costs, v.tolist(), t.tolist(), cold.tolist()):
+            tol = 1e-10 * (1.0 + abs(vi))
+            assert ti <= vi
+            assert prox_residual(cost, vi, step, ti) <= tol
+            assert abs(ti - ci) <= tol
+
+    @pytest.mark.parametrize("kind", [k for k in START_KINDS if k != "root"])
+    def test_running_out_of_iterations_still_raises(self, monkeypatch, kind):
+        # A start at the root may converge on its first evaluation; every
+        # other start needs more than one Newton step here.
+        cost = PowerCost(1.0, 0.15, 2.0, 4.0)
+        v, step = 1.3, 0.5
+        start = flow_start(kind, math.nan, bracket_top(cost, v, step), 0.37)
+        monkeypatch.setattr(costs_module, "_ROOT_ITERS", 1)
+        table = CostTable([AffineCost(1.0, 1.0), cost])
+        with pytest.raises(ProxConvergenceError):
+            table.prox(np.array([1.5, v]), step, np.array([0.0, start]))
+
+    @pytest.mark.parametrize("cost", [c for c in FAMILIES if isinstance(c, PowerCost)])
+    def test_per_edge_prox_starts_cold(self, cost):
+        v, step = cost.free_flow_time + 0.6, 0.7
+        cold = CostTable([cost]).prox(np.array([v]), step)
+        assert cost.prox_conjugate(v, step) == float(cold[0])
+
+
 class TestConstruction:
     @pytest.mark.parametrize(
         "bad",

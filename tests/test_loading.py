@@ -668,6 +668,97 @@ class TestDestinationSubgraphs:
                     assert weights[k - 1][portal.id] == rho[od.origin]
 
 
+def weights_edge_by_edge(net, t):
+    """Per-level ``edge id -> weight`` maps built from ``level.edges``,
+    deepest level first: a plain edge takes the entry of ``t`` at its
+    ``plain_edge_order`` position, a portal the trip cost of its target OD
+    pair from ``softmin_potentials`` under the weights one level down."""
+    flat = dict(zip(net.plain_edge_order(), t, strict=True))
+    maps = [None] * net.num_levels
+    for k in range(net.num_levels - 1, -1, -1):
+        level, w = net.levels[k], {}
+        for pos, edge in enumerate(level.edges):
+            if edge.is_plain:
+                w[edge.id] = flat[k, pos]
+            else:
+                below = net.levels[k + 1]
+                od = below.od_pairs[edge.target_od.od]
+                rho = softmin_potentials(below, maps[k + 1], net.gammas[k + 1], od.destination)
+                w[edge.id] = rho[od.origin]
+        maps[k] = w
+    return maps
+
+
+class TestWeightGather:
+    # Each level's weights come from one compiled gather over its slice of
+    # the dual vector and the trip costs below; they must be the very
+    # floats an edge-by-edge assembly gives.
+    @given(case=any_dag_hierarchy)
+    @settings(max_examples=150, deadline=None)
+    def test_dag_hierarchies(self, case):
+        net, t = case
+        assert hierarchical_weights(net, t) == weights_edge_by_edge(net, t)
+
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_ring_with_chords_below_portals(self, data):
+        n, arcs, ring_t, gamma = draw_ring(data)
+        node = st.integers(0, n - 1)
+        ring_ods = [
+            ODPair(f"v{data.draw(node, label=f'origin {j}')}",
+                   f"v{data.draw(node, label=f'destination {j}')}")
+            for j in range(2)
+        ]
+        ring = ring_level(n, arcs, ring_ods)
+        top_edges = [
+            Edge("g0", "o", "m", target_od=ODRef(1, 0)),
+            Edge("om", "o", "m", cost=ConstantCost(1.0)),
+            Edge("g1", "m", "d", target_od=ODRef(1, 1)),
+            Edge("md", "m", "d", cost=ConstantCost(1.0)),
+            Edge("od", "o", "d", cost=ConstantCost(1.0)),
+        ]
+        top = LevelGraph(
+            nodes=("o", "m", "d"),
+            edges=tuple(data.draw(st.permutations(top_edges), label="edge order")),
+            od_pairs=(ODPair("o", "d", 1.0),),
+        )
+        top_t = data.draw(st.lists(st.floats(0.2, 3.0), min_size=3, max_size=3), label="times")
+        for net, t in (
+            (NetworkHierarchy([ring], [gamma], walk_cap=1), ring_t),
+            (NetworkHierarchy([top, ring], [1.0, gamma], walk_cap=1), top_t + ring_t),
+        ):
+            assert hierarchical_weights(net, t) == weights_edge_by_edge(net, t)
+
+    def test_array_input_gives_the_list_result(self, two_level_net):
+        import numpy as np
+
+        t = [1.1, 1.05, 2.6, 0.55, 0.4, 0.35]
+        assert network_loading(two_level_net, np.array(t)) == network_loading(two_level_net, t)
+        maps = hierarchical_weights(two_level_net, np.array(t))
+        assert maps == hierarchical_weights(two_level_net, t)
+        assert all(type(w) is float for m in maps for w in m.values())
+
+
+class TestDualVectorLength:
+    # The gather reads each level's slice of the dual vector by position, so
+    # a vector of another length would shift the slices; every entry point
+    # rejects it, naming both lengths.
+    T = [1.1, 1.05, 2.6, 0.55, 0.4, 0.35]  # two_level.json has 6 plain edges
+
+    @pytest.mark.parametrize("entry", [network_loading, dual_smooth_value, hierarchical_weights])
+    @pytest.mark.parametrize("length", [0, 5, 7, 8])
+    def test_wrong_length_raises(self, two_level_net, entry, length):
+        t = (self.T + [1.0, 1.0])[:length]
+        with pytest.raises(ValueError, match=f"^expected 6 dual values, .*, got {length}$"):
+            entry(two_level_net, t)
+
+    def test_surplus_is_not_ignored(self, two_level_net):
+        # at the parent 8 values returned the 6-value result
+        with pytest.raises(ValueError, match="got 8"):
+            dual_smooth_value(two_level_net, self.T + [9.0, 9.0])
+        assert dual_smooth_value(two_level_net, self.T) < 0.0
+
+
 def jittered_chain(stages, time, gamma, seed):
     """Stages of two parallel links, each time within 1 % of ``time``."""
     rng = random.Random(seed)
