@@ -18,7 +18,6 @@ from .loading import (
     dual_smooth_value,
     hierarchical_weights,
     network_loading,
-    softmin_potentials,
 )
 from .model import (
     Edge,
@@ -35,7 +34,6 @@ from .solver import (
     IterationRecord,
     SolverConfig,
     alpha_step,
-    duality_gap,
     lipschitz_bound_diagnostic,
     solve,
 )
@@ -54,7 +52,6 @@ __all__ = [
     "dual_smooth_value",
     "hierarchical_weights",
     "network_loading",
-    "softmin_potentials",
     "Edge",
     "LevelGraph",
     "NetworkHierarchy",
@@ -67,7 +64,6 @@ __all__ = [
     "IterationRecord",
     "SolverConfig",
     "alpha_step",
-    "duality_gap",
     "lipschitz_bound_diagnostic",
     "solve",
 ]

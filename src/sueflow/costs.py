@@ -3,8 +3,7 @@
 Every cost family is a non-decreasing travel time ``tau(f)`` on flows
 ``f >= 0`` with a closed-form running integral ``sigma``, the convex
 conjugate ``sigma*`` of that integral (maximised over nonnegative flows),
-the conjugate derivative (the inverse time map), and the prox of the
-conjugate.
+and the prox of the conjugate.
 
 The composite solver does not call these methods edge by edge: a
 ``CostTable`` compiles the plain-edge costs of a network into one array per
@@ -12,8 +11,10 @@ family and parameter, and evaluates the prox, the summed conjugate and the
 summed integral with one array kernel per family. The power-cost prox
 solves for the edge flow behind each prox point by Newton's method; the
 solver passes the flows of its latest loading, near which that root lies
-once the steps settle, so Newton starts there. The per-edge methods serve
-validation, the objectives and the tests; ``PowerCost.prox_conjugate`` is a
+once the steps settle, so Newton starts there. The per-edge
+``travel_time``, ``integral`` and ``conjugate`` serve free-flow times and
+the loading module's objectives; the per-edge ``prox_conjugate`` is the
+scalar form of the table's prox, and ``PowerCost.prox_conjugate`` is a
 one-element call of the table's Newton kernel, started cold. numpy is
 imported only by the table and that kernel, so parsing and validation
 never load it.
@@ -62,10 +63,6 @@ class LinkCost:
         """sup over f >= 0 of ``f*t - integral(f)``; ``+inf`` above the domain."""
         raise NotImplementedError
 
-    def conjugate_derivative(self, t: float) -> float:
-        """The flow ``f >= 0`` with ``tau(f) = t``; 0 at or below free flow."""
-        raise NotImplementedError
-
     def prox_conjugate(self, v: float, step: float) -> float:
         """argmin over t of ``(t - v)**2 / (2*step) + conjugate(t)``."""
         raise NotImplementedError
@@ -105,13 +102,6 @@ class ConstantCost(LinkCost):
         # sup_{f>=0} f*(t - t0) is 0 up to t0 and +inf beyond.
         return 0.0 if t <= self.t0 else math.inf
 
-    def conjugate_derivative(self, t: float) -> float:
-        if t > self.t0:
-            raise ValueError(
-                f"time {t} above the conjugate domain upper bound {self.t0}"
-            )
-        return 0.0
-
     def prox_conjugate(self, v: float, step: float) -> float:
         self._check_step(step)
         return min(v, self.t0)
@@ -144,15 +134,14 @@ class AffineCost(LinkCost):
         d = t - self.a
         return d * d / (2.0 * self.b)
 
-    def conjugate_derivative(self, t: float) -> float:
-        return max(0.0, (t - self.a) / self.b)
-
     def prox_conjugate(self, v: float, step: float) -> float:
         self._check_step(step)
         if v <= self.a:
             return v
-        # Stationarity of (t - v)^2/(2 step) + (t - a)^2/(2 b) on t >= a.
-        return (self.b * v + step * self.a) / (self.b + step)
+        # Stationarity of (t - v)^2/(2 step) + (t - a)^2/(2 b) on t >= a. The
+        # exact root lies in [a, v]; the clamp removes rounding past either end.
+        t = (self.b * v + step * self.a) / (self.b + step)
+        return min(max(t, self.a), v)
 
 
 @dataclass(frozen=True)
@@ -197,11 +186,6 @@ class PowerCost(LinkCost):
         d = t - self.t0
         f = self.cap * (d / (self.t0 * self.beta)) ** (1.0 / self.mu)
         return f * d * self.mu / (self.mu + 1.0)
-
-    def conjugate_derivative(self, t: float) -> float:
-        if t <= self.t0:
-            return 0.0
-        return self.cap * ((t - self.t0) / (self.t0 * self.beta)) ** (1.0 / self.mu)
 
     def prox_conjugate(self, v: float, step: float) -> float:
         self._check_step(step)
@@ -331,8 +315,10 @@ class CostTable:
             t[self.const_idx] = np.minimum(t[self.const_idx], self.const_t0)
         if self.affine_idx.size:
             va, a, b = t[self.affine_idx], self.affine_a, self.affine_b
-            # Stationarity of (t - v)^2/(2 step) + (t - a)^2/(2 b) on t >= a.
-            t[self.affine_idx] = np.where(va <= a, va, (b * va + step * a) / (b + step))
+            # Stationarity of (t - v)^2/(2 step) + (t - a)^2/(2 b) on t >= a,
+            # clamped into [a, v] as in AffineCost.prox_conjugate.
+            root = np.minimum(np.maximum((b * va + step * a) / (b + step), a), va)
+            t[self.affine_idx] = np.where(va <= a, va, root)
         if self.power_idx.size:
             vp = t[self.power_idx]
             fp = None if flows is None else np.asarray(flows, dtype=np.float64)[self.power_idx]

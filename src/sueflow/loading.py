@@ -5,8 +5,10 @@ over all level-1 routes, where a portal edge's weight is the soft-min cost
 of its target OD trip one level down. This module computes that value, its
 gradient (minus the edge flows, obtained by propagating demand with logit
 edge-choice probabilities), and the dual objective and path-free primal
-value of the gap certificate. Nothing here enumerates routes; the
-path-based primal is the oracle's, an independent cross-check.
+value of the gap certificate. The soft-min fields stay inside the
+module: a trip's smoothed cost reaches callers as the weight of the portal
+edge bound to it (``hierarchical_weights``). Nothing here enumerates
+routes; the path-based primal is the oracle's, an independent cross-check.
 
 Soft-min distances on a DAG level are exact in one reverse-topological
 pass. On a cyclic level the soft-min sums over all walks, not just simple
@@ -40,14 +42,13 @@ import sys
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .model import LevelGraph, LevelIndex, NetworkHierarchy, Subgraph
+from .model import LevelIndex, NetworkHierarchy, Subgraph
 
 __all__ = [
     "LoadResult",
     "LoadingError",
     "NoPathError",
     "MassLeakError",
-    "softmin_potentials",
     "hierarchical_weights",
     "dual_smooth_value",
     "network_loading",
@@ -97,6 +98,9 @@ class LoadResult:
     entropies: list[float]
 
     def plain_flows(self, net: NetworkHierarchy) -> list[float]:
+        """The plain-edge flows in ``net.plain_edge_order()``, gathered edge
+        by edge; the solver takes the same floats through an index it
+        compiles once per solve."""
         return [self.flows[k][i] for k, i in net.plain_edge_order()]
 
 
@@ -239,38 +243,6 @@ def _softmin_cyclic(
         rho[reach] = d[reach] - gamma * np.log(y[reach])
         fields.extend(rho.reshape(g, n).tolist())
     return fields
-
-
-def softmin_potentials(
-    level: LevelGraph,
-    weights: Mapping[str, float],
-    gamma: float,
-    dest: str,
-) -> dict[str, float]:
-    """Soft-min distance from every node to ``dest`` under per-edge weights.
-
-    Unreachable nodes map to ``+inf``. The value at a trip's origin is the
-    smoothed trip cost; it tends to the shortest-path distance as
-    ``gamma -> 0``. On a cyclic level it sums over all walks and raises
-    ``LoadingError`` when that sum diverges. An edge or OD pair naming a
-    node the level lacks, or an edge missing from ``weights``, raises
-    ``ValueError``.
-    """
-    if gamma <= 0.0:
-        raise ValueError(f"gamma must be positive, got {gamma}")
-    index = level.index
-    if dest not in index.node_index:
-        raise ValueError(f"unknown destination node {dest!r}")
-    try:
-        w = [float(weights[e.id]) for e in level.edges]
-    except KeyError as err:
-        raise ValueError(f"no weight for edge {err.args[0]!r} of the level") from None
-    dst = index.node_index[dest]
-    if index.topo is None:
-        rho = _softmin_cyclic(index, w, gamma, [dst])[0]
-    else:
-        rho = _softmin(index, w, gamma, dst, index.whole)
-    return {v: rho[i] for v, i in index.node_index.items()}
 
 
 def _sweep_weights(

@@ -5,7 +5,9 @@ distribution over them, the primal objective at explicit route flows,
 Monte-Carlo perturbed best response, and a damped fixed-point solve for
 tiny instances. None of it shares code with the dynamic-programming
 loading path, so agreement between the two is evidence, not tautology.
-Hard budgets keep enumeration honest.
+Hard budgets keep enumeration honest. The scalar conjugate derivative of
+each cost family, its inverse time map, is the subgradient reference for
+checks of the prox.
 """
 
 from __future__ import annotations
@@ -17,11 +19,12 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .model import NetworkHierarchy, ODRef
-from .costs import LinkCost
+from .costs import AffineCost, ConstantCost, LinkCost, PowerCost
 
 __all__ = [
     "BudgetExceededError",
     "ExpandedPath",
+    "conjugate_derivative",
     "enumerate_paths",
     "expand_paths",
     "path_cost",
@@ -50,6 +53,25 @@ class ExpandedPath:
     @property
     def total_plain_edges(self) -> int:
         return len(self.cost_terms)
+
+
+def conjugate_derivative(cost: LinkCost, t: float) -> float:
+    """The flow ``f >= 0`` with ``tau(f) = t``; 0 at or below free flow.
+
+    A constant cost's conjugate is finite only up to ``t0``, so a time above
+    it raises ``ValueError``.
+    """
+    if isinstance(cost, ConstantCost):
+        if t > cost.t0:
+            raise ValueError(f"time {t} above the conjugate domain upper bound {cost.t0}")
+        return 0.0
+    if isinstance(cost, AffineCost):
+        return max(0.0, (t - cost.a) / cost.b)
+    if isinstance(cost, PowerCost):
+        if t <= cost.t0:
+            return 0.0
+        return cost.cap * ((t - cost.t0) / (cost.t0 * cost.beta)) ** (1.0 / cost.mu)
+    raise TypeError(f"unknown cost class {type(cost).__name__}")
 
 
 def enumerate_paths(

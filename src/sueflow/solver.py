@@ -37,18 +37,16 @@ from __future__ import annotations
 import itertools
 import math
 import sys
-import time
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Sequence
 
-from .costs import CostTable, LinkCost
+from .costs import CostTable
 from .loading import (
     LoadResult,
-    dual_objective,
     dual_smooth_value,
     entropy_term,
     network_loading,
-    surrogate_primal,
+    surrogate_primal,  # unused here; perfbench/spans.py traces solver.surrogate_primal
 )
 from .model import NetworkHierarchy, longest_path_bounds
 
@@ -63,7 +61,6 @@ __all__ = [
     "alpha_step",
     "minimize_composite",
     "solve",
-    "duality_gap",
     "lipschitz_bound_diagnostic",
 ]
 
@@ -101,7 +98,6 @@ class IterationRecord:
     n_func_evals: int  # cumulative
     dual_value: float
     gap: float | None
-    wall_time: float
     alpha: float
     A: float
 
@@ -110,17 +106,19 @@ class IterationRecord:
 class GapCertificate:
     """Dual value at the estimate plus primal value at the averaged pair.
 
-    ``stop`` says why the run that produced it ended: ``"gap_reached"``,
-    ``"roundoff"`` or ``"iteration_cap"`` (see ``_stop_reason``).
+    ``avg_flows`` and ``avg_entropy`` are that pair: the weighted averages of
+    every level's edge flows and of the nested entropy term. ``stop`` says
+    why the run that produced it ended: ``"gap_reached"``, ``"roundoff"`` or
+    ``"iteration_cap"`` (see ``_stop_reason``).
     """
 
     dual_value: float
     primal_value: float
     gap: float
     T: int
-    avg_flows: list[list[float]] | None = None
-    avg_entropy: float | None = None
-    stop: str | None = None
+    avg_flows: list[list[float]]
+    avg_entropy: float
+    stop: str
 
 
 def alpha_step(alpha_k: float, L_k: float, L_next: float) -> tuple[float, float]:
@@ -149,7 +147,7 @@ class StepInfo:
 
 def minimize_composite(
     smooth,
-    costs: CostTable | Sequence[LinkCost],
+    table: CostTable,
     t0: Sequence[float],
     cfg: SolverConfig,
     on_accept: Callable[[StepInfo], float | None] | None = None,
@@ -158,15 +156,14 @@ def minimize_composite(
 
     ``smooth`` duck-types two methods: ``value_and_grad(t) -> (value, grad,
     aux)`` and ``value(t) -> value``; both count as one oracle call each and
-    receive float64 arrays. ``costs`` is the compiled ``CostTable`` of the
-    composite part, or the per-coordinate costs to compile into one.
-    ``on_accept`` may return a duality gap, which both lands in the history
-    and stops the loop once it reaches ``cfg.gap_tol`` or round-off (see
-    ``_stop_reason``).
+    receive float64 arrays. ``table`` is the compiled ``CostTable`` of the
+    composite part, one cost per coordinate; the loop sees the costs only
+    through its ``prox`` and ``conjugate``. ``on_accept`` may return a
+    duality gap, which both lands in the history and stops the loop once it
+    reaches ``cfg.gap_tol`` or round-off (see ``_stop_reason``).
     """
     import numpy as np
 
-    table = costs if isinstance(costs, CostTable) else CostTable(costs)
     y = np.array(t0, dtype=np.float64)
     z = y.copy()
     alpha = 0.0
@@ -174,7 +171,6 @@ def minimize_composite(
     L_acc = L_next = cfg.L0
     evals = 0
     history: list[IterationRecord] = []
-    started = time.perf_counter()
 
     for k in range(cfg.max_iters):
         L = L_next
@@ -221,7 +217,6 @@ def minimize_composite(
                 n_func_evals=evals,
                 dual_value=dual_value,
                 gap=gap,
-                wall_time=time.perf_counter() - started,
                 alpha=alpha_next,
                 A=A,
             )
@@ -266,18 +261,31 @@ def _stop_reason(gap: float | None, dual_value: float, gap_tol: float) -> str | 
     return None
 
 
-class _DualSmooth:
-    """Smooth-oracle adapter: loading supplies value, gradient, and extras."""
+def _plain_positions(net: NetworkHierarchy) -> np.ndarray:
+    """Position of each plain edge, in plain-edge order, among the edges of
+    every level concatenated in level order."""
+    import numpy as np
 
-    def __init__(self, net: NetworkHierarchy) -> None:
+    offsets = [0, *itertools.accumulate(len(level.edges) for level in net.levels)]
+    return np.array([offsets[k] + pos for k, pos in net.plain_edge_order()], dtype=np.intp)
+
+
+class _DualSmooth:
+    """Smooth-oracle adapter: loading supplies value, gradient, and extras.
+
+    ``plain`` is ``_plain_positions(net)``: the gradient is minus the flows
+    it picks from the loading's concatenated levels.
+    """
+
+    def __init__(self, net: NetworkHierarchy, plain: np.ndarray) -> None:
         self.net = net
+        self.plain = plain
 
     def value_and_grad(self, t: np.ndarray) -> tuple[float, np.ndarray, LoadResult]:
         import numpy as np
 
         result = network_loading(self.net, t.tolist())
-        grad = -np.array(result.plain_flows(self.net), dtype=np.float64)
-        return result.smooth_value, grad, result
+        return result.smooth_value, -np.concatenate(result.flows)[self.plain], result
 
     def value(self, t: np.ndarray) -> float:
         return dual_smooth_value(self.net, t.tolist())
@@ -287,20 +295,19 @@ class _PrimalAverager:
     """Weighted running averages of flows and nested entropy terms.
 
     The flow sums are one array over every edge of every level, in level
-    order; the cost integrals of the primal value go through ``table``.
+    order, whose plain edges sit at ``plain`` (``_plain_positions``); the
+    cost integrals of the primal value go through ``table``.
     """
 
-    def __init__(self, net: NetworkHierarchy, table: CostTable) -> None:
+    def __init__(self, net: NetworkHierarchy, table: CostTable, plain: np.ndarray) -> None:
         import numpy as np
 
         self.net = net
         self.table = table
         self.weight = 0.0
-        offsets = [0, *itertools.accumulate(len(level.edges) for level in net.levels)]
-        self.level_ends = offsets[1:-1]
-        self.plain = np.array(
-            [offsets[k] + pos for k, pos in net.plain_edge_order()], dtype=np.intp
-        )
+        offsets = list(itertools.accumulate(len(level.edges) for level in net.levels))
+        self.level_ends = offsets[:-1]
+        self.plain = plain
         self.flow_sums = np.zeros(offsets[-1])
         self.entropy_sum = 0.0
 
@@ -334,13 +341,14 @@ def solve(
     cfg = cfg or SolverConfig()
     start = net.free_flow_times() if t0 is None else [float(v) for v in t0]
     table = CostTable(net.plain_costs())
-    averager = _PrimalAverager(net, table)
+    plain = _plain_positions(net)
+    averager = _PrimalAverager(net, table, plain)
 
     def on_accept(info: StepInfo) -> float:
         averager.add(info.alpha, info.aux)
         return info.dual_value + averager.primal_value()
 
-    t_final, history = minimize_composite(_DualSmooth(net), table, start, cfg, on_accept)
+    t_final, history = minimize_composite(_DualSmooth(net, plain), table, start, cfg, on_accept)
     certificate = GapCertificate(
         dual_value=history[-1].dual_value,
         primal_value=averager.primal_value(),
@@ -352,28 +360,6 @@ def solve(
         or "iteration_cap",
     )
     return t_final.tolist(), certificate, history
-
-
-def duality_gap(
-    net: NetworkHierarchy,
-    avg_flows: Sequence[Sequence[float]],
-    y_final: Sequence[float],
-    T: int,
-    avg_entropy: float,
-) -> GapCertificate:
-    """Certificate from explicit averages: the dual value at ``y_final``
-    plus the path-free primal value at the averaged flows and the
-    weighted-average nested entropy accumulated alongside them.
-
-    The gap is nonnegative up to float slack; a materially negative value
-    means the averages do not belong to the run.
-    """
-    dual_value = dual_objective(net, y_final)
-    primal_value = surrogate_primal(net, avg_flows, avg_entropy)
-    gap = dual_value + primal_value
-    if gap < -1e-9:
-        raise ValueError(f"negative duality gap {gap}: inconsistent averages")
-    return GapCertificate(dual_value=dual_value, primal_value=primal_value, gap=gap, T=T)
 
 
 def lipschitz_bound_diagnostic(net: NetworkHierarchy) -> float:

@@ -23,6 +23,7 @@ from sueflow.oracle import (
     gumbel_monte_carlo,
     loading_by_enumeration,
 )
+from sueflow.costs import CostTable
 from sueflow.model import ODRef
 from sueflow.solver import minimize_composite
 
@@ -55,7 +56,7 @@ _DIM = 16
 _DIAG = [1.0 + 3.0 * i / (_DIM - 1) for i in range(_DIM)]
 _CENTER = [0.6 + 0.07 * i + (0.9 if i % 2 else -0.4) for i in range(_DIM)]
 _FREE = [0.5 + 0.05 * i for i in range(_DIM)]
-_COSTS = [AffineCost(a, 1.0) for a in _FREE]
+_COSTS = CostTable([AffineCost(a, 1.0) for a in _FREE])
 
 
 class _Quadratic:

@@ -6,13 +6,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate, optimize
 
 from sueflow import AffineCost, ConstantCost, PowerCost
 from sueflow import costs as costs_module
 from sueflow.costs import CostTable, ProxConvergenceError, cost_from_dict, cost_to_dict
+from sueflow.oracle import conjugate_derivative
 
 FAMILIES = [
     ConstantCost(3.0),
@@ -118,23 +119,23 @@ class TestConjugate:
 
 class TestConjugateDerivative:
     def test_affine(self):
-        assert AffineCost(1.0, 1.0).conjugate_derivative(3.0) == pytest.approx(2.0)
+        assert conjugate_derivative(AffineCost(1.0, 1.0), 3.0) == pytest.approx(2.0)
 
     def test_power_at_capacity(self):
-        assert PowerCost(1.0, 0.15, 2.0, 4.0).conjugate_derivative(1.15) == pytest.approx(2.0)
+        assert conjugate_derivative(PowerCost(1.0, 0.15, 2.0, 4.0), 1.15) == pytest.approx(2.0)
 
     @pytest.mark.parametrize("cost", FAMILIES)
     def test_zero_at_free_flow(self, cost):
-        assert cost.conjugate_derivative(cost.free_flow_time) == 0.0
+        assert conjugate_derivative(cost, cost.free_flow_time) == 0.0
 
     def test_constant_above_domain_rejected(self):
         with pytest.raises(ValueError):
-            ConstantCost(3.0).conjugate_derivative(3.5)
+            conjugate_derivative(ConstantCost(3.0), 3.5)
 
     @pytest.mark.parametrize("cost", STRICT)
     @pytest.mark.parametrize("f", [0.0, 0.25, 1.0, 3.0])
     def test_inverts_travel_time(self, cost, f):
-        assert cost.conjugate_derivative(cost.travel_time(f)) == pytest.approx(f, abs=1e-10)
+        assert conjugate_derivative(cost, cost.travel_time(f)) == pytest.approx(f, abs=1e-10)
 
     @pytest.mark.parametrize("cost", STRICT)
     @pytest.mark.parametrize("t_off", [0.1, 0.5, 2.0])
@@ -142,7 +143,7 @@ class TestConjugateDerivative:
         t = cost.free_flow_time + t_off
         h = 1e-6
         fd = (cost.conjugate(t + h) - cost.conjugate(t - h)) / (2 * h)
-        assert fd == pytest.approx(cost.conjugate_derivative(t), rel=1e-7, abs=1e-9)
+        assert fd == pytest.approx(conjugate_derivative(cost, t), rel=1e-7, abs=1e-9)
 
 
 class TestFenchelYoung:
@@ -178,10 +179,10 @@ def prox_residual(cost, v, step, t=None):
         t = cost.prox_conjugate(v, step)
     if math.isinf(cost.conjugate(math.nextafter(t, math.inf))):
         # upper end of the conjugate's domain: subgradient ray [cd(t), inf)
-        g_lo, g_hi = cost.conjugate_derivative(t), math.inf
+        g_lo, g_hi = conjugate_derivative(cost, t), math.inf
     else:
-        g_lo = cost.conjugate_derivative(math.nextafter(t, -math.inf))
-        g_hi = cost.conjugate_derivative(math.nextafter(t, math.inf))
+        g_lo = conjugate_derivative(cost, math.nextafter(t, -math.inf))
+        g_hi = conjugate_derivative(cost, math.nextafter(t, math.inf))
     r_lo = t - v + step * g_lo
     r_hi = t - v + step * g_hi
     if r_lo <= 0.0 <= r_hi:
@@ -203,7 +204,7 @@ class TestProx:
         cost = PowerCost(1.0, 0.15, 2.0, 4.0)
         v, step = 1.3, 0.5
         root = optimize.brentq(
-            lambda t: t - v + step * cost.conjugate_derivative(t), cost.t0, v, xtol=1e-14
+            lambda t: t - v + step * conjugate_derivative(cost, t), cost.t0, v, xtol=1e-14
         )
         assert cost.prox_conjugate(v, step) == pytest.approx(root, abs=1e-12)
 
@@ -237,7 +238,7 @@ def prox_by_root(cost, v, step):
     if v <= cost.free_flow_time:
         return v
     return optimize.brentq(
-        lambda t: t - v + step * cost.conjugate_derivative(t), cost.free_flow_time, v,
+        lambda t: t - v + step * conjugate_derivative(cost, t), cost.free_flow_time, v,
         xtol=1e-15, rtol=4 * np.finfo(float).eps,
     )
 
@@ -308,7 +309,8 @@ class TestConjugateNearFreeFlow:
         tiny = 2.0**-80
         shifted = PowerCost(tiny, cost.t0 * cost.beta / tiny, cost.cap, cost.mu)
         reference, _ = integrate.quad(
-            shifted.conjugate_derivative, tiny, tiny + d, epsabs=0.0, epsrel=1e-13, limit=200
+            lambda x: conjugate_derivative(shifted, x), tiny, tiny + d,
+            epsabs=0.0, epsrel=1e-13, limit=200,
         )
         # abs=0: the values reach 1e-26, far below approx's default abs.
         assert cost.conjugate(t) == pytest.approx(reference, rel=1e-12, abs=0.0)
@@ -382,7 +384,7 @@ class TestCostTable:
         cost = PowerCost(1.0, 0.15, 2.0, 4.0)
         v, step = 1.3, 0.5
         root = optimize.brentq(
-            lambda t: t - v + step * cost.conjugate_derivative(t), cost.t0, v, xtol=1e-14
+            lambda t: t - v + step * conjugate_derivative(cost, t), cost.t0, v, xtol=1e-14
         )
         table = CostTable(others + [cost])
         t = table.prox(np.array([c.free_flow_time + 0.2 for c in others] + [v]), step)
@@ -412,7 +414,7 @@ START_KINDS = ["zero", "root", "hi", "10hi", "minus one", "nan", "inf", "random"
 
 def bracket_top(cost, v, step):
     """Top of the power prox's Newton bracket: min((v - t0)/step, tau^-1(v))."""
-    return min((v - cost.t0) / step, cost.conjugate_derivative(v))
+    return min((v - cost.t0) / step, conjugate_derivative(cost, v))
 
 
 def flow_start(kind, root, hi, u):
@@ -423,26 +425,77 @@ def flow_start(kind, root, hi, u):
     }[kind]
 
 
+@st.composite
+def warm_start_cases(draw):
+    """A mixed table with, per cost, an offset of ``v`` from free flow, a
+    start kind and a random start's scale, and one prox step."""
+    costs = draw(mixed_tables())
+    n = len(costs)
+    offsets = draw(st.lists(st.floats(-1.0, 3.0), min_size=n, max_size=n))
+    step = draw(st.floats(0.01, 10.0))
+    kinds = draw(st.lists(st.sampled_from(START_KINDS), min_size=n, max_size=n))
+    scales = draw(st.lists(st.floats(0.0, 2.0), min_size=n, max_size=n))
+    return costs, offsets, step, kinds, scales
+
+
+# An affine cost with v one ulp above a, where (b v + step a)/(b + step)
+# rounds above v.
+AFFINE_ULP_A, AFFINE_ULP_B = 1.8225736070971679, 1.2265625
+AFFINE_ULP_V = math.nextafter(AFFINE_ULP_A, math.inf)
+
+
+class TestAffineProxClamp:
+    """The affine prox's closed form ``(b v + step a)/(b + step)`` lies in
+    ``[a, v]`` exactly but can round past ``v`` when ``v`` is within an
+    ulp or so of ``a``; both prox paths clamp it into that range."""
+
+    def test_one_ulp_above_free_flow(self):
+        cost = AffineCost(AFFINE_ULP_A, AFFINE_ULP_B)
+        v = AFFINE_ULP_V
+        assert (AFFINE_ULP_B * v + AFFINE_ULP_A) / (AFFINE_ULP_B + 1.0) > v  # unclamped
+        per_edge = cost.prox_conjugate(v, 1.0)
+        table = float(CostTable([cost]).prox(np.array([v]), 1.0)[0])
+        assert cost.a <= per_edge <= v
+        assert cost.a <= table <= v
+        assert per_edge == table
+        assert prox_residual(cost, v, 1.0, per_edge) <= 1e-10
+
+    @given(
+        a=st.floats(1e-3, 1e3),
+        b=st.floats(1e-3, 1e3),
+        ulps=st.integers(1, 4),
+        step=st.floats(1e-3, 1e3),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_stays_between_free_flow_and_v(self, a, b, ulps, step):
+        cost = AffineCost(a, b)
+        v = a
+        for _ in range(ulps):
+            v = math.nextafter(v, math.inf)
+        per_edge = cost.prox_conjugate(v, step)
+        table = float(CostTable([cost]).prox(np.array([v]), step)[0])
+        assert a <= per_edge <= v
+        assert per_edge == table
+
+
 class TestWarmStart:
     """``CostTable.prox`` starts the power costs' Newton iteration at a flow
     estimate, clamped into its bracket; from any start it lands on the cold
     start's answer within Newton's tolerance."""
 
-    @given(costs=mixed_tables(), data=st.data())
+    @given(case=warm_start_cases())
+    @example(case=([AffineCost(AFFINE_ULP_A, AFFINE_ULP_B)], [AFFINE_ULP_V - AFFINE_ULP_A],
+                   1.0, ["zero"], [0.0]))
     @settings(max_examples=200, deadline=None)
-    def test_any_start_gives_the_cold_answer(self, costs, data):
-        n = len(costs)
-        offsets = data.draw(st.lists(st.floats(-1.0, 3.0), min_size=n, max_size=n))
-        step = data.draw(st.floats(0.01, 10.0))
-        kinds = data.draw(st.lists(st.sampled_from(START_KINDS), min_size=n, max_size=n))
-        scales = data.draw(st.lists(st.floats(0.0, 2.0), min_size=n, max_size=n))
+    def test_any_start_gives_the_cold_answer(self, case):
+        costs, offsets, step, kinds, scales = case
         v = np.array([c.free_flow_time + off for c, off in zip(costs, offsets)])
         table = CostTable(costs)
         cold = table.prox(v, step)
         flows = []
         for cost, vi, ti, kind, u in zip(costs, v.tolist(), cold.tolist(), kinds, scales):
             if isinstance(cost, PowerCost) and vi > cost.t0:
-                root = cost.conjugate_derivative(ti)
+                root = conjugate_derivative(cost, ti)
                 flows.append(flow_start(kind, root, bracket_top(cost, vi, step), u))
             else:  # not a Newton element; the table must ignore it
                 flows.append(flow_start(kind, 0.0, 1.0, u))

@@ -24,7 +24,6 @@ from sueflow import (
     dual_smooth_value,
     hierarchical_weights,
     network_loading,
-    softmin_potentials,
     validate_hierarchy,
 )
 from sueflow import loading
@@ -62,21 +61,35 @@ def cyclic_level(demand=1.0):
     )
 
 
+def potentials(level, weights, gamma, dest):
+    """Soft-min distance from every node of ``level`` to ``dest`` under the
+    ``edge id -> weight`` map, by the loading's kernels: one field of
+    ``_softmin`` over the whole level, or of ``_softmin_cyclic``."""
+    index = level.index
+    w = [float(weights[e.id]) for e in level.edges]
+    dst = index.node_index[dest]
+    if index.topo is None:
+        rho = loading._softmin_cyclic(index, w, gamma, [dst])[0]
+    else:
+        rho = loading._softmin(index, w, gamma, dst, index.whole)
+    return {v: rho[i] for v, i in index.node_index.items()}
+
+
 class TestSoftminPotentials:
     def test_single_edge(self):
         net = parallel_net([ConstantCost(5.0)])
-        rho = softmin_potentials(level_of(net), {"e1": 5.0}, 1.0, "d")
+        rho = potentials(level_of(net), {"e1": 5.0}, 1.0, "d")
         assert rho["o"] == pytest.approx(5.0, abs=1e-14)
         assert rho["d"] == 0.0
 
     def test_two_parallel_unit(self):
         net = parallel_net([ConstantCost(1.0), ConstantCost(1.0)])
-        rho = softmin_potentials(level_of(net), {"e1": 1.0, "e2": 1.0}, 1.0, "d")
+        rho = potentials(level_of(net), {"e1": 1.0, "e2": 1.0}, 1.0, "d")
         assert rho["o"] == pytest.approx(1.0 - math.log(2.0), abs=1e-14)
 
     def test_two_parallel_gamma_two(self):
         net = parallel_net([ConstantCost(1.0), ConstantCost(1.0)])
-        rho = softmin_potentials(level_of(net), {"e1": 1.0, "e2": 1.0}, 2.0, "d")
+        rho = potentials(level_of(net), {"e1": 1.0, "e2": 1.0}, 2.0, "d")
         assert rho["o"] == pytest.approx(1.0 - 2.0 * math.log(2.0), abs=1e-14)
 
     def test_unreachable_is_inf(self):
@@ -85,28 +98,14 @@ class TestSoftminPotentials:
             edges=(Edge("e", "o", "d", cost=ConstantCost(1.0)),),
             od_pairs=(ODPair("o", "d", 1.0),),
         )
-        rho = softmin_potentials(level, {"e": 1.0}, 1.0, "d")
+        rho = potentials(level, {"e": 1.0}, 1.0, "d")
         assert math.isinf(rho["x"])
-
-    def test_gamma_must_be_positive(self):
-        net = parallel_net([ConstantCost(1.0)])
-        with pytest.raises(ValueError):
-            softmin_potentials(level_of(net), {"e1": 1.0}, 0.0, "d")
 
     def test_small_gamma_approaches_min(self):
         net = diamond_net()
         weights = {"oa": 1.0, "ad": 1.0, "ob": 1.2, "bd": 0.9}
-        rho = softmin_potentials(level_of(net), weights, 1e-3, "d")
+        rho = potentials(level_of(net), weights, 1e-3, "d")
         assert rho["o"] == pytest.approx(2.0, abs=1e-2)
-
-    @pytest.mark.parametrize("cyclic", [False, True])
-    def test_missing_weight_names_the_edge(self, cyclic):
-        if cyclic:
-            level, weights, missing = cyclic_level(), {"ab": 1.0, "ba": 1.2, "ad": 2.0}, "bd"
-        else:
-            level, weights, missing = level_of(two_edge_net()), {"e1": 1.0}, "e2"
-        with pytest.raises(ValueError, match=f"no weight for edge '{missing}' of the level"):
-            softmin_potentials(level, weights, 1.0, "d")
 
     def test_cyclic_walk_sum(self):
         # a <-> b with exit edges; closed-form geometric walk sums
@@ -116,15 +115,15 @@ class TestSoftminPotentials:
         # q_a = e_ad + e_ab*q_b ; q_b = e_bd + e_ba*q_a
         q_a = (e["ad"] + e["ab"] * e["bd"]) / (1.0 - e["ab"] * e["ba"])
         q_b = e["bd"] + e["ba"] * q_a
-        rho = softmin_potentials(cyclic_level(), w, gamma, "d")
+        rho = potentials(cyclic_level(), w, gamma, "d")
         assert rho["a"] == pytest.approx(-gamma * math.log(q_a), abs=1e-10)
         assert rho["b"] == pytest.approx(-gamma * math.log(q_b), abs=1e-10)
 
     @pytest.mark.parametrize("c", [1e-3, 1.0, 1e4])
     def test_cyclic_walk_sum_scales_with_units(self, c):
         w = {"ab": 1.0, "ba": 1.2, "ad": 2.0, "bd": 1.5}
-        base = softmin_potentials(cyclic_level(), w, 0.9, "d")
-        scaled = softmin_potentials(
+        base = potentials(cyclic_level(), w, 0.9, "d")
+        scaled = potentials(
             cyclic_level(), {k: c * v for k, v in w.items()}, c * 0.9, "d"
         )
         for v in ("a", "b"):
@@ -145,7 +144,7 @@ class TestSoftminPotentials:
         )
         w = {"ab1": 0.1, "ab2": 0.1, "ba1": 0.1, "ba2": 0.1, "bd": 1.0}
         with pytest.raises(LoadingError, match="destination 'd' diverges"):
-            softmin_potentials(level, w, 1.0, "d")
+            potentials(level, w, 1.0, "d")
         net = NetworkHierarchy([level], [1.0], walk_cap=1)
         with pytest.raises(LoadingError, match="'d' diverges at level 1"):
             network_loading(net, [w[e.id] for e in level.edges])
@@ -415,8 +414,9 @@ class TestUnknownNode:
         )
 
     def test_softmin_potentials(self):
+        # The soft-min kernels take the compiled index, whose build names it.
         with pytest.raises(ValueError, match="edge 'e1' names node 'x'"):
-            softmin_potentials(self.bad_level(), {"e1": 1.0}, 1.0, "d")
+            self.bad_level().index
 
     def test_network_loading_names_the_level(self):
         level1 = LevelGraph(
@@ -536,7 +536,7 @@ class TestBatchedCyclicPasses:
         weights, rho_fields = loading._sweep_weights(net, t)
         by_id = {e.id: w for e, w in zip(level.edges, weights[0])}
         for slot, dst in enumerate(level.index.dests):
-            alone = softmin_potentials(level, by_id, gamma, level.nodes[dst])
+            alone = potentials(level, by_id, gamma, level.nodes[dst])
             assert rho_fields[0][slot] == [alone[v] for v in level.nodes]
 
         res = network_loading(net, t)
@@ -590,9 +590,9 @@ class TestBatchedCyclicPasses:
             with pytest.raises(LoadingError, match=f"destination '{first}' diverges"):
                 network_loading(net, t)
         weights = {e.id: w for e, w in zip(net.levels[0].edges, t)}
-        assert softmin_potentials(net.levels[0], weights, 1.0, "a")["b"] < math.inf
+        assert potentials(net.levels[0], weights, 1.0, "a")["b"] < math.inf
         with pytest.raises(LoadingError, match="^the walk sum to destination 'e' diverges$"):
-            softmin_potentials(net.levels[0], weights, 1.0, "e")
+            potentials(net.levels[0], weights, 1.0, "e")
 
     def test_singular_walk_matrix_names_its_destination(self):
         # a <-> b at weight 0 and gamma 1: the walk matrix toward d has
@@ -660,7 +660,7 @@ class TestDestinationSubgraphs:
         for k, level in enumerate(net.levels):
             index = level.index
             for j, od in enumerate(level.od_pairs):
-                rho = softmin_potentials(level, weights[k], net.gammas[k], od.destination)
+                rho = potentials(level, weights[k], net.gammas[k], od.destination)
                 src = index.node_index[od.origin]
                 assert rho_fields[k][index.dest_slot[j]][src] == rho[od.origin]
                 if k > 0:
@@ -672,7 +672,7 @@ def weights_edge_by_edge(net, t):
     """Per-level ``edge id -> weight`` maps built from ``level.edges``,
     deepest level first: a plain edge takes the entry of ``t`` at its
     ``plain_edge_order`` position, a portal the trip cost of its target OD
-    pair from ``softmin_potentials`` under the weights one level down."""
+    pair from ``potentials`` under the weights one level down."""
     flat = dict(zip(net.plain_edge_order(), t, strict=True))
     maps = [None] * net.num_levels
     for k in range(net.num_levels - 1, -1, -1):
@@ -683,7 +683,7 @@ def weights_edge_by_edge(net, t):
             else:
                 below = net.levels[k + 1]
                 od = below.od_pairs[edge.target_od.od]
-                rho = softmin_potentials(below, maps[k + 1], net.gammas[k + 1], od.destination)
+                rho = potentials(below, maps[k + 1], net.gammas[k + 1], od.destination)
                 w[edge.id] = rho[od.origin]
         maps[k] = w
     return maps

@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from sueflow import (
     AffineCost,
@@ -19,18 +20,17 @@ from sueflow import (
     ODRef,
     SolverConfig,
     alpha_step,
-    duality_gap,
     dual_objective,
     dual_smooth_value,
     lipschitz_bound_diagnostic,
     solve,
 )
 from sueflow.costs import CostTable
-from sueflow.loading import network_loading
-from sueflow.solver import minimize_composite, _stop_reason
+from sueflow.loading import network_loading, surrogate_primal
+from sueflow.solver import _DualSmooth, _plain_positions, _stop_reason, minimize_composite
 from sueflow import oracle
 
-from conftest import chain3_net, parallel_net, two_edge_net
+from conftest import any_dag_hierarchy, chain3_net, grid3_level, parallel_net, two_edge_net
 
 X_STAR = 0.662584192828800  # root of ln(x/(1-x)) = 2 - 2x, frozen from bisection
 
@@ -222,10 +222,10 @@ class TestSolve:
 
         t, cert, _ = solve(two_level_net, SolverConfig(gap_tol=1e-6))
         assert cert.dual_value == pytest.approx(dual_objective(two_level_net, t), abs=1e-12)
-        recheck = duality_gap(
-            two_level_net, cert.avg_flows, t, T=cert.T, avg_entropy=cert.avg_entropy
+        recheck = dual_objective(two_level_net, t) + surrogate_primal(
+            two_level_net, cert.avg_flows, cert.avg_entropy
         )
-        assert recheck.gap == pytest.approx(cert.gap, abs=1e-12)
+        assert recheck == pytest.approx(cert.gap, abs=1e-12)
 
 
 def bpr_corridor(stages=4, links=5):
@@ -273,6 +273,39 @@ class TestVectorisedStep:
         assert cert.dual_value == pytest.approx(dual_objective(net, t), rel=1e-12)
 
 
+def assert_gradient_is_minus_plain_flows(net, t):
+    """The oracle's gradient, gathered through the compiled plain-edge
+    index, holds the very floats of minus the edge-by-edge plain flows."""
+    _, grad, result = _DualSmooth(net, _plain_positions(net)).value_and_grad(np.array(t))
+    reference = -np.array(result.plain_flows(net), dtype=np.float64)
+    assert grad.dtype == np.float64
+    assert grad.tobytes() == reference.tobytes()
+
+
+class TestGradientGather:
+    @given(case=any_dag_hierarchy)
+    @settings(max_examples=100, deadline=None)
+    def test_dag_hierarchies(self, case):
+        net, t = case
+        assert_gradient_is_minus_plain_flows(net, t)
+
+    def test_cyclic_level_below_portals(self):
+        level1 = LevelGraph(
+            nodes=("o", "m", "d"),
+            edges=(
+                Edge("g0", "o", "m", target_od=ODRef(1, 0)),
+                Edge("om", "o", "m", cost=AffineCost(4.2, 0.3)),
+                Edge("g1", "m", "d", target_od=ODRef(1, 1)),
+                Edge("md", "m", "d", cost=AffineCost(3.9, 0.2)),
+            ),
+            od_pairs=(ODPair("o", "d", 2.0),),
+        )
+        level2 = grid3_level([ODPair("r0c0", "r2c2"), ODPair("r0c2", "r2c0")])
+        net = NetworkHierarchy([level1, level2], [1.0, 0.3], walk_cap=1)
+        t = [(1 + 0.05 * math.sin(i)) * c.free_flow_time for i, c in enumerate(net.plain_costs())]
+        assert_gradient_is_minus_plain_flows(net, t)
+
+
 class TestDualityGap:
     def test_zero_at_equilibrium(self, two_level_net):
         flows_map, times = oracle.fixed_point_small(two_level_net, tol=1e-12)
@@ -302,16 +335,15 @@ class TestDualityGap:
         from sueflow.loading import entropy_term
 
         by_paths = dual_objective(net, t) + oracle.primal_objective(net, tables, res.flows)
-        pathfree = duality_gap(net, res.flows, t, T=1, avg_entropy=entropy_term(net, res))
-        assert by_paths == pytest.approx(pathfree.gap, abs=1e-10)
+        pathfree = dual_objective(net, t) + surrogate_primal(net, res.flows, entropy_term(net, res))
+        assert by_paths == pytest.approx(pathfree, abs=1e-10)
 
     def test_pathfree_primal_upper_bounds_path_primal_for_averages(self):
         # averaging route tables and averaging entropies differ once more
         # than one iterate is mixed; the path-free form must stay above the
         # exact primal at the averaged pair so the gap remains certified
         net = two_edge_net()
-        from sueflow.loading import entropy_term, surrogate_primal
-        from sueflow.solver import minimize_composite, _DualSmooth
+        from sueflow.loading import entropy_term
 
         weight = 0.0
         flow_sums = [0.0, 0.0]
@@ -330,7 +362,8 @@ class TestDualityGap:
             return None
 
         minimize_composite(
-            _DualSmooth(net), net.plain_costs(), net.free_flow_times(),
+            _DualSmooth(net, _plain_positions(net)), CostTable(net.plain_costs()),
+            net.free_flow_times(),
             SolverConfig(max_iters=40, gap_tol=0.0), on_accept,
         )
         avg_flows = [[f / weight for f in flow_sums]]
@@ -343,13 +376,10 @@ class TestDualityGap:
         by_paths = dual_objective(net, t_probe) + oracle.primal_objective(
             net, avg_tables, avg_flows
         )
-        pathless = duality_gap(net, avg_flows, t_probe, T=40, avg_entropy=entropy_sum / weight)
-        assert pathless.gap >= by_paths >= -1e-9
-
-    def test_inconsistent_averages_rejected(self):
-        net = two_edge_net()
-        with pytest.raises(ValueError):
-            duality_gap(net, [[0.9, 0.1]], [1.5, 2.5], T=1, avg_entropy=-50.0)
+        pathless = dual_objective(net, t_probe) + surrogate_primal(
+            net, avg_flows, entropy_sum / weight
+        )
+        assert pathless >= by_paths >= -1e-9
 
 
 class TestLipschitzDiagnostic:
@@ -420,14 +450,18 @@ class TestDriver:
         center = [2.0, -1.0, 0.5]
         costs = [AffineCost(0.5, 1.0), AffineCost(0.5, 1.0), AffineCost(0.5, 1.0)]
         prob = Quadratic(diag, center)
-        t, history = minimize_composite(prob, costs, [0.0, 0.0, 0.0], SolverConfig(max_iters=300, gap_tol=0.0))
+        t, history = minimize_composite(
+            prob, CostTable(costs), [0.0, 0.0, 0.0], SolverConfig(max_iters=300, gap_tol=0.0)
+        )
         for d, c, a, ti in zip(diag, center, (0.5, 0.5, 0.5), t):
             expected = c if c <= a else (c * 1.0 + (1.0 / d) * a) / (1.0 + 1.0 / d)
             assert ti == pytest.approx(expected, abs=1e-9)
 
     def test_history_without_certificates(self):
         prob = Quadratic([1.0], [1.0])
-        _, history = minimize_composite(prob, [AffineCost(0.2, 1.0)], [0.0], SolverConfig(max_iters=5, gap_tol=0.0))
+        _, history = minimize_composite(
+            prob, CostTable([AffineCost(0.2, 1.0)]), [0.0], SolverConfig(max_iters=5, gap_tol=0.0)
+        )
         assert all(r.gap is None for r in history)
 
 
@@ -445,7 +479,7 @@ class TestStepEstimate:
     def test_estimate_falls_below_L0(self):
         curvature = 1e-3
         prob = Quadratic([curvature] * 3, [2.0, -1.0, 0.5])
-        costs = [AffineCost(0.5, 1.0)] * 3
+        costs = CostTable([AffineCost(0.5, 1.0)] * 3)
         t, history = minimize_composite(
             prob, costs, [0.0, 0.0, 0.0], SolverConfig(L0=1.0, max_iters=200, gap_tol=0.0)
         )
