@@ -2,8 +2,9 @@
 
 The library minimises the convex dual of the equilibrium problem (smoothed
 shortest-path potential plus separable cost conjugates) with an adaptive
-accelerated composite gradient method, recovers flows by weighted primal
-averaging, and certifies the answer with a computable duality gap.
+accelerated composite gradient method, recovers flows from the weighted
+average of its loadings or the best single loading, whichever has the
+smaller primal value, and certifies them with a computable duality gap.
 """
 
 __version__ = "0.1.0"

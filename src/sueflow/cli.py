@@ -350,11 +350,11 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
     with (out_dir / "history.csv").open("w", newline="\n") as fh:
         fh.write(_manifest_line(manifest))
-        fh.write("iter,L_used,n_func_evals,dual_value,gap\n")
+        fh.write("iter,L_used,n_func_evals,dual_value,gap,alpha,A\n")
         for rec in history:
             fh.write(
                 f"{rec.iter},{_fmt(rec.L_used)},{rec.n_func_evals},"
-                f"{_fmt(rec.dual_value)},{_fmt(rec.gap)}\n"
+                f"{_fmt(rec.dual_value)},{_fmt(rec.gap)},{_fmt(rec.alpha)},{_fmt(rec.A)}\n"
             )
 
     l2 = lipschitz_bound_diagnostic(net)
@@ -365,6 +365,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         "gap": certificate.gap,
         "T": certificate.T,
         "stop": certificate.stop,
+        "primal_point": certificate.primal_point,
         # JSON has no Infinity: a bound that overflows is written as null.
         "L2_diagnostic": l2 if math.isfinite(l2) else None,
     }

@@ -22,14 +22,19 @@ step size, so it tends to the loading's flows as the iterates settle.
 Lists appear only where the network loading is called and where ``solve``
 returns.
 
-For the network dual, weighted averages of flows and route entropies over
-the gradient points yield a computable duality gap: dual value at the
-estimate sequence plus the (path-free) primal value at the averages. It is
-nonnegative, vanishes exactly at equilibrium, and decays at the accelerated
-rate. The run stops once the gap reaches ``gap_tol``, or once it is within a
-few units of round-off of ``|dual| + |primal|``, where the two values agree
-to their last bits, or at ``max_iters``; the certificate's ``stop`` field
-names which (``gap_reached``, ``roundoff`` or ``iteration_cap``).
+For the network dual, any primal-feasible pair of flows and nested entropy
+yields a computable duality gap by weak duality: dual value at the estimate
+sequence plus the (path-free) primal value at that pair. Two candidates are
+kept, and the smaller primal value certifies: the weighted averages of flows
+and route entropies over the gradient points, whose gap decays at the
+accelerated rate, and the single loading of lowest primal value seen so far,
+whose gap falls with the dual value's error while the average still carries
+the weight of the early loadings. The gap is nonnegative up to round-off and
+vanishes exactly at equilibrium. The run stops once the gap reaches
+``gap_tol``, or once it is within a few units of round-off of ``|dual| +
+|primal|``, where the two values agree to their last bits, or at
+``max_iters``; the certificate's ``stop`` field names which
+(``gap_reached``, ``roundoff`` or ``iteration_cap``).
 """
 
 from __future__ import annotations
@@ -104,11 +109,14 @@ class IterationRecord:
 
 @dataclass
 class GapCertificate:
-    """Dual value at the estimate plus primal value at the averaged pair.
+    """Dual value at the estimate plus primal value at the certifying pair.
 
-    ``avg_flows`` and ``avg_entropy`` are that pair: the weighted averages of
-    every level's edge flows and of the nested entropy term. ``stop`` says
-    why the run that produced it ended: ``"gap_reached"``, ``"roundoff"`` or
+    ``avg_flows`` and ``avg_entropy`` are that pair: every level's edge flows
+    and the nested entropy term of the point with the smaller primal value,
+    which ``primal_point`` names. ``"average"`` is the weighted average over
+    all loadings made at the gradient points, ``"loading"`` the single
+    loading of lowest primal value among them. ``stop`` says why the run that
+    produced it ended: ``"gap_reached"``, ``"roundoff"`` or
     ``"iteration_cap"`` (see ``_stop_reason``).
     """
 
@@ -119,6 +127,7 @@ class GapCertificate:
     avg_flows: list[list[float]]
     avg_entropy: float
     stop: str
+    primal_point: str
 
 
 def alpha_step(alpha_k: float, L_k: float, L_next: float) -> tuple[float, float]:
@@ -291,12 +300,14 @@ class _DualSmooth:
         return dual_smooth_value(self.net, t.tolist())
 
 
-class _PrimalAverager:
-    """Weighted running averages of flows and nested entropy terms.
+class _PrimalCandidates:
+    """Primal candidates of the certificate: the weighted running averages of
+    flows and nested entropy terms, and the single loading of lowest primal
+    value so far.
 
-    The flow sums are one array over every edge of every level, in level
-    order, whose plain edges sit at ``plain`` (``_plain_positions``); the
-    cost integrals of the primal value go through ``table``.
+    Flows are one array over every edge of every level, in level order,
+    whose plain edges sit at ``plain`` (``_plain_positions``); the cost
+    integrals of the primal values go through ``table``.
     """
 
     def __init__(self, net: NetworkHierarchy, table: CostTable, plain: np.ndarray) -> None:
@@ -310,22 +321,38 @@ class _PrimalAverager:
         self.plain = plain
         self.flow_sums = np.zeros(offsets[-1])
         self.entropy_sum = 0.0
+        self.average_value = math.inf
+        self.loading: tuple[float, np.ndarray | None, float] = (math.inf, None, math.nan)
 
-    def add(self, alpha: float, result: LoadResult) -> None:
+    def add(self, alpha: float, result: LoadResult) -> float:
+        """Fold in the loading made with step weight ``alpha``; returns the
+        smaller primal value of the two candidates."""
         import numpy as np
 
+        flows = np.concatenate(result.flows)
+        entropy = entropy_term(self.net, result)
         self.weight += alpha
-        self.flow_sums += alpha * np.concatenate(result.flows)
-        self.entropy_sum += alpha * entropy_term(self.net, result)
+        self.flow_sums += alpha * flows
+        self.entropy_sum += alpha * entropy
+        self.average_value = self.table.integral(
+            self.flow_sums[self.plain] / self.weight, start=self.entropy_sum / self.weight
+        )
+        value = self.table.integral(flows[self.plain], start=entropy)
+        if value < self.loading[0]:
+            self.loading = (value, flows, entropy)
+        return min(self.average_value, self.loading[0])
 
-    def averaged_flows(self) -> list[list[float]]:
+    def point(self) -> tuple[str, float, list[list[float]], float]:
+        """The certifying candidate: its name, primal value, per-level flows
+        and nested entropy term. The average wins ties."""
         import numpy as np
 
-        return [part.tolist() for part in np.split(self.flow_sums / self.weight, self.level_ends)]
-
-    def primal_value(self) -> float:
-        avg_plain = self.flow_sums[self.plain] / self.weight
-        return self.table.integral(avg_plain, start=self.entropy_sum / self.weight)
+        if self.average_value <= self.loading[0]:
+            kind, value = "average", self.average_value
+            flows, entropy = self.flow_sums / self.weight, self.entropy_sum / self.weight
+        else:
+            kind, (value, flows, entropy) = "loading", self.loading
+        return kind, value, [part.tolist() for part in np.split(flows, self.level_ends)], entropy
 
 
 def solve(
@@ -335,29 +362,31 @@ def solve(
 ) -> tuple[list[float], GapCertificate, list[IterationRecord]]:
     """Equilibrium solve of the network dual from free-flow times.
 
-    Returns the final dual point, the duality-gap certificate at the
-    averaged primal pair, and the per-iteration history.
+    Returns the final dual point, the duality-gap certificate at the primal
+    candidate of smaller value (see ``GapCertificate``), and the
+    per-iteration history.
     """
     cfg = cfg or SolverConfig()
     start = net.free_flow_times() if t0 is None else [float(v) for v in t0]
     table = CostTable(net.plain_costs())
     plain = _plain_positions(net)
-    averager = _PrimalAverager(net, table, plain)
+    candidates = _PrimalCandidates(net, table, plain)
 
     def on_accept(info: StepInfo) -> float:
-        averager.add(info.alpha, info.aux)
-        return info.dual_value + averager.primal_value()
+        return info.dual_value + candidates.add(info.alpha, info.aux)
 
     t_final, history = minimize_composite(_DualSmooth(net, plain), table, start, cfg, on_accept)
+    kind, primal_value, flows, entropy = candidates.point()
     certificate = GapCertificate(
         dual_value=history[-1].dual_value,
-        primal_value=averager.primal_value(),
+        primal_value=primal_value,
         gap=history[-1].gap,
         T=history[-1].iter,
-        avg_flows=averager.averaged_flows(),
-        avg_entropy=averager.entropy_sum / averager.weight,
+        avg_flows=flows,
+        avg_entropy=entropy,
         stop=_stop_reason(history[-1].gap, history[-1].dual_value, cfg.gap_tol)
         or "iteration_cap",
+        primal_point=kind,
     )
     return t_final.tolist(), certificate, history
 

@@ -336,8 +336,25 @@ class TestSolveCommand:
         assert cert["stop"] == stop
         # Deterministic fields only: no wall-clock data.
         assert set(cert) == {
-            "manifest", "dual_value", "primal_value", "gap", "T", "stop", "L2_diagnostic"
+            "manifest", "dual_value", "primal_value", "gap", "T", "stop", "primal_point",
+            "L2_diagnostic",
         }
+
+    def test_outputs_match_the_library_solve(self, tmp_path):
+        out = tmp_path / "out"
+        network = FIXTURES / "two_level.json"
+        assert run_cli("solve", "--network", network, "--out", out) == 0
+        _, cert, history = sueflow.solve(parse_network(network))
+        doc = json.loads((out / "certificate.json").read_text())
+        assert (doc["primal_point"], doc["primal_value"], doc["T"]) == (
+            cert.primal_point, cert.primal_value, cert.T
+        )
+        lines = (out / "history.csv").read_text().splitlines()[1:]
+        assert lines[0] == "iter,L_used,n_func_evals,dual_value,gap,alpha,A"
+        rows = [line.split(",") for line in lines[1:]]
+        assert [(int(r[0]), float(r[5]), float(r[6])) for r in rows] == [
+            (rec.iter, rec.alpha, rec.A) for rec in history
+        ]
 
     def test_malformed_network_gives_exit_2(self, tmp_path):
         bad = tmp_path / "bad.json"

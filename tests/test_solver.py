@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sueflow import (
     AffineCost,
@@ -26,11 +27,24 @@ from sueflow import (
     solve,
 )
 from sueflow.costs import CostTable
-from sueflow.loading import network_loading, surrogate_primal
+from sueflow.loading import (
+    LoadResult,
+    entropy_term,
+    network_loading,
+    surrogate_primal,
+    verify_conservation,
+)
 from sueflow.solver import _DualSmooth, _plain_positions, _stop_reason, minimize_composite
 from sueflow import oracle
 
-from conftest import any_dag_hierarchy, chain3_net, grid3_level, parallel_net, two_edge_net
+from conftest import (
+    any_dag_hierarchy,
+    chain3_net,
+    grid3_level,
+    parallel_net,
+    random_hierarchy,
+    two_edge_net,
+)
 
 X_STAR = 0.662584192828800  # root of ln(x/(1-x)) = 2 - 2x, frozen from bisection
 
@@ -517,3 +531,89 @@ class TestStepEstimate:
         # A gap below zero is within any tolerance, as the exit code has it.
         assert _stop_reason(-c * eps, -c, 0.0) == "gap_reached"
         assert _stop_reason(c * 64 * eps, -c, 0.0) is None
+
+
+class TestBestPointCertificate:
+    """The certificate pairs the dual value with the smaller primal value of
+    the running average and the best single loading seen."""
+
+    # Draws whose averaged certificate fell only like 1/A_k: each took more
+    # than 400 iterations to reach gap 1e-10 when the average alone certified.
+    @pytest.mark.parametrize("seed", [27, 43, 100, 103, 107, 148, 157, 166, 168])
+    def test_slow_draws_reach_the_gap(self, seed):
+        net, t = random_hierarchy(seed)
+        _, cert, _ = solve(net, SolverConfig(gap_tol=1e-10, max_iters=50), t)
+        assert cert.stop == "gap_reached"
+        assert cert.primal_point == "loading"
+
+    @given(seed=st.integers(0, 299))
+    @settings(max_examples=30, deadline=None)
+    def test_certificate_is_a_valid_primal_point(self, seed):
+        net, t = random_hierarchy(seed)
+        cfg = SolverConfig(gap_tol=1e-10, max_iters=100)
+        _, cert, history = solve(net, cfg, t)
+        assert cert.primal_point in ("average", "loading")
+        scale = abs(cert.dual_value) + abs(cert.primal_value)
+        assert cert.primal_value == pytest.approx(
+            surrogate_primal(net, cert.avg_flows, cert.avg_entropy), rel=1e-13, abs=1e-13
+        )
+        assert cert.gap == cert.dual_value + cert.primal_value
+        assert cert.gap >= -8 * np.finfo(float).eps * scale
+        demands = [[od.demand for od in net.levels[0].od_pairs]]
+        for k in range(net.num_levels - 1):
+            portal = net.levels[k].index.portal_for_od
+            demands.append(
+                [cert.avg_flows[k][portal[j]] for j in range(len(net.levels[k + 1].od_pairs))]
+            )
+        reported = LoadResult(
+            smooth_value=0.0, flows=cert.avg_flows, induced_demands=demands, entropies=[]
+        )
+        verify_conservation(net, reported)
+
+        average, loadings, replay = replay_candidates(net, t, cert.T)
+        assert [r.dual_value for r in replay] == [r.dual_value for r in history]
+        slack = 8 * np.finfo(float).eps * scale
+        assert cert.primal_value <= average + slack
+        assert cert.primal_value <= min(loadings) + slack
+
+    def test_average_certifies_when_lower(self):
+        # Two iterations in, this draw's average lies 0.5 % below both loadings.
+        net, t = random_hierarchy(166)
+        _, cert, _ = solve(net, SolverConfig(gap_tol=0.0, max_iters=2), t)
+        average, loadings, _ = replay_candidates(net, t, 2)
+        assert cert.primal_point == "average"
+        assert cert.primal_value == pytest.approx(average, rel=1e-13)
+        assert average < min(loadings) - 1e-3 * abs(average)
+
+
+def replay_candidates(net, t, iters):
+    """Primal value of the reference running average and of each loading over
+    the first ``iters`` iterations of a solve from ``t``, and the history.
+
+    The acceptance hook's return value only decides when to stop, so these
+    are the iterates ``solve`` made.
+    """
+    weight = 0.0
+    flow_sums = [[0.0] * len(level.edges) for level in net.levels]
+    entropy_sum = 0.0
+    loadings = []
+
+    def on_accept(info):
+        nonlocal weight, entropy_sum
+        weight += info.alpha
+        for sums, flows in zip(flow_sums, info.aux.flows):
+            for pos, f in enumerate(flows):
+                sums[pos] += info.alpha * f
+        entropy = entropy_term(net, info.aux)
+        entropy_sum += info.alpha * entropy
+        loadings.append(surrogate_primal(net, info.aux.flows, entropy))
+        return None
+
+    _, history = minimize_composite(
+        _DualSmooth(net, _plain_positions(net)), CostTable(net.plain_costs()), t,
+        SolverConfig(gap_tol=0.0, max_iters=iters), on_accept,
+    )
+    average = surrogate_primal(
+        net, [[f / weight for f in sums] for sums in flow_sums], entropy_sum / weight
+    )
+    return average, loadings, history
