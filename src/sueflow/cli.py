@@ -199,7 +199,7 @@ def serialize_network(net: NetworkHierarchy, path: str | Path) -> None:
     Path(path).write_text(json.dumps(network_to_dict(net), indent=2) + "\n")
 
 
-_CONFIG_KEYS = ("L0", "max_iters", "gap_tol", "max_backtracks_per_iter")
+_CONFIG_KEYS = ("L0", "max_iters", "gap_tol")
 
 
 def load_config(path: str | Path | None) -> SolverConfig:
@@ -212,7 +212,7 @@ def load_config(path: str | Path | None) -> SolverConfig:
     for key in _CONFIG_KEYS:
         if key in doc:
             value = doc[key]
-            if key in ("max_iters", "max_backtracks_per_iter"):
+            if key == "max_iters":
                 if not isinstance(value, int) or isinstance(value, bool):
                     raise _fail(f"{path}:{key}", f"expected an integer, got {value!r}")
                 kwargs[key] = value

@@ -6,18 +6,20 @@ conjugate ``sigma*`` of that integral (maximised over nonnegative flows),
 and the prox of the conjugate.
 
 The composite solver does not call these methods edge by edge: a
-``CostTable`` compiles the plain-edge costs of a network into one array per
-family and parameter, and evaluates the prox, the summed conjugate and the
-summed integral with one array kernel per family. The power-cost prox
-solves for the edge flow behind each prox point by Newton's method; the
-solver passes the flows of its latest loading, near which that root lies
-once the steps settle, so Newton starts there. The per-edge
-``travel_time``, ``integral`` and ``conjugate`` serve free-flow times and
-the loading module's objectives; the per-edge ``prox_conjugate`` is the
-scalar form of the table's prox, and ``PowerCost.prox_conjugate`` is a
-one-element call of the table's Newton kernel, started cold. numpy is
-imported only by the table and that kernel, so parsing and validation
-never load it.
+``CostTable`` compiles the plain-edge costs of a network into the one form
+``tau(f) = a + c*(f/s)**mu``, which holds every family (a constant cost has
+``c = 0``, an affine cost ``s = mu = 1``), and evaluates the summed
+conjugate and the summed integral with one array formula each. Its prox is
+one closed form too, except on power costs, where it solves for the edge
+flow behind each prox point by Newton's method; the solver passes the flows
+of its latest loading, near which that root lies once the steps settle, so
+Newton starts there. The per-edge methods are the independent reference
+for the table: ``travel_time``, ``integral`` and ``conjugate`` also serve
+free-flow times and the loading module's objectives, the per-edge
+``prox_conjugate`` is the scalar form of the table's prox, and
+``PowerCost.prox_conjugate`` is a one-element call of the table's Newton
+kernel, started cold. numpy is imported only by the table and that kernel,
+so parsing and validation never load it.
 """
 
 from __future__ import annotations
@@ -138,10 +140,11 @@ class AffineCost(LinkCost):
         self._check_step(step)
         if v <= self.a:
             return v
-        # Stationarity of (t - v)^2/(2 step) + (t - a)^2/(2 b) on t >= a. The
-        # exact root lies in [a, v]; the clamp removes rounding past either end.
-        t = (self.b * v + step * self.a) / (self.b + step)
-        return min(max(t, self.a), v)
+        # Stationarity of (t - v)^2/(2 step) + (t - a)^2/(2 b) on t >= a, in
+        # the table's form. The exact root lies in [a, v]; a plus a
+        # nonnegative term never falls below a, and the clamp removes
+        # rounding past v.
+        return min(self.a + self.b / (self.b + step) * (v - self.a), v)
 
 
 @dataclass(frozen=True)
@@ -194,14 +197,15 @@ class PowerCost(LinkCost):
         import numpy as np
 
         t = _power_prox(
-            np.array([v]), step, np.array([self.t0]), np.array([self.beta]),
+            np.array([v]), step, np.array([self.t0]), np.array([self.t0 * self.beta]),
             np.array([self.cap]), np.array([self.mu]),
         )
         return float(t[0])
 
 
-def _power_prox(v, step, t0, beta, cap, mu, flows=None):
-    """Prox of the power-cost conjugates, elementwise, for ``v > t0``.
+def _power_prox(v, step, t0, t0_beta, cap, mu, flows=None):
+    """Prox of the power-cost conjugates, elementwise, for ``v > t0``; the
+    congestion coefficient comes compiled as ``t0_beta = t0*beta``.
 
     The minimiser satisfies ``t = v - step*f`` with ``tau(f) = t``, so each
     element solves ``q(f) = tau(f) - v + step*f = 0``. ``q`` is convex and
@@ -219,7 +223,6 @@ def _power_prox(v, step, t0, beta, cap, mu, flows=None):
     import numpy as np
 
     excess = v - t0
-    t0_beta = t0 * beta
     hi = np.minimum(excess / step, cap * (excess / t0_beta) ** (1.0 / mu))
     lo = np.zeros_like(hi)
     f = hi.copy() if flows is None else np.fmin(np.fmax(flows, lo), hi)
@@ -260,122 +263,92 @@ def _power_prox(v, step, t0, beta, cap, mu, flows=None):
     return np.minimum(tau, v)
 
 
+# Each cost class's (a, c, s, mu) in the table's form.
+_TABLE_FORMS = {
+    ConstantCost: lambda cost: (cost.t0, 0.0, 1.0, 1.0),
+    AffineCost: lambda cost: (cost.a, cost.b, 1.0, 1.0),
+    PowerCost: lambda cost: (cost.t0, cost.t0 * cost.beta, cost.cap, cost.mu),
+}
+
+
 class CostTable:
-    """Plain-edge costs compiled into one array per family and parameter.
+    """Plain-edge costs compiled into the one form ``tau(f) = a + c*(f/s)**mu``.
 
     ``costs`` is in the network's canonical plain-edge order, and so are the
-    arrays the kernels take and return. Each family keeps the positions of
-    its edges (``const_idx``, ``affine_idx``, ``power_idx``) and its
-    parameters in that order; a family with no edges has empty arrays.
+    arrays ``a``, ``c``, ``s``, ``mu`` and the arrays the kernels take and
+    return. A constant cost compiles to ``(t0, 0, 1, 1)``, an affine cost to
+    ``(a, b, 1, 1)`` and a power cost to ``(t0, t0*beta, cap, mu)``; the
+    ``newton`` mask marks the power costs, whose prox has no closed form.
     """
 
     def __init__(self, costs: Sequence[LinkCost]) -> None:
         import numpy as np
 
-        families: dict[type, list[tuple[int, LinkCost]]] = {
-            ConstantCost: [], AffineCost: [], PowerCost: [],
-        }
-        for pos, cost in enumerate(costs):
-            if type(cost) not in families:
+        forms = []
+        for cost in costs:
+            if type(cost) not in _TABLE_FORMS:
                 raise TypeError(f"unknown cost class {type(cost).__name__}")
-            families[type(cost)].append((pos, cost))
-
-        def column(family: type, attr: str | None = None) -> np.ndarray:
-            if attr is None:
-                return np.array([pos for pos, _ in families[family]], dtype=np.intp)
-            return np.array([getattr(c, attr) for _, c in families[family]], dtype=np.float64)
-
-        self.size = len(costs)
-        self.const_idx, self.const_t0 = column(ConstantCost), column(ConstantCost, "t0")
-        self.affine_idx = column(AffineCost)
-        self.affine_a, self.affine_b = column(AffineCost, "a"), column(AffineCost, "b")
-        self.power_idx = column(PowerCost)
-        self.power_params = tuple(column(PowerCost, attr) for attr in ("t0", "beta", "cap", "mu"))
-        t0, beta, cap, mu = self.power_params
-        # Coefficient of the power integral's polynomial term.
-        self._power_int_coef = t0 * beta * cap / (mu + 1.0)
+            forms.append(_TABLE_FORMS[type(cost)](cost))
+        self.a, self.c, self.s, self.mu = np.array(forms, dtype=np.float64).reshape(-1, 4).T
+        self.newton = np.array([type(cost) is PowerCost for cost in costs], dtype=bool)
+        # Where c = 0 the conjugate's domain ends at a, so d = t - a is 0 in it
+        # and any divisor serves.
+        self._c_div = np.where(self.c > 0.0, self.c, 1.0)
+        self._int_coef = self.c * self.s / (self.mu + 1.0)
 
     def prox(self, v: np.ndarray, step: float, flows: np.ndarray | None = None) -> np.ndarray:
         """Elementwise ``argmin_t (t - v)**2 / (2*step) + conjugate(t)``.
 
-        A clamp at ``t0`` for constant costs, the closed form for affine
-        costs and the array Newton of ``_power_prox`` for power costs; below
-        free flow the prox is the identity. ``flows``, in plain-edge order,
-        estimates each edge's flow ``(v - t)/step`` at the answer; the power
-        costs' Newton iteration starts there instead of at the top of its
-        bracket. Any estimate gives the same answer up to Newton's
-        tolerance.
+        The identity up to ``a``; above it, the closed form
+        ``min(a + c*(v - a)/(c + step), v)``, which is ``a`` when ``c = 0``,
+        except on the Newton edges, which take the array Newton of
+        ``_power_prox``. ``flows``, in plain-edge order, estimates each
+        edge's flow ``(v - t)/step`` at the answer; Newton starts there
+        instead of at the top of its bracket. Any estimate gives the same
+        answer up to Newton's tolerance.
         """
         import numpy as np
 
         if step <= 0.0:
             raise ValueError(f"prox step must be positive, got {step}")
-        t = np.array(v, dtype=np.float64)
-        if self.const_idx.size:
-            t[self.const_idx] = np.minimum(t[self.const_idx], self.const_t0)
-        if self.affine_idx.size:
-            va, a, b = t[self.affine_idx], self.affine_a, self.affine_b
-            # Stationarity of (t - v)^2/(2 step) + (t - a)^2/(2 b) on t >= a,
-            # clamped into [a, v] as in AffineCost.prox_conjugate.
-            root = np.minimum(np.maximum((b * va + step * a) / (b + step), a), va)
-            t[self.affine_idx] = np.where(va <= a, va, root)
-        if self.power_idx.size:
-            vp = t[self.power_idx]
-            fp = None if flows is None else np.asarray(flows, dtype=np.float64)[self.power_idx]
-            congested = vp > self.power_params[0]
-            if congested.all():
-                t[self.power_idx] = _power_prox(vp, step, *self.power_params, flows=fp)
-            elif congested.any():
-                t[self.power_idx[congested]] = _power_prox(
-                    vp[congested], step, *(p[congested] for p in self.power_params),
-                    flows=None if fp is None else fp[congested],
-                )
+        v = np.asarray(v, dtype=np.float64)
+        a, c = self.a, self.c
+        # fmax takes the negative excess below a to 0, and so the NaN of
+        # 0 * inf at a constant cost's v = +inf.
+        with np.errstate(invalid="ignore"):
+            t = np.minimum(a + np.fmax(c / (c + step) * (v - a), 0.0), v)
+        hot = self.newton & (v > a)
+        if hot.any():
+            t[hot] = _power_prox(
+                v[hot], step, a[hot], c[hot], self.s[hot], self.mu[hot],
+                flows=None if flows is None else np.asarray(flows, dtype=np.float64)[hot],
+            )
         return t
 
     def conjugate(self, t: np.ndarray) -> float:
         """Sum of the conjugates at ``t``; ``+inf`` outside the domain."""
         import numpy as np
 
-        if self.const_idx.size and (t[self.const_idx] > self.const_t0).any():
+        d = np.maximum(t - self.a, 0.0)
+        if (d[self.c == 0.0] > 0.0).any():
             return math.inf
-        terms = []  # the constant costs add 0 inside their domain
-        if self.affine_idx.size:
-            d = np.maximum(t[self.affine_idx] - self.affine_a, 0.0)
-            terms.append((self.affine_idx, d * d / (2.0 * self.affine_b)))
-        if self.power_idx.size:
-            t0, beta, cap, mu = self.power_params
-            d = np.maximum(t[self.power_idx] - t0, 0.0)
-            f = cap * (d / (t0 * beta)) ** (1.0 / mu)
-            terms.append((self.power_idx, f * d * mu / (mu + 1.0)))
-        return self._ordered_sum(0.0, terms)
+        # f*t - integral(f) at tau(f) = t, simplified so that nothing cancels
+        # near free flow.
+        f = self.s * (d / self._c_div) ** (1.0 / self.mu)
+        return _ordered_sum(0.0, f * d * self.mu / (self.mu + 1.0))
 
     def integral(self, f: np.ndarray, start: float = 0.0) -> float:
         """``start`` plus the sum of the cost integrals at the flows ``f``."""
-        terms = []
-        if self.const_idx.size:
-            terms.append((self.const_idx, self.const_t0 * f[self.const_idx]))
-        if self.affine_idx.size:
-            fa = f[self.affine_idx]
-            terms.append((self.affine_idx, self.affine_a * fa + 0.5 * self.affine_b * fa * fa))
-        if self.power_idx.size:
-            t0, _, cap, mu = self.power_params
-            fp = f[self.power_idx]
-            poly = self._power_int_coef * (fp / cap) ** (mu + 1.0)
-            terms.append((self.power_idx, t0 * fp + poly))
-        return self._ordered_sum(start, terms)
+        return _ordered_sum(start, self.a * f + self._int_coef * (f / self.s) ** (self.mu + 1.0))
 
-    def _ordered_sum(self, start: float, terms: list[tuple[np.ndarray, np.ndarray]]) -> float:
-        """``start`` plus the per-edge ``(positions, values)`` of each family,
-        added left to right in plain-edge order: the order of the per-edge
-        loops that the table replaces, so a sum of the same values keeps its
-        bits. Positions no family lists add 0."""
-        import numpy as np
 
-        ordered = np.zeros(self.size + 1)
-        ordered[0] = start
-        for idx, values in terms:
-            ordered[1 + idx] = values
-        return float(np.add.accumulate(ordered)[-1])
+def _ordered_sum(start: float, values: np.ndarray) -> float:
+    """``start`` plus ``values`` added left to right in plain-edge order: the
+    order of the per-edge loops that the table replaces, so a sum of the same
+    values keeps its bits."""
+    import numpy as np
+
+    return float(np.add.accumulate(np.concatenate(([start], values)))[-1])
 
 
 _COST_TYPES = {

@@ -12,10 +12,11 @@ makes the mixing weight ``1 / (alpha' * L')`` a valid convex-combination
 coefficient and the weight sum telescope into the accumulated ``A``.
 
 The composite step is vectorised: the iterates are float64 arrays, the
-link-cost conjugates are compiled once per solve into a ``CostTable``, and
-each prox, the summed conjugate of the dual value and the cost integrals
-of the primal value run as one array kernel per cost family. Both proxes
-of an iteration start the power costs' Newton iteration at the flows of
+link-cost conjugates are compiled once per solve into a ``CostTable`` of
+one cost form, and each prox, the summed conjugate of the dual value and
+the cost integrals of the primal value run as one array formula over all
+edges, with a Newton iteration only where a power cost's prox needs it.
+Both proxes of an iteration start that Newton iteration at the flows of
 the loading just made, minus the gradient: the prox's flow variable
 ``(v - t)/step`` is minus the gradient plus the step's own move over its
 step size, so it tends to the loading's flows as the iterates settle.
@@ -74,6 +75,8 @@ __all__ = [
 _SECANT_MARGIN = 1.5
 # Units of round-off in |dual| + |primal| below which a gap is noise.
 _ROUNDOFF_ULPS = 8.0
+# Doublings of the local Lipschitz estimate allowed within one iteration.
+_MAX_BACKTRACKS = 60
 
 
 class BacktrackBudgetError(Exception):
@@ -85,14 +88,13 @@ class SolverConfig:
     L0: float = 1.0
     max_iters: int = 20000
     gap_tol: float = 1e-8
-    max_backtracks_per_iter: int = 60
 
     def __post_init__(self) -> None:
-        if self.L0 <= 0.0:
-            raise ValueError(f"L0 must be positive, got {self.L0}")
+        if not (math.isfinite(self.L0) and self.L0 > 0.0):
+            raise ValueError(f"L0 must be finite and positive, got {self.L0}")
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
-        if self.gap_tol < 0.0:
+        if not self.gap_tol >= 0.0:  # NaN fails too
             raise ValueError(f"gap_tol must be nonnegative, got {self.gap_tol}")
 
 
@@ -202,10 +204,10 @@ def minimize_composite(
             if fy <= fx + grad_d + 0.5 * L * d_d + 1e-12 * abs(fx):
                 break
             doublings += 1
-            if doublings > cfg.max_backtracks_per_iter:
+            if doublings > _MAX_BACKTRACKS:
                 raise BacktrackBudgetError(
                     f"no acceptable local Lipschitz estimate within "
-                    f"{cfg.max_backtracks_per_iter} doublings at iteration {k}"
+                    f"{_MAX_BACKTRACKS} doublings at iteration {k}"
                 )
             L *= 2.0
         z = table.prox(z - alpha_next * grad, alpha_next, flows)

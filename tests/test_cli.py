@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import sueflow
-from sueflow import AffineCost, PowerCost
+from sueflow import AffineCost, PowerCost, solver
 from sueflow.cli import (
     ParseError,
     load_config,
@@ -109,7 +109,7 @@ class TestParseNetwork:
 class TestConfig:
     def test_defaults(self):
         cfg = load_config(None)
-        assert cfg.L0 == 1.0 and cfg.max_backtracks_per_iter == 60
+        assert cfg.L0 == 1.0 and solver._MAX_BACKTRACKS == 60
 
     def test_reads_values(self, tmp_path):
         p = tmp_path / "cfg.json"
@@ -120,6 +120,12 @@ class TestConfig:
     def test_unknown_key_rejected(self, tmp_path):
         p = tmp_path / "cfg.json"
         p.write_text('{"step_size": 2.0}')
+        with pytest.raises(ParseError, match="unknown keys"):
+            load_config(p)
+
+    def test_retired_backtrack_key_rejected(self, tmp_path):
+        p = tmp_path / "cfg.json"
+        p.write_text('{"max_backtracks_per_iter": 0}')
         with pytest.raises(ParseError, match="unknown keys"):
             load_config(p)
 
@@ -361,9 +367,10 @@ class TestSolveCommand:
         bad.write_text("{}")
         assert run_cli("solve", "--network", bad, "--out", tmp_path / "o") == 2
 
-    def test_backtrack_failure_gives_exit_3(self, tmp_path):
+    def test_backtrack_failure_gives_exit_3(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(solver, "_MAX_BACKTRACKS", 0)
         cfg = tmp_path / "cfg.json"
-        cfg.write_text('{"L0": 1e-9, "max_backtracks_per_iter": 0}')
+        cfg.write_text('{"L0": 1e-9}')
         out = tmp_path / "out"
         code = run_cli(
             "solve", "--network", FIXTURES / "two_edge.json", "--config", cfg, "--out", out

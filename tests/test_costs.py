@@ -397,6 +397,55 @@ class TestCostTable:
         for cost, vi, ti in zip(costs, v.tolist(), t.tolist()):
             assert ti == pytest.approx(cost.prox_conjugate(vi, 0.7), rel=1e-15)
 
+    def test_prox_at_infinity(self):
+        # A constant cost's c*(v - a) would be 0 * inf there.
+        t = CostTable([ConstantCost(2.0), AffineCost(1.0, 3.0)]).prox(
+            np.array([math.inf, math.inf]), 0.5
+        )
+        assert t.tolist() == [2.0, math.inf]
+
+    @pytest.mark.parametrize("step", [1e-3, 0.5, 1e3])
+    def test_constant_prox_above_free_flow_is_free_flow(self, step):
+        t0 = 1.7
+        table = CostTable([ConstantCost(t0)])
+        for v in (math.nextafter(t0, math.inf), t0 + 0.5, 1e300):
+            t = table.prox(np.array([v]), step)
+            assert float(t[0]) == t0
+            # One ulp past t0 would put the dual value at inf.
+            assert table.conjugate(t) == 0.0
+
+    @given(
+        t0=st.floats(0.01, 100.0),
+        beta=st.floats(0.01, 10.0),
+        cap=st.floats(0.1, 1000.0),
+        offset=st.floats(0.0, 10.0),
+        flow=st.floats(0.0, 1e3),
+        step=st.floats(1e-3, 1e3),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_linear_power_cost_is_affine(self, t0, beta, cap, offset, flow, step):
+        power = CostTable([PowerCost(t0, beta, cap, 1.0)])
+        affine = CostTable([AffineCost(t0, t0 * beta / cap)])
+        t, f = np.array([t0 + offset * t0]), np.array([flow])
+        assert power.conjugate(t) == pytest.approx(affine.conjugate(t), rel=1e-12, abs=0.0)
+        assert power.integral(f) == pytest.approx(affine.integral(f), rel=1e-12, abs=0.0)
+        assert float(power.prox(t, step)[0]) == pytest.approx(
+            float(affine.prox(t, step)[0]), rel=1e-10
+        )
+
+    def test_huge_capacity_stays_finite(self):
+        # (f/cap)**mu must not be formed as f**mu / cap**mu: cap**mu overflows.
+        cost = PowerCost(1.0, 0.15, 1e150, 4.0)
+        table = CostTable([cost])
+        for f in (1e140, 1e149, 1e150, 3e150):
+            value = table.integral(np.array([f]))
+            assert math.isfinite(value)
+            assert value == pytest.approx(cost.integral(f), rel=1e-12, abs=0.0)
+        for t in (1.0 + 1e-12, 1.1, 1.15, 3.0):
+            value = table.conjugate(np.array([t]))
+            assert math.isfinite(value)
+            assert value == pytest.approx(cost.conjugate(t), rel=1e-12, abs=0.0)
+
     def test_unknown_cost_class_rejected(self):
         class Odd(ConstantCost):
             pass

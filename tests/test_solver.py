@@ -36,6 +36,7 @@ from sueflow.loading import (
 )
 from sueflow.solver import _DualSmooth, _plain_positions, _stop_reason, minimize_composite
 from sueflow import oracle
+from sueflow import solver as solver_module
 
 from conftest import (
     any_dag_hierarchy,
@@ -63,6 +64,17 @@ class Quadratic:
 
     def value(self, t):
         return 0.5 * sum(d * (x - c) ** 2 for d, x, c in zip(self.diag, t, self.center))
+
+
+class TestSolverConfig:
+    @pytest.mark.parametrize(
+        "field, value",
+        [("L0", math.nan), ("L0", math.inf), ("L0", 0.0), ("gap_tol", math.nan),
+         ("gap_tol", -1e-9)],
+    )
+    def test_bad_setting_raises_naming_the_field(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            SolverConfig(**{field: value})
 
 
 class TestAlphaStep:
@@ -220,9 +232,10 @@ class TestSolve:
         assert len(history) == 7
         assert cert.T == 7
 
-    def test_backtrack_budget_error(self):
+    def test_backtrack_budget_error(self, monkeypatch):
+        monkeypatch.setattr(solver_module, "_MAX_BACKTRACKS", 0)
         net = two_edge_net()
-        cfg = SolverConfig(L0=1e-9, max_backtracks_per_iter=0, max_iters=10)
+        cfg = SolverConfig(L0=1e-9, max_iters=10)
         with pytest.raises(BacktrackBudgetError):
             solve(net, cfg)
 
