@@ -1,4 +1,9 @@
-"""Command-line front end and the network file format.
+"""Command-line front end and the file formats.
+
+The only module that reads the input files: the network, with its link
+costs (``cost_from_dict``), the edge times and the solver config. It
+rejects malformed and non-finite values, naming their JSON path, and
+leaves the model's rules to ``validate_hierarchy``.
 
 Subcommands: ``validate`` checks a network file, ``load`` performs one
 network loading at given edge times, ``solve`` runs the equilibrium solver.
@@ -20,7 +25,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .costs import ProxConvergenceError, cost_from_dict, cost_to_dict
+from .costs import AffineCost, ConstantCost, LinkCost, PowerCost, ProxConvergenceError
 from .loading import LoadingError, network_loading, hierarchical_weights
 from .model import (
     Edge,
@@ -32,7 +37,7 @@ from .model import (
 )
 from .solver import BacktrackBudgetError, SolverConfig, lipschitz_bound_diagnostic, solve
 
-__all__ = ["ParseError", "parse_network", "serialize_network", "load_config", "main"]
+__all__ = ["ParseError", "parse_network", "load_config", "main"]
 
 _FORMAT_VERSION = 1
 
@@ -153,11 +158,6 @@ def network_from_dict(doc: dict) -> NetworkHierarchy:
             _require_keys(oobj, owhere, ("origin", "destination"), ("demand",))
             demand = None
             if "demand" in oobj:
-                if k > 0:
-                    raise _fail(
-                        f"{owhere}.demand",
-                        "demands below level 1 are induced by portal flow, not data",
-                    )
                 demand = _number(oobj["demand"], f"{owhere}.demand")
             od_pairs.append(
                 ODPair(
@@ -170,33 +170,34 @@ def network_from_dict(doc: dict) -> NetworkHierarchy:
     return NetworkHierarchy(levels=levels, gammas=gammas)
 
 
-def network_to_dict(net: NetworkHierarchy) -> dict:
-    levels = []
-    for level in net.levels:
-        edges = []
-        for e in level.edges:
-            if e.is_plain:
-                edges.append(
-                    {"id": e.id, "from": e.tail, "to": e.head, "kind": "plain",
-                     "cost": cost_to_dict(e.cost)}
-                )
-            else:
-                edges.append(
-                    {"id": e.id, "from": e.tail, "to": e.head, "kind": "portal",
-                     "target_od": {"level": e.target_od.level + 1, "od": e.target_od.od}}
-                )
-        od_pairs = []
-        for od in level.od_pairs:
-            obj = {"origin": od.origin, "destination": od.destination}
-            if od.demand is not None:
-                obj["demand"] = od.demand
-            od_pairs.append(obj)
-        levels.append({"nodes": list(level.nodes), "edges": edges, "od_pairs": od_pairs})
-    return {"version": _FORMAT_VERSION, "gammas": list(net.gammas), "levels": levels}
+_COST_TYPES = {
+    "constant": (ConstantCost, ("t0",)),
+    "affine": (AffineCost, ("a", "b")),
+    "power": (PowerCost, ("t0", "beta", "cap", "mu")),
+}
 
 
-def serialize_network(net: NetworkHierarchy, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(network_to_dict(net), indent=2) + "\n")
+def cost_from_dict(obj: dict) -> LinkCost:
+    """Build a cost from its file form, rejecting unknown types and keys."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"cost must be an object, got {type(obj).__name__}")
+    kind = obj.get("type")
+    if kind not in _COST_TYPES:
+        raise ValueError(f"unknown cost type {kind!r}")
+    cls, fields = _COST_TYPES[kind]
+    extra = set(obj) - {"type", *fields}
+    if extra:
+        raise ValueError(f"unknown cost keys {sorted(extra)} for type {kind!r}")
+    missing = [k for k in fields if k not in obj]
+    if missing:
+        raise ValueError(f"missing cost keys {missing} for type {kind!r}")
+    params = {}
+    for k in fields:
+        val = obj[k]
+        if not isinstance(val, (int, float)) or isinstance(val, bool) or not math.isfinite(val):
+            raise ValueError(f"cost parameter {k!r} must be a finite number, got {val!r}")
+        params[k] = float(val)
+    return cls(**params)
 
 
 _CONFIG_KEYS = ("L0", "max_iters", "gap_tol")

@@ -20,6 +20,10 @@ free-flow times and the loading module's objectives, the per-edge
 ``PowerCost.prox_conjugate`` is a one-element call of the table's Newton
 kernel, started cold. numpy is imported only by the table and that kernel,
 so parsing and validation never load it.
+
+This module holds only the math; the ``cli`` module reads the file form
+of a cost. Each class's constructor rejects a parameter that is
+non-finite or out of range.
 """
 
 from __future__ import annotations
@@ -38,8 +42,6 @@ __all__ = [
     "PowerCost",
     "CostTable",
     "ProxConvergenceError",
-    "cost_from_dict",
-    "cost_to_dict",
 ]
 
 # Newton iterations allowed to the power-cost prox before it gives up.
@@ -89,8 +91,8 @@ class ConstantCost(LinkCost):
     t0: float
 
     def __post_init__(self) -> None:
-        if self.t0 <= 0.0:
-            raise ValueError(f"constant cost requires t0 > 0, got {self.t0}")
+        if not 0.0 < self.t0 < math.inf:
+            raise ValueError(f"constant cost requires finite t0 > 0, got {self.t0}")
 
     def travel_time(self, f: float) -> float:
         self._check_flow(f)
@@ -111,16 +113,16 @@ class ConstantCost(LinkCost):
 
 @dataclass(frozen=True)
 class AffineCost(LinkCost):
-    """Linear congestion ``tau(f) = a + b*f`` with ``a >= 0``, ``b > 0``."""
+    """Linear congestion ``tau(f) = a + b*f`` with finite ``a >= 0``, ``b > 0``."""
 
     a: float
     b: float
 
     def __post_init__(self) -> None:
-        if self.a < 0.0:
-            raise ValueError(f"affine cost requires a >= 0, got {self.a}")
-        if self.b <= 0.0:
-            raise ValueError(f"affine cost requires b > 0, got {self.b}")
+        if not 0.0 <= self.a < math.inf:
+            raise ValueError(f"affine cost requires finite a >= 0, got {self.a}")
+        if not 0.0 < self.b < math.inf:
+            raise ValueError(f"affine cost requires finite b > 0, got {self.b}")
 
     def travel_time(self, f: float) -> float:
         self._check_flow(f)
@@ -151,8 +153,8 @@ class AffineCost(LinkCost):
 class PowerCost(LinkCost):
     """BPR-style polynomial congestion.
 
-    ``tau(f) = t0 * (1 + beta * (f / cap) ** mu)`` with ``t0, beta, cap > 0``
-    and exponent ``mu >= 1``.
+    ``tau(f) = t0 * (1 + beta * (f / cap) ** mu)`` with finite ``t0, beta,
+    cap > 0`` and exponent ``mu >= 1``.
     """
 
     t0: float
@@ -161,14 +163,14 @@ class PowerCost(LinkCost):
     mu: float
 
     def __post_init__(self) -> None:
-        if self.t0 <= 0.0:
-            raise ValueError(f"power cost requires t0 > 0, got {self.t0}")
-        if self.beta <= 0.0:
-            raise ValueError(f"power cost requires beta > 0, got {self.beta}")
-        if self.cap <= 0.0:
-            raise ValueError(f"power cost requires cap > 0, got {self.cap}")
-        if self.mu < 1.0:
-            raise ValueError(f"power cost requires mu >= 1, got {self.mu}")
+        if not 0.0 < self.t0 < math.inf:
+            raise ValueError(f"power cost requires finite t0 > 0, got {self.t0}")
+        if not 0.0 < self.beta < math.inf:
+            raise ValueError(f"power cost requires finite beta > 0, got {self.beta}")
+        if not 0.0 < self.cap < math.inf:
+            raise ValueError(f"power cost requires finite cap > 0, got {self.cap}")
+        if not 1.0 <= self.mu < math.inf:
+            raise ValueError(f"power cost requires finite mu >= 1, got {self.mu}")
 
     def travel_time(self, f: float) -> float:
         self._check_flow(f)
@@ -349,43 +351,3 @@ def _ordered_sum(start: float, values: np.ndarray) -> float:
     import numpy as np
 
     return float(np.add.accumulate(np.concatenate(([start], values)))[-1])
-
-
-_COST_TYPES = {
-    "constant": (ConstantCost, ("t0",)),
-    "affine": (AffineCost, ("a", "b")),
-    "power": (PowerCost, ("t0", "beta", "cap", "mu")),
-}
-
-
-def cost_from_dict(obj: dict) -> LinkCost:
-    """Build a cost from its file form, rejecting unknown types and keys."""
-    if not isinstance(obj, dict):
-        raise ValueError(f"cost must be an object, got {type(obj).__name__}")
-    kind = obj.get("type")
-    if kind not in _COST_TYPES:
-        raise ValueError(f"unknown cost type {kind!r}")
-    cls, fields = _COST_TYPES[kind]
-    extra = set(obj) - {"type", *fields}
-    if extra:
-        raise ValueError(f"unknown cost keys {sorted(extra)} for type {kind!r}")
-    missing = [k for k in fields if k not in obj]
-    if missing:
-        raise ValueError(f"missing cost keys {missing} for type {kind!r}")
-    params = {}
-    for k in fields:
-        val = obj[k]
-        if not isinstance(val, (int, float)) or isinstance(val, bool) or not math.isfinite(val):
-            raise ValueError(f"cost parameter {k!r} must be a finite number, got {val!r}")
-        params[k] = float(val)
-    return cls(**params)
-
-
-def cost_to_dict(cost: LinkCost) -> dict:
-    if isinstance(cost, ConstantCost):
-        return {"type": "constant", "t0": cost.t0}
-    if isinstance(cost, AffineCost):
-        return {"type": "affine", "a": cost.a, "b": cost.b}
-    if isinstance(cost, PowerCost):
-        return {"type": "power", "t0": cost.t0, "beta": cost.beta, "cap": cost.cap, "mu": cost.mu}
-    raise TypeError(f"unknown cost class {type(cost).__name__}")

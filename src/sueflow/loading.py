@@ -204,25 +204,31 @@ def _softmin_cyclic(
         # Bellman-Ford: shortest paths have at most n - 1 edges, so a change
         # in round n means a negative cycle, around which the walk sum
         # diverges. A row that stops changing stays fixed.
+        # A distance that overflows is +inf, as if the node could not reach
+        # the destination: its trip cost then reads +inf, which the sweep
+        # reports as an overflow, and the edges at it are dropped below.
         bad = np.zeros(g, dtype=bool)
-        for _ in range(n):
-            relaxed = d.copy()
-            np.minimum.at(relaxed, at_tail, w_walk + d[at_head])
-            if (relaxed == d).all():
-                break
-            d, last = relaxed, d
-        else:
-            bad = (d != last).reshape(g, n).any(axis=1)
-        # Edges into nodes that reach the destination; their tails reach it too.
-        keep = np.isfinite(d[at_head]) & ~bad[rows]
-        at_tail, at_head, w_walk = at_tail[keep], at_head[keep], w_walk[keep]
-        system = np.empty((g, n, n))
-        system[:] = eye
-        np.subtract.at(
-            system.reshape(-1),
-            at_tail * n + heads[edges[keep]],
-            np.exp((d[at_tail] - w_walk - d[at_head]) / gamma),
-        )
+        with np.errstate(over="ignore"):
+            for _ in range(n):
+                relaxed = d.copy()
+                np.minimum.at(relaxed, at_tail, w_walk + d[at_head])
+                if (relaxed == d).all():
+                    break
+                d, last = relaxed, d
+            else:
+                bad = (d != last).reshape(g, n).any(axis=1)
+            # Edges between nodes at a finite distance; without an overflow,
+            # every edge into a node that reaches the destination.
+            keep = np.isfinite(d[at_head]) & np.isfinite(d[at_tail]) & ~bad[rows]
+            at_tail, at_head, w_walk = at_tail[keep], at_head[keep], w_walk[keep]
+            system = np.empty((g, n, n))
+            system[:] = eye
+            # An exponent that overflows to -inf is a term that rounds to 0.
+            np.subtract.at(
+                system.reshape(-1),
+                at_tail * n + heads[edges[keep]],
+                np.exp((d[at_tail] - w_walk - d[at_head]) / gamma),
+            )
         unit = np.zeros((g, n, 1))
         unit.reshape(-1)[at_dst] = 1.0
         try:
@@ -258,7 +264,8 @@ def _sweep_weights(
     ``t``, with the next level's trip costs after it, picked into edge order
     in one call. So ``t`` must hold exactly one value per plain edge, or
     ``ValueError`` names both lengths; a longer or shorter ``t`` would
-    shift the slices and misread the trip costs. Each field is
+    shift the slices and misread the trip costs. A NaN or infinite value
+    raises ``ValueError`` naming its edge and level. Each field is
     finite only on its destination's subgraph, which holds every origin
     that can reach the destination. An infinite trip cost raises
     ``NoPathError`` if the trip has no route, and ``LoadingError`` if its
@@ -268,6 +275,15 @@ def _sweep_weights(
     if len(t) != n_plain:
         raise ValueError(f"expected {n_plain} dual values, one per plain edge, got {len(t)}")
     values = list(map(float, t))
+    # A sum is finite only if every term is, so one sum screens the vector;
+    # a finite vector whose sum overflows passes the scan.
+    if not math.isfinite(sum(values)):
+        for value, (k, i) in zip(values, net.plain_edge_order()):
+            if not math.isfinite(value):
+                edge_id = net.levels[k].edges[i].id
+                raise ValueError(
+                    f"non-finite time {value} for plain edge {edge_id!r} at level {k + 1}"
+                )
     gathers = net.weight_gathers()
     m = net.num_levels
     weights: list[Sequence[float]] = [()] * m
@@ -439,7 +455,9 @@ def _forward_cyclic(
         rows, edges, at_tail, at_head = _walk_edges(tails, heads, n, dst)
         live = np.isfinite(r[at_head])
         rows, edges, at_tail, at_head = rows[live], edges[live], at_tail[live], at_head[live]
-        probs = np.exp((r[at_tail] - w[edges] - r[at_head]) / gamma)
+        # An exponent that overflows to -inf is a probability that rounds to 0.
+        with np.errstate(over="ignore"):
+            probs = np.exp((r[at_tail] - w[edges] - r[at_head]) / gamma)
         mass = np.zeros(g * n)
         np.add.at(mass, at_tail, probs)
         probs /= mass[at_tail]  # exact conservation; the raw sums are 1 up to rounding

@@ -372,9 +372,11 @@ def validate_hierarchy(net: NetworkHierarchy) -> list[Violation]:
             )
         )
     for k, g in enumerate(net.gammas):
-        if not g > 0.0:
+        if not 0.0 < g < math.inf:
             out.append(
-                Violation("NonpositiveGamma", f"gammas[{k}]", f"gamma must be > 0, got {g}")
+                Violation(
+                    "NonpositiveGamma", f"gammas[{k}]", f"gamma must be finite and > 0, got {g}"
+                )
             )
 
     # Per-level structural checks. A level whose endpoints all name its own
@@ -432,10 +434,12 @@ def validate_hierarchy(net: NetworkHierarchy) -> list[Violation]:
                         Violation("UnknownEndpoint", opath, f"node {endpoint!r} not in level")
                     )
             if k == 0:
-                if od.demand is None or not od.demand > 0.0:
+                if od.demand is None or not 0.0 < od.demand < math.inf:
                     out.append(
                         Violation(
-                            "BadDemand", opath, f"level-1 demand must be > 0, got {od.demand}"
+                            "BadDemand",
+                            opath,
+                            f"level-1 demand must be finite and > 0, got {od.demand}",
                         )
                     )
             elif od.demand is not None:

@@ -12,17 +12,8 @@ from pathlib import Path
 import pytest
 
 import sueflow
-from sueflow import AffineCost, PowerCost, solver
-from sueflow.cli import (
-    ParseError,
-    load_config,
-    load_times,
-    main,
-    network_from_dict,
-    network_to_dict,
-    parse_network,
-    serialize_network,
-)
+from sueflow import AffineCost, ConstantCost, ODPair, ODRef, PowerCost, solver
+from sueflow.cli import ParseError, load_config, load_times, main, parse_network
 
 from conftest import FIXTURES
 
@@ -46,6 +37,26 @@ class TestParseNetwork:
         assert isinstance(net.plain_costs()[1], PowerCost)
         gate = net.levels[0].edges[2]
         assert gate.is_portal and gate.target_od.level == 1 and gate.target_od.od == 0
+        # Field by field against the file's contents.
+        assert net.gammas == (1.0, 0.8)
+        top, sub = net.levels
+        assert top.nodes == ("o", "m", "d") and sub.nodes == ("u", "v", "w")
+        assert [(e.id, e.tail, e.head) for e in top.edges] == [
+            ("p1", "o", "m"), ("p2", "o", "m"), ("gate", "m", "d"), ("direct", "o", "d"),
+        ]
+        assert [(e.id, e.tail, e.head) for e in sub.edges] == [
+            ("q1", "u", "w"), ("q2", "u", "v"), ("q3", "v", "w"),
+        ]
+        assert [e.cost for e in top.edges] == [
+            AffineCost(1.0, 1.0), PowerCost(1.0, 0.15, 2.0, 4.0), None, AffineCost(2.5, 0.5),
+        ]
+        assert [e.cost for e in sub.edges] == [
+            AffineCost(0.5, 1.0), ConstantCost(0.4), AffineCost(0.3, 0.8),
+        ]
+        assert [e.target_od for e in top.edges] == [None, None, ODRef(1, 0), None]
+        assert all(e.target_od is None for e in sub.edges)
+        assert top.od_pairs == (ODPair("o", "d", 2.0),)
+        assert sub.od_pairs == (ODPair("u", "w", None),)
 
     def test_demand_below_level_one_rejected(self, tmp_path):
         doc = json.loads((FIXTURES / "two_level.json").read_text())
@@ -92,18 +103,6 @@ class TestParseNetwork:
         bad.write_text(json.dumps(doc))
         with pytest.raises(ParseError, match="BadDemand"):
             parse_network(bad)
-
-    def test_round_trip(self, tmp_path):
-        net = parse_network(FIXTURES / "two_level.json")
-        out = tmp_path / "copy.json"
-        serialize_network(net, out)
-        again = parse_network(out)
-        assert network_to_dict(again) == network_to_dict(net)
-        assert again.gammas == net.gammas
-
-    def test_round_trip_via_dict(self):
-        net = parse_network(FIXTURES / "two_edge.json")
-        assert network_to_dict(network_from_dict(network_to_dict(net))) == network_to_dict(net)
 
 
 class TestConfig:
@@ -174,6 +173,15 @@ class TestValidateCommand:
         assert run_cli("validate", "--network", bad) == 2
         out = capsys.readouterr().out
         assert "UnknownEndpoint" in out
+
+    def test_demand_below_level_one_is_a_violation(self, tmp_path, capsys):
+        doc = json.loads((FIXTURES / "two_level.json").read_text())
+        doc["levels"][1]["od_pairs"][0]["demand"] = 1.0
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        assert run_cli("validate", "--network", bad) == 2
+        out = capsys.readouterr().out
+        assert out.startswith("[DemandAtUpperLevel] levels[1].od_pairs[0]: "), out
 
     def test_missing_file(self, capsys):
         assert run_cli("validate", "--network", "/no/such/file.json") == 2

@@ -318,20 +318,40 @@ class TestNetworkLoading:
             network_loading(net, [1.0])
 
     def test_overflowing_trip_cost_is_not_a_missing_path(self):
-        # Each time is finite, but the route o -> m -> d costs 2e308.
+        # Each time is finite, but the route o -> m -> d costs 2e308: on the
+        # chain, and on the cyclic level that adds m -> o, where the shortest
+        # distance overflows too and must not read as a divergent walk sum.
+        om = Edge("om", "o", "m", cost=ConstantCost(1.0))
+        mo = Edge("mo", "m", "o", cost=ConstantCost(1.0))
+        md = Edge("md", "m", "d", cost=ConstantCost(1.0))
+        cases = [((om, md), None, [1e308, 1e308])]
+        cases += [((om, mo, md), 1, t) for t in ([1e308] * 3, [1e308, 1.0, 1e308])]
+        for edges, walk_cap, t in cases:
+            level = LevelGraph(
+                nodes=("o", "m", "d"), edges=edges, od_pairs=(ODPair("o", "d", 1.0),)
+            )
+            net = NetworkHierarchy([level], [1.0], walk_cap=walk_cap)
+            with pytest.raises(LoadingError) as caught:
+                network_loading(net, t)
+            assert not isinstance(caught.value, NoPathError)
+            assert str(caught.value) == "the trip cost 'o' -> 'd' at level 1 overflows to inf"
+
+    def test_overflowing_exponent_on_a_cyclic_level_is_a_zero_probability(self):
+        # o -> m costs 1e308 and m's distance is 1e308, so the exponent of
+        # o -> m overflows to -inf in the sweep and the loading alike; its
+        # probability rounds to 0 and no warning is raised.
         level = LevelGraph(
             nodes=("o", "m", "d"),
             edges=(
+                Edge("od", "o", "d", cost=ConstantCost(1.0)),
                 Edge("om", "o", "m", cost=ConstantCost(1.0)),
+                Edge("mo", "m", "o", cost=ConstantCost(1.0)),
                 Edge("md", "m", "d", cost=ConstantCost(1.0)),
             ),
             od_pairs=(ODPair("o", "d", 1.0),),
         )
-        net = NetworkHierarchy([level], [1.0])
-        with pytest.raises(LoadingError) as caught:
-            network_loading(net, [1e308, 1e308])
-        assert not isinstance(caught.value, NoPathError)
-        assert str(caught.value) == "the trip cost 'o' -> 'd' at level 1 overflows to inf"
+        net = NetworkHierarchy([level], [1.0], walk_cap=1)
+        assert network_loading(net, [1.0, 1e308, 1e308, 1e308]).flows == [[1.0, 0.0, 0.0, 0.0]]
 
     def test_cyclic_loading_conserves(self):
         net = NetworkHierarchy([cyclic_level(demand=2.0)], [0.9], walk_cap=1)
@@ -742,7 +762,8 @@ class TestWeightGather:
 class TestDualVectorLength:
     # The gather reads each level's slice of the dual vector by position, so
     # a vector of another length would shift the slices; every entry point
-    # rejects it, naming both lengths.
+    # rejects it, naming both lengths. A NaN or infinite value would reach
+    # the sweep as an overflow or a divergence; it is rejected too.
     T = [1.1, 1.05, 2.6, 0.55, 0.4, 0.35]  # two_level.json has 6 plain edges
 
     @pytest.mark.parametrize("entry", [network_loading, dual_smooth_value, hierarchical_weights])
@@ -751,6 +772,20 @@ class TestDualVectorLength:
         t = (self.T + [1.0, 1.0])[:length]
         with pytest.raises(ValueError, match=f"^expected 6 dual values, .*, got {length}$"):
             entry(two_level_net, t)
+
+    @pytest.mark.parametrize("entry", [network_loading, dual_smooth_value, hierarchical_weights])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("cyclic", [False, True])
+    def test_non_finite_value_raises(self, two_level_net, entry, bad, cyclic):
+        # The first non-finite value in plain-edge order is named.
+        if cyclic:
+            net = NetworkHierarchy([cyclic_level()], [1.0], walk_cap=1)
+            t, first, where = [1.0, 1.2, 2.0, 1.5], 2, "'ad' at level 1"
+        else:
+            net, t, first, where = two_level_net, list(self.T), 4, "'q2' at level 2"
+        t[first:] = [bad] * (len(t) - first)
+        with pytest.raises(ValueError, match=f"^non-finite time {bad} for plain edge {where}$"):
+            entry(net, t)
 
     def test_surplus_is_not_ignored(self, two_level_net):
         # at the parent 8 values returned the 6-value result

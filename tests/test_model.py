@@ -114,6 +114,13 @@ class TestValidate:
             od_pairs=(ODPair("o", "d"),),
         )
         assert "BadDemand" in codes(NetworkHierarchy([level], [1.0]))
+        for demand in (math.inf, math.nan):
+            level = LevelGraph(
+                nodes=net.levels[0].nodes,
+                edges=net.levels[0].edges,
+                od_pairs=(ODPair("o", "d", demand),),
+            )
+            assert "BadDemand" in codes(NetworkHierarchy([level], [1.0])), demand
 
     def test_demand_at_upper_level(self):
         net = chain3_net()
@@ -155,6 +162,8 @@ class TestValidate:
             NetworkHierarchy(net.levels, [1.0, 1.0])
         )
         assert "NonpositiveGamma" in codes(NetworkHierarchy(net.levels, [0.0]))
+        for gamma in (math.inf, math.nan):
+            assert "NonpositiveGamma" in codes(NetworkHierarchy(net.levels, [gamma])), gamma
 
     def test_duplicate_edge_id(self):
         level = LevelGraph(
