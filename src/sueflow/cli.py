@@ -212,13 +212,9 @@ def load_config(path: str | Path | None) -> SolverConfig:
     kwargs = {}
     for key in _CONFIG_KEYS:
         if key in doc:
+            # SolverConfig checks that max_iters is an integer.
             value = doc[key]
-            if key == "max_iters":
-                if not isinstance(value, int) or isinstance(value, bool):
-                    raise _fail(f"{path}:{key}", f"expected an integer, got {value!r}")
-                kwargs[key] = value
-            else:
-                kwargs[key] = _number(value, f"{path}:{key}")
+            kwargs[key] = value if key == "max_iters" else _number(value, f"{path}:{key}")
     try:
         return SolverConfig(**kwargs)
     except ValueError as err:

@@ -511,45 +511,47 @@ def validate_hierarchy(net: NetworkHierarchy) -> list[Violation]:
 
 def longest_path_bounds(net: NetworkHierarchy) -> list[list[float]]:
     """Most plain edges any fully expanded route of each OD pair can
-    traverse, per level, in one bottom-up pass that measures each OD pair
-    once.
+    traverse, per level, in one bottom-up pass that runs one longest-route
+    search per destination of each level.
 
     A portal edge counts the bound of its target OD pair, so on DAG levels
     the value equals exhaustive path expansion. Loading on a cyclic level
     sums over walks of every length, so there the bound is ``inf``, and so
     is that of every OD pair above whose routes may cross its portals.
+    Raises ``ValueError`` naming the first OD pair, in OD order, with no
+    route.
     """
     bounds: list[list[float]] = [[] for _ in net.levels]
     for k in range(net.num_levels - 1, -1, -1):
         level = net.levels[k]
+        index = level.index
+        if index.topo is None:
+            bounds[k] = [math.inf] * len(level.od_pairs)
+            continue
         weights = [
             1 if edge.is_plain else bounds[k + 1][edge.target_od.od] for edge in level.edges
         ]
-        bounds[k] = [_longest_route(level.index, weights, j) for j in range(len(level.od_pairs))]
+        longest = [_longest_routes(index, weights, dst) for dst in index.dests]
+        for (src, dst), slot in zip(index.od_nodes, index.dest_slot):
+            length = longest[slot][src]
+            if length < 0:
+                raise ValueError(f"no path {index.nodes[src]!r} -> {index.nodes[dst]!r}")
+            bounds[k].append(length)
     return bounds
 
 
-def _longest_route(index: LevelIndex, weights: list[float], od: int) -> float:
-    """Largest total weight of a route of OD ``od``; the destination absorbs.
-
-    ``inf`` on a cyclic level, whose walks have no longest.
-    """
-    if index.topo is None:
-        return math.inf
-    src, dst = index.od_nodes[od]
-    none = -1
-    best = [none] * index.n_nodes
+def _longest_routes(index: LevelIndex, weights: list[float], dst: int) -> list[float]:
+    """Largest total weight of a route from each node of an acyclic level to
+    ``dst``, or -1 where there is none; the destination absorbs."""
+    best = [-1] * index.n_nodes
     best[dst] = 0
     for v in reversed(index.topo):
         if v == dst:
             continue
         for e in index.out_edges[v]:
             u = index.heads[e]
-            if best[u] != none:
+            if best[u] >= 0:
                 cand = weights[e] + best[u]
                 if cand > best[v]:
                     best[v] = cand
-    if best[src] == none:
-        origin, destination = index.nodes[src], index.nodes[dst]
-        raise ValueError(f"no path {origin!r} -> {destination!r}")
-    return best[src]
+    return best

@@ -5,8 +5,10 @@ composite part separates over coordinates, each carrying a link-cost
 conjugate. No Lipschitz constant is supplied: ``L0`` is only the first
 local estimate. Each later iteration first tries a multiple of the secant
 curvature measured over the last accepted step, kept between half of the
-last accepted estimate and that estimate, and doubles it until the
-quadratic upper bound holds at the proximal trial point. The step weights
+last accepted estimate and that estimate. Until the quadratic upper bound
+holds at the proximal trial point, a rejected trial raises the estimate to
+the larger of its double and that multiple of the curvature the failed
+trial measured, which exceeds the rejected estimate. The step weights
 follow the recursion ``alpha' ** 2 * L' - alpha' = alpha ** 2 * L``, which
 makes the mixing weight ``1 / (alpha' * L')`` a valid convex-combination
 coefficient and the weight sum telescope into the accumulated ``A``.
@@ -71,16 +73,19 @@ __all__ = [
 ]
 
 
-# Multiple of the measured secant curvature tried first at the next iteration.
+# Multiple of the measured secant curvature tried next: after an accepted
+# step at the next iteration, after a rejected one within the same iteration.
 _SECANT_MARGIN = 1.5
 # Units of round-off in |dual| + |primal| below which a gap is noise.
 _ROUNDOFF_ULPS = 8.0
-# Doublings of the local Lipschitz estimate allowed within one iteration.
+# Rejected trials allowed within one iteration; each at least doubles the
+# local Lipschitz estimate, so 60 of them raise it by at least 2 ** 60.
 _MAX_BACKTRACKS = 60
 
 
 class BacktrackBudgetError(Exception):
-    """The local Lipschitz estimate doubled past the per-iteration budget."""
+    """One iteration rejected more trials of the local Lipschitz estimate
+    than the per-iteration budget allows."""
 
 
 @dataclass(frozen=True)
@@ -92,8 +97,9 @@ class SolverConfig:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.L0) and self.L0 > 0.0):
             raise ValueError(f"L0 must be finite and positive, got {self.L0}")
-        if self.max_iters < 1:
-            raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
+        iters = self.max_iters
+        if isinstance(iters, bool) or not isinstance(iters, int) or iters < 1:
+            raise ValueError(f"max_iters must be an integer >= 1, got {self.max_iters!r}")
         if not self.gap_tol >= 0.0:  # NaN fails too
             raise ValueError(f"gap_tol must be nonnegative, got {self.gap_tol}")
 
@@ -185,7 +191,7 @@ def minimize_composite(
 
     for k in range(cfg.max_iters):
         L = L_next
-        doublings = 0
+        backtracks = 0
         while True:
             alpha_next, tau = alpha_step(alpha, L_acc, L)
             x = tau * z + (1.0 - tau) * y
@@ -199,23 +205,25 @@ def minimize_composite(
             d = y_next - x
             grad_d = float(grad @ d)
             d_d = float(d @ d)
+            # Curvature of the smooth part along the trial step.
+            L_sec = 2.0 * (fy - fx - grad_d) / d_d if d_d > 0.0 else 0.0
             # Quadratic upper bound of the smooth part at the trial point, up
             # to a round-off slack relative to |fx|, so free of the time unit.
             if fy <= fx + grad_d + 0.5 * L * d_d + 1e-12 * abs(fx):
                 break
-            doublings += 1
-            if doublings > _MAX_BACKTRACKS:
+            backtracks += 1
+            if backtracks > _MAX_BACKTRACKS:
                 raise BacktrackBudgetError(
                     f"no acceptable local Lipschitz estimate within "
-                    f"{_MAX_BACKTRACKS} doublings at iteration {k}"
+                    f"{_MAX_BACKTRACKS} backtracks at iteration {k}"
                 )
-            L *= 2.0
+            L = max(2.0 * L, _SECANT_MARGIN * L_sec) if math.isfinite(L_sec) else 2.0 * L
         z = table.prox(z - alpha_next * grad, alpha_next, flows)
         y = y_next
         alpha = alpha_next
         A += alpha_next
         L_acc = L
-        L_next = _next_estimate(L, fy - fx - grad_d, d_d)
+        L_next = _next_estimate(L, L_sec)
 
         dual_value = fy + table.conjugate(y)
         gap = None
@@ -237,19 +245,28 @@ def minimize_composite(
     return y, history
 
 
-def _next_estimate(L: float, excess: float, d_d: float) -> float:
+def _next_estimate(L: float, L_sec: float) -> float:
     """First estimate tried at the next iteration after ``L`` was accepted.
 
-    ``excess = fy - fx - <grad, d>`` over the accepted step ``d`` measures
-    the secant curvature ``L_sec = 2 * excess / <d, d>`` of the smooth part,
-    which the accepted bound caps at about ``L``. The next trial follows it
+    ``L_sec = 2 (fy - fx - <grad, d>) / <d, d>`` is the secant curvature of
+    the smooth part over the accepted step ``d`` (0 when ``d`` is 0), which
+    the accepted bound caps at about ``L``. The next trial follows it
     down, ``_SECANT_MARGIN * L_sec``, by at most half of ``L`` per iteration
-    and never above ``L``. The at-most-halving keeps the universal method's
-    oracle bound ``4k + 2 log2(L_max / L0) + O(1)``; the secant keeps ``L``
-    from falling below curvature the last step has already seen, which
-    would cost a rejected trial at the next iteration.
+    and never above ``L``; the secant keeps ``L`` from falling below
+    curvature the last step has already seen, which would cost a rejected
+    trial at the next iteration.
+
+    The at-most-halving keeps the universal method's oracle bound. Each
+    iteration costs two oracle calls per trial. A rejected trial raises
+    ``L`` to ``max(2 L, _SECANT_MARGIN * L_sec)`` of the failed step, so at
+    least doubles it, and this function at most halves it once per
+    iteration. Over ``k`` iterations with ``r`` rejections, ``log2`` of the
+    last accepted estimate over ``L0`` is then at least ``r - (k - 1)``, so
+    ``2k + 2r <= 4k + 2 log2(L_max / L0) + O(1)`` calls. Since ``L_sec``
+    never exceeds the smooth part's Lipschitz constant ``L_f`` and a rejected
+    ``L`` lies below ``L_sec``, every accepted ``L`` stays at most ``2 L_f``
+    (or ``L0``), as under plain doubling.
     """
-    L_sec = 2.0 * excess / d_d if d_d > 0.0 else 0.0
     return max(0.5 * L, min(L, _SECANT_MARGIN * L_sec))
 
 

@@ -70,7 +70,8 @@ class TestSolverConfig:
     @pytest.mark.parametrize(
         "field, value",
         [("L0", math.nan), ("L0", math.inf), ("L0", 0.0), ("gap_tol", math.nan),
-         ("gap_tol", -1e-9)],
+         ("gap_tol", -1e-9), ("max_iters", 0), ("max_iters", 2.5), ("max_iters", 1e9),
+         ("max_iters", 3.0), ("max_iters", True), ("max_iters", "5")],
     )
     def test_bad_setting_raises_naming_the_field(self, field, value):
         with pytest.raises(ValueError, match=field):
@@ -431,7 +432,8 @@ class TestLipschitzDiagnostic:
         assert lipschitz_bound_diagnostic(two_level_net) == pytest.approx(22.5)
 
     def test_measures_each_od_once(self, monkeypatch):
-        # Three level-1 ODs over two portals into a level with two ODs.
+        # Three level-1 ODs over two portals into a level with two ODs, all
+        # bound for w; level 1 has destinations d and m.
         from collections import Counter
 
         from sueflow import model
@@ -457,16 +459,16 @@ class TestLipschitzDiagnostic:
         )
         net = NetworkHierarchy([level1, level2], [1.0, 0.5])
         calls = Counter()
-        measure = model._longest_route
+        measure = model._longest_routes
 
-        def counted(index, weights, od):
-            calls[index, od] += 1
-            return measure(index, weights, od)
+        def counted(index, weights, dst):
+            calls[index, index.nodes[dst]] += 1
+            return measure(index, weights, dst)
 
-        monkeypatch.setattr(model, "_longest_route", counted)
+        monkeypatch.setattr(model, "_longest_routes", counted)
         # Routes of 3, 2 and 1 plain edges: (1 * 9 + 2 * 4 + 0.5 * 1) / 0.5.
         assert lipschitz_bound_diagnostic(net) == pytest.approx(35.0)
-        expected = {(level1.index, j) for j in range(3)} | {(level2.index, j) for j in range(2)}
+        expected = {(level1.index, "d"), (level1.index, "m"), (level2.index, "w")}
         assert set(calls) == expected
         assert set(calls.values()) == {1}
 
@@ -519,6 +521,24 @@ class TestStepEstimate:
             # Minimiser of d/2 (t - c)^2 + (t - 0.5)_+^2 / 2.
             expected = c if c <= 0.5 else (curvature * c + 0.5) / (curvature + 1.0)
             assert ti == pytest.approx(expected, abs=1e-6)
+
+    def test_small_L0_costs_few_oracle_calls(self, two_level_net):
+        # A rejected trial jumps to the curvature it measured; doubling from
+        # 1e-6 took 58 calls.
+        _, cert, history = solve(two_level_net, SolverConfig(L0=1e-6, gap_tol=1e-9))
+        assert cert.stop == "gap_reached"
+        assert history[-1].n_func_evals <= 30
+
+    @given(seed=st.integers(0, 299), L0=st.sampled_from([1e-6, 1.0, 1e3]))
+    @settings(max_examples=40, deadline=None)
+    def test_oracle_and_estimate_bounds(self, seed, L0):
+        net, t = random_hierarchy(seed)
+        _, _, history = solve(net, SolverConfig(L0=L0, gap_tol=1e-10, max_iters=100), t)
+        L_max = max(r.L_used for r in history)
+        # Each rejection at least doubles L, each iteration halves it at most once.
+        assert history[-1].n_func_evals <= 4 * len(history) + 2 * math.log2(L_max / L0) + 2
+        # An accepted L lies below twice the smooth part's curvature, or at L0.
+        assert L_max <= max(L0, 2.0 * lipschitz_bound_diagnostic(net))
 
     def test_stops_at_roundoff(self, two_level_net):
         _, cert, history = solve(two_level_net, SolverConfig(gap_tol=0.0, max_iters=1000))
