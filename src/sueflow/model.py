@@ -10,6 +10,7 @@ target OD pair at runtime.
 
 from __future__ import annotations
 
+import itertools
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -132,10 +133,16 @@ class LevelIndex:
 
     def __init__(self, level: LevelGraph) -> None:
         self.nodes = level.nodes
-        self.node_index = {v: i for i, v in enumerate(level.nodes)}
+        node_index = self.node_index = {v: i for i, v in enumerate(level.nodes)}
         self.n_nodes = len(level.nodes)
-        self.tails = [self._position(e.tail, f"edge {e.id!r}") for e in level.edges]
-        self.heads = [self._position(e.head, f"edge {e.id!r}") for e in level.edges]
+        try:
+            self.tails = [node_index[e.tail] for e in level.edges]
+            self.heads = [node_index[e.head] for e in level.edges]
+            self.od_nodes = [
+                (node_index[od.origin], node_index[od.destination]) for od in level.od_pairs
+            ]
+        except KeyError:
+            raise _unknown_node(level, node_index) from None
         self.out_edges: list[list[int]] = [[] for _ in level.nodes]
         indeg = [0] * self.n_nodes
         for pos, (t, h) in enumerate(zip(self.tails, self.heads)):
@@ -149,11 +156,6 @@ class LevelIndex:
                 if indeg[u] == 0:
                     order.append(u)
         self.topo = order if len(order) == self.n_nodes else None
-        self.od_nodes = [
-            (self._position(od.origin, f"OD pair {j}"),
-             self._position(od.destination, f"OD pair {j}"))
-            for j, od in enumerate(level.od_pairs)
-        ]
         slot_of: dict[int, int] = {}
         self.dest_slot = [slot_of.setdefault(dst, len(slot_of)) for _, dst in self.od_nodes]
         self.dests = list(slot_of)
@@ -177,9 +179,10 @@ class LevelIndex:
         each keeps only the edges whose heads are among them. Outside them
         the soft-min distance is ``+inf`` and the flow toward the
         destination zero, so a loading pass over the subgraph computes the
-        whole level's trip costs and flows exactly. On a cyclic level every
-        slot gets the whole level. Built on first use and kept: validation
-        never reads them.
+        whole level's trip costs and flows exactly, and a longest-route
+        pass over it the origins' route bounds. On a cyclic level every slot
+        gets the whole level. Built on first use and kept: validation never
+        reads them.
         """
         if self._dest_subgraphs is None:
             if self.topo is None:
@@ -227,11 +230,18 @@ class LevelIndex:
                     stack.append(u)
         return False
 
-    def _position(self, node: str, owner: str) -> int:
-        try:
-            return self.node_index[node]
-        except KeyError:
-            raise ValueError(f"{owner} names node {node!r}, which the level lacks") from None
+
+def _unknown_node(level: LevelGraph, node_index: Mapping[str, int]) -> ValueError:
+    """The error for the first endpoint outside the level: edge tails, then
+    edge heads, then OD origins and destinations."""
+    owners = itertools.chain(
+        ((f"edge {e.id!r}", e.tail) for e in level.edges),
+        ((f"edge {e.id!r}", e.head) for e in level.edges),
+        ((f"OD pair {j}", node) for j, od in enumerate(level.od_pairs)
+         for node in (od.origin, od.destination)),
+    )
+    owner, node = next((owner, node) for owner, node in owners if node not in node_index)
+    return ValueError(f"{owner} names node {node!r}, which the level lacks")
 
 
 class WeightGather(NamedTuple):
@@ -383,29 +393,34 @@ def validate_hierarchy(net: NetworkHierarchy) -> list[Violation]:
     # nodes is compiled; the graph checks below read that index.
     indexes: list[LevelIndex | None] = []
     for k, level in enumerate(net.levels):
-        where = f"levels[{k}]"
         nodes = set(level.nodes)
         endpoints_known = True
         if len(nodes) != len(level.nodes):
-            out.append(Violation("DuplicateNodeId", f"{where}.nodes", "repeated node id"))
+            out.append(Violation("DuplicateNodeId", f"levels[{k}].nodes", "repeated node id"))
         seen_edge_ids = set()
         for i, edge in enumerate(level.edges):
-            epath = f"{where}.edges[{i}]({edge.id})"
             if edge.id in seen_edge_ids:
-                out.append(Violation("DuplicateEdgeId", epath, f"edge id {edge.id!r} repeated"))
+                out.append(
+                    Violation("DuplicateEdgeId", _edge_path(k, i, edge),
+                              f"edge id {edge.id!r} repeated")
+                )
             seen_edge_ids.add(edge.id)
             if edge.tail == edge.head:
-                out.append(Violation("SelfLoop", epath, "self-loops are not allowed"))
+                out.append(
+                    Violation("SelfLoop", _edge_path(k, i, edge), "self-loops are not allowed")
+                )
             for endpoint in (edge.tail, edge.head):
                 if endpoint not in nodes:
                     endpoints_known = False
                     out.append(
-                        Violation("UnknownEndpoint", epath, f"node {endpoint!r} not in level")
+                        Violation("UnknownEndpoint", _edge_path(k, i, edge),
+                                  f"node {endpoint!r} not in level")
                     )
             if edge.is_portal:
                 if k == m - 1:
                     out.append(
-                        Violation("PortalAtLastLevel", epath, "last level admits no portals")
+                        Violation("PortalAtLastLevel", _edge_path(k, i, edge),
+                                  "last level admits no portals")
                     )
                 else:
                     ref = edge.target_od
@@ -413,7 +428,7 @@ def validate_hierarchy(net: NetworkHierarchy) -> list[Violation]:
                         out.append(
                             Violation(
                                 "BadPortalTarget",
-                                epath,
+                                _edge_path(k, i, edge),
                                 f"portal must target level {k + 2}, got {ref.level + 1}",
                             )
                         )
@@ -421,24 +436,24 @@ def validate_hierarchy(net: NetworkHierarchy) -> list[Violation]:
                         out.append(
                             Violation(
                                 "BadPortalTarget",
-                                epath,
+                                _edge_path(k, i, edge),
                                 f"od index {ref.od} out of range at level {k + 2}",
                             )
                         )
         for j, od in enumerate(level.od_pairs):
-            opath = f"{where}.od_pairs[{j}]"
             for endpoint in (od.origin, od.destination):
                 if endpoint not in nodes:
                     endpoints_known = False
                     out.append(
-                        Violation("UnknownEndpoint", opath, f"node {endpoint!r} not in level")
+                        Violation("UnknownEndpoint", _od_path(k, j),
+                                  f"node {endpoint!r} not in level")
                     )
             if k == 0:
                 if od.demand is None or not 0.0 < od.demand < math.inf:
                     out.append(
                         Violation(
                             "BadDemand",
-                            opath,
+                            _od_path(k, j),
                             f"level-1 demand must be finite and > 0, got {od.demand}",
                         )
                     )
@@ -446,7 +461,7 @@ def validate_hierarchy(net: NetworkHierarchy) -> list[Violation]:
                 out.append(
                     Violation(
                         "DemandAtUpperLevel",
-                        opath,
+                        _od_path(k, j),
                         "demands below level 1 are induced by portal flow, not data",
                     )
                 )
@@ -463,7 +478,7 @@ def validate_hierarchy(net: NetworkHierarchy) -> list[Violation]:
                 out.append(
                     Violation(
                         "DuplicatePortalBinding",
-                        f"levels[{k + 1}].od_pairs[{j}]",
+                        _od_path(k + 1, j),
                         f"bound by portals {ids} at level {k + 1}",
                     )
                 )
@@ -472,7 +487,7 @@ def validate_hierarchy(net: NetworkHierarchy) -> list[Violation]:
                 out.append(
                     Violation(
                         "UnboundOD",
-                        f"levels[{k + 1}].od_pairs[{j}]",
+                        _od_path(k + 1, j),
                         f"no level-{k + 1} portal is bound to this OD pair",
                     )
                 )
@@ -487,7 +502,7 @@ def validate_hierarchy(net: NetworkHierarchy) -> list[Violation]:
                 out.append(
                     Violation(
                         "NoPathForOD",
-                        f"levels[{k}].od_pairs[{j}]",
+                        _od_path(k, j),
                         f"no path {od.origin!r} -> {od.destination!r}",
                     )
                 )
@@ -509,10 +524,20 @@ def validate_hierarchy(net: NetworkHierarchy) -> list[Violation]:
     return out
 
 
+# Violation paths, formatted only for a violation.
+def _edge_path(k: int, i: int, edge: Edge) -> str:
+    return f"levels[{k}].edges[{i}]({edge.id})"
+
+
+def _od_path(k: int, j: int) -> str:
+    return f"levels[{k}].od_pairs[{j}]"
+
+
 def longest_path_bounds(net: NetworkHierarchy) -> list[list[float]]:
     """Most plain edges any fully expanded route of each OD pair can
     traverse, per level, in one bottom-up pass that runs one longest-route
-    search per destination of each level.
+    search per destination of each level, over that destination's
+    ``dest_subgraphs`` entry.
 
     A portal edge counts the bound of its target OD pair, so on DAG levels
     the value equals exhaustive path expansion. Loading on a cyclic level
@@ -531,7 +556,7 @@ def longest_path_bounds(net: NetworkHierarchy) -> list[list[float]]:
         weights = [
             1 if edge.is_plain else bounds[k + 1][edge.target_od.od] for edge in level.edges
         ]
-        longest = [_longest_routes(index, weights, dst) for dst in index.dests]
+        longest = [_longest_routes(index, weights, slot) for slot in range(len(index.dests))]
         for (src, dst), slot in zip(index.od_nodes, index.dest_slot):
             length = longest[slot][src]
             if length < 0:
@@ -540,15 +565,23 @@ def longest_path_bounds(net: NetworkHierarchy) -> list[list[float]]:
     return bounds
 
 
-def _longest_routes(index: LevelIndex, weights: list[float], dst: int) -> list[float]:
-    """Largest total weight of a route from each node of an acyclic level to
-    ``dst``, or -1 where there is none; the destination absorbs."""
+def _longest_routes(index: LevelIndex, weights: list[float], slot: int) -> list[float]:
+    """Largest total weight of a route to the destination in ``slot`` from
+    each node of its subgraph on an acyclic level, or -1 where there is none;
+    the destination absorbs.
+
+    Every route from an origin bound for the destination stays in its
+    ``dest_subgraphs`` entry, so at those origins the values are the whole
+    level's; other nodes may read -1.
+    """
+    dst = index.dests[slot]
+    sub = index.dest_subgraphs[slot]
     best = [-1] * index.n_nodes
     best[dst] = 0
-    for v in reversed(index.topo):
+    for v in reversed(sub.topo):
         if v == dst:
             continue
-        for e in index.out_edges[v]:
+        for e in sub.out_edges[v]:
             u = index.heads[e]
             if best[u] >= 0:
                 cand = weights[e] + best[u]

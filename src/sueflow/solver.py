@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Sequence
@@ -95,13 +96,18 @@ class SolverConfig:
     gap_tol: float = 1e-8
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.L0) and self.L0 > 0.0):
-            raise ValueError(f"L0 must be finite and positive, got {self.L0}")
+        if not (_is_real(self.L0) and math.isfinite(self.L0) and self.L0 > 0.0):
+            raise ValueError(f"L0 must be finite and positive, got {self.L0!r}")
         iters = self.max_iters
         if isinstance(iters, bool) or not isinstance(iters, int) or iters < 1:
             raise ValueError(f"max_iters must be an integer >= 1, got {self.max_iters!r}")
-        if not self.gap_tol >= 0.0:  # NaN fails too
-            raise ValueError(f"gap_tol must be nonnegative, got {self.gap_tol}")
+        if not (_is_real(self.gap_tol) and self.gap_tol >= 0.0):  # NaN fails too
+            raise ValueError(f"gap_tol must be nonnegative, got {self.gap_tol!r}")
+
+
+def _is_real(value) -> bool:
+    """A real number that is not a ``bool``."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 @dataclass

@@ -468,6 +468,179 @@ class TestNonFiniteInput:
             assert where in err and "finite number" in err, err
 
 
+DROP = object()  # marks a key that an edit removes
+E0 = ("levels", 0, "edges", 0)
+E1 = ("levels", 0, "edges", 1)
+GATE = ("levels", 0, "edges", 2)
+OD0 = ("levels", 0, "od_pairs", 0)
+
+# Edits of two_level.json, each with the exact message of its first offence.
+MALFORMED = {
+    "doc-not-object": (None, "$: expected an object, got list"),
+    "doc-unknown-key": ([(("walk_cap",), 5)], "$: unknown keys ['walk_cap']"),
+    "doc-missing-keys": (
+        [(("gammas",), DROP), (("version",), DROP)], "$: missing keys ['version', 'gammas']"),
+    "version": ([(("version",), 2)], "$.version: unsupported version 2"),
+    "gammas-empty": ([(("gammas",), [])], "$.gammas: expected a non-empty list"),
+    "gamma-bool": ([(("gammas", 1), True)], "$.gammas[1]: expected a finite number, got True"),
+    "levels-not-list": ([(("levels",), {})], "$.levels: expected a non-empty list"),
+    "level-not-object": ([(("levels", 1), [])], "$.levels[1]: expected an object, got list"),
+    "level-unknown-key": (
+        [(("levels", 1, "walk_cap"), 3)], "$.levels[1]: unknown keys ['walk_cap']"),
+    "nodes-not-list": ([(("levels", 0, "nodes"), "omd")], "$.levels[0].nodes: expected a list"),
+    "node-not-string": (
+        [(("levels", 1, "nodes", 2), 7)], "$.levels[1].nodes[2]: expected a string, got 7"),
+    "edges-not-list": ([(("levels", 0, "edges"), None)], "$.levels[0].edges: expected a list"),
+    "edge-not-object": ([(E1, 5)], "$.levels[0].edges[1]: expected an object, got int"),
+    "edge-unknown-key": ([(E0 + ("speed",), 1)], "$.levels[0].edges[0]: unknown keys ['speed']"),
+    "edge-missing-keys": (
+        [(E0 + ("kind",), DROP), (E0 + ("from",), DROP)],
+        "$.levels[0].edges[0]: missing keys ['from', 'kind']"),
+    "edge-unknown-before-missing": (
+        [(E0 + ("speed",), 1), (E0 + ("to",), DROP)],
+        "$.levels[0].edges[0]: unknown keys ['speed']"),
+    "edge-id-not-string": (
+        [(E0 + ("id",), 1)], "$.levels[0].edges[0].id: expected a string, got 1"),
+    "edge-from-not-string": (
+        [(E0 + ("from",), None)], "$.levels[0].edges[0].from: expected a string, got None"),
+    "edge-to-not-string": (
+        [(E0 + ("to",), ["m"])], "$.levels[0].edges[0].to: expected a string, got ['m']"),
+    "edge-kind-not-string": (
+        [(E0 + ("kind",), 2)], "$.levels[0].edges[0].kind: expected a string, got 2"),
+    "edge-kind-before-id": (
+        [(E0 + ("id",), 1), (E0 + ("kind",), False)],
+        "$.levels[0].edges[0].kind: expected a string, got False"),
+    "edge-unknown-kind": (
+        [(E0 + ("kind",), "bridge")], "$.levels[0].edges[0].kind: unknown edge kind 'bridge'"),
+    "plain-without-cost": (
+        [(E0 + ("cost",), DROP)],
+        "$.levels[0].edges[0]: plain edges carry 'cost' and no 'target_od'"),
+    "plain-with-target": (
+        [(E0 + ("target_od",), {"level": 2, "od": 0})],
+        "$.levels[0].edges[0]: plain edges carry 'cost' and no 'target_od'"),
+    "portal-with-cost": (
+        [(GATE + ("cost",), {"type": "constant", "t0": 1.0})],
+        "$.levels[0].edges[2]: portal edges carry 'target_od' and no 'cost'"),
+    "portal-without-target": (
+        [(GATE + ("target_od",), DROP)],
+        "$.levels[0].edges[2]: portal edges carry 'target_od' and no 'cost'"),
+    "target-not-object": (
+        [(GATE + ("target_od",), [2, 0])],
+        "$.levels[0].edges[2].target_od: expected an object, got list"),
+    "target-unknown-key": (
+        [(GATE + ("target_od", "edge"), "q1")],
+        "$.levels[0].edges[2].target_od: unknown keys ['edge']"),
+    "target-level-zero": (
+        [(GATE + ("target_od", "level"), 0)],
+        "$.levels[0].edges[2].target_od.level: expected a 1-based level, got 0"),
+    "target-level-bool": (
+        [(GATE + ("target_od", "level"), True)],
+        "$.levels[0].edges[2].target_od.level: expected a 1-based level, got True"),
+    "target-level-float": (
+        [(GATE + ("target_od", "level"), 2.0)],
+        "$.levels[0].edges[2].target_od.level: expected a 1-based level, got 2.0"),
+    "target-od-negative": (
+        [(GATE + ("target_od", "od"), -1)],
+        "$.levels[0].edges[2].target_od.od: expected a 0-based index, got -1"),
+    "target-od-string": (
+        [(GATE + ("target_od", "od"), "0")],
+        "$.levels[0].edges[2].target_od.od: expected a 0-based index, got '0'"),
+    "cost-not-object": (
+        [(E0 + ("cost",), [1.0, 1.0])],
+        "$.levels[0].edges[0].cost: cost must be an object, got list"),
+    "cost-unknown-type": (
+        [(E0 + ("cost", "type"), "quartic")],
+        "$.levels[0].edges[0].cost: unknown cost type 'quartic'"),
+    "cost-missing-type": (
+        [(E0 + ("cost", "type"), DROP)], "$.levels[0].edges[0].cost: unknown cost type None"),
+    "cost-unknown-key": (
+        [(E0 + ("cost", "c"), 1.0)],
+        "$.levels[0].edges[0].cost: unknown cost keys ['c'] for type 'affine'"),
+    "cost-missing-keys": (
+        [(E1 + ("cost", "mu"), DROP), (E1 + ("cost", "beta"), DROP)],
+        "$.levels[0].edges[1].cost: missing cost keys ['beta', 'mu'] for type 'power'"),
+    "cost-param-bool": (
+        [(E0 + ("cost", "a"), True)],
+        "$.levels[0].edges[0].cost: cost parameter 'a' must be a finite number, got True"),
+    "cost-param-nan": (
+        [(E1 + ("cost", "cap"), math.nan)],
+        "$.levels[0].edges[1].cost: cost parameter 'cap' must be a finite number, got nan"),
+    "cost-param-inf": (
+        [(("levels", 1, "edges", 1, "cost", "t0"), math.inf)],
+        "$.levels[1].edges[1].cost: cost parameter 't0' must be a finite number, got inf"),
+    "cost-param-string": (
+        [(E0 + ("cost", "b"), "1")],
+        "$.levels[0].edges[0].cost: cost parameter 'b' must be a finite number, got '1'"),
+    "cost-first-bad-param": (
+        [(E1 + ("cost", "mu"), math.nan), (E1 + ("cost", "beta"), False)],
+        "$.levels[0].edges[1].cost: cost parameter 'beta' must be a finite number, got False"),
+    "cost-out-of-range": (
+        [(E0 + ("cost", "b"), 0)],
+        "$.levels[0].edges[0].cost: affine cost requires finite b > 0, got 0.0"),
+    "od-pairs-not-list": (
+        [(("levels", 0, "od_pairs"), {})], "$.levels[0].od_pairs: expected a list"),
+    "od-not-object": ([(OD0, "o->d")], "$.levels[0].od_pairs[0]: expected an object, got str"),
+    "od-unknown-key": (
+        [(OD0 + ("weight",), 1)], "$.levels[0].od_pairs[0]: unknown keys ['weight']"),
+    "od-missing-key": (
+        [(OD0 + ("destination",), DROP)],
+        "$.levels[0].od_pairs[0]: missing keys ['destination']"),
+    "origin-not-string": (
+        [(OD0 + ("origin",), 0)], "$.levels[0].od_pairs[0].origin: expected a string, got 0"),
+    "demand-bool": (
+        [(OD0 + ("demand",), True)],
+        "$.levels[0].od_pairs[0].demand: expected a finite number, got True"),
+    "demand-nan": (
+        [(OD0 + ("demand",), math.nan)],
+        "$.levels[0].od_pairs[0].demand: expected a finite number, got nan"),
+    "demand-inf": (
+        [(OD0 + ("demand",), -math.inf)],
+        "$.levels[0].od_pairs[0].demand: expected a finite number, got -inf"),
+    "demand-before-origin": (
+        [(OD0 + ("origin",), 0), (OD0 + ("demand",), math.nan)],
+        "$.levels[0].od_pairs[0].demand: expected a finite number, got nan"),
+    "edges-before-od-pairs": (
+        [(OD0 + ("origin",), 0), (E1 + ("cost", "t0"), -1.0)],
+        "$.levels[0].edges[1].cost: power cost requires finite t0 > 0, got -1.0"),
+    "level-0-before-level-1": (
+        [(("levels", 1, "nodes", 0), None), (OD0 + ("demand",), "2")],
+        "$.levels[0].od_pairs[0].demand: expected a finite number, got '2'"),
+}
+
+
+class TestMalformedNetwork:
+    """Each malformed branch of the network parser: its first offence's exact
+    message, from the library and from ``validate`` and ``solve`` (exit 2)."""
+
+    @staticmethod
+    def edited(edits):
+        doc = json.loads((FIXTURES / "two_level.json").read_text())
+        if edits is None:
+            return []
+        for path, value in edits:
+            parent = doc
+            for key in path[:-1]:
+                parent = parent[key]
+            if value is DROP:
+                del parent[path[-1]]
+            else:
+                parent[path[-1]] = value
+        return doc
+
+    @pytest.mark.parametrize("edits, message", MALFORMED.values(), ids=MALFORMED.keys())
+    def test_first_offence_is_reported(self, tmp_path, capsys, edits, message):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(self.edited(edits)))  # writes NaN / Infinity literals
+        with pytest.raises(ParseError) as err:
+            parse_network(bad)
+        assert str(err.value) == message
+        for command in ("validate", "solve"):
+            extra = ["--out", tmp_path / "out"] if command == "solve" else []
+            assert run_cli(command, "--network", bad, *extra) == 2
+            assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert not (tmp_path / "out").exists()
+
+
 class TestUnreadableInput:
     """An input file that cannot be read as UTF-8 JSON is bad input, exit 2."""
 

@@ -13,6 +13,7 @@ from scipy.sparse.csgraph import breadth_first_order, connected_components
 
 from sueflow import (
     AffineCost,
+    ConstantCost,
     Edge,
     LevelGraph,
     NetworkHierarchy,
@@ -23,7 +24,7 @@ from sueflow import (
     validate_hierarchy,
 )
 from sueflow.cli import parse_network
-from sueflow.model import longest_path_bounds
+from sueflow.model import _longest_routes, longest_path_bounds
 from sueflow.oracle import expand_paths
 
 from conftest import (
@@ -192,6 +193,98 @@ class TestValidate:
             Edge("e", "o", "d", cost=AffineCost(1.0, 1.0), target_od=ODRef(1, 0))
 
 
+A = AffineCost(1.0, 1.0)
+OD = ODPair("o", "d", 1.0)
+
+
+def one_level(nodes, edges, od_pairs, walk_cap=None):
+    return NetworkHierarchy([LevelGraph(nodes, edges, od_pairs)], [1.0], walk_cap)
+
+
+def chain3(top=None, middle=None):
+    """``chain3_net`` with level 1's edges or level 2's OD pairs replaced."""
+    l1, l2, l3 = chain3_net().levels
+    if top is not None:
+        l1 = LevelGraph(l1.nodes, top, l1.od_pairs)
+    if middle is not None:
+        l2 = LevelGraph(l2.nodes, l2.edges, middle)
+    return NetworkHierarchy([l1, l2, l3], [1.0, 1.0, 1.0])
+
+
+def violation_cases():
+    """One network per violation code, with every violation it yields."""
+    c1 = Edge("c1", "o", "a", cost=ConstantCost(2.0))
+    return {
+        "EmptyHierarchy": (NetworkHierarchy([], []), [
+            ("EmptyHierarchy", "levels", "at least one level is required")]),
+        "GammaCountMismatch": (NetworkHierarchy(two_edge_net().levels, [1.0, 1.0]), [
+            ("GammaCountMismatch", "gammas", "2 temperatures for 1 levels")]),
+        "NonpositiveGamma": (NetworkHierarchy(chain3_net().levels, [1.0, -0.5, 1.0]), [
+            ("NonpositiveGamma", "gammas[1]", "gamma must be finite and > 0, got -0.5")]),
+        "DuplicateNodeId": (one_level(("o", "d", "o"), (Edge("e", "o", "d", cost=A),), (OD,)), [
+            ("DuplicateNodeId", "levels[0].nodes", "repeated node id")]),
+        "DuplicateEdgeId": (
+            one_level(("o", "d"), (Edge("e", "o", "d", cost=A), Edge("e", "o", "d", cost=A)),
+                      (OD,)),
+            [("DuplicateEdgeId", "levels[0].edges[1](e)", "edge id 'e' repeated")]),
+        "SelfLoop": (
+            one_level(("o", "d"), (Edge("e", "o", "d", cost=A), Edge("loop", "o", "o", cost=A)),
+                      (OD,), walk_cap=5),
+            [("SelfLoop", "levels[0].edges[1](loop)", "self-loops are not allowed")]),
+        "UnknownEndpoint": (
+            one_level(("o", "d"), (Edge("e", "o", "x", cost=A),), (ODPair("y", "d", 1.0),)),
+            [("UnknownEndpoint", "levels[0].edges[0](e)", "node 'x' not in level"),
+             ("UnknownEndpoint", "levels[0].od_pairs[0]", "node 'y' not in level")]),
+        "PortalAtLastLevel": (
+            one_level(("o", "d"), (Edge("e", "o", "d", cost=A),
+                                   Edge("g", "o", "d", target_od=ODRef(1, 0))), (OD,)),
+            [("PortalAtLastLevel", "levels[0].edges[1](g)", "last level admits no portals")]),
+        "BadPortalTarget": (
+            chain3(top=(c1, Edge("g1", "a", "d", target_od=ODRef(2, 0)),
+                        Edge("g0", "o", "d", target_od=ODRef(1, 3)))),
+            [("BadPortalTarget", "levels[0].edges[1](g1)", "portal must target level 2, got 3"),
+             ("BadPortalTarget", "levels[0].edges[2](g0)", "od index 3 out of range at level 2"),
+             ("UnboundOD", "levels[1].od_pairs[0]", "no level-1 portal is bound to this OD pair")]),
+        "BadDemand": (
+            one_level(("o", "d"), (Edge("e", "o", "d", cost=A),),
+                      (ODPair("o", "d"), ODPair("o", "d", math.inf))),
+            [("BadDemand", "levels[0].od_pairs[0]",
+              "level-1 demand must be finite and > 0, got None"),
+             ("BadDemand", "levels[0].od_pairs[1]",
+              "level-1 demand must be finite and > 0, got inf")]),
+        "DemandAtUpperLevel": (chain3(middle=(ODPair("u", "w", 5.0),)), [
+            ("DemandAtUpperLevel", "levels[1].od_pairs[0]",
+             "demands below level 1 are induced by portal flow, not data")]),
+        "DuplicatePortalBinding": (
+            chain3(top=(c1, Edge("g1", "a", "d", target_od=ODRef(1, 0)),
+                        Edge("g0", "o", "d", target_od=ODRef(1, 0)))),
+            [("DuplicatePortalBinding", "levels[1].od_pairs[0]",
+              "bound by portals ['g1', 'g0'] at level 1")]),
+        "UnboundOD": (chain3(middle=(ODPair("u", "w"), ODPair("x", "w"))), [
+            ("UnboundOD", "levels[1].od_pairs[1]", "no level-1 portal is bound to this OD pair")]),
+        "NoPathForOD": (one_level(("o", "d", "x"), (Edge("e", "o", "x", cost=A),), (OD,)), [
+            ("NoPathForOD", "levels[0].od_pairs[0]", "no path 'o' -> 'd'")]),
+        "CyclicLevelWithoutCap": (
+            one_level(("o", "a", "d"), (Edge("e1", "o", "a", cost=A), Edge("e2", "a", "o", cost=A),
+                                        Edge("e3", "a", "d", cost=A)), (OD,)),
+            [("CyclicLevelWithoutCap", "levels[0]",
+              "cyclic level graph requires an explicit walk-length cap")]),
+        "BadWalkCap": (one_level(("o", "d"), (Edge("e", "o", "d", cost=A),), (OD,), walk_cap=0), [
+            ("BadWalkCap", "walk_cap", "cap must be >= 1, got 0")]),
+    }
+
+
+class TestViolationPaths:
+    """Every violation code with its exact path and message."""
+
+    @pytest.mark.parametrize("code", list(violation_cases()))
+    def test_code_path_and_message(self, code):
+        net, expected = violation_cases()[code]
+        found = [(v.code, v.path, v.message) for v in validate_hierarchy(net)]
+        assert found == expected
+        assert code in [c for c, _, _ in found]
+
+
 class TestLevelIndex:
     @given(data=st.data())
     @settings(max_examples=200, deadline=None)
@@ -266,6 +359,15 @@ class TestLevelIndex:
             od_pairs=(ODPair("o", "d", 1.0), ODPair("o", "y", 1.0)),
         )
         with pytest.raises(ValueError, match="OD pair 1 names node 'y'"):
+            level.index
+        # Every tail is looked up before any head, and edges before OD pairs.
+        level = LevelGraph(
+            nodes=("o", "d"),
+            edges=(Edge("e1", "o", "x", cost=AffineCost(1.0, 1.0)),
+                   Edge("e2", "z", "d", cost=AffineCost(1.0, 1.0))),
+            od_pairs=(ODPair("w", "d", 1.0),),
+        )
+        with pytest.raises(ValueError, match="^edge 'e2' names node 'z', which the level lacks$"):
             level.index
 
     def test_destination_slots(self):
@@ -342,6 +444,18 @@ class TestDestinationSubgraphs:
         assert level.index.dest_subgraphs == [level.index.whole]
 
 
+def whole_level_longest_routes(index, weights, dst):
+    """Reference longest routes to ``dst`` over every node of an acyclic level."""
+    best = [-1] * index.n_nodes
+    best[dst] = 0
+    for v in reversed(index.topo):
+        if v != dst:
+            for e in index.out_edges[v]:
+                if best[index.heads[e]] >= 0:
+                    best[v] = max(best[v], weights[e] + best[index.heads[e]])
+    return best
+
+
 class TestLongestPathBound:
     def test_parallel(self):
         # routes of 1 edge each
@@ -374,6 +488,26 @@ class TestLongestPathBound:
                 assert bounds[k][j] == brute
                 if k == 0:
                     assert longest_path_bounds(net)[0][j] == brute
+
+    @given(seed=st.integers(0, 299))
+    @settings(max_examples=40, deadline=None)
+    def test_subgraph_pass_matches_the_whole_level_walk(self, seed):
+        net, _ = random_hierarchy(seed)
+        bounds = longest_path_bounds(net)
+        for k, level in enumerate(net.levels):
+            index = level.index
+            weights = [
+                1 if edge.is_plain else bounds[k + 1][edge.target_od.od] for edge in level.edges
+            ]
+            for slot, dst in enumerate(index.dests):
+                whole = whole_level_longest_routes(index, weights, dst)
+                sub = _longest_routes(index, weights, slot)
+                inside = index.dest_subgraphs[slot].topo
+                assert [sub[v] for v in inside] == [whole[v] for v in inside]
+                assert all(sub[v] == -1 for v in set(range(index.n_nodes)) - set(inside))
+                for (src, _), od_slot in zip(index.od_nodes, index.dest_slot):
+                    if od_slot == slot:
+                        assert src in inside and sub[src] == whole[src] >= 0
 
     def test_monotone_under_edge_addition(self):
         base = diamond_net()

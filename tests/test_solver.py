@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sueflow import (
@@ -71,7 +71,8 @@ class TestSolverConfig:
         "field, value",
         [("L0", math.nan), ("L0", math.inf), ("L0", 0.0), ("gap_tol", math.nan),
          ("gap_tol", -1e-9), ("max_iters", 0), ("max_iters", 2.5), ("max_iters", 1e9),
-         ("max_iters", 3.0), ("max_iters", True), ("max_iters", "5")],
+         ("max_iters", 3.0), ("max_iters", True), ("max_iters", "5"), ("L0", "1"),
+         ("L0", True), ("gap_tol", None), ("gap_tol", "0")],
     )
     def test_bad_setting_raises_naming_the_field(self, field, value):
         with pytest.raises(ValueError, match=field):
@@ -461,9 +462,9 @@ class TestLipschitzDiagnostic:
         calls = Counter()
         measure = model._longest_routes
 
-        def counted(index, weights, dst):
-            calls[index, index.nodes[dst]] += 1
-            return measure(index, weights, dst)
+        def counted(index, weights, slot):
+            calls[index, index.nodes[index.dests[slot]]] += 1
+            return measure(index, weights, slot)
 
         monkeypatch.setattr(model, "_longest_routes", counted)
         # Routes of 3, 2 and 1 plain edges: (1 * 9 + 2 * 4 + 0.5 * 1) / 0.5.
@@ -580,6 +581,7 @@ class TestBestPointCertificate:
         assert cert.primal_point == "loading"
 
     @given(seed=st.integers(0, 299))
+    @example(seed=4)  # its two primal formulas once differed by 1.5x the slack
     @settings(max_examples=30, deadline=None)
     def test_certificate_is_a_valid_primal_point(self, seed):
         net, t = random_hierarchy(seed)
@@ -624,12 +626,23 @@ def replay_candidates(net, t, iters):
     the first ``iters`` iterations of a solve from ``t``, and the history.
 
     The acceptance hook's return value only decides when to stop, so these
-    are the iterates ``solve`` made.
+    are the iterates ``solve`` made. Each primal value sums its cost
+    integrals through ``CostTable.integral``, as the solver does: the
+    per-edge integrals of ``surrogate_primal`` round differently, by more
+    than the certificate's slack when the entropy term cancels most of the
+    integrals, so only the same formula compares the solver's choice exactly.
+    ``test_certificate_is_a_valid_primal_point`` checks the certified value
+    against ``surrogate_primal`` separately.
     """
+    table = CostTable(net.plain_costs())
+    plain = _plain_positions(net)
     weight = 0.0
     flow_sums = [[0.0] * len(level.edges) for level in net.levels]
     entropy_sum = 0.0
     loadings = []
+
+    def primal(flows, entropy):
+        return table.integral(np.concatenate(flows)[plain], start=entropy)
 
     def on_accept(info):
         nonlocal weight, entropy_sum
@@ -639,14 +652,11 @@ def replay_candidates(net, t, iters):
                 sums[pos] += info.alpha * f
         entropy = entropy_term(net, info.aux)
         entropy_sum += info.alpha * entropy
-        loadings.append(surrogate_primal(net, info.aux.flows, entropy))
+        loadings.append(primal(info.aux.flows, entropy))
         return None
 
     _, history = minimize_composite(
-        _DualSmooth(net, _plain_positions(net)), CostTable(net.plain_costs()), t,
-        SolverConfig(gap_tol=0.0, max_iters=iters), on_accept,
+        _DualSmooth(net, plain), table, t, SolverConfig(gap_tol=0.0, max_iters=iters), on_accept,
     )
-    average = surrogate_primal(
-        net, [[f / weight for f in sums] for sums in flow_sums], entropy_sum / weight
-    )
+    average = primal([[f / weight for f in sums] for sums in flow_sums], entropy_sum / weight)
     return average, loadings, history
