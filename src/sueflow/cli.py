@@ -90,8 +90,14 @@ def _require_keys(obj, where, keys: _Keys) -> None:
 
 
 def _finite(value) -> bool:
-    # json.loads accepts NaN and Infinity; neither is a valid model value.
-    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+    # json.loads accepts NaN, Infinity and integers beyond the float range,
+    # on which math.isfinite raises OverflowError; none is a valid model value.
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 def _number(value, parent, key=None) -> float:
@@ -230,7 +236,7 @@ def cost_from_dict(obj: dict) -> LinkCost:
     if not isinstance(obj, dict):
         raise ValueError(f"cost must be an object, got {type(obj).__name__}")
     kind = obj.get("type")
-    if kind not in _COST_TYPES:
+    if not isinstance(kind, str) or kind not in _COST_TYPES:
         raise ValueError(f"unknown cost type {kind!r}")
     cls, fields, keys = _COST_TYPES[kind]
     if obj.keys() != keys:

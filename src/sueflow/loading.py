@@ -23,24 +23,27 @@ OD pairs enter only through their destinations: pairs that share one share
 its soft-min field, and since flows and trajectory entropy are linear in
 the through-flow, one forward pass carries the demand of all their origins
 (the destination-based form of Dial's STOCH loading). On an acyclic level
-each distinct destination costs one soft-min sweep and one forward pass,
-both over only the nodes between that destination's origins and it
-(``LevelIndex.dest_subgraphs``): elsewhere the soft-min is ``+inf`` and the
-flow zero, so skipping them changes no result. A cyclic level runs each
-pass once for all its destinations: one Bellman-Ford over a (destinations,
-nodes) array and one stacked solve of the per-destination systems, in
-groups of ``_STACK_FLOATS // n**2`` destinations (at least one) so that a
-stack holds at most ``max(n**2, _STACK_FLOATS)`` floats. Each destination
-sees the float operations of a pass of its own, so the grouping changes no
-bit of the result.
+each distinct destination gets one soft-min sweep, over only the nodes
+between that destination's origins and it (``LevelIndex.dest_subgraphs``):
+elsewhere the soft-min is ``+inf`` and the flow zero, so skipping them
+changes no result. The sweep pays each edge's ``exp`` once; for a
+gradient it keeps the logit choice those ``exp``s give (``_Choice``), and
+the forward pass over the same nodes reuses it, with multiply-adds only.
+A value alone keeps nothing.
+
+A cyclic level runs each pass once for all its destinations: one
+Bellman-Ford over a (destinations, nodes) array and one stacked solve of
+the per-destination systems, in groups of ``_STACK_FLOATS // n**2``
+destinations (at least one) so that a stack holds at most ``max(n**2,
+_STACK_FLOATS)`` floats. Each destination sees the float operations of a
+pass of its own, so the grouping changes no bit of the result.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .model import LevelIndex, NetworkHierarchy, Subgraph
 
@@ -58,7 +61,7 @@ __all__ = [
     "verify_conservation",
 ]
 
-_MASS_TOL = 1e-9  # leak budget for outgoing choice probabilities, plus rounding
+_MASS_TOL = 1e-9  # how far the choice probabilities out of a node may sum from 1
 # Floats in one stack of a cyclic level's (n, n) systems. Stacking every
 # destination would take D * n**2 floats per pass (100 MB for 50
 # destinations at n = 500); groups of _STACK_FLOATS // n**2 cap a stack at
@@ -104,22 +107,26 @@ class LoadResult:
         return [self.flows[k][i] for k, i in net.plain_edge_order()]
 
 
-def _lse_min(terms: list[float], gamma: float) -> float:
-    """-gamma * log sum exp(-term/gamma) with max shift; +inf on empty input."""
-    best = math.inf
-    for w in terms:
-        if w < best:
-            best = w
-    if best == math.inf:
-        return math.inf
-    acc = 0.0
-    for w in terms:
-        acc += math.exp((best - w) / gamma)
-    return best - gamma * math.log(acc)
+class _Choice(NamedTuple):
+    """Logit edge choice toward one destination of an acyclic level, kept by
+    the gradient's sweep for its forward pass.
+
+    ``probs[e]`` is the probability that flow at edge ``e``'s tail takes it;
+    it stays 0.0 off the destination's subgraph and at nodes with no route.
+    ``entropy[v]`` is the entropy of the choice at node ``v``.
+    """
+
+    probs: list[float]
+    entropy: list[float]
 
 
 def _softmin(
-    index: LevelIndex, weights: Sequence[float], gamma: float, dst: int, graph: Subgraph
+    index: LevelIndex,
+    weights: Sequence[float],
+    gamma: float,
+    dst: int,
+    graph: Subgraph,
+    choice: _Choice | None = None,
 ) -> list[float]:
     """Soft-min distance to ``dst`` per node on an acyclic level; the
     destination is absorbing.
@@ -127,16 +134,61 @@ def _softmin(
     One field serves every OD pair of the level that ends at ``dst``. The
     sweep visits the nodes and edges of ``graph`` (the whole level, or the
     part of it that leads to ``dst``) and leaves every other node at
-    ``+inf``.
+    ``+inf``. At each node it shifts the terms ``weights[e] + rho[head]`` by
+    their minimum ``best`` and sums their ``exp``s left to right into
+    ``acc >= 1``, so ``rho[v] = best - gamma * log(acc)``.
+
+    Given a ``choice``, the sweep also fills it in for every node with a
+    route: the probability ``ex_e / acc`` of each out-edge and the node's
+    entropy ``sum_e p_e (term_e - rho[v]) / gamma``. That form is anchored
+    at the rounded ``rho[v]``, so the primal of one loading telescopes
+    against the very potentials of the dual.
     """
     rho = [math.inf] * index.n_nodes
     rho[dst] = 0.0
     heads, out_edges = index.heads, graph.out_edges
+    exp, log, inf = math.exp, math.log, math.inf
+    if choice is None:  # a value: the same sweep without the stores
+        for v in reversed(graph.topo):
+            if v == dst:
+                continue
+            out = out_edges[v]
+            best = inf
+            for e in out:
+                term = weights[e] + rho[heads[e]]
+                if term < best:
+                    best = term
+            if best == inf:
+                continue
+            acc = 0.0
+            for e in out:
+                acc += exp((best - (weights[e] + rho[heads[e]])) / gamma)
+            rho[v] = best - gamma * log(acc)
+        return rho
+    probs, entropy = choice
     for v in reversed(graph.topo):
         if v == dst:
             continue
-        terms = [weights[e] + rho[heads[e]] for e in out_edges[v]]
-        rho[v] = _lse_min(terms, gamma)
+        out = out_edges[v]
+        best = inf
+        for e in out:
+            term = weights[e] + rho[heads[e]]
+            if term < best:
+                best = term
+        if best == inf:
+            continue
+        acc = 0.0
+        for e in out:
+            ex = exp((best - (weights[e] + rho[heads[e]])) / gamma)
+            probs[e] = ex
+            acc += ex
+        r = rho[v] = best - gamma * log(acc)
+        h = 0.0
+        for e in out:
+            p = probs[e] = probs[e] / acc
+            if p > 0.0:  # a term of +inf has no share and no entropy
+                h += p * (weights[e] + rho[heads[e]] - r)
+        entropy[v] = h / gamma
     return rho
 
 
@@ -252,10 +304,13 @@ def _softmin_cyclic(
 
 
 def _sweep_weights(
-    net: NetworkHierarchy, t: Sequence[float]
-) -> tuple[list[Sequence[float]], list[list[list[float]]]]:
-    """Bottom-up pass: per-level edge weights and per-destination soft-min
-    fields, in the order of ``LevelIndex.dests``.
+    net: NetworkHierarchy, t: Sequence[float], keep_choices: bool = False
+) -> tuple[list[Sequence[float]], list[list[list[float]]], list[list[_Choice]]]:
+    """Bottom-up pass: per-level edge weights, per-destination soft-min
+    fields in the order of ``LevelIndex.dests``, and, with
+    ``keep_choices``, the logit choice toward each destination of an
+    acyclic level in the same order (no entries for a cyclic level, or
+    without ``keep_choices``).
 
     A portal edge's weight is the soft-min trip cost of its target OD pair
     one level down, so levels are processed deepest first. Each level's
@@ -288,6 +343,7 @@ def _sweep_weights(
     m = net.num_levels
     weights: list[Sequence[float]] = [()] * m
     rho_fields: list[list[list[float]]] = [[] for _ in range(m)]
+    choices: list[list[_Choice]] = [[] for _ in range(m)]
     trip_cost: list[list[float]] = [[] for _ in range(m)]
 
     for k in range(m - 1, -1, -1):
@@ -308,10 +364,12 @@ def _sweep_weights(
             except LoadingError as err:
                 raise LoadingError(f"{err} at level {k + 1}") from None
         else:
-            rho_fields[k] = [
-                _softmin(index, w, gamma, dst, graph)
-                for dst, graph in zip(index.dests, index.dest_subgraphs)
-            ]
+            for dst, graph in zip(index.dests, index.dest_subgraphs):
+                choice = None
+                if keep_choices:
+                    choice = _Choice([0.0] * len(level.edges), [0.0] * index.n_nodes)
+                    choices[k].append(choice)
+                rho_fields[k].append(_softmin(index, w, gamma, dst, graph, choice))
         for j, (src, dst) in enumerate(index.od_nodes):
             cost = rho_fields[k][index.dest_slot[j]][src]
             if math.isinf(cost):
@@ -321,12 +379,12 @@ def _sweep_weights(
                     raise LoadingError(f"the trip cost {trip} overflows to inf")
                 raise NoPathError(f"no path {trip}")
             trip_cost[k].append(cost)
-    return weights, rho_fields
+    return weights, rho_fields, choices
 
 
 def hierarchical_weights(net: NetworkHierarchy, t: Sequence[float]) -> list[dict[str, float]]:
     """Per-level edge weights at dual point ``t`` (portal entries filled in)."""
-    weights, _ = _sweep_weights(net, t)
+    weights, _, _ = _sweep_weights(net, t)
     out = []
     for level, w in zip(net.levels, weights):
         out.append({e.id: w[pos] for pos, e in enumerate(level.edges)})
@@ -335,7 +393,7 @@ def hierarchical_weights(net: NetworkHierarchy, t: Sequence[float]) -> list[dict
 
 def dual_smooth_value(net: NetworkHierarchy, t: Sequence[float]) -> float:
     """Smooth dual term: minus the demand-weighted soft-min trip costs."""
-    _, rho_fields = _sweep_weights(net, t)
+    _, rho_fields, _ = _sweep_weights(net, t)
     index = net.levels[0].index
     total = 0.0
     for j, od in enumerate(net.levels[0].od_pairs):
@@ -346,79 +404,49 @@ def dual_smooth_value(net: NetworkHierarchy, t: Sequence[float]) -> float:
 
 def _forward_dag(
     index: LevelIndex,
-    weights: Sequence[float],
-    rho: Sequence[float],
-    gamma: float,
+    choice: _Choice,
     slot: int,
     supply: list[float],
     flows: list[float],
     k: int,
 ) -> float:
     """Carry the demand bound for destination ``slot`` to it in one
-    topological sweep of its subgraph, which holds all the flow.
+    topological sweep of its subgraph, which holds all the flow, by the
+    ``choice`` its soft-min sweep kept.
 
     ``supply[v]`` is the summed demand of the level's OD pairs from node
     ``v`` to that destination; it becomes the through-flow in place. Adds
     the edge flows to ``flows`` and returns the demand-weighted trajectory
-    entropy. ``k`` is the level's position, for error messages.
+    entropy. The probabilities out of every node that flow reaches must sum
+    to 1 within ``_MASS_TOL``, or ``MassLeakError`` names the node. Flow
+    reaches only nodes with a route: the sweep checks each origin, and an
+    edge into a node without one has probability 0. ``k`` is the level's
+    position, for error messages.
     """
     dst = index.dests[slot]
     graph = index.dest_subgraphs[slot]
     heads, out_edges = index.heads, graph.out_edges
+    probs, node_entropy = choice
     through = supply
     entropy = 0.0
     for v in graph.topo:
         h = through[v]
         if h <= 0.0 or v == dst:
             continue
-        if math.isinf(rho[v]):
-            raise NoPathError(
-                f"flow toward {index.nodes[dst]!r} reached node {index.nodes[v]!r}, "
-                f"which has no route to it, at level {k + 1}"
-            )
-        out = out_edges[v]
-        probs = [math.exp((rho[v] - weights[e] - rho[heads[e]]) / gamma) for e in out]
-        mass = sum(probs)
-        leak = abs(mass - 1.0)
-        if leak > _MASS_TOL and leak > _leak_budget(index, weights, rho, gamma, v, out, probs):
+        mass = 0.0
+        for e in out_edges[v]:
+            p = probs[e]
+            mass += p
+            q = h * p
+            flows[e] += q
+            through[heads[e]] += q
+        if abs(mass - 1.0) > _MASS_TOL:
             raise MassLeakError(
                 f"choice probabilities out of node {index.nodes[v]!r} toward "
                 f"{index.nodes[dst]!r} sum to {mass} at level {k + 1}"
             )
-        local = 0.0
-        for e, p in zip(out, probs):
-            p /= mass  # exact conservation; the raw sum is 1 up to rounding
-            if p > 0.0:
-                local -= p * math.log(p)
-                flows[e] += h * p
-                through[heads[e]] += h * p
-        entropy += h * local
+        entropy += h * node_entropy[v]
     return entropy
-
-
-def _leak_budget(
-    index: LevelIndex,
-    weights: Sequence[float],
-    rho: Sequence[float],
-    gamma: float,
-    v: int,
-    out: Sequence[int],
-    probs: Sequence[float],
-) -> float:
-    """Mass deviation at node ``v`` that the rounding of the potentials explains.
-
-    Each exponent is a difference of a potential, a weight and a potential,
-    so it is off by a few ulps of their magnitudes over ``gamma``, and
-    ``exp`` turns that into the same relative error of the probability.
-    Large potentials against a small ``gamma`` thus leave the raw sum
-    further from 1 than ``_MASS_TOL`` without any mass being lost. ``out``
-    lists the edges out of ``v`` that ``probs`` belong to.
-    """
-    spread = 0.0
-    for e, p in zip(out, probs):
-        if p > 0.0:
-            spread += p * (abs(rho[v]) + abs(weights[e]) + abs(rho[index.heads[e]]))
-    return _MASS_TOL + 4.0 * sys.float_info.epsilon * spread / gamma
 
 
 def _forward_cyclic(
@@ -487,7 +515,7 @@ def network_loading(net: NetworkHierarchy, t: Sequence[float]) -> LoadResult:
     runs one forward pass per destination with positive demand, a cyclic
     level one batched pass over all of them.
     """
-    weights, rho_fields = _sweep_weights(net, t)
+    weights, rho_fields, choices = _sweep_weights(net, t, keep_choices=True)
     m = net.num_levels
 
     demands: list[list[float]] = [[] for _ in range(m)]
@@ -518,7 +546,7 @@ def network_loading(net: NetworkHierarchy, t: Sequence[float]) -> LoadResult:
         else:
             for slot, supply in supplies.items():
                 level_entropy += _forward_dag(
-                    index, weights[k], rho_fields[k][slot], gamma, slot, supply, level_flows, k
+                    index, choices[k][slot], slot, supply, level_flows, k
                 )
         flows.append(level_flows)
         entropies.append(level_entropy)

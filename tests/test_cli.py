@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -354,6 +355,25 @@ class TestSolveCommand:
             "L2_diagnostic",
         }
 
+    def test_vanishing_gammas_stop_at_the_cap(self, tmp_path):
+        # At gamma 1e-300 every exponent but each node's best underflows.
+        # The best term is exp(0) = 1, so a node's choice never sums to 0.
+        doc = json.loads((FIXTURES / "two_level.json").read_text())
+        doc["gammas"] = [1e-300, 1e-300]
+        network = tmp_path / "net.json"
+        network.write_text(json.dumps(doc))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"max_iters": 50}')
+        out = tmp_path / "out"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run_cli("solve", "--network", network, "--config", cfg, "--out", out)
+        assert code == 1
+        cert = json.loads((out / "certificate.json").read_text())
+        assert cert["stop"] == "iteration_cap"
+        assert math.isfinite(cert["gap"])
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
     def test_outputs_match_the_library_solve(self, tmp_path):
         out = tmp_path / "out"
         network = FIXTURES / "two_level.json"
@@ -427,33 +447,35 @@ class TestSolveCommand:
                 assert stripped_a == stripped_b
 
 
-class TestNonFiniteInput:
-    """json.loads accepts NaN and Infinity; every command must reject them."""
+NONFINITE_CASES = [
+    ("cost", ("validate", "load", "solve"), "$.levels[0].edges[0].cost: cost parameter 'a'"),
+    ("demand", ("validate", "load", "solve"), "$.levels[0].od_pairs[0].demand"),
+    ("gamma", ("validate", "load", "solve"), "$.gammas[0]"),
+    ("times", ("load",), "t.json:times[0].e2"),
+    ("config", ("solve",), "cfg.json:L0"),
+]
 
-    @pytest.mark.parametrize(
-        "case, commands, where",
-        [
-            ("cost", ("validate", "load", "solve"), "$.levels[0].edges[0].cost: cost parameter 'a'"),
-            ("demand", ("validate", "load", "solve"), "$.levels[0].od_pairs[0].demand"),
-            ("gamma", ("validate", "load", "solve"), "$.gammas[0]"),
-            ("times", ("load",), "t.json:times[0].e2"),
-            ("config", ("solve",), "cfg.json:L0"),
-        ],
-    )
-    def test_exit_2_naming_the_value(self, tmp_path, capsys, case, commands, where):
+
+class TestNonFiniteInput:
+    """json.loads accepts NaN, Infinity and integers beyond the float range;
+    every command must reject them."""
+
+    @staticmethod
+    def check_exit_2(tmp_path, capsys, case, commands, where, value):
+        """Run ``commands`` with ``value`` at the place ``case`` names."""
         doc = json.loads((FIXTURES / "two_edge.json").read_text())
         times = {"version": 1, "times": [{"e1": 1.0, "e2": 2.0}]}
         config = {"max_iters": 5}
         if case == "cost":
-            doc["levels"][0]["edges"][0]["cost"]["a"] = math.nan
+            doc["levels"][0]["edges"][0]["cost"]["a"] = value
         elif case == "demand":
-            doc["levels"][0]["od_pairs"][0]["demand"] = math.inf
+            doc["levels"][0]["od_pairs"][0]["demand"] = value
         elif case == "gamma":
-            doc["gammas"] = [math.inf]
+            doc["gammas"] = [value]
         elif case == "times":
-            times["times"][0]["e2"] = -math.inf
+            times["times"][0]["e2"] = value
         else:
-            config["L0"] = math.nan
+            config["L0"] = value
         paths = {"net": tmp_path / "net.json", "t": tmp_path / "t.json", "cfg": tmp_path / "cfg.json"}
         for name, obj in (("net", doc), ("t", times), ("cfg", config)):
             paths[name].write_text(json.dumps(obj))  # writes NaN / Infinity literals
@@ -466,6 +488,16 @@ class TestNonFiniteInput:
             assert run_cli(command, "--network", paths["net"], *extra[command]) == 2
             err = capsys.readouterr().err
             assert where in err and "finite number" in err, err
+
+    @pytest.mark.parametrize("case, commands, where", NONFINITE_CASES)
+    def test_exit_2_naming_the_value(self, tmp_path, capsys, case, commands, where):
+        value = {"cost": math.nan, "times": -math.inf, "config": math.nan}.get(case, math.inf)
+        self.check_exit_2(tmp_path, capsys, case, commands, where, value)
+
+    @pytest.mark.parametrize("case, commands, where", NONFINITE_CASES)
+    def test_integer_beyond_the_float_range(self, tmp_path, capsys, case, commands, where):
+        # math.isfinite raises OverflowError on such an integer
+        self.check_exit_2(tmp_path, capsys, case, commands, where, 10**400)
 
 
 DROP = object()  # marks a key that an edit removes
@@ -510,6 +542,12 @@ MALFORMED = {
     "edge-kind-before-id": (
         [(E0 + ("id",), 1), (E0 + ("kind",), False)],
         "$.levels[0].edges[0].kind: expected a string, got False"),
+    "cost-type-unhashable": (
+        [(E0 + ("cost", "type"), ["affine"])],
+        "$.levels[0].edges[0].cost: unknown cost type ['affine']"),
+    "demand-beyond-float-range": (
+        [(OD0 + ("demand",), 10**400)],
+        f"$.levels[0].od_pairs[0].demand: expected a finite number, got {10**400}"),
     "edge-unknown-kind": (
         [(E0 + ("kind",), "bridge")], "$.levels[0].edges[0].kind: unknown edge kind 'bridge'"),
     "plain-without-cost": (
