@@ -124,6 +124,8 @@ def _read_json(path: str | Path):
         raise _fail(str(path), f"not UTF-8 text at byte {err.start}") from err
     except json.JSONDecodeError as err:
         raise _fail(str(path), f"invalid JSON at line {err.lineno}, column {err.colno}") from err
+    except ValueError as err:  # an integer literal past the int conversion limit
+        raise _fail(str(path), f"invalid JSON: {err}") from err
 
 
 def parse_network(path: str | Path) -> NetworkHierarchy:

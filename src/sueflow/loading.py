@@ -14,10 +14,15 @@ Soft-min distances on a DAG level are exact in one reverse-topological
 pass. On a cyclic level the soft-min sums over all walks, not just simple
 paths: it is the walk sum of a Markov chain absorbed at the destination,
 and one linear solve per destination gives it exactly (Akamatsu 1996,
-"Cyclic flows, Markov process and stochastic traffic assignment"). The
-through-flows of the loading are a second solve with the resulting choice
-probabilities. A walk sum that diverges raises ``LoadingError``. Both
-passes read each level's compiled index, ``LevelGraph.index``.
+"Cyclic flows, Markov process and stochastic traffic assignment"). A walk
+sum that diverges raises ``LoadingError``. Both passes read each level's
+compiled index, ``LevelGraph.index``.
+
+Every level has one contract between its passes. For a gradient, the
+sweep keeps the logit choice toward each destination (``_Choice``: each
+edge's probability, each node's entropy), from the ``exp``s it pays once
+per edge; the forward pass only propagates flow through that choice, with
+no ``exp`` or ``log`` of its own. A value alone keeps nothing.
 
 OD pairs enter only through their destinations: pairs that share one share
 its soft-min field, and since flows and trajectory entropy are linear in
@@ -26,10 +31,8 @@ the through-flow, one forward pass carries the demand of all their origins
 each distinct destination gets one soft-min sweep, over only the nodes
 between that destination's origins and it (``LevelIndex.dest_subgraphs``):
 elsewhere the soft-min is ``+inf`` and the flow zero, so skipping them
-changes no result. The sweep pays each edge's ``exp`` once; for a
-gradient it keeps the logit choice those ``exp``s give (``_Choice``), and
-the forward pass over the same nodes reuses it, with multiply-adds only.
-A value alone keeps nothing.
+changes no result. Its forward pass visits the same nodes in topological
+order, with multiply-adds only.
 
 A cyclic level runs each pass once for all its destinations: one
 Bellman-Ford over a (destinations, nodes) array and one stacked solve of
@@ -108,16 +111,18 @@ class LoadResult:
 
 
 class _Choice(NamedTuple):
-    """Logit edge choice toward one destination of an acyclic level, kept by
-    the gradient's sweep for its forward pass.
+    """Logit edge choice toward one destination of a level, kept by the
+    gradient's sweep for its forward pass: lists on an acyclic level, numpy
+    rows on a cyclic one.
 
     ``probs[e]`` is the probability that flow at edge ``e``'s tail takes it;
-    it stays 0.0 off the destination's subgraph and at nodes with no route.
-    ``entropy[v]`` is the entropy of the choice at node ``v``.
+    it stays 0.0 off the destination's subgraph, at nodes with no route and
+    on the edges out of the destination. ``entropy[v]`` is the entropy of
+    the choice at node ``v``.
     """
 
-    probs: list[float]
-    entropy: list[float]
+    probs: Sequence[float]
+    entropy: Sequence[float]
 
 
 def _softmin(
@@ -203,34 +208,31 @@ def _groups(n_nodes: int, items: Sequence) -> list:
     return [items[i:i + size] for i in range(0, len(items), size)]
 
 
-def _walk_edges(tails, heads, n_nodes: int, dsts):
-    """Per destination in the array ``dsts`` (one row each), the edges a
-    walk toward it can take: all but those out of it, where the walk ends.
-
-    ``tails`` and ``heads`` are the level's edge endpoints as arrays.
-    Returns, row by row and in the level's edge order, each entry's row and
-    edge position, and the positions of the edge's tail and head in the
-    flattened ``(rows, nodes)`` array of per-row node values.
-    """
-    rows, edges = (tails != dsts[:, None]).nonzero()
-    offset = rows * n_nodes
-    return rows, edges, offset + tails[edges], offset + heads[edges]
-
-
 def _softmin_cyclic(
-    index: LevelIndex, weights: Sequence[float], gamma: float, dsts: Sequence[int]
+    index: LevelIndex,
+    weights: Sequence[float],
+    gamma: float,
+    dsts: Sequence[int],
+    choices: list[_Choice] | None = None,
 ) -> list[list[float]]:
     """Soft-min over all walks to each of ``dsts``, one field per
     destination, as ``rho = d - gamma * log(y)``.
 
     ``d`` is the shortest-path distance to the destination and ``y``
     solves ``(I - A) y = e_dst``, where ``A[v, u]`` sums ``exp(-(w + d[u] -
-    d[v]) / gamma)`` over the edges ``v -> u``. The shift by ``d`` keeps
-    every exponent at or below zero, so the solve does not depend on the
-    unit of time. A positive ``y`` exists only when the walk sum converges:
-    it bounds the spectral radius of ``A`` (Collatz-Wielandt). Otherwise
-    ``LoadingError`` names the first destination, in the order of
+    d[v]) / gamma)`` over the edges ``v -> u``; the edges out of the
+    destination are left out, since a walk ends there. The shift by ``d``
+    keeps every exponent at or below zero, so the solve does not depend on
+    the unit of time. A positive ``y`` exists only when the walk sum
+    converges: it bounds the spectral radius of ``A`` (Collatz-Wielandt).
+    Otherwise ``LoadingError`` names the first destination, in the order of
     ``dsts``, whose sum diverges.
+
+    Given ``choices``, the sweep appends the logit choice toward each
+    destination, as ``_softmin`` does. An edge's share is its term of
+    ``y[v] = sum_e A_e y[u]``: ``A_e * y[u] / y[v]``, divided by the sum of
+    its tail's shares so that each node's probabilities add up to 1. Node
+    entropies take ``_softmin``'s form, anchored at the rounded ``rho``.
 
     Destinations are taken in groups (``_groups``): Bellman-Ford relaxes
     one ``(group, nodes)`` distance array, and one stacked solve gives
@@ -240,7 +242,7 @@ def _softmin_cyclic(
     # Imported here so that runs on DAG levels never load numpy.
     import numpy as np
 
-    n = index.n_nodes
+    n, n_edges = index.n_nodes, len(index.tails)
     w = np.asarray(weights, dtype=float)
     tails, heads = np.array(index.tails), np.array(index.heads)
     eye = np.eye(n)
@@ -249,7 +251,10 @@ def _softmin_cyclic(
         g = len(group)
         dst = np.array(group)
         at_dst = np.arange(g) * n + dst
-        rows, edges, at_tail, at_head = _walk_edges(tails, heads, n, dst)
+        # Per row, the edges a walk can take, and the flat positions of
+        # their tails and heads in the (group, nodes) arrays.
+        rows, edges = (tails != dst[:, None]).nonzero()
+        at_tail, at_head = rows * n + tails[edges], rows * n + heads[edges]
         w_walk = w[edges]
         d = np.full(g * n, math.inf)
         d[at_dst] = 0.0
@@ -272,15 +277,13 @@ def _softmin_cyclic(
             # Edges between nodes at a finite distance; without an overflow,
             # every edge into a node that reaches the destination.
             keep = np.isfinite(d[at_head]) & np.isfinite(d[at_tail]) & ~bad[rows]
+            rows, edges = rows[keep], edges[keep]
             at_tail, at_head, w_walk = at_tail[keep], at_head[keep], w_walk[keep]
-            system = np.empty((g, n, n))
-            system[:] = eye
             # An exponent that overflows to -inf is a term that rounds to 0.
-            np.subtract.at(
-                system.reshape(-1),
-                at_tail * n + heads[edges[keep]],
-                np.exp((d[at_tail] - w_walk - d[at_head]) / gamma),
-            )
+            walk = np.exp((d[at_tail] - w_walk - d[at_head]) / gamma)
+        system = np.empty((g, n, n))
+        system[:] = eye
+        np.subtract.at(system.reshape(-1), at_tail * n + heads[edges], walk)
         unit = np.zeros((g, n, 1))
         unit.reshape(-1)[at_dst] = 1.0
         try:
@@ -300,6 +303,22 @@ def _softmin_cyclic(
         rho = np.full(g * n, math.inf)
         rho[reach] = d[reach] - gamma * np.log(y[reach])
         fields.extend(rho.reshape(g, n).tolist())
+        if choices is None:
+            continue
+        share = walk * y[at_head] / y[at_tail]
+        mass = np.zeros(g * n)
+        np.add.at(mass, at_tail, share)
+        share /= mass[at_tail]  # exact conservation; the raw sums are 1 up to rounding
+        probs = np.zeros((g, n_edges))
+        probs[rows, edges] = share
+        used = share > 0.0  # a term that rounds to 0 has no share and no entropy
+        at, p = at_tail[used], share[used]
+        entropy = np.zeros(g * n)
+        # Grouped as ``walk``'s exponent, which a positive share bounds by
+        # about 745 gamma: the term is finite unless gamma nears the float range.
+        np.add.at(entropy, at, p * (rho[at_head[used]] - (rho[at] - w_walk[used])))
+        entropy /= gamma
+        choices.extend(map(_Choice, probs, entropy.reshape(g, n)))
     return fields
 
 
@@ -308,9 +327,8 @@ def _sweep_weights(
 ) -> tuple[list[Sequence[float]], list[list[list[float]]], list[list[_Choice]]]:
     """Bottom-up pass: per-level edge weights, per-destination soft-min
     fields in the order of ``LevelIndex.dests``, and, with
-    ``keep_choices``, the logit choice toward each destination of an
-    acyclic level in the same order (no entries for a cyclic level, or
-    without ``keep_choices``).
+    ``keep_choices``, the logit choice toward each destination in the same
+    order (no entries without ``keep_choices``).
 
     A portal edge's weight is the soft-min trip cost of its target OD pair
     one level down, so levels are processed deepest first. Each level's
@@ -360,7 +378,9 @@ def _sweep_weights(
         gamma = net.gammas[k]
         if index.topo is None:
             try:
-                rho_fields[k] = _softmin_cyclic(index, w, gamma, index.dests)
+                rho_fields[k] = _softmin_cyclic(
+                    index, w, gamma, index.dests, choices[k] if keep_choices else None
+                )
             except LoadingError as err:
                 raise LoadingError(f"{err} at level {k + 1}") from None
         else:
@@ -451,58 +471,43 @@ def _forward_dag(
 
 def _forward_cyclic(
     index: LevelIndex,
-    weights: Sequence[float],
-    rho_fields: Sequence[Sequence[float]],
-    gamma: float,
+    choices: Sequence[_Choice],
     supplies: Mapping[int, Sequence[float]],
     flows: list[float],
 ) -> float:
     """Walk-measure loading of a cyclic level toward every destination slot
-    in ``supplies``, over the whole level: the expected node visits solve
-    ``(I - Q^T) h = supply``, one solve for every origin bound for it.
+    in ``supplies``, over the whole level, by the ``choices`` its soft-min
+    sweep kept: the expected node visits solve ``(I - Q^T) h = supply``,
+    one solve for every origin bound for the destination.
 
     ``supplies`` maps a destination slot to the summed demand per origin
-    node; ``rho_fields`` holds the soft-min field per slot. Adds the edge
-    flows to ``flows``, destination by destination in the order of
-    ``supplies``, and returns the demand-weighted trajectory entropy summed
-    in that order. Destinations are taken in the groups of
-    ``_softmin_cyclic``, each one stacked computation of the choice
-    probabilities and one stacked solve.
+    node. Adds the edge flows to ``flows``, destination by destination in
+    the order of ``supplies``, and returns the demand-weighted trajectory
+    entropy summed in that order. Destinations are taken in the groups of
+    ``_softmin_cyclic``, one stacked solve each.
     """
     import numpy as np
 
     n = index.n_nodes
-    w = np.asarray(weights, dtype=float)
     tails, heads = np.array(index.tails), np.array(index.heads)
     eye = np.eye(n)
     entropy = 0.0
     for group in _groups(n, list(supplies)):
         g = len(group)
-        r = np.array([rho_fields[slot] for slot in group]).reshape(-1)
-        dst = np.array([index.dests[slot] for slot in group])
-        rows, edges, at_tail, at_head = _walk_edges(tails, heads, n, dst)
-        live = np.isfinite(r[at_head])
-        rows, edges, at_tail, at_head = rows[live], edges[live], at_tail[live], at_head[live]
-        # An exponent that overflows to -inf is a probability that rounds to 0.
-        with np.errstate(over="ignore"):
-            probs = np.exp((r[at_tail] - w[edges] - r[at_head]) / gamma)
-        mass = np.zeros(g * n)
-        np.add.at(mass, at_tail, probs)
-        probs /= mass[at_tail]  # exact conservation; the raw sums are 1 up to rounding
+        probs = np.array([choices[slot].probs for slot in group])
+        rows, edges = probs.nonzero()
+        probs = probs[rows, edges]
         system = np.empty((g, n, n))  # I - Q^T per destination
         system[:] = eye
-        np.subtract.at(system.reshape(-1), at_head * n + tails[edges], probs)
+        np.subtract.at(system.reshape(-1), (rows * n + heads[edges]) * n + tails[edges], probs)
         supply = np.array([supplies[slot] for slot in group])[:, :, None]
         # The exact visits are nonnegative; clip rounding residue below zero.
-        through = np.maximum(np.linalg.solve(system, supply).reshape(-1), 0.0)
-        edge_flows = through[at_tail] * probs
+        through = np.maximum(np.linalg.solve(system, supply).reshape(g, n), 0.0)
+        edge_flows = through[rows, tails[edges]] * probs
         for e, f in zip(edges.tolist(), edge_flows.tolist()):
             flows[e] += f
-        used = probs > 0.0
-        used_flows, logs = edge_flows[used], np.log(probs[used])
-        bounds = np.searchsorted(rows[used], np.arange(g + 1)).tolist()
-        for lo, hi in zip(bounds, bounds[1:]):  # one destination each
-            entropy -= float(np.dot(used_flows[lo:hi], logs[lo:hi]))
+        for slot, h in zip(group, through):
+            entropy += float(np.dot(h, choices[slot].entropy))
     return entropy
 
 
@@ -515,7 +520,7 @@ def network_loading(net: NetworkHierarchy, t: Sequence[float]) -> LoadResult:
     runs one forward pass per destination with positive demand, a cyclic
     level one batched pass over all of them.
     """
-    weights, rho_fields, choices = _sweep_weights(net, t, keep_choices=True)
+    _, rho_fields, choices = _sweep_weights(net, t, keep_choices=True)
     m = net.num_levels
 
     demands: list[list[float]] = [[] for _ in range(m)]
@@ -524,7 +529,7 @@ def network_loading(net: NetworkHierarchy, t: Sequence[float]) -> LoadResult:
     entropies: list[float] = []
     smooth = 0.0
     for k in range(m):
-        level, gamma = net.levels[k], net.gammas[k]
+        level = net.levels[k]
         index = level.index
         level_flows = [0.0] * len(level.edges)
         level_entropy = 0.0
@@ -540,9 +545,7 @@ def network_loading(net: NetworkHierarchy, t: Sequence[float]) -> LoadResult:
                 supplies[slot] = [0.0] * index.n_nodes
             supplies[slot][src] += d
         if index.topo is None:
-            level_entropy = _forward_cyclic(
-                index, weights[k], rho_fields[k], gamma, supplies, level_flows
-            )
+            level_entropy = _forward_cyclic(index, choices[k], supplies, level_flows)
         else:
             for slot, supply in supplies.items():
                 level_entropy += _forward_dag(

@@ -92,15 +92,14 @@ class LevelGraph:
 
 
 class Subgraph(NamedTuple):
-    """The part of a level that one loading pass visits.
+    """The part of an acyclic level that one loading pass visits.
 
-    ``topo`` lists its nodes in the level's Kahn order (``None`` on a cyclic
-    level). ``out_edges[v]`` holds, in the level's order, the positions of
-    the edges out of node ``v`` that stay inside it; it is empty for nodes
-    outside it.
+    ``topo`` lists its nodes in the level's Kahn order. ``out_edges[v]``
+    holds, in the level's order, the positions of the edges out of node
+    ``v`` that stay inside it; it is empty for nodes outside it.
     """
 
-    topo: list[int] | None
+    topo: list[int]
     out_edges: Sequence[Sequence[int]]
 
 
@@ -113,7 +112,7 @@ class LevelIndex:
     cycle. ``dests`` lists the distinct OD destinations in order of first
     appearance, and ``dest_slot[j]`` is the position of OD ``j``'s
     destination in it: loading computes one soft-min field per destination,
-    over that destination's ``dest_subgraphs`` entry.
+    on an acyclic level over that destination's ``dest_subgraphs`` entry.
     """
 
     __slots__ = (
@@ -166,34 +165,27 @@ class LevelIndex:
         self._dest_subgraphs: list[Subgraph] | None = None
 
     @property
-    def whole(self) -> Subgraph:
-        """The whole level as a ``Subgraph``."""
-        return Subgraph(self.topo, self.out_edges)
-
-    @property
     def dest_subgraphs(self) -> list[Subgraph]:
-        """Per destination slot, the nodes between its OD origins and it.
+        """Per destination slot of an acyclic level, the nodes between its
+        OD origins and it.
 
-        On an acyclic level these are the descendants of the origins of the
-        OD pairs bound for the destination that are also its ancestors, and
-        each keeps only the edges whose heads are among them. Outside them
-        the soft-min distance is ``+inf`` and the flow toward the
-        destination zero, so a loading pass over the subgraph computes the
-        whole level's trip costs and flows exactly, and a longest-route
-        pass over it the origins' route bounds. On a cyclic level every slot
-        gets the whole level. Built on first use and kept: validation never
-        reads them.
+        These are the descendants of the origins of the OD pairs bound for
+        the destination that are also its ancestors, and each keeps only the
+        edges whose heads are among them. Outside them the soft-min distance
+        is ``+inf`` and the flow toward the destination zero, so a loading
+        pass over the subgraph computes the whole level's trip costs and
+        flows exactly, and a longest-route pass over it the origins' route
+        bounds. A cyclic level has none: its passes are linear solves over
+        the whole level. Built on first use and kept: validation never reads
+        them.
         """
         if self._dest_subgraphs is None:
-            if self.topo is None:
-                self._dest_subgraphs = [self.whole] * len(self.dests)
-            else:
-                origins: list[list[int]] = [[] for _ in self.dests]
-                for (src, _), slot in zip(self.od_nodes, self.dest_slot):
-                    origins[slot].append(src)
-                self._dest_subgraphs = [
-                    self._between(srcs, dst) for srcs, dst in zip(origins, self.dests)
-                ]
+            origins: list[list[int]] = [[] for _ in self.dests]
+            for (src, _), slot in zip(self.od_nodes, self.dest_slot):
+                origins[slot].append(src)
+            self._dest_subgraphs = [
+                self._between(srcs, dst) for srcs, dst in zip(origins, self.dests)
+            ]
         return self._dest_subgraphs
 
     def _between(self, origins: list[int], dst: int) -> Subgraph:

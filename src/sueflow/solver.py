@@ -149,11 +149,12 @@ def alpha_step(alpha_k: float, L_k: float, L_next: float) -> tuple[float, float]
 
     Returns ``(alpha_next, tau)`` with ``alpha_next * L_next >= 1`` so the
     mixing weight ``tau = 1 / (alpha_next * L_next)`` lies in (0, 1].
+    It solves ``a**2 L_next - a = alpha_k**2 L_k`` through the unit-free
+    products ``alpha L``: no ``L`` is squared, so it may lie near either end
+    of the float range.
     """
-    alpha_next = math.sqrt(
-        alpha_k * alpha_k * L_k / L_next + 1.0 / (4.0 * L_next * L_next)
-    ) + 1.0 / (2.0 * L_next)
-    return alpha_next, 1.0 / (alpha_next * L_next)
+    root = 1.0 + math.sqrt(1.0 + 4.0 * (alpha_k * L_k) * (alpha_k * L_next))
+    return root / (2.0 * L_next), 2.0 / root
 
 
 @dataclass

@@ -374,6 +374,16 @@ class TestSolveCommand:
         assert math.isfinite(cert["gap"])
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
+    def test_vanishing_L0_reaches_the_gap(self, tmp_path):
+        # 4 * L0**2 underflowed to 0 in the step weight's old form, which
+        # ended in a ZeroDivisionError; the products alpha * L stay finite.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"L0": 1e-300}')
+        out = tmp_path / "out"
+        network = FIXTURES / "two_level.json"
+        assert run_cli("solve", "--network", network, "--config", cfg, "--out", out) == 0
+        assert json.loads((out / "certificate.json").read_text())["stop"] == "gap_reached"
+
     def test_outputs_match_the_library_solve(self, tmp_path):
         out = tmp_path / "out"
         network = FIXTURES / "two_level.json"
@@ -676,6 +686,26 @@ class TestMalformedNetwork:
             extra = ["--out", tmp_path / "out"] if command == "solve" else []
             assert run_cli(command, "--network", bad, *extra) == 2
             assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.skipif(
+        not hasattr(sys, "get_int_max_str_digits"), reason="no int conversion limit"
+    )
+    def test_integer_literal_past_the_conversion_limit(self, tmp_path, capsys):
+        # json.loads raises a plain ValueError, not a JSONDecodeError, for an
+        # integer literal longer than the interpreter's conversion limit
+        bad = tmp_path / "bad.json"
+        doc = self.edited([(OD0 + ("demand",), "BIG")])
+        bad.write_text(json.dumps(doc).replace('"BIG"', "1" + "0" * 5000))
+        message = f"{bad}: invalid JSON: Exceeds the limit"
+        with pytest.raises(ParseError) as err:
+            parse_network(bad)
+        assert str(err.value).startswith(message)
+        for command in ("validate", "solve"):
+            extra = ["--out", tmp_path / "out"] if command == "solve" else []
+            assert run_cli(command, "--network", bad, *extra) == 2
+            out, err = capsys.readouterr()
+            assert out == "" and err.startswith(f"error: {message}")
         assert not (tmp_path / "out").exists()
 
 

@@ -28,7 +28,7 @@ from sueflow import (
 )
 from sueflow import loading
 from sueflow.loading import entropy_term, surrogate_primal, verify_conservation
-from sueflow.model import LevelIndex
+from sueflow.model import LevelIndex, Subgraph
 from sueflow import oracle
 
 from conftest import (
@@ -71,7 +71,7 @@ def potentials(level, weights, gamma, dest):
     if index.topo is None:
         rho = loading._softmin_cyclic(index, w, gamma, [dst])[0]
     else:
-        rho = loading._softmin(index, w, gamma, dst, index.whole)
+        rho = loading._softmin(index, w, gamma, dst, Subgraph(index.topo, index.out_edges))
     return {v: rho[i] for v, i in index.node_index.items()}
 
 
@@ -298,10 +298,24 @@ class TestNetworkLoading:
                 want = ref_flows[k][edge.id]
                 assert abs(res.flows[k][pos] - want) <= 1e-10 * (1.0 + abs(want))
 
-    @pytest.mark.parametrize("seed", range(4))
-    def test_value_flow_entropy_identity(self, seed):
-        # smooth value equals gamma-weighted entropies minus <flows, times>
-        net, t = random_hierarchy(seed)
+    @pytest.mark.parametrize("case", [0, 1, 2, 3, "grid3", "ring"])
+    def test_value_flow_entropy_identity(self, case):
+        # smooth value equals gamma-weighted entropies minus <flows, times>,
+        # on the cyclic levels too, whose entropies the walk sweep keeps
+        if case == "grid3":
+            ods = [("r0c0", "r2c2"), ("r2c0", "r0c2"), ("r1c1", "r2c2"), ("r2c2", "r0c0")]
+            level = grid3_level([ODPair(o, d, 0.5 + 0.2 * j) for j, (o, d) in enumerate(ods)])
+            net = NetworkHierarchy([level], [0.4], walk_cap=1)
+            t = [(1 + 0.05 * math.sin(i)) * c.free_flow_time
+                 for i, c in enumerate(net.plain_costs())]
+        elif case == "ring":
+            arcs = [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (1, 3)]
+            arcs += [(j, i) for i, j in arcs]
+            ods = [ODPair("v0", "v3", 1.5), ODPair("v4", "v3", 0.7), ODPair("v2", "v0", 1.0)]
+            net = NetworkHierarchy([ring_level(5, arcs, ods)], [0.6], walk_cap=1)
+            t = [1.0 + 0.1 * ((3 * i) % 5) for i in range(len(arcs))]
+        else:
+            net, t = random_hierarchy(case)
         res = network_loading(net, t)
         rhs = sum(g * e for g, e in zip(net.gammas, res.entropies))
         rhs -= sum(f * v for f, v in zip(res.plain_flows(net), t))
@@ -561,11 +575,13 @@ class TestBatchedCyclicPasses:
 
         res = network_loading(net, t)
         verify_conservation(net, res)
-        summed = [0.0] * len(arcs)
+        summed, entropy = [0.0] * len(arcs), 0.0
         for od in pairs:
             one = network_loading(NetworkHierarchy([ring_level(n, arcs, [od])], [gamma]), t)
             summed = [a + b for a, b in zip(summed, one.flows[0])]
+            entropy += one.entropies[0]
         assert res.flows[0] == pytest.approx(summed, rel=1e-12, abs=1e-12)
+        assert res.entropies[0] == pytest.approx(entropy, rel=1e-12, abs=1e-12)
         assert_flows_are_minus_gradient(net, t, res, 1e-6 * sum(x for *_, x in ods))
 
     @pytest.mark.parametrize("per_group", [1, 2])
@@ -665,7 +681,9 @@ class TestDestinationSubgraphs:
     def test_restricted_loading_equals_whole_level(self, case):
         net, t = case
         restricted = network_loading(net, t), dual_smooth_value(net, t)
-        whole_level = property(lambda index: [index.whole] * len(index.dests))
+        whole_level = property(
+            lambda index: [Subgraph(index.topo, index.out_edges)] * len(index.dests)
+        )
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(LevelIndex, "dest_subgraphs", whole_level)
             whole = network_loading(net, t), dual_smooth_value(net, t)

@@ -430,7 +430,8 @@ class TestDestinationSubgraphs:
         network_loading(net, net.free_flow_times())
         assert all(level.index.dest_subgraphs is b for level, b in zip(net.levels, built))
 
-    def test_cyclic_level_keeps_the_whole_level(self):
+    def test_cyclic_level_builds_none(self):
+        # A cyclic level's passes are linear solves over the whole level.
         level = LevelGraph(
             nodes=("a", "b", "d", "x"),
             edges=(
@@ -441,7 +442,8 @@ class TestDestinationSubgraphs:
             ),
             od_pairs=(ODPair("a", "d", 1.0),),
         )
-        assert level.index.dest_subgraphs == [level.index.whole]
+        network_loading(NetworkHierarchy([level], [0.5], walk_cap=1), [1.0] * 4)
+        assert level.index._dest_subgraphs is None
 
 
 def whole_level_longest_routes(index, weights, dst):

@@ -96,6 +96,16 @@ class TestAlphaStep:
         assert alpha == pytest.approx(1.0, abs=1e-15)
         assert tau == pytest.approx(0.5, abs=1e-15)
 
+    @pytest.mark.parametrize("L", [2.0**-996, 2.0**996])
+    def test_estimates_near_the_float_range_ends(self, L):
+        # No L is squared: under a power-of-two change of unit the step
+        # weight scales exactly as 1 / L, and tau does not move.
+        alpha, tau = alpha_step(0.0, L, L)
+        assert (alpha * L, tau) == (1.0, 1.0)
+        alpha, tau = alpha_step(alpha, L, 2.0 * L)
+        assert (alpha * L, tau) == (1.0, 0.5)
+        assert alpha_step(1.0 / L, L, L)[1] == alpha_step(1.0, 1.0, 1.0)[1]
+
     @pytest.mark.parametrize("alpha_k", [0.0, 0.3, 2.0, 50.0])
     @pytest.mark.parametrize("L_k", [0.5, 1.0, 8.0])
     @pytest.mark.parametrize("L_next", [0.25, 1.0, 16.0])
