@@ -397,6 +397,9 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     except (BacktrackBudgetError, LoadingError, ProxConvergenceError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 3
+    if not math.isfinite(certificate.gap):
+        print(f"error: the duality gap is {certificate.gap} at T {certificate.T}", file=sys.stderr)
+        return 3
 
     manifest = _manifest("solve", args)
     out_dir = Path(args.out)

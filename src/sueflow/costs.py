@@ -340,8 +340,13 @@ class CostTable:
         return _ordered_sum(0.0, f * d * self.mu / (self.mu + 1.0))
 
     def integral(self, f: np.ndarray, start: float = 0.0) -> float:
-        """``start`` plus the sum of the cost integrals at the flows ``f``."""
-        return _ordered_sum(start, self.a * f + self._int_coef * (f / self.s) ** (self.mu + 1.0))
+        """``start`` plus the sum of the cost integrals at the flows ``f``;
+        ``+inf`` once a term overflows, as at a flow far above a tiny ``cap``."""
+        import numpy as np
+
+        with np.errstate(over="ignore"):
+            terms = self.a * f + self._int_coef * (f / self.s) ** (self.mu + 1.0)
+        return _ordered_sum(start, terms)
 
 
 def _ordered_sum(start: float, values: np.ndarray) -> float:

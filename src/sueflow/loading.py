@@ -18,11 +18,13 @@ and one linear solve per destination gives it exactly (Akamatsu 1996,
 sum that diverges raises ``LoadingError``. Both passes read each level's
 compiled index, ``LevelGraph.index``.
 
-Every level has one contract between its passes. For a gradient, the
-sweep keeps the logit choice toward each destination (``_Choice``: each
-edge's probability, each node's entropy), from the ``exp``s it pays once
-per edge; the forward pass only propagates flow through that choice, with
-no ``exp`` or ``log`` of its own. A value alone keeps nothing.
+Every level has one contract between its passes. The sweep hands back
+one trip cost per OD pair, the soft-min cost from its origin to its
+destination. For a gradient, it also keeps the logit choice toward each
+destination (``_Choice``: each edge's probability, each node's entropy),
+from the ``exp``s it pays once per edge; the forward pass only propagates
+flow through that choice, with no ``exp`` or ``log`` of its own. A value
+runs the same sweep and keeps no choice.
 
 OD pairs enter only through their destinations: pairs that share one share
 its soft-min field, and since flows and trajectory entropy are linear in
@@ -103,12 +105,6 @@ class LoadResult:
     induced_demands: list[list[float]]
     entropies: list[float]
 
-    def plain_flows(self, net: NetworkHierarchy) -> list[float]:
-        """The plain-edge flows in ``net.plain_edge_order()``, gathered edge
-        by edge; the solver takes the same floats through an index it
-        compiles once per solve."""
-        return [self.flows[k][i] for k, i in net.plain_edge_order()]
-
 
 class _Choice(NamedTuple):
     """Logit edge choice toward one destination of a level, kept by the
@@ -141,10 +137,12 @@ def _softmin(
     part of it that leads to ``dst``) and leaves every other node at
     ``+inf``. At each node it shifts the terms ``weights[e] + rho[head]`` by
     their minimum ``best`` and sums their ``exp``s left to right into
-    ``acc >= 1``, so ``rho[v] = best - gamma * log(acc)``.
+    ``acc >= 1``, so ``rho[v] = best - gamma * log(acc)``. Each ``exp`` is
+    also stored in ``probs[e]``: the ``choice``'s list, or a scratch list
+    when only the value is wanted, in which case the node is done.
 
-    Given a ``choice``, the sweep also fills it in for every node with a
-    route: the probability ``ex_e / acc`` of each out-edge and the node's
+    Given a ``choice``, the sweep goes on to fill it in for every node with
+    a route: the probability ``ex_e / acc`` of each out-edge and the node's
     entropy ``sum_e p_e (term_e - rho[v]) / gamma``. That form is anchored
     at the rounded ``rho[v]``, so the primal of one loading telescopes
     against the very potentials of the dual.
@@ -153,24 +151,7 @@ def _softmin(
     rho[dst] = 0.0
     heads, out_edges = index.heads, graph.out_edges
     exp, log, inf = math.exp, math.log, math.inf
-    if choice is None:  # a value: the same sweep without the stores
-        for v in reversed(graph.topo):
-            if v == dst:
-                continue
-            out = out_edges[v]
-            best = inf
-            for e in out:
-                term = weights[e] + rho[heads[e]]
-                if term < best:
-                    best = term
-            if best == inf:
-                continue
-            acc = 0.0
-            for e in out:
-                acc += exp((best - (weights[e] + rho[heads[e]])) / gamma)
-            rho[v] = best - gamma * log(acc)
-        return rho
-    probs, entropy = choice
+    probs, entropy = choice or ([0.0] * len(heads), None)
     for v in reversed(graph.topo):
         if v == dst:
             continue
@@ -184,10 +165,11 @@ def _softmin(
             continue
         acc = 0.0
         for e in out:
-            ex = exp((best - (weights[e] + rho[heads[e]])) / gamma)
-            probs[e] = ex
+            ex = probs[e] = exp((best - (weights[e] + rho[heads[e]])) / gamma)
             acc += ex
         r = rho[v] = best - gamma * log(acc)
+        if entropy is None:
+            continue
         h = 0.0
         for e in out:
             p = probs[e] = probs[e] / acc
@@ -324,11 +306,11 @@ def _softmin_cyclic(
 
 def _sweep_weights(
     net: NetworkHierarchy, t: Sequence[float], keep_choices: bool = False
-) -> tuple[list[Sequence[float]], list[list[list[float]]], list[list[_Choice]]]:
-    """Bottom-up pass: per-level edge weights, per-destination soft-min
-    fields in the order of ``LevelIndex.dests``, and, with
-    ``keep_choices``, the logit choice toward each destination in the same
-    order (no entries without ``keep_choices``).
+) -> tuple[list[Sequence[float]], list[list[float]], list[list[_Choice]]]:
+    """Bottom-up pass: per-level edge weights, per-level trip costs (the
+    soft-min cost of each OD pair, in OD order), and, with
+    ``keep_choices``, the logit choice toward each destination in the order
+    of ``LevelIndex.dests`` (no entries without ``keep_choices``).
 
     A portal edge's weight is the soft-min trip cost of its target OD pair
     one level down, so levels are processed deepest first. Each level's
@@ -338,8 +320,8 @@ def _sweep_weights(
     in one call. So ``t`` must hold exactly one value per plain edge, or
     ``ValueError`` names both lengths; a longer or shorter ``t`` would
     shift the slices and misread the trip costs. A NaN or infinite value
-    raises ``ValueError`` naming its edge and level. Each field is
-    finite only on its destination's subgraph, which holds every origin
+    raises ``ValueError`` naming its edge and level. Each destination's
+    soft-min field is finite only on its subgraph, which holds every origin
     that can reach the destination. An infinite trip cost raises
     ``NoPathError`` if the trip has no route, and ``LoadingError`` if its
     cost overflowed.
@@ -360,9 +342,8 @@ def _sweep_weights(
     gathers = net.weight_gathers()
     m = net.num_levels
     weights: list[Sequence[float]] = [()] * m
-    rho_fields: list[list[list[float]]] = [[] for _ in range(m)]
     choices: list[list[_Choice]] = [[] for _ in range(m)]
-    trip_cost: list[list[float]] = [[] for _ in range(m)]
+    trip_costs: list[list[float]] = [[] for _ in range(m)]
 
     for k in range(m - 1, -1, -1):
         level = net.levels[k]
@@ -373,33 +354,34 @@ def _sweep_weights(
         start, stop, pick = gathers[k]
         w = values[start:stop]
         if pick is not None:
-            w = pick(w + trip_cost[k + 1])
+            w = pick(w + trip_costs[k + 1])
         weights[k] = w
         gamma = net.gammas[k]
         if index.topo is None:
             try:
-                rho_fields[k] = _softmin_cyclic(
+                fields = _softmin_cyclic(
                     index, w, gamma, index.dests, choices[k] if keep_choices else None
                 )
             except LoadingError as err:
                 raise LoadingError(f"{err} at level {k + 1}") from None
         else:
+            fields = []
             for dst, graph in zip(index.dests, index.dest_subgraphs):
                 choice = None
                 if keep_choices:
                     choice = _Choice([0.0] * len(level.edges), [0.0] * index.n_nodes)
                     choices[k].append(choice)
-                rho_fields[k].append(_softmin(index, w, gamma, dst, graph, choice))
+                fields.append(_softmin(index, w, gamma, dst, graph, choice))
         for j, (src, dst) in enumerate(index.od_nodes):
-            cost = rho_fields[k][index.dest_slot[j]][src]
+            cost = fields[index.dest_slot[j]][src]
             if math.isinf(cost):
                 od = level.od_pairs[j]
                 trip = f"{od.origin!r} -> {od.destination!r} at level {k + 1}"
                 if index.reaches(src, dst):
                     raise LoadingError(f"the trip cost {trip} overflows to inf")
                 raise NoPathError(f"no path {trip}")
-            trip_cost[k].append(cost)
-    return weights, rho_fields, choices
+            trip_costs[k].append(cost)
+    return weights, trip_costs, choices
 
 
 def hierarchical_weights(net: NetworkHierarchy, t: Sequence[float]) -> list[dict[str, float]]:
@@ -413,12 +395,10 @@ def hierarchical_weights(net: NetworkHierarchy, t: Sequence[float]) -> list[dict
 
 def dual_smooth_value(net: NetworkHierarchy, t: Sequence[float]) -> float:
     """Smooth dual term: minus the demand-weighted soft-min trip costs."""
-    _, rho_fields, _ = _sweep_weights(net, t)
-    index = net.levels[0].index
+    _, trip_costs, _ = _sweep_weights(net, t)
     total = 0.0
-    for j, od in enumerate(net.levels[0].od_pairs):
-        src = index.od_nodes[j][0]
-        total -= od.demand * rho_fields[0][index.dest_slot[j]][src]
+    for od, cost in zip(net.levels[0].od_pairs, trip_costs[0]):
+        total -= od.demand * cost
     return total
 
 
@@ -520,14 +500,16 @@ def network_loading(net: NetworkHierarchy, t: Sequence[float]) -> LoadResult:
     runs one forward pass per destination with positive demand, a cyclic
     level one batched pass over all of them.
     """
-    _, rho_fields, choices = _sweep_weights(net, t, keep_choices=True)
+    _, trip_costs, choices = _sweep_weights(net, t, keep_choices=True)
     m = net.num_levels
 
     demands: list[list[float]] = [[] for _ in range(m)]
     demands[0] = [od.demand for od in net.levels[0].od_pairs]
+    smooth = 0.0
+    for d, cost in zip(demands[0], trip_costs[0]):
+        smooth -= d * cost
     flows: list[list[float]] = []
     entropies: list[float] = []
-    smooth = 0.0
     for k in range(m):
         level = net.levels[k]
         index = level.index
@@ -537,8 +519,6 @@ def network_loading(net: NetworkHierarchy, t: Sequence[float]) -> LoadResult:
         for j, (src, dst) in enumerate(index.od_nodes):
             d = demands[k][j]
             slot = index.dest_slot[j]
-            if k == 0:
-                smooth -= d * rho_fields[0][slot][src]
             if d <= 0.0 or src == dst:
                 continue
             if slot not in supplies:

@@ -210,8 +210,11 @@ def minimize_composite(
             fy = smooth.value(y_next)
             evals += 1
             d = y_next - x
-            grad_d = float(grad @ d)
-            d_d = float(d @ d)
+            # Products that overflow are infinite: the secant below is then
+            # no number, and a rejection falls back to doubling L.
+            with np.errstate(over="ignore"):
+                grad_d = float(grad @ d)
+                d_d = float(d @ d)
             # Curvature of the smooth part along the trial step.
             L_sec = 2.0 * (fy - fx - grad_d) / d_d if d_d > 0.0 else 0.0
             # Quadratic upper bound of the smooth part at the trial point, up
@@ -285,8 +288,9 @@ def _stop_reason(gap: float | None, dual_value: float, gap_tol: float) -> str | 
     where the dual and primal values agree to their last bits and further
     iterations only move the gap by rounding, possibly below zero. Both
     scales are relative, so the stop does not depend on the unit of time.
+    A gap that is not finite certifies nothing and never stops a run.
     """
-    if gap is None:
+    if gap is None or not math.isfinite(gap):
         return None
     if gap <= gap_tol:
         return "gap_reached"

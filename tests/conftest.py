@@ -131,6 +131,11 @@ def grid3_level(od_pairs) -> LevelGraph:
     )
 
 
+def plain_flows(net: NetworkHierarchy, res) -> list[float]:
+    """The plain-edge flows of loading ``res``, in ``net.plain_edge_order()``."""
+    return [res.flows[k][i] for k, i in net.plain_edge_order()]
+
+
 @pytest.fixture(scope="session")
 def two_level_net() -> NetworkHierarchy:
     return parse_network(FIXTURES / "two_level.json")

@@ -31,6 +31,7 @@ from conftest import (
     FIXTURES,
     chain3_net,
     diamond_net,
+    plain_flows,
     random_hierarchy,
     three_level_net,
     two_edge_net,
@@ -167,7 +168,7 @@ def test_criterion_03_gradient_identity():
     worst = 0.0
     for seed in range(20):
         net, t = random_hierarchy(seed)
-        flows = network_loading(net, t).plain_flows(net)
+        flows = plain_flows(net, network_loading(net, t))
         for pos in range(net.num_plain_edges()):
             tp, tm = list(t), list(t)
             tp[pos] += h

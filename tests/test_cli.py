@@ -466,6 +466,56 @@ NONFINITE_CASES = [
 ]
 
 
+class TestOverflowingRuns:
+    """Numbers that overflow inside a solve end in an honest stop: no numpy
+    warning, and no non-finite certificate."""
+
+    @staticmethod
+    def network(tmp_path, cap=2.0, demand=2.0):
+        """``two_level.json`` with power cost ``p2``'s ``cap`` and the
+        level-1 demand set."""
+        doc = json.loads((FIXTURES / "two_level.json").read_text())
+        (p2,) = [e for e in doc["levels"][0]["edges"] if e["id"] == "p2"]
+        p2["cost"]["cap"] = cap
+        doc["levels"][0]["od_pairs"][0]["demand"] = demand
+        path = tmp_path / "net.json"
+        path.write_text(json.dumps(doc))
+        return path
+
+    @pytest.mark.parametrize("cap", [1e-100, 1e-300])
+    def test_tiny_capacity_reaches_the_gap(self, tmp_path, cap):
+        # A loading far above the cap has an infinite cost integral. That
+        # primal candidate is never chosen, and its gap never stops the run.
+        net = parse_network(self.network(tmp_path, cap=cap))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            _, cert, _ = sueflow.solve(net)
+        assert cert.stop == "gap_reached"
+        assert math.isfinite(cert.gap)
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+    def test_infinite_gap_exits_3_before_writing(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"max_iters": 50}')
+        out = tmp_path / "out"
+        network = self.network(tmp_path, cap=1e-100)
+        assert run_cli("solve", "--network", network, "--config", cfg, "--out", out) == 3
+        assert "error: the duality gap is inf at T 50" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_huge_demand_exits_3_without_a_warning(self, tmp_path, capsys):
+        # The step's dot products overflow; the secant is then no number and
+        # each rejection doubles L until the budget runs out.
+        out = tmp_path / "out"
+        network = self.network(tmp_path, demand=1e300)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run_cli("solve", "--network", network, "--out", out)
+        assert code == 3
+        assert "no acceptable local Lipschitz estimate" in capsys.readouterr().err
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
 class TestNonFiniteInput:
     """json.loads accepts NaN, Infinity and integers beyond the float range;
     every command must reject them."""

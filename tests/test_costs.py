@@ -447,6 +447,12 @@ class TestCostTable:
             assert math.isfinite(value)
             assert value == pytest.approx(cost.conjugate(t), rel=1e-12, abs=0.0)
 
+    def test_overflowing_integral_is_infinite(self):
+        # Far above a tiny cap the power term overflows: the sum is +inf,
+        # with no numpy warning.
+        table = CostTable([AffineCost(1.0, 1.0), PowerCost(1.0, 0.15, 1e-100, 4.0)])
+        assert table.integral(np.array([1.0, 1.0])) == math.inf
+
     def test_unknown_cost_class_rejected(self):
         class Odd(ConstantCost):
             pass

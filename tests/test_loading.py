@@ -37,6 +37,7 @@ from conftest import (
     diamond_net,
     grid3_level,
     parallel_net,
+    plain_flows,
     random_hierarchy,
     three_level_net,
     two_edge_net,
@@ -279,7 +280,7 @@ class TestNetworkLoading:
     def test_gradient_identity_random(self, seed):
         net, t = random_hierarchy(seed)
         res = network_loading(net, t)
-        flows = res.plain_flows(net)
+        flows = plain_flows(net, res)
         h = 1e-5
         for pos in range(net.num_plain_edges()):
             tp, tm = list(t), list(t)
@@ -318,7 +319,7 @@ class TestNetworkLoading:
             net, t = random_hierarchy(case)
         res = network_loading(net, t)
         rhs = sum(g * e for g, e in zip(net.gammas, res.entropies))
-        rhs -= sum(f * v for f, v in zip(res.plain_flows(net), t))
+        rhs -= sum(f * v for f, v in zip(plain_flows(net, res), t))
         assert res.smooth_value == pytest.approx(rhs, abs=1e-10 * (1 + abs(rhs)))
 
     def test_no_path_raises(self):
@@ -372,7 +373,7 @@ class TestNetworkLoading:
         res = network_loading(net, [1.0, 1.2, 2.0, 1.5])
         verify_conservation(net, res, tol=1e-9)
         # gradient identity also holds for the walk-measure loading
-        flows = res.plain_flows(net)
+        flows = plain_flows(net, res)
         h = 1e-6
         for pos in range(4):
             tp, tm = net.free_flow_times(), net.free_flow_times()
@@ -427,7 +428,7 @@ def ring_level(n, arcs, od_pairs):
 
 def assert_flows_are_minus_gradient(net, t, res, tol, h=1e-5):
     """Central differences of the smooth dual term match minus the flows."""
-    flows = res.plain_flows(net)
+    flows = plain_flows(net, res)
     for pos in range(len(t)):
         tp, tm = list(t), list(t)
         tp[pos] += h
@@ -567,11 +568,12 @@ class TestBatchedCyclicPasses:
         level = ring_level(n, arcs, pairs)
         net = NetworkHierarchy([level], [gamma], walk_cap=1)
 
-        weights, rho_fields, _ = loading._sweep_weights(net, t)
+        weights, _, _ = loading._sweep_weights(net, t)
+        fields = loading._softmin_cyclic(level.index, weights[0], gamma, level.index.dests)
         by_id = {e.id: w for e, w in zip(level.edges, weights[0])}
         for slot, dst in enumerate(level.index.dests):
             alone = potentials(level, by_id, gamma, level.nodes[dst])
-            assert rho_fields[0][slot] == [alone[v] for v in level.nodes]
+            assert fields[slot] == [alone[v] for v in level.nodes]
 
         res = network_loading(net, t)
         verify_conservation(net, res)
@@ -694,13 +696,11 @@ class TestDestinationSubgraphs:
     def test_trip_costs_are_whole_level_potentials(self, case):
         net, t = case
         weights = hierarchical_weights(net, t)
-        _, rho_fields, _ = loading._sweep_weights(net, t)
+        _, trip_costs, _ = loading._sweep_weights(net, t)
         for k, level in enumerate(net.levels):
-            index = level.index
             for j, od in enumerate(level.od_pairs):
                 rho = potentials(level, weights[k], net.gammas[k], od.destination)
-                src = index.node_index[od.origin]
-                assert rho_fields[k][index.dest_slot[j]][src] == rho[od.origin]
+                assert trip_costs[k][j] == rho[od.origin]
                 if k > 0:
                     portal = net.levels[k - 1].edges[net.levels[k - 1].index.portal_for_od[j]]
                     assert weights[k - 1][portal.id] == rho[od.origin]

@@ -43,6 +43,7 @@ from conftest import (
     chain3_net,
     grid3_level,
     parallel_net,
+    plain_flows,
     random_hierarchy,
     two_edge_net,
 )
@@ -155,7 +156,7 @@ class TestProxMaps:
 
         x = [1.3, 2.2]
         res = network_loading(net, x)
-        grad = [-f for f in res.plain_flows(net)]
+        grad = [-f for f in plain_flows(net, res)]
         y, fy, accepted = grad_map(net, x, 1e8, grad, res.smooth_value)
         assert accepted
 
@@ -316,7 +317,7 @@ def assert_gradient_is_minus_plain_flows(net, t):
     """The oracle's gradient, gathered through the compiled plain-edge
     index, holds the very floats of minus the edge-by-edge plain flows."""
     _, grad, result = _DualSmooth(net, _plain_positions(net)).value_and_grad(np.array(t))
-    reference = -np.array(result.plain_flows(net), dtype=np.float64)
+    reference = -np.array(plain_flows(net, result), dtype=np.float64)
     assert grad.dtype == np.float64
     assert grad.tobytes() == reference.tobytes()
 
@@ -575,6 +576,10 @@ class TestStepEstimate:
         # A gap below zero is within any tolerance, as the exit code has it.
         assert _stop_reason(-c * eps, -c, 0.0) == "gap_reached"
         assert _stop_reason(c * 64 * eps, -c, 0.0) is None
+        # A gap that is not finite certifies nothing, though inf <= 8 eps
+        # (|dual| + inf).
+        assert _stop_reason(math.inf, -c, c * 1e-8) is None
+        assert _stop_reason(math.nan, -c, c * 1e-8) is None
 
 
 class TestBestPointCertificate:

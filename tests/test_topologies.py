@@ -23,7 +23,7 @@ from sueflow import (
 from sueflow.loading import entropy_term, surrogate_primal, verify_conservation
 from sueflow import oracle
 
-from conftest import grid3_level
+from conftest import grid3_level, plain_flows
 
 
 def assert_matches_enumeration(net, t):
@@ -38,7 +38,7 @@ def assert_matches_enumeration(net, t):
 
 
 def gradient_check(net, t, tol=1e-6):
-    flows = network_loading(net, t).plain_flows(net)
+    flows = plain_flows(net, network_loading(net, t))
     h = 1e-5
     for pos in range(net.num_plain_edges()):
         tp, tm = list(t), list(t)
