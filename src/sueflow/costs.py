@@ -11,15 +11,18 @@ The composite solver does not call these methods edge by edge: a
 ``c = 0``, an affine cost ``s = mu = 1``), and evaluates the summed
 conjugate and the summed integral with one array formula each. Its prox is
 one closed form too, except on power costs, where it solves for the edge
-flow behind each prox point by Newton's method; the solver passes the flows
-of its latest loading, near which that root lies once the steps settle, so
-Newton starts there. The per-edge methods are the independent reference
+flow behind each prox point by Newton's method, over a block of their
+parameters compiled with the table; the solver passes the flows of its
+latest loading, near which that root lies once the steps settle, so
+Newton starts there. The root's equation is convex and increasing in the
+flow, so Newton needs no bracket: after its first step it falls to the
+root monotonically. The per-edge methods are the independent reference
 for the table: ``travel_time``, ``integral`` and ``conjugate`` also serve
 free-flow times and the loading module's objectives, the per-edge
 ``prox_conjugate`` is the scalar form of the table's prox, and
-``PowerCost.prox_conjugate`` is a one-element call of the table's Newton
-kernel, started cold. numpy is imported only by the table and that kernel,
-so parsing and validation never load it.
+``PowerCost.prox_conjugate`` is the prox of a one-cost table, started
+cold. numpy is imported only by the table and its Newton kernel, so
+parsing and validation never load it.
 
 This module holds only the math; the ``cli`` module reads the file form
 of a cost. Each class's constructor rejects a parameter that is
@@ -30,7 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 if TYPE_CHECKING:
     import numpy as np
@@ -198,62 +201,69 @@ class PowerCost(LinkCost):
             return v
         import numpy as np
 
-        t = _power_prox(
-            np.array([v]), step, np.array([self.t0]), np.array([self.t0 * self.beta]),
-            np.array([self.cap]), np.array([self.mu]),
-        )
-        return float(t[0])
+        return float(CostTable([self]).prox(np.array([v]), step)[0])
 
 
-def _power_prox(v, step, t0, t0_beta, cap, mu, flows=None):
-    """Prox of the power-cost conjugates, elementwise, for ``v > t0``; the
-    congestion coefficient comes compiled as ``t0_beta = t0*beta``.
+class _NewtonBlock(NamedTuple):
+    """The power costs of a ``CostTable``, compiled once for
+    ``_power_prox``: their positions ``at`` in the table and, per position,
+    ``a``, ``c``, ``s``, ``1/mu``, ``mu - 1`` and the slope coefficient
+    ``c*mu/s`` of ``tau'(f) = c*mu/s * (f/s)**(mu - 1)``."""
 
-    The minimiser satisfies ``t = v - step*f`` with ``tau(f) = t``, so each
-    element solves ``q(f) = tau(f) - v + step*f = 0``. ``q`` is convex and
-    strictly increasing (``q' >= step``) with no derivative singularity,
-    unlike the same root in the t variable, so safeguarded Newton is
-    reliable. The root lies in the bracket ``[0, hi]`` with
-    ``hi = min((v - t0)/step, tau^-1(v))``. Newton starts at ``flows``, an
-    estimate of the root, clamped into that bracket, so that a negative or
-    NaN estimate starts at 0 and one above ``hi`` (or ``+inf``) at ``hi``;
-    without an estimate it starts at ``hi``. Each pass narrows the bracket,
-    and a step that leaves it is replaced by bisection. The loop runs until
-    its slowest element has converged and raises ``ProxConvergenceError``
-    if that takes more than ``_ROOT_ITERS`` steps.
+    at: np.ndarray
+    a: np.ndarray
+    c: np.ndarray
+    s: np.ndarray
+    inv_mu: np.ndarray
+    mu_1: np.ndarray
+    slope: np.ndarray
+
+
+def _power_prox(block: _NewtonBlock, v, step, flows=None):
+    """Prox of the power-cost conjugates of ``block``, elementwise, at the
+    table's ``v`` (and flow estimates ``flows``) at the block's positions.
+
+    Above ``a`` the minimiser satisfies ``t = v - step*f`` with ``tau(f) =
+    t``, so each element solves ``q(f) = tau(f) - v + step*f = 0``. ``q``
+    is convex and strictly increasing (``q' >= step``) with no derivative
+    singularity, unlike the same root in the t variable, so Newton needs no
+    bracket: from any ``f >= 0`` the tangent's root lies at or right of
+    ``q``'s, and from there on Newton falls to the root monotonically.
+    Newton starts at ``flows``, an estimate of the root, clamped into ``[0,
+    hi]`` with ``hi = min((v - a)/step, tau^-1(v))``, above the root, so
+    that a negative or NaN estimate starts at 0 and one above ``hi`` (or
+    ``+inf``) at ``hi``; without an estimate it starts at ``hi``. The first
+    step is clamped at ``hi`` too. An element stops once ``|q| <= 1e-15 v``
+    or, after that first step, once ``f`` stops decreasing, when rounding
+    has taken it to the root. An element at or below ``a`` never steps: its
+    ``hi`` is 0, and its answer ``min(a, v) = v``, the identity.
+    The loop runs until its slowest element has stopped and raises
+    ``ProxConvergenceError`` if that takes more than ``_ROOT_ITERS`` steps.
     """
     import numpy as np
 
-    excess = v - t0
-    hi = np.minimum(excess / step, cap * (excess / t0_beta) ** (1.0 / mu))
-    lo = np.zeros_like(hi)
-    f = hi.copy() if flows is None else np.fmin(np.fmax(flows, lo), hi)
-    slope_coef = t0_beta * mu / cap
-    mu_1 = mu - 1.0
-    # Relative to v (> t0 > 0), with no absolute term: in another unit of
+    a, c, s = block.a, block.c, block.s
+    v = v[block.at]
+    excess = np.fmax(v - a, 0.0)
+    hi = np.minimum(excess / step, s * (excess / c) ** block.inv_mu)
+    f = hi if flows is None else np.fmin(np.fmax(flows[block.at], 0.0), hi)
+    # Relative to v (> a > 0), with no absolute term: in another unit of
     # time the same Newton steps stop at the same element.
     q_tol = 1e-15 * v
-    live = np.ones(v.shape, dtype=bool)
-    # In-place updates under masks: on small tables numpy's cost per call,
-    # not per element, sets the time.
-    for _ in range(_ROOT_ITERS):
-        r = f / cap
-        r_1 = r**mu_1  # the one power of the pass, shared by tau and q'
-        # tau(f) as t0 plus the congestion term, which rounds once: near the
-        # free-flow kink t0*(1 + beta*r**mu) loses the last bits of t - t0.
-        tau = t0 + t0_beta * (r_1 * r)
+    live = v > a
+    for k in range(_ROOT_ITERS):
+        r = f / s
+        r_1 = r**block.mu_1  # the one power of the pass, shared by tau and q'
+        # tau(f) as a plus the congestion term, which rounds once: near the
+        # free-flow kink a*(1 + beta*r**mu) loses the last bits of t - a.
+        tau = a + c * (r_1 * r)
         q = tau - v + step * f
-        live &= (np.abs(q) > q_tol) & (hi - lo > 1e-16 * (1.0 + hi))
+        live &= np.abs(q) > q_tol
         if not np.count_nonzero(live):
             break
-        # Elements that have stopped keep their f, so their bracket may move.
-        above = q > 0.0
-        np.copyto(hi, f, where=above)
-        np.copyto(lo, f, where=~above)
-        f_new = f - q / (slope_coef * r_1 + step)
-        np.copyto(f_new, 0.5 * (lo + hi), where=(f_new <= lo) | (f_new >= hi))
-        live &= f_new != f
-        np.copyto(f, f_new, where=live)
+        f_new = np.minimum(f - q / (block.slope * r_1 + step), hi)
+        live &= f_new < f if k else f_new != f
+        f = np.where(live, f_new, f)
     else:
         raise ProxConvergenceError(
             f"power-cost prox did not converge in {_ROOT_ITERS} Newton steps "
@@ -279,8 +289,9 @@ class CostTable:
     ``costs`` is in the network's canonical plain-edge order, and so are the
     arrays ``a``, ``c``, ``s``, ``mu`` and the arrays the kernels take and
     return. A constant cost compiles to ``(t0, 0, 1, 1)``, an affine cost to
-    ``(a, b, 1, 1)`` and a power cost to ``(t0, t0*beta, cap, mu)``; the
-    ``newton`` mask marks the power costs, whose prox has no closed form.
+    ``(a, b, 1, 1)`` and a power cost to ``(t0, t0*beta, cap, mu)``. The
+    power costs, whose prox has no closed form, are also compiled into the
+    ``_NewtonBlock`` of ``_power_prox``; it is ``None`` without one.
     """
 
     def __init__(self, costs: Sequence[LinkCost]) -> None:
@@ -292,7 +303,9 @@ class CostTable:
                 raise TypeError(f"unknown cost class {type(cost).__name__}")
             forms.append(_TABLE_FORMS[type(cost)](cost))
         self.a, self.c, self.s, self.mu = np.array(forms, dtype=np.float64).reshape(-1, 4).T
-        self.newton = np.array([type(cost) is PowerCost for cost in costs], dtype=bool)
+        at = np.flatnonzero([type(cost) is PowerCost for cost in costs])
+        a, c, s, mu = self.a[at], self.c[at], self.s[at], self.mu[at]
+        self._newton = _NewtonBlock(at, a, c, s, 1.0 / mu, mu - 1.0, c * mu / s) if at.size else None
         # Where c = 0 the conjugate's domain ends at a, so d = t - a is 0 in it
         # and any divisor serves.
         self._c_div = np.where(self.c > 0.0, self.c, 1.0)
@@ -303,10 +316,10 @@ class CostTable:
 
         The identity up to ``a``; above it, the closed form
         ``min(a + c*(v - a)/(c + step), v)``, which is ``a`` when ``c = 0``,
-        except on the Newton edges, which take the array Newton of
+        except on the power costs, which take the array Newton of
         ``_power_prox``. ``flows``, in plain-edge order, estimates each
         edge's flow ``(v - t)/step`` at the answer; Newton starts there
-        instead of at the top of its bracket. Any estimate gives the same
+        instead of at the top of its range. Any estimate gives the same
         answer up to Newton's tolerance.
         """
         import numpy as np
@@ -319,12 +332,10 @@ class CostTable:
         # 0 * inf at a constant cost's v = +inf.
         with np.errstate(invalid="ignore"):
             t = np.minimum(a + np.fmax(c / (c + step) * (v - a), 0.0), v)
-        hot = self.newton & (v > a)
-        if hot.any():
-            t[hot] = _power_prox(
-                v[hot], step, a[hot], c[hot], self.s[hot], self.mu[hot],
-                flows=None if flows is None else np.asarray(flows, dtype=np.float64)[hot],
-            )
+        if self._newton is not None:
+            if flows is not None:
+                flows = np.asarray(flows, dtype=np.float64)
+            t[self._newton.at] = _power_prox(self._newton, v, step, flows)
         return t
 
     def conjugate(self, t: np.ndarray) -> float:

@@ -41,16 +41,23 @@ Bellman-Ford over a (destinations, nodes) array and one stacked solve of
 the per-destination systems, in groups of ``_STACK_FLOATS // n**2``
 destinations (at least one) so that a stack holds at most ``max(n**2,
 _STACK_FLOATS)`` floats. Each destination sees the float operations of a
-pass of its own, so the grouping changes no bit of the result.
+pass of its own, so the grouping changes no bit of the result. The level
+is compiled once into the arrays of those passes (``_CyclicPlan``, kept
+as ``LevelIndex.cyclic_plan``): per group, the walk edges of each
+destination and their flat positions in the node arrays and the systems.
+A pass then only gathers, relaxes, exponentiates, solves and scatters.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
 
 from .model import LevelIndex, NetworkHierarchy, Subgraph
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "LoadResult",
@@ -107,14 +114,16 @@ class LoadResult:
 
 
 class _Choice(NamedTuple):
-    """Logit edge choice toward one destination of a level, kept by the
-    gradient's sweep for its forward pass: lists on an acyclic level, numpy
-    rows on a cyclic one.
+    """Logit edge choice toward the destinations of a level, kept by the
+    gradient's sweep for its forward pass.
 
-    ``probs[e]`` is the probability that flow at edge ``e``'s tail takes it;
-    it stays 0.0 off the destination's subgraph, at nodes with no route and
-    on the edges out of the destination. ``entropy[v]`` is the entropy of
-    the choice at node ``v``.
+    On an acyclic level one choice per destination, in lists: ``probs[e]``
+    is the probability that flow at edge ``e``'s tail takes it; it stays 0.0
+    off the destination's subgraph, at nodes with no route and on the edges
+    out of the destination. ``entropy[v]`` is the entropy of the choice at
+    node ``v``. On a cyclic level one choice per group of destinations of
+    its plan, in arrays: ``probs`` per walk edge of the group, in the
+    order of its ``rows``, and ``entropy`` per destination and node.
     """
 
     probs: Sequence[float]
@@ -190,6 +199,85 @@ def _groups(n_nodes: int, items: Sequence) -> list:
     return [items[i:i + size] for i in range(0, len(items), size)]
 
 
+class _CyclicGroup(NamedTuple):
+    """The arrays of one stack of a cyclic level's destinations.
+
+    Row ``i`` of the group's ``(g, n)`` node arrays and ``(g, n, n)``
+    systems belongs to destination ``dsts[i]``; ``slots`` are the positions
+    of the group's destinations in the plan's list. ``rows`` and ``edges``
+    list the edges a walk toward each row's destination can take (every
+    edge not out of it), row by row in edge order, and each ``at_*`` array
+    gives, per such edge, a flat position: ``at_tail`` and ``at_head`` of
+    its tail and head in the node arrays, ``walk_at`` of its entry
+    ``A[tail, head]`` in the sweep's system and ``visit_at`` of its entry
+    ``Q^T[head, tail]`` in the forward pass's. ``at_dst`` holds each
+    destination's position in the node arrays.
+    """
+
+    dsts: list[int]
+    slots: range
+    at_dst: np.ndarray
+    rows: np.ndarray
+    edges: np.ndarray
+    at_tail: np.ndarray
+    at_head: np.ndarray
+    walk_at: np.ndarray
+    visit_at: np.ndarray
+
+
+class _CyclicPlan(NamedTuple):
+    """A cyclic level's passes toward a list of destinations, compiled once:
+    the ``(n, n)`` identity every system starts from and the destinations in
+    groups (``_groups``), each with its ``_CyclicGroup`` arrays; with them,
+    the ``_STACK_FLOATS`` that sized the groups. It holds ``O(D E + n**2)``
+    numbers for ``D`` destinations and ``E`` edges, no stack of systems."""
+
+    stack_floats: int
+    eye: np.ndarray
+    groups: list[_CyclicGroup]
+
+
+def _compile_cyclic(index: LevelIndex, dsts: Sequence[int]) -> _CyclicPlan:
+    import numpy as np
+
+    n = index.n_nodes
+    tails = np.array(index.tails, dtype=np.intp)
+    heads = np.array(index.heads, dtype=np.intp)
+    groups = []
+    start = 0
+    for group in _groups(n, list(dsts)):
+        g = len(group)
+        dst = np.array(group, dtype=np.intp)
+        rows, edges = (tails != dst[:, None]).nonzero()
+        at_tail, at_head = rows * n + tails[edges], rows * n + heads[edges]
+        groups.append(_CyclicGroup(
+            dsts=group,
+            slots=range(start, start + g),
+            at_dst=np.arange(g) * n + dst,
+            rows=rows,
+            edges=edges,
+            at_tail=at_tail,
+            at_head=at_head,
+            walk_at=at_tail * n + heads[edges],
+            visit_at=(rows * n + heads[edges]) * n + tails[edges],
+        ))
+        start += g
+    return _CyclicPlan(_STACK_FLOATS, np.eye(n), groups)
+
+
+def _cyclic_plan(index: LevelIndex, dsts: Sequence[int]) -> _CyclicPlan:
+    """The compiled passes of a cyclic level toward ``dsts``: for the
+    level's own destinations, the plan kept on the index, compiled on first
+    use and again only if ``_STACK_FLOATS`` has changed since; for any
+    other list, one compiled for the call."""
+    if list(dsts) != index.dests:
+        return _compile_cyclic(index, dsts)
+    plan = index.cyclic_plan
+    if plan is None or plan.stack_floats != _STACK_FLOATS:
+        plan = index.cyclic_plan = _compile_cyclic(index, dsts)
+    return plan
+
+
 def _softmin_cyclic(
     index: LevelIndex,
     weights: Sequence[float],
@@ -208,38 +296,41 @@ def _softmin_cyclic(
     the unit of time. A positive ``y`` exists only when the walk sum
     converges: it bounds the spectral radius of ``A`` (Collatz-Wielandt).
     Otherwise ``LoadingError`` names the first destination, in the order of
-    ``dsts``, whose sum diverges.
+    ``dsts``, whose sum diverges. A ``gamma * log(y)`` that overflows makes
+    the field infinite, which the sweep reports as an overflowing trip cost.
 
-    Given ``choices``, the sweep appends the logit choice toward each
-    destination, as ``_softmin`` does. An edge's share is its term of
-    ``y[v] = sum_e A_e y[u]``: ``A_e * y[u] / y[v]``, divided by the sum of
-    its tail's shares so that each node's probabilities add up to 1. Node
-    entropies take ``_softmin``'s form, anchored at the rounded ``rho``.
+    Given ``choices``, the sweep appends the logit choice toward each group
+    of destinations (below), as ``_softmin`` does per destination: the
+    probability of each of the group's walk edges, in its ``rows`` order,
+    and a ``(group, nodes)`` array of node entropies. An edge's share is its
+    term of ``y[v] = sum_e A_e y[u]``: ``A_e * y[u] / y[v]``, divided by
+    the sum of its tail's shares so that each node's probabilities add up
+    to 1. A node's entropy sums ``p_e (log y[v] - log y[u] - x_e)`` over its
+    out-edges, where ``x_e`` is ``A_e``'s exponent: ``_softmin``'s ``p_e
+    (term_e - rho[v]) / gamma`` with ``rho`` written out, formed from
+    numbers that stay finite at any ``gamma``, since a positive share
+    bounds ``x_e`` by about -745.
 
-    Destinations are taken in groups (``_groups``): Bellman-Ford relaxes
-    one ``(group, nodes)`` distance array, and one stacked solve gives
-    every ``y`` of the group. Each row sees the same float operations, in
-    the same order, as a solve for its destination alone.
+    Destinations are taken in the groups of their plan (``_cyclic_plan``):
+    Bellman-Ford relaxes one ``(group, nodes)`` distance array, and one
+    stacked solve gives every ``y`` of the group. The passes only gather,
+    relax, exponentiate, solve and scatter through the plan's positions.
+    Each row sees the same float operations, in the same order, as a solve
+    for its destination alone.
     """
     # Imported here so that runs on DAG levels never load numpy.
     import numpy as np
 
-    n, n_edges = index.n_nodes, len(index.tails)
+    plan = _cyclic_plan(index, dsts)
+    n = index.n_nodes
     w = np.asarray(weights, dtype=float)
-    tails, heads = np.array(index.tails), np.array(index.heads)
-    eye = np.eye(n)
     fields: list[list[float]] = []
-    for group in _groups(n, dsts):
-        g = len(group)
-        dst = np.array(group)
-        at_dst = np.arange(g) * n + dst
-        # Per row, the edges a walk can take, and the flat positions of
-        # their tails and heads in the (group, nodes) arrays.
-        rows, edges = (tails != dst[:, None]).nonzero()
-        at_tail, at_head = rows * n + tails[edges], rows * n + heads[edges]
-        w_walk = w[edges]
+    for group in plan.groups:
+        g = len(group.dsts)
+        rows, at_tail, at_head = group.rows, group.at_tail, group.at_head
+        w_walk = w[group.edges]
         d = np.full(g * n, math.inf)
-        d[at_dst] = 0.0
+        d[group.at_dst] = 0.0
         # Bellman-Ford: shortest paths have at most n - 1 edges, so a change
         # in round n means a negative cycle, around which the walk sum
         # diverges. A row that stops changing stays fixed.
@@ -259,15 +350,15 @@ def _softmin_cyclic(
             # Edges between nodes at a finite distance; without an overflow,
             # every edge into a node that reaches the destination.
             keep = np.isfinite(d[at_head]) & np.isfinite(d[at_tail]) & ~bad[rows]
-            rows, edges = rows[keep], edges[keep]
             at_tail, at_head, w_walk = at_tail[keep], at_head[keep], w_walk[keep]
             # An exponent that overflows to -inf is a term that rounds to 0.
-            walk = np.exp((d[at_tail] - w_walk - d[at_head]) / gamma)
+            expo = (d[at_tail] - w_walk - d[at_head]) / gamma
+            walk = np.exp(expo)
         system = np.empty((g, n, n))
-        system[:] = eye
-        np.subtract.at(system.reshape(-1), at_tail * n + heads[edges], walk)
+        system[:] = plan.eye
+        np.subtract.at(system.reshape(-1), group.walk_at[keep], walk)
         unit = np.zeros((g, n, 1))
-        unit.reshape(-1)[at_dst] = 1.0
+        unit.reshape(-1)[group.at_dst] = 1.0
         try:
             y = np.linalg.solve(system, unit).reshape(-1)
         except np.linalg.LinAlgError:
@@ -281,9 +372,12 @@ def _softmin_cyclic(
         reach = np.isfinite(d)
         bad |= (reach & ~(np.isfinite(y) & (y > 0.0))).reshape(g, n).any(axis=1)
         if bad.any():
-            raise _divergent(index, group[int(bad.argmax())])
-        rho = np.full(g * n, math.inf)
-        rho[reach] = d[reach] - gamma * np.log(y[reach])
+            raise _divergent(index, group.dsts[int(bad.argmax())])
+        # Where no walk reaches the destination, d is +inf and so is rho.
+        log_y = np.zeros(g * n)
+        log_y[reach] = np.log(y[reach])
+        with np.errstate(over="ignore"):
+            rho = d - gamma * log_y
         fields.extend(rho.reshape(g, n).tolist())
         if choices is None:
             continue
@@ -291,16 +385,13 @@ def _softmin_cyclic(
         mass = np.zeros(g * n)
         np.add.at(mass, at_tail, share)
         share /= mass[at_tail]  # exact conservation; the raw sums are 1 up to rounding
-        probs = np.zeros((g, n_edges))
-        probs[rows, edges] = share
+        probs = np.zeros(len(rows))
+        probs[keep] = share
         used = share > 0.0  # a term that rounds to 0 has no share and no entropy
         at, p = at_tail[used], share[used]
         entropy = np.zeros(g * n)
-        # Grouped as ``walk``'s exponent, which a positive share bounds by
-        # about 745 gamma: the term is finite unless gamma nears the float range.
-        np.add.at(entropy, at, p * (rho[at_head[used]] - (rho[at] - w_walk[used])))
-        entropy /= gamma
-        choices.extend(map(_Choice, probs, entropy.reshape(g, n)))
+        np.add.at(entropy, at, p * ((log_y[at] - log_y[at_head[used]]) - expo[used]))
+        choices.append(_Choice(probs, entropy.reshape(g, n)))
     return fields
 
 
@@ -309,8 +400,8 @@ def _sweep_weights(
 ) -> tuple[list[Sequence[float]], list[list[float]], list[list[_Choice]]]:
     """Bottom-up pass: per-level edge weights, per-level trip costs (the
     soft-min cost of each OD pair, in OD order), and, with
-    ``keep_choices``, the logit choice toward each destination in the order
-    of ``LevelIndex.dests`` (no entries without ``keep_choices``).
+    ``keep_choices``, the logit choices of each level (``_Choice``), in the
+    order of ``LevelIndex.dests`` (no entries without ``keep_choices``).
 
     A portal edge's weight is the soft-min trip cost of its target OD pair
     one level down, so levels are processed deepest first. Each level's
@@ -453,42 +544,49 @@ def _forward_cyclic(
     index: LevelIndex,
     choices: Sequence[_Choice],
     supplies: Mapping[int, Sequence[float]],
-    flows: list[float],
-) -> float:
+) -> tuple[list[float], float]:
     """Walk-measure loading of a cyclic level toward every destination slot
     in ``supplies``, over the whole level, by the ``choices`` its soft-min
-    sweep kept: the expected node visits solve ``(I - Q^T) h = supply``,
-    one solve for every origin bound for the destination.
+    sweep kept, one per group of the level's plan: the expected node visits
+    solve ``(I - Q^T) h = supply``, one solve for every origin bound for the
+    destination.
 
     ``supplies`` maps a destination slot to the summed demand per origin
-    node. Adds the edge flows to ``flows``, destination by destination in
-    the order of ``supplies``, and returns the demand-weighted trajectory
-    entropy summed in that order. Destinations are taken in the groups of
-    ``_softmin_cyclic``, one stacked solve each.
+    node. Returns the edge flows, summed destination by destination in the
+    order of ``supplies``, and the demand-weighted trajectory entropy summed
+    in that order. Each group with a supplied destination takes one stacked
+    solve; an edge a row's sweep dropped has probability 0 there, which
+    leaves its system entry and flow as they are.
     """
     import numpy as np
 
-    n = index.n_nodes
-    tails, heads = np.array(index.tails), np.array(index.heads)
-    eye = np.eye(n)
-    entropy = 0.0
-    for group in _groups(n, list(supplies)):
-        g = len(group)
-        probs = np.array([choices[slot].probs for slot in group])
-        rows, edges = probs.nonzero()
-        probs = probs[rows, edges]
+    n, n_edges = index.n_nodes, len(index.tails)
+    plan = _cyclic_plan(index, index.dests)
+    supply = np.zeros((len(index.dests), n))
+    for slot, s in supplies.items():
+        supply[slot] = s
+    through = np.zeros((len(index.dests), n))
+    edge_flows = np.zeros((len(index.dests), n_edges))
+    entropies = []
+    for group, (probs, entropy) in zip(plan.groups, choices):
+        entropies.extend(entropy)
+        at = slice(group.slots.start, group.slots.stop)
+        if not any(slot in supplies for slot in group.slots):
+            continue
+        g = len(group.dsts)
         system = np.empty((g, n, n))  # I - Q^T per destination
-        system[:] = eye
-        np.subtract.at(system.reshape(-1), (rows * n + heads[edges]) * n + tails[edges], probs)
-        supply = np.array([supplies[slot] for slot in group])[:, :, None]
+        system[:] = plan.eye
+        np.subtract.at(system.reshape(-1), group.visit_at, probs)
         # The exact visits are nonnegative; clip rounding residue below zero.
-        through = np.maximum(np.linalg.solve(system, supply).reshape(g, n), 0.0)
-        edge_flows = through[rows, tails[edges]] * probs
-        for e, f in zip(edges.tolist(), edge_flows.tolist()):
-            flows[e] += f
-        for slot, h in zip(group, through):
-            entropy += float(np.dot(h, choices[slot].entropy))
-    return entropy
+        visits = np.maximum(np.linalg.solve(system, supply[at, :, None]).reshape(g, n), 0.0)
+        through[at] = visits
+        edge_flows[at][group.rows, group.edges] = visits.reshape(-1)[group.at_tail] * probs
+    flows = np.zeros(n_edges)
+    total = 0.0
+    for slot in supplies:
+        flows += edge_flows[slot]
+        total += float(np.dot(through[slot], entropies[slot]))
+    return flows.tolist(), total
 
 
 def network_loading(net: NetworkHierarchy, t: Sequence[float]) -> LoadResult:
@@ -525,7 +623,7 @@ def network_loading(net: NetworkHierarchy, t: Sequence[float]) -> LoadResult:
                 supplies[slot] = [0.0] * index.n_nodes
             supplies[slot][src] += d
         if index.topo is None:
-            level_entropy = _forward_cyclic(index, choices[k], supplies, level_flows)
+            level_flows, level_entropy = _forward_cyclic(index, choices[k], supplies)
         else:
             for slot, supply in supplies.items():
                 level_entropy += _forward_dag(

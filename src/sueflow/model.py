@@ -113,6 +113,8 @@ class LevelIndex:
     appearance, and ``dest_slot[j]`` is the position of OD ``j``'s
     destination in it: loading computes one soft-min field per destination,
     on an acyclic level over that destination's ``dest_subgraphs`` entry.
+    On a cyclic level the loading module compiles the arrays of its passes
+    on first use and keeps them in ``cyclic_plan``, ``None`` until then.
     """
 
     __slots__ = (
@@ -128,6 +130,7 @@ class LevelIndex:
         "dest_slot",
         "portal_for_od",
         "_dest_subgraphs",
+        "cyclic_plan",
     )
 
     def __init__(self, level: LevelGraph) -> None:
@@ -163,6 +166,7 @@ class LevelIndex:
             if e.is_portal:
                 self.portal_for_od[e.target_od.od] = pos
         self._dest_subgraphs: list[Subgraph] | None = None
+        self.cyclic_plan: object | None = None
 
     @property
     def dest_subgraphs(self) -> list[Subgraph]:

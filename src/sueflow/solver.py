@@ -313,18 +313,21 @@ class _DualSmooth:
     """Smooth-oracle adapter: loading supplies value, gradient, and extras.
 
     ``plain`` is ``_plain_positions(net)``: the gradient is minus the flows
-    it picks from the loading's concatenated levels.
+    it picks from the loading's concatenated levels. ``flows`` keeps that
+    concatenation for the latest gradient's loading.
     """
 
     def __init__(self, net: NetworkHierarchy, plain: np.ndarray) -> None:
         self.net = net
         self.plain = plain
+        self.flows: np.ndarray | None = None
 
     def value_and_grad(self, t: np.ndarray) -> tuple[float, np.ndarray, LoadResult]:
         import numpy as np
 
         result = network_loading(self.net, t.tolist())
-        return result.smooth_value, -np.concatenate(result.flows)[self.plain], result
+        self.flows = np.concatenate(result.flows)
+        return result.smooth_value, -self.flows[self.plain], result
 
     def value(self, t: np.ndarray) -> float:
         return dual_smooth_value(self.net, t.tolist())
@@ -354,12 +357,10 @@ class _PrimalCandidates:
         self.average_value = math.inf
         self.loading: tuple[float, np.ndarray | None, float] = (math.inf, None, math.nan)
 
-    def add(self, alpha: float, result: LoadResult) -> float:
-        """Fold in the loading made with step weight ``alpha``; returns the
-        smaller primal value of the two candidates."""
-        import numpy as np
-
-        flows = np.concatenate(result.flows)
+    def add(self, alpha: float, result: LoadResult, flows: np.ndarray) -> float:
+        """Fold in the loading made with step weight ``alpha``, whose flows
+        ``flows`` concatenates; returns the smaller primal value of the two
+        candidates."""
         entropy = entropy_term(self.net, result)
         self.weight += alpha
         self.flow_sums += alpha * flows
@@ -401,11 +402,14 @@ def solve(
     table = CostTable(net.plain_costs())
     plain = _plain_positions(net)
     candidates = _PrimalCandidates(net, table, plain)
+    smooth = _DualSmooth(net, plain)
 
     def on_accept(info: StepInfo) -> float:
-        return info.dual_value + candidates.add(info.alpha, info.aux)
+        # The accepted loading is the latest gradient's: a trial's value
+        # call loads no flows.
+        return info.dual_value + candidates.add(info.alpha, info.aux, smooth.flows)
 
-    t_final, history = minimize_composite(_DualSmooth(net, plain), table, start, cfg, on_accept)
+    t_final, history = minimize_composite(smooth, table, start, cfg, on_accept)
     kind, primal_value, flows, entropy = candidates.point()
     certificate = GapCertificate(
         dual_value=history[-1].dual_value,

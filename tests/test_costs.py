@@ -494,6 +494,21 @@ def warm_start_cases(draw):
     return costs, offsets, step, kinds, scales
 
 
+def stiff_case(step):
+    """A ``warm_start_cases`` case of stiff Newton inputs: power costs with
+    mu from 1 to 16, ``v - t0`` from 1e-12 to 1e6 relative to ``t0``, each
+    from every start kind, at one extreme prox step."""
+    costs, offsets, kinds = [], [], []
+    for mu in (1.0, 1.5, 4.0, 16.0):
+        cost = PowerCost(2.0, 0.15, 3.0, mu)
+        for rel in (1e-12, 1e-6, 1.0, 1e6):
+            for kind in START_KINDS:
+                costs.append(cost)
+                offsets.append(rel * cost.t0)
+                kinds.append(kind)
+    return costs, offsets, step, kinds, [0.37] * len(costs)
+
+
 # An affine cost with v one ulp above a, where (b v + step a)/(b + step)
 # rounds above v.
 AFFINE_ULP_A, AFFINE_ULP_B = 1.8225736070971679, 1.2265625
@@ -542,6 +557,11 @@ class TestWarmStart:
     @given(case=warm_start_cases())
     @example(case=([AffineCost(AFFINE_ULP_A, AFFINE_ULP_B)], [AFFINE_ULP_V - AFFINE_ULP_A],
                    1.0, ["zero"], [0.0]))
+    @example(case=stiff_case(1e-8))
+    @example(case=stiff_case(1e-4))
+    @example(case=stiff_case(1.0))
+    @example(case=stiff_case(1e4))
+    @example(case=stiff_case(1e8))
     @settings(max_examples=200, deadline=None)
     def test_any_start_gives_the_cold_answer(self, case):
         costs, offsets, step, kinds, scales = case

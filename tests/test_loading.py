@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 
@@ -368,6 +369,33 @@ class TestNetworkLoading:
         net = NetworkHierarchy([level], [1.0], walk_cap=1)
         assert network_loading(net, [1.0, 1e308, 1e308, 1e308]).flows == [[1.0, 0.0, 0.0, 0.0]]
 
+    def test_gamma_near_the_float_range_on_a_cyclic_level(self):
+        # At gamma 1e308, gamma * log(y) overflows for some times, and an
+        # entropy formed from rho would subtract infinities. Every time
+        # vector drawn from these values ends in a finite loading or in
+        # LoadingError, with no numpy warning (an error under pytest).
+        level = LevelGraph(
+            nodes=("o", "m", "d"),
+            edges=(
+                Edge("od", "o", "d", cost=ConstantCost(1.0)),
+                Edge("om", "o", "m", cost=ConstantCost(1.0)),
+                Edge("mo", "m", "o", cost=ConstantCost(1.0)),
+                Edge("md", "m", "d", cost=ConstantCost(1.0)),
+            ),
+            od_pairs=(ODPair("o", "d", 1.0),),
+        )
+        net = NetworkHierarchy([level], [1e308], walk_cap=1)
+        loaded = 0
+        for t in itertools.product([1.0, 1e308, -1e308, 1.7e308, -1.7e308], repeat=4):
+            try:
+                res = network_loading(net, list(t))
+            except LoadingError:
+                continue
+            loaded += 1
+            assert all(map(math.isfinite, [res.smooth_value, *res.flows[0], *res.entropies]))
+            verify_conservation(net, res)
+        assert loaded == 209
+
     def test_cyclic_loading_conserves(self):
         net = NetworkHierarchy([cyclic_level(demand=2.0)], [0.9], walk_cap=1)
         res = network_loading(net, [1.0, 1.2, 2.0, 1.5])
@@ -600,6 +628,27 @@ class TestBatchedCyclicPasses:
             [1, 1, 1, 1] if per_group == 1 else [2, 2]
         )
         assert (network_loading(net, t), dual_smooth_value(net, t)) == one_group
+        # the passes ran on the patched groups, not on those compiled before
+        assert [len(g.dsts) for g in level.index.cyclic_plan.groups] == (
+            [1, 1, 1, 1] if per_group == 1 else [2, 2]
+        )
+
+    def test_compiled_passes_keep_no_stack_of_systems(self):
+        # 20 destinations on a 256-node bidirectional ring: one system per
+        # stack, and the arrays kept on the index are O(D E + n**2), far
+        # below the D n**2 of a stack of identities per group.
+        n, dests = 256, 20
+        arcs = [(i, (i + 1) % n) for i in range(n)] + [((i + 1) % n, i) for i in range(n)]
+        ods = [ODPair(f"v{(13 * j + 5) % n}", f"v{11 * j}", 1.0) for j in range(dests)]
+        level = ring_level(n, arcs, ods)
+        net = NetworkHierarchy([level], [0.5], walk_cap=1)
+        res = network_loading(net, [1.0] * len(arcs))
+        verify_conservation(net, res)
+        plan = level.index.cyclic_plan
+        assert [len(g.dsts) for g in plan.groups] == [1] * dests
+        kept = plan.eye.size + sum(getattr(a, "size", 0) for g in plan.groups for a in g)
+        assert kept <= 8 * dests * len(arcs) + n * n
+        assert kept < dests * n * n / 10
 
     @pytest.mark.parametrize("n", [1, 2, 16, 255, 256, 500])
     def test_stacks_stay_within_the_budget(self, n):
