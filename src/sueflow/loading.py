@@ -22,7 +22,8 @@ Every level has one contract between its passes. The sweep hands back
 one trip cost per OD pair, the soft-min cost from its origin to its
 destination. For a gradient, it also keeps the logit choice toward each
 destination (``_Choice``: each edge's probability, each node's entropy),
-from the ``exp``s it pays once per edge; the forward pass only propagates
+from the ``exp``s it pays once per edge (on an acyclic level, once per
+edge out of a node with several exits); the forward pass only propagates
 flow through that choice, with no ``exp`` or ``log`` of its own. A value
 runs the same sweep and keeps no choice.
 
@@ -31,10 +32,16 @@ its soft-min field, and since flows and trajectory entropy are linear in
 the through-flow, one forward pass carries the demand of all their origins
 (the destination-based form of Dial's STOCH loading). On an acyclic level
 each distinct destination gets one soft-min sweep, over only the nodes
-between that destination's origins and it (``LevelIndex.dest_subgraphs``):
-elsewhere the soft-min is ``+inf`` and the flow zero, so skipping them
-changes no result. Its forward pass visits the same nodes in topological
-order, with multiply-adds only.
+between that destination's origins and it: elsewhere the soft-min is
+``+inf`` and the flow zero, so skipping them changes no result. The level
+compiles those nodes once, on its first loading, into one program per
+destination (``LevelIndex.dest_subgraphs``): their steps in reverse Kahn
+order, each naming its node and its exits, the edges it keeps with their
+heads, so no pass looks a head up again. The sweep runs the steps in
+order and the forward pass in reverse, with multiply-adds only. A node
+with one exit costs no ``exp`` or ``log``: its soft-min value is its one
+term, its probability 1.0 and its entropy 0.0, the bits the general
+formula gives.
 
 A cyclic level runs each pass once for all its destinations: one
 Bellman-Ford over a (destinations, nodes) array and one stacked solve of
@@ -142,48 +149,58 @@ def _softmin(
     destination is absorbing.
 
     One field serves every OD pair of the level that ends at ``dst``. The
-    sweep visits the nodes and edges of ``graph`` (the whole level, or the
-    part of it that leads to ``dst``) and leaves every other node at
-    ``+inf``. At each node it shifts the terms ``weights[e] + rho[head]`` by
-    their minimum ``best`` and sums their ``exp``s left to right into
-    ``acc >= 1``, so ``rho[v] = best - gamma * log(acc)``. Each ``exp`` is
-    also stored in ``probs[e]``: the ``choice``'s list, or a scratch list
-    when only the value is wanted, in which case the node is done.
+    sweep runs the steps of ``graph`` (the whole level, or the part of it
+    that leads to ``dst``), in reverse Kahn order, and leaves every other
+    node at ``+inf``. At a node with several exits it shifts the terms
+    ``weights[e] + rho[head]`` by their minimum ``best`` and sums their
+    ``exp``s left to right into ``acc >= 1``, so ``rho[v] = best - gamma *
+    log(acc)``. Each ``exp`` is also stored in ``probs[e]``: the
+    ``choice``'s list, or a scratch list when only the value is wanted, in
+    which case the node is done. At a node with one exit ``rho[v]`` is the
+    term itself and ``probs[e]`` is 1.0, with no ``exp`` or ``log``: the
+    very bits the shifted sum gives, since its one ``exp`` is of 0.0. A
+    term of ``+inf`` or NaN leaves the node without a route, as the
+    minimum does at a node with several exits.
 
     Given a ``choice``, the sweep goes on to fill it in for every node with
-    a route: the probability ``ex_e / acc`` of each out-edge and the node's
-    entropy ``sum_e p_e (term_e - rho[v]) / gamma``. That form is anchored
-    at the rounded ``rho[v]``, so the primal of one loading telescopes
-    against the very potentials of the dual.
+    several exits and a route: the probability ``ex_e / acc`` of each exit
+    and the node's entropy ``sum_e p_e (term_e - rho[v]) / gamma``. That
+    form is anchored at the rounded ``rho[v]``, so the primal of one loading
+    telescopes against the very potentials of the dual. A node with one exit
+    keeps its entropy of 0.0.
     """
     rho = [math.inf] * index.n_nodes
     rho[dst] = 0.0
-    heads, out_edges = index.heads, graph.out_edges
     exp, log, inf = math.exp, math.log, math.inf
-    probs, entropy = choice or ([0.0] * len(heads), None)
-    for v in reversed(graph.topo):
-        if v == dst:
+    probs, entropy = choice or ([0.0] * len(index.heads), None)
+    for step in graph:
+        if len(step) == 3:
+            v, e, u = step
+            term = weights[e] + rho[u]
+            if term < inf:
+                rho[v] = term
+                probs[e] = 1.0
             continue
-        out = out_edges[v]
+        v, exits = step
         best = inf
-        for e in out:
-            term = weights[e] + rho[heads[e]]
+        for e, u in exits:
+            term = weights[e] + rho[u]
             if term < best:
                 best = term
         if best == inf:
             continue
         acc = 0.0
-        for e in out:
-            ex = probs[e] = exp((best - (weights[e] + rho[heads[e]])) / gamma)
+        for e, u in exits:
+            ex = probs[e] = exp((best - (weights[e] + rho[u])) / gamma)
             acc += ex
         r = rho[v] = best - gamma * log(acc)
         if entropy is None:
             continue
         h = 0.0
-        for e in out:
+        for e, u in exits:
             p = probs[e] = probs[e] / acc
             if p > 0.0:  # a term of +inf has no share and no entropy
-                h += p * (weights[e] + rho[heads[e]] - r)
+                h += p * (weights[e] + rho[u] - r)
         entropy[v] = h / gamma
     return rho
 
@@ -413,9 +430,11 @@ def _sweep_weights(
     shift the slices and misread the trip costs. A NaN or infinite value
     raises ``ValueError`` naming its edge and level. Each destination's
     soft-min field is finite only on its subgraph, which holds every origin
-    that can reach the destination. An infinite trip cost raises
-    ``NoPathError`` if the trip has no route, and ``LoadingError`` if its
-    cost overflowed.
+    that can reach the destination. A trip cost that is not finite raises
+    ``NoPathError`` if it is ``+inf`` because the trip has no route, and
+    otherwise ``LoadingError`` naming the trip and the value: ``+inf`` or
+    ``-inf`` for a cost that overflowed, ``nan`` for one that subtracted
+    infinities.
     """
     n_plain = net.num_plain_edges()
     if len(t) != n_plain:
@@ -465,11 +484,15 @@ def _sweep_weights(
                 fields.append(_softmin(index, w, gamma, dst, graph, choice))
         for j, (src, dst) in enumerate(index.od_nodes):
             cost = fields[index.dest_slot[j]][src]
-            if math.isinf(cost):
+            if not math.isfinite(cost):
                 od = level.od_pairs[j]
                 trip = f"{od.origin!r} -> {od.destination!r} at level {k + 1}"
+                if cost != cost:
+                    raise LoadingError(f"the trip cost {trip} is nan")
+                if cost < 0.0:
+                    raise LoadingError(f"the trip cost {trip} overflows to -inf")
                 if index.reaches(src, dst):
-                    raise LoadingError(f"the trip cost {trip} overflows to inf")
+                    raise LoadingError(f"the trip cost {trip} overflows to +inf")
                 raise NoPathError(f"no path {trip}")
             trip_costs[k].append(cost)
     return weights, trip_costs, choices
@@ -501,40 +524,44 @@ def _forward_dag(
     flows: list[float],
     k: int,
 ) -> float:
-    """Carry the demand bound for destination ``slot`` to it in one
-    topological sweep of its subgraph, which holds all the flow, by the
-    ``choice`` its soft-min sweep kept.
+    """Carry the demand bound for destination ``slot`` to it by the
+    ``choice`` its soft-min sweep kept, running the steps of its subgraph,
+    which holds all the flow, in Kahn order.
 
     ``supply[v]`` is the summed demand of the level's OD pairs from node
     ``v`` to that destination; it becomes the through-flow in place. Adds
     the edge flows to ``flows`` and returns the demand-weighted trajectory
-    entropy. The probabilities out of every node that flow reaches must sum
-    to 1 within ``_MASS_TOL``, or ``MassLeakError`` names the node. Flow
-    reaches only nodes with a route: the sweep checks each origin, and an
-    edge into a node without one has probability 0. ``k`` is the level's
-    position, for error messages.
+    entropy. A node with one exit moves its whole through-flow along it,
+    with entropy 0. At a node with several, the probabilities out of it, if
+    flow reaches it, must sum to 1 within ``_MASS_TOL``, or
+    ``MassLeakError`` names the node. Flow reaches only nodes with a route:
+    the sweep checks each origin, and an edge into a node without one has
+    probability 0. ``k`` is the level's position, for error messages.
     """
-    dst = index.dests[slot]
-    graph = index.dest_subgraphs[slot]
-    heads, out_edges = index.heads, graph.out_edges
     probs, node_entropy = choice
     through = supply
     entropy = 0.0
-    for v in graph.topo:
-        h = through[v]
-        if h <= 0.0 or v == dst:
+    for step in reversed(index.dest_subgraphs[slot]):
+        h = through[step[0]]
+        if h <= 0.0:
             continue
+        if len(step) == 3:
+            _, e, u = step
+            flows[e] += h
+            through[u] += h
+            continue
+        v, exits = step
         mass = 0.0
-        for e in out_edges[v]:
+        for e, u in exits:
             p = probs[e]
             mass += p
             q = h * p
             flows[e] += q
-            through[heads[e]] += q
+            through[u] += q
         if abs(mass - 1.0) > _MASS_TOL:
             raise MassLeakError(
                 f"choice probabilities out of node {index.nodes[v]!r} toward "
-                f"{index.nodes[dst]!r} sum to {mass} at level {k + 1}"
+                f"{index.nodes[index.dests[slot]]!r} sum to {mass} at level {k + 1}"
             )
         entropy += h * node_entropy[v]
     return entropy

@@ -91,16 +91,14 @@ class LevelGraph:
         return LevelIndex(self)
 
 
-class Subgraph(NamedTuple):
-    """The part of an acyclic level that one loading pass visits.
-
-    ``topo`` lists its nodes in the level's Kahn order. ``out_edges[v]``
-    holds, in the level's order, the positions of the edges out of node
-    ``v`` that stay inside it; it is empty for nodes outside it.
-    """
-
-    topo: list[int]
-    out_edges: Sequence[Sequence[int]]
+# One step of a compiled subgraph (``LevelIndex.dest_subgraphs``): a node
+# with one exit inside the subgraph is ``(node, edge, head)``, a node with
+# several is ``(node, ((edge, head), ...))``, its exits in the level's order.
+Step = tuple[int, int, int] | tuple[int, tuple[tuple[int, int], ...]]
+# The part of an acyclic level that one loading pass toward a destination
+# visits, compiled to its steps in reverse Kahn order: every node of the
+# part but the destination, which has no step.
+Subgraph = tuple[Step, ...]
 
 
 class LevelIndex:
@@ -112,7 +110,8 @@ class LevelIndex:
     cycle. ``dests`` lists the distinct OD destinations in order of first
     appearance, and ``dest_slot[j]`` is the position of OD ``j``'s
     destination in it: loading computes one soft-min field per destination,
-    on an acyclic level over that destination's ``dest_subgraphs`` entry.
+    on an acyclic level by the steps of that destination's
+    ``dest_subgraphs`` entry.
     On a cyclic level the loading module compiles the arrays of its passes
     on first use and keeps them in ``cyclic_plan``, ``None`` until then.
     """
@@ -171,17 +170,18 @@ class LevelIndex:
     @property
     def dest_subgraphs(self) -> list[Subgraph]:
         """Per destination slot of an acyclic level, the nodes between its
-        OD origins and it.
+        OD origins and it, compiled to their steps (``Subgraph``).
 
         These are the descendants of the origins of the OD pairs bound for
-        the destination that are also its ancestors, and each keeps only the
-        edges whose heads are among them. Outside them the soft-min distance
-        is ``+inf`` and the flow toward the destination zero, so a loading
-        pass over the subgraph computes the whole level's trip costs and
-        flows exactly, and a longest-route pass over it the origins' route
-        bounds. A cyclic level has none: its passes are linear solves over
-        the whole level. Built on first use and kept: validation never reads
-        them.
+        the destination that are also its ancestors, and each step keeps
+        only the edges whose heads are among them, with those heads. Outside
+        them the soft-min distance is ``+inf`` and the flow toward the
+        destination zero, so a loading pass over the steps computes the
+        whole level's trip costs and flows exactly, and a longest-route pass
+        over them the origins' route bounds. The steps hold an entry per
+        kept node and edge, and none for the rest of the level. A cyclic
+        level has none: its passes are linear solves over the whole level.
+        Compiled on first use and kept: validation never reads them.
         """
         if self._dest_subgraphs is None:
             origins: list[list[int]] = [[] for _ in self.dests]
@@ -193,24 +193,25 @@ class LevelIndex:
         return self._dest_subgraphs
 
     def _between(self, origins: list[int], dst: int) -> Subgraph:
-        """Subgraph of the nodes on some route from ``origins`` to ``dst``."""
+        """The steps of the nodes on some route from ``origins`` to ``dst``."""
+        heads = self.heads
         below = [False] * self.n_nodes  # a descendant of some origin
         for v in origins:
             below[v] = True
         for v in self.topo:
             if below[v]:
                 for e in self.out_edges[v]:
-                    below[self.heads[e]] = True
+                    below[heads[e]] = True
         keep = [False] * self.n_nodes  # also an ancestor of ``dst``
         keep[dst] = below[dst]
-        out_edges: list[Sequence[int]] = [()] * self.n_nodes
+        steps: list[Step] = []
         for v in reversed(self.topo):
             if below[v] and v != dst:
-                out = [e for e in self.out_edges[v] if keep[self.heads[e]]]
-                if out:
+                exits = [(e, heads[e]) for e in self.out_edges[v] if keep[heads[e]]]
+                if exits:
                     keep[v] = True
-                    out_edges[v] = out
-        return Subgraph([v for v in self.topo if keep[v]], out_edges)
+                    steps.append((v, *exits[0]) if len(exits) == 1 else (v, tuple(exits)))
+        return tuple(steps)
 
     def reaches(self, src: int, dst: int) -> bool:
         """Whether some route of the level leads from ``src`` to ``dst``."""
@@ -567,18 +568,14 @@ def _longest_routes(index: LevelIndex, weights: list[float], slot: int) -> list[
     the destination absorbs.
 
     Every route from an origin bound for the destination stays in its
-    ``dest_subgraphs`` entry, so at those origins the values are the whole
-    level's; other nodes may read -1.
+    ``dest_subgraphs`` entry, whose steps the pass walks, so at those
+    origins the values are the whole level's; other nodes may read -1.
     """
-    dst = index.dests[slot]
-    sub = index.dest_subgraphs[slot]
     best = [-1] * index.n_nodes
-    best[dst] = 0
-    for v in reversed(sub.topo):
-        if v == dst:
-            continue
-        for e in sub.out_edges[v]:
-            u = index.heads[e]
+    best[index.dests[slot]] = 0
+    for step in index.dest_subgraphs[slot]:
+        v, exits = (step[0], (step[1:],)) if len(step) == 3 else step
+        for e, u in exits:
             if best[u] >= 0:
                 cand = weights[e] + best[u]
                 if cand > best[v]:

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -29,7 +31,7 @@ from sueflow import (
 )
 from sueflow import loading
 from sueflow.loading import entropy_term, surrogate_primal, verify_conservation
-from sueflow.model import LevelIndex, Subgraph
+from sueflow.model import LevelIndex
 from sueflow import oracle
 
 from conftest import (
@@ -63,6 +65,18 @@ def cyclic_level(demand=1.0):
     )
 
 
+def whole_level(index, dst):
+    """Every node of an acyclic level but ``dst``, each with all its
+    out-edges, compiled to steps in reverse Kahn order as
+    ``LevelIndex.dest_subgraphs`` compiles a subgraph."""
+    steps = []
+    for v in reversed(index.topo):
+        if v != dst:
+            exits = tuple((e, index.heads[e]) for e in index.out_edges[v])
+            steps.append((v, *exits[0]) if len(exits) == 1 else (v, exits))
+    return tuple(steps)
+
+
 def potentials(level, weights, gamma, dest):
     """Soft-min distance from every node of ``level`` to ``dest`` under the
     ``edge id -> weight`` map, by the loading's kernels: one field of
@@ -73,7 +87,7 @@ def potentials(level, weights, gamma, dest):
     if index.topo is None:
         rho = loading._softmin_cyclic(index, w, gamma, [dst])[0]
     else:
-        rho = loading._softmin(index, w, gamma, dst, Subgraph(index.topo, index.out_edges))
+        rho = loading._softmin(index, w, gamma, dst, whole_level(index, dst))
     return {v: rho[i] for v, i in index.node_index.items()}
 
 
@@ -350,7 +364,7 @@ class TestNetworkLoading:
             with pytest.raises(LoadingError) as caught:
                 network_loading(net, t)
             assert not isinstance(caught.value, NoPathError)
-            assert str(caught.value) == "the trip cost 'o' -> 'd' at level 1 overflows to inf"
+            assert str(caught.value) == "the trip cost 'o' -> 'd' at level 1 overflows to +inf"
 
     def test_overflowing_exponent_on_a_cyclic_level_is_a_zero_probability(self):
         # o -> m costs 1e308 and m's distance is 1e308, so the exponent of
@@ -395,6 +409,33 @@ class TestNetworkLoading:
             assert all(map(math.isfinite, [res.smooth_value, *res.flows[0], *res.entropies]))
             verify_conservation(net, res)
         assert loaded == 209
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning:sueflow")
+    def test_times_near_the_float_range_end_in_finite_trip_costs(self, two_level_net):
+        # Sums of times near -1e308 overflow to -inf, and a soft-min step that
+        # shifts -inf by itself gives NaN. Every time vector drawn from these
+        # values ends in finite trip costs or in LoadingError naming the
+        # value; the general per-node formula gives the same outcome on each.
+        outcomes = Counter()
+        for t in itertools.product([1.0, 1e308, -1e308, -1.7e308], repeat=6):
+            ends = []
+            for context in (contextlib.nullcontext, general_formula):
+                with context():
+                    try:
+                        _, trip_costs, _ = loading._sweep_weights(two_level_net, list(t))
+                    except LoadingError as err:
+                        assert not isinstance(err, NoPathError)
+                        ends.append(str(err))
+                        continue
+                assert all(map(math.isfinite, itertools.chain(*trip_costs))), t
+                ends.append(trip_costs)
+            assert ends[0] == ends[1], t
+            outcomes[ends[0] if isinstance(ends[0], str) else "finite"] += 1
+        assert outcomes == {
+            "finite": 1424,
+            "the trip cost 'o' -> 'd' at level 1 is nan": 1648,
+            "the trip cost 'u' -> 'w' at level 2 is nan": 1024,
+        }
 
     def test_cyclic_loading_conserves(self):
         net = NetworkHierarchy([cyclic_level(demand=2.0)], [0.9], walk_cap=1)
@@ -723,6 +764,146 @@ class TestBatchedCyclicPasses:
         assert 0.1 < res.flows[0][0] < 1.9  # both levels carry real route choice
 
 
+def general_softmin(index, weights, gamma, dst, graph, choice=None):
+    """Reference for ``loading._softmin``: the general per-node formula,
+    shifted ``exp``s summed and one ``log``, at every node of the whole
+    level, whatever its number of exits; ``graph`` is not read."""
+    rho = [math.inf] * index.n_nodes
+    rho[dst] = 0.0
+    heads = index.heads
+    probs, entropy = choice or ([0.0] * len(heads), None)
+    for v in reversed(index.topo):
+        if v == dst:
+            continue
+        out = index.out_edges[v]
+        best = math.inf
+        for e in out:
+            term = weights[e] + rho[heads[e]]
+            if term < best:
+                best = term
+        if best == math.inf:
+            continue
+        acc = 0.0
+        for e in out:
+            ex = probs[e] = math.exp((best - (weights[e] + rho[heads[e]])) / gamma)
+            acc += ex
+        r = rho[v] = best - gamma * math.log(acc)
+        if entropy is None:
+            continue
+        h = 0.0
+        for e in out:
+            p = probs[e] = probs[e] / acc
+            if p > 0.0:
+                h += p * (weights[e] + rho[heads[e]] - r)
+        entropy[v] = h / gamma
+    return rho
+
+
+def general_forward(index, choice, slot, supply, flows, k):
+    """Reference for ``loading._forward_dag``: every node of the whole
+    level in Kahn order splits its through-flow by the kept probabilities."""
+    probs, node_entropy = choice
+    entropy = 0.0
+    for v in index.topo:
+        h = supply[v]
+        if h <= 0.0 or v == index.dests[slot]:
+            continue
+        for e in index.out_edges[v]:
+            q = h * probs[e]
+            flows[e] += q
+            supply[index.heads[e]] += q
+        entropy += h * node_entropy[v]
+    return entropy
+
+
+@contextlib.contextmanager
+def general_formula():
+    """A context in which acyclic loading runs the reference passes."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(loading, "_softmin", general_softmin)
+        mp.setattr(loading, "_forward_dag", general_forward)
+        yield
+
+
+class TestSingleExitSteps:
+    # A node with one exit takes its term as its soft-min value, with
+    # probability 1.0 and entropy 0.0: the bits the general formula gives,
+    # since its one exp is exp(0.0) = 1.0 and log(1.0) = 0.0.
+    @given(case=any_dag_hierarchy)
+    @settings(max_examples=150, deadline=None)
+    def test_loading_equals_the_general_formula(self, case):
+        net, t = case
+        program = network_loading(net, t), dual_smooth_value(net, t)
+        with general_formula():
+            general = network_loading(net, t), dual_smooth_value(net, t)
+        assert program == general
+
+    @pytest.mark.parametrize("term", [0.25, -3.0, math.inf, math.nan])
+    def test_one_exit_matches_the_general_step(self, term):
+        # o -> m is m's one exit; o has two. A term of +inf or NaN at m
+        # leaves it without a route, as the minimum does.
+        level = LevelGraph(
+            nodes=("o", "m", "d"),
+            edges=(
+                Edge("om", "o", "m", cost=ConstantCost(1.0)),
+                Edge("md", "m", "d", cost=ConstantCost(1.0)),
+                Edge("od", "o", "d", cost=ConstantCost(1.0)),
+            ),
+            od_pairs=(ODPair("o", "d", 1.0),),
+        )
+        index = level.index
+        w = [0.5, term, 2.0]
+        dst = index.node_index["d"]
+        (sub,) = index.dest_subgraphs
+        assert sub[0] == (index.node_index["m"], 1, dst)
+        fields = []
+        for sweep in (loading._softmin, general_softmin):
+            choice = loading._Choice([0.0] * 3, [0.0] * 3)
+            rho = sweep(index, w, 0.7, dst, sub, choice)
+            fields.append([repr(x) for x in rho + choice.probs + choice.entropy])
+        assert fields[0] == fields[1]
+
+    def test_minus_inf_trip_cost_is_named(self):
+        # The one soft-min term of o is -1e308 + -1e308 = -inf; the general
+        # step would shift it by itself into a NaN.
+        chain = LevelGraph(
+            nodes=("o", "m", "d"),
+            edges=(Edge("om", "o", "m", cost=ConstantCost(1.0)),
+                   Edge("md", "m", "d", cost=ConstantCost(1.0))),
+            od_pairs=(ODPair("o", "d", 1.0),),
+        )
+        net = NetworkHierarchy([chain], [1.0])
+        message = "^the trip cost 'o' -> 'd' at level 1 overflows to -inf$"
+        with pytest.raises(LoadingError, match=message):
+            network_loading(net, [-1e308, -1e308])
+        with general_formula(), pytest.raises(LoadingError, match="at level 1 is nan$"):
+            network_loading(net, [-1e308, -1e308])
+
+    def test_program_holds_the_subgraph_edges_only(self):
+        # 100 diamonds a -> {b, c} -> d chained into one 400-node level, each
+        # its own OD: the programs hold a few entries per subgraph edge, far
+        # below one out-edge slot per destination and node (D * n = 40 000).
+        diamonds = 100
+        nodes = tuple(f"{x}{i}" for i in range(diamonds) for x in "abcd")
+        edges = []
+        for i in range(diamonds):
+            for tail, head in ("ab", "ac", "bd", "cd"):
+                edges.append(Edge(f"{tail}{head}{i}", f"{tail}{i}", f"{head}{i}",
+                                  cost=ConstantCost(1.0)))
+            if i + 1 < diamonds:
+                edges.append(Edge(f"link{i}", f"d{i}", f"a{i + 1}", cost=ConstantCost(1.0)))
+        ods = tuple(ODPair(f"a{i}", f"d{i}", 1.0) for i in range(diamonds))
+        level = LevelGraph(nodes, tuple(edges), ods)
+        net = NetworkHierarchy([level], [0.5])
+        verify_conservation(net, network_loading(net, [1.0] * len(edges)))
+        programs = level.index.dest_subgraphs
+        assert len(programs) == diamonds
+        kept = sum(len(step) if len(step) == 3 else 1 + 2 * len(step[1])
+                   for program in programs for step in program)
+        assert kept <= 3 * 4 * diamonds  # four subgraph edges per destination
+        assert kept < diamonds * len(nodes) / 10
+
+
 class TestDestinationSubgraphs:
     # Outside a destination's subgraph every soft-min term is +inf, whose
     # exp adds an exact 0.0, and every choice probability is 0.0: passes
@@ -732,11 +913,9 @@ class TestDestinationSubgraphs:
     def test_restricted_loading_equals_whole_level(self, case):
         net, t = case
         restricted = network_loading(net, t), dual_smooth_value(net, t)
-        whole_level = property(
-            lambda index: [Subgraph(index.topo, index.out_edges)] * len(index.dests)
-        )
+        whole_levels = property(lambda index: [whole_level(index, dst) for dst in index.dests])
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(LevelIndex, "dest_subgraphs", whole_level)
+            mp.setattr(LevelIndex, "dest_subgraphs", whole_levels)
             whole = network_loading(net, t), dual_smooth_value(net, t)
         assert restricted == whole
 

@@ -390,12 +390,27 @@ class TestLevelIndex:
         assert level.index.dest_slot == [0, 1, 0, 0]
 
 
+def decoded(index, sub):
+    """The nodes of a compiled subgraph in Kahn order and, per node of the
+    level, the edges of its step; a step has one exit exactly when it is
+    written ``(node, edge, head)``, and each exit names its edge's head."""
+    topo, out_edges = [], [[] for _ in range(index.n_nodes)]
+    for step in reversed(sub):
+        v, exits = (step[0], (step[1:],)) if len(step) == 3 else step
+        assert (len(step) == 3) == (len(exits) == 1)
+        assert all(index.heads[e] == u for e, u in exits)
+        topo.append(v)
+        out_edges[v] = [e for e, _ in exits]
+    return topo, out_edges
+
+
 class TestDestinationSubgraphs:
     @given(case=any_dag_hierarchy)
     @settings(max_examples=200, deadline=None)
     def test_between_origins_and_destination(self, case):
         # descendants of the origins that are ancestors of the destination,
-        # in Kahn order, each keeping its out-edges into the set in order
+        # the destination aside (it has no step), in Kahn order, each keeping
+        # its out-edges into the set in order
         net, _ = case
         for level in net.levels:
             index = level.index
@@ -415,10 +430,11 @@ class TestDestinationSubgraphs:
                     graph.T.tocsr(), dst, directed=True, return_predecessors=False
                 ).tolist()
                 members = below & set(above)
-                assert sub.topo == [v for v in index.topo if v in members]
+                topo, out_edges = decoded(index, sub)
+                assert topo == [v for v in index.topo if v in members and v != dst]
                 for v in range(n):
                     kept = [e for e in index.out_edges[v] if index.heads[e] in members]
-                    assert list(sub.out_edges[v]) == (kept if v in members else [])
+                    assert out_edges[v] == (kept if v in members else [])
 
     def test_built_on_first_loading_not_by_validation(self):
         net = parse_network(FIXTURES / "two_level.json")
@@ -504,7 +520,7 @@ class TestLongestPathBound:
             for slot, dst in enumerate(index.dests):
                 whole = whole_level_longest_routes(index, weights, dst)
                 sub = _longest_routes(index, weights, slot)
-                inside = index.dest_subgraphs[slot].topo
+                inside = [dst] + [step[0] for step in index.dest_subgraphs[slot]]
                 assert [sub[v] for v in inside] == [whole[v] for v in inside]
                 assert all(sub[v] == -1 for v in set(range(index.n_nodes)) - set(inside))
                 for (src, _), od_slot in zip(index.od_nodes, index.dest_slot):
