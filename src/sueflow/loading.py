@@ -31,17 +31,19 @@ OD pairs enter only through their destinations: pairs that share one share
 its soft-min field, and since flows and trajectory entropy are linear in
 the through-flow, one forward pass carries the demand of all their origins
 (the destination-based form of Dial's STOCH loading). On an acyclic level
-each distinct destination gets one soft-min sweep, over only the nodes
-between that destination's origins and it: elsewhere the soft-min is
-``+inf`` and the flow zero, so skipping them changes no result. The level
-compiles those nodes once, on its first loading, into one program per
-destination (``LevelIndex.dest_subgraphs``): their steps in reverse Kahn
-order, each naming its node and its exits, the edges it keeps with their
-heads, so no pass looks a head up again. The sweep runs the steps in
-order and the forward pass in reverse, with multiply-adds only. A node
-with one exit costs no ``exp`` or ``log``: its soft-min value is its one
-term, its probability 1.0 and its entropy 0.0, the bits the general
-formula gives.
+each distinct destination's field covers only the nodes between that
+destination's origins and it: elsewhere the soft-min is ``+inf`` and the
+flow zero, so skipping them changes no result. The level compiles those
+nodes once, on its first loading, into one program per level
+(``LevelIndex.program``, a ``LevelProgram``): per destination slot, its
+steps in reverse Kahn order, each exit naming its edge, the position of
+its head in the level's flat per-loading arrays and, at a node with
+several exits, the position of its choice probability. A loading makes
+one sweep call over every slot and one forward call that runs the slots
+with demand, backwards, with multiply-adds only; no pass looks a head up
+or allocates per destination. A node with one exit costs no ``exp`` or
+``log``: its soft-min value is its one term, and it passes all its flow
+on, with entropy 0.0, the bits the general formula gives.
 
 A cyclic level runs each pass once for all its destinations: one
 Bellman-Ford over a (destinations, nodes) array and one stacked solve of
@@ -61,7 +63,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
 
-from .model import LevelIndex, NetworkHierarchy, Subgraph
+from .model import LevelIndex, NetworkHierarchy
 
 if TYPE_CHECKING:
     import numpy as np
@@ -101,6 +103,10 @@ class MassLeakError(LoadingError):
     pass
 
 
+class _SmoothOverflow(LoadingError):
+    """Every trip cost is finite, but the smooth dual value is not."""
+
+
 @dataclass
 class LoadResult:
     """One loading at a fixed dual point.
@@ -124,13 +130,15 @@ class _Choice(NamedTuple):
     """Logit edge choice toward the destinations of a level, kept by the
     gradient's sweep for its forward pass.
 
-    On an acyclic level one choice per destination, in lists: ``probs[e]``
-    is the probability that flow at edge ``e``'s tail takes it; it stays 0.0
-    off the destination's subgraph, at nodes with no route and on the edges
-    out of the destination. ``entropy[v]`` is the entropy of the choice at
-    node ``v``. On a cyclic level one choice per group of destinations of
-    its plan, in arrays: ``probs`` per walk edge of the group, in the
-    order of its ``rows``, and ``entropy`` per destination and node.
+    On an acyclic level one choice for all its destinations, in the flat
+    arrays of its program (``LevelProgram``): ``probs[c]`` is the
+    probability that flow at a node with several exits takes the exit at
+    choice position ``c``; it stays 0.0 at nodes with no route. A node with
+    one exit passes on all its flow and has no entry. ``entropy[v]`` is the
+    entropy of the choice at node position ``v``. On a cyclic level one
+    choice per group of destinations of its plan, in arrays: ``probs`` per
+    walk edge of the group, in the order of its ``rows``, and ``entropy``
+    per destination and node.
     """
 
     probs: Sequence[float]
@@ -141,26 +149,24 @@ def _softmin(
     index: LevelIndex,
     weights: Sequence[float],
     gamma: float,
-    dst: int,
-    graph: Subgraph,
     choice: _Choice | None = None,
 ) -> list[float]:
-    """Soft-min distance to ``dst`` per node on an acyclic level; the
-    destination is absorbing.
+    """Soft-min distance to each destination of an acyclic level, per
+    position of its program (``LevelIndex.program``); the destinations are
+    absorbing.
 
-    One field serves every OD pair of the level that ends at ``dst``. The
-    sweep runs the steps of ``graph`` (the whole level, or the part of it
-    that leads to ``dst``), in reverse Kahn order, and leaves every other
-    node at ``+inf``. At a node with several exits it shifts the terms
-    ``weights[e] + rho[head]`` by their minimum ``best`` and sums their
-    ``exp``s left to right into ``acc >= 1``, so ``rho[v] = best - gamma *
-    log(acc)``. Each ``exp`` is also stored in ``probs[e]``: the
-    ``choice``'s list, or a scratch list when only the value is wanted, in
-    which case the node is done. At a node with one exit ``rho[v]`` is the
-    term itself and ``probs[e]`` is 1.0, with no ``exp`` or ``log``: the
-    very bits the shifted sum gives, since its one ``exp`` is of 0.0. A
-    term of ``+inf`` or NaN leaves the node without a route, as the
-    minimum does at a node with several exits.
+    One field per destination slot serves every OD pair of the level that
+    ends there. The sweep runs the program's steps, each slot's in reverse
+    Kahn order, and leaves every position it does not reach at ``+inf``. At
+    a node with several exits it shifts the terms ``weights[e] + rho[head]``
+    by their minimum ``best`` and sums their ``exp``s left to right into
+    ``acc >= 1``, so ``rho[v] = best - gamma * log(acc)``. Each ``exp`` is
+    also stored at the exit's choice position: in the ``choice``'s
+    ``probs``, or in a scratch list when only the value is wanted, in which
+    case the node is done. At a node with one exit ``rho[v]`` is the term
+    itself, with no ``exp`` or ``log``: the very bits the shifted sum gives,
+    since its one ``exp`` is of 0.0. A term of ``+inf`` or NaN leaves the
+    node without a route, as the minimum does at a node with several exits.
 
     Given a ``choice``, the sweep goes on to fill it in for every node with
     several exits and a route: the probability ``ex_e / acc`` of each exit
@@ -169,39 +175,38 @@ def _softmin(
     telescopes against the very potentials of the dual. A node with one exit
     keeps its entropy of 0.0.
     """
-    rho = [math.inf] * index.n_nodes
-    rho[dst] = 0.0
+    program = index.program
+    rho = program.rho.copy()
     exp, log, inf = math.exp, math.log, math.inf
-    probs, entropy = choice or ([0.0] * len(index.heads), None)
-    for step in graph:
-        if len(step) == 3:
-            v, e, u = step
-            term = weights[e] + rho[u]
-            if term < inf:
-                rho[v] = term
-                probs[e] = 1.0
-            continue
-        v, exits = step
-        best = inf
-        for e, u in exits:
-            term = weights[e] + rho[u]
-            if term < best:
-                best = term
-        if best == inf:
-            continue
-        acc = 0.0
-        for e, u in exits:
-            ex = probs[e] = exp((best - (weights[e] + rho[u])) / gamma)
-            acc += ex
-        r = rho[v] = best - gamma * log(acc)
-        if entropy is None:
-            continue
-        h = 0.0
-        for e, u in exits:
-            p = probs[e] = probs[e] / acc
-            if p > 0.0:  # a term of +inf has no share and no entropy
-                h += p * (weights[e] + rho[u] - r)
-        entropy[v] = h / gamma
+    probs, entropy = choice or ([0.0] * program.n_choices, None)
+    for v, run in zip(program.at_dst, program.runs):
+        for edge, head in run:
+            v += 1
+            if edge >= 0:
+                term = weights[edge] + rho[head]
+                if term < inf:
+                    rho[v] = term
+                continue
+            best = inf
+            for e, u, _ in head:
+                term = weights[e] + rho[u]
+                if term < best:
+                    best = term
+            if best == inf:
+                continue
+            acc = 0.0
+            for e, u, c in head:
+                ex = probs[c] = exp((best - (weights[e] + rho[u])) / gamma)
+                acc += ex
+            r = rho[v] = best - gamma * log(acc)
+            if entropy is None:
+                continue
+            h = 0.0
+            for e, u, c in head:
+                p = probs[c] = probs[c] / acc
+                if p > 0.0:  # a term of +inf has no share and no entropy
+                    h += p * (weights[e] + rho[u] - r)
+            entropy[v] = h / gamma
     return rho
 
 
@@ -317,7 +322,7 @@ def _softmin_cyclic(
     the field infinite, which the sweep reports as an overflowing trip cost.
 
     Given ``choices``, the sweep appends the logit choice toward each group
-    of destinations (below), as ``_softmin`` does per destination: the
+    of destinations (below), as ``_softmin`` does for its level: the
     probability of each of the group's walk edges, in its ``rows`` order,
     and a ``(group, nodes)`` array of node entropies. An edge's share is its
     term of ``y[v] = sum_e A_e y[u]``: ``A_e * y[u] / y[v]``, divided by
@@ -414,11 +419,12 @@ def _softmin_cyclic(
 
 def _sweep_weights(
     net: NetworkHierarchy, t: Sequence[float], keep_choices: bool = False
-) -> tuple[list[Sequence[float]], list[list[float]], list[list[_Choice]]]:
+) -> tuple[list[Sequence[float]], list[list[float]], list[_Choice | list[_Choice] | None]]:
     """Bottom-up pass: per-level edge weights, per-level trip costs (the
     soft-min cost of each OD pair, in OD order), and, with
-    ``keep_choices``, the logit choices of each level (``_Choice``), in the
-    order of ``LevelIndex.dests`` (no entries without ``keep_choices``).
+    ``keep_choices``, the logit choice of each level (``_Choice``): one for
+    an acyclic level, a list of one per group of its plan for a cyclic one
+    (``None`` per level without ``keep_choices``).
 
     A portal edge's weight is the soft-min trip cost of its target OD pair
     one level down, so levels are processed deepest first. Each level's
@@ -428,13 +434,13 @@ def _sweep_weights(
     in one call. So ``t`` must hold exactly one value per plain edge, or
     ``ValueError`` names both lengths; a longer or shorter ``t`` would
     shift the slices and misread the trip costs. A NaN or infinite value
-    raises ``ValueError`` naming its edge and level. Each destination's
-    soft-min field is finite only on its subgraph, which holds every origin
-    that can reach the destination. A trip cost that is not finite raises
-    ``NoPathError`` if it is ``+inf`` because the trip has no route, and
-    otherwise ``LoadingError`` naming the trip and the value: ``+inf`` or
-    ``-inf`` for a cost that overflowed, ``nan`` for one that subtracted
-    infinities.
+    raises ``ValueError`` naming its edge and level. An acyclic level makes
+    one sweep over its program, whose fields are finite only on each
+    destination's subgraph, which holds every origin that can reach the
+    destination. A trip cost that is not finite raises ``NoPathError`` if
+    it is ``+inf`` because the trip has no route, and otherwise
+    ``LoadingError`` naming the trip and the value: ``+inf`` or ``-inf``
+    for a cost that overflowed, ``nan`` for one that subtracted infinities.
     """
     n_plain = net.num_plain_edges()
     if len(t) != n_plain:
@@ -452,7 +458,7 @@ def _sweep_weights(
     gathers = net.weight_gathers()
     m = net.num_levels
     weights: list[Sequence[float]] = [()] * m
-    choices: list[list[_Choice]] = [[] for _ in range(m)]
+    choices: list[_Choice | list[_Choice] | None] = [None] * m
     trip_costs: list[list[float]] = [[] for _ in range(m)]
 
     for k in range(m - 1, -1, -1):
@@ -468,33 +474,34 @@ def _sweep_weights(
         weights[k] = w
         gamma = net.gammas[k]
         if index.topo is None:
+            kept = [] if keep_choices else None
             try:
-                fields = _softmin_cyclic(
-                    index, w, gamma, index.dests, choices[k] if keep_choices else None
-                )
+                fields = _softmin_cyclic(index, w, gamma, index.dests, kept)
             except LoadingError as err:
                 raise LoadingError(f"{err} at level {k + 1}") from None
+            choices[k] = kept
+            costs = [fields[slot][src] for (src, _), slot in zip(index.od_nodes, index.dest_slot)]
         else:
-            fields = []
-            for dst, graph in zip(index.dests, index.dest_subgraphs):
-                choice = None
-                if keep_choices:
-                    choice = _Choice([0.0] * len(level.edges), [0.0] * index.n_nodes)
-                    choices[k].append(choice)
-                fields.append(_softmin(index, w, gamma, dst, graph, choice))
-        for j, (src, dst) in enumerate(index.od_nodes):
-            cost = fields[index.dest_slot[j]][src]
-            if not math.isfinite(cost):
-                od = level.od_pairs[j]
-                trip = f"{od.origin!r} -> {od.destination!r} at level {k + 1}"
-                if cost != cost:
-                    raise LoadingError(f"the trip cost {trip} is nan")
-                if cost < 0.0:
-                    raise LoadingError(f"the trip cost {trip} overflows to -inf")
-                if index.reaches(src, dst):
-                    raise LoadingError(f"the trip cost {trip} overflows to +inf")
-                raise NoPathError(f"no path {trip}")
-            trip_costs[k].append(cost)
+            program = index.program
+            choice = None
+            if keep_choices:
+                choice = choices[k] = _Choice([0.0] * program.n_choices, [0.0] * len(program.rho))
+            rho = _softmin(index, w, gamma, choice)
+            costs = [rho[at] for at in program.at_origin]
+        if not math.isfinite(sum(costs)):
+            for j, cost in enumerate(costs):
+                if not math.isfinite(cost):
+                    src, dst = index.od_nodes[j]
+                    od = level.od_pairs[j]
+                    trip = f"{od.origin!r} -> {od.destination!r} at level {k + 1}"
+                    if cost != cost:
+                        raise LoadingError(f"the trip cost {trip} is nan")
+                    if cost < 0.0:
+                        raise LoadingError(f"the trip cost {trip} overflows to -inf")
+                    if index.reaches(src, dst):
+                        raise LoadingError(f"the trip cost {trip} overflows to +inf")
+                    raise NoPathError(f"no path {trip}")
+        trip_costs[k] = costs
     return weights, trip_costs, choices
 
 
@@ -510,61 +517,79 @@ def hierarchical_weights(net: NetworkHierarchy, t: Sequence[float]) -> list[dict
 def dual_smooth_value(net: NetworkHierarchy, t: Sequence[float]) -> float:
     """Smooth dual term: minus the demand-weighted soft-min trip costs."""
     _, trip_costs, _ = _sweep_weights(net, t)
+    return _smooth_value(net, trip_costs[0])
+
+
+def _smooth_value(net: NetworkHierarchy, trip_costs: Sequence[float]) -> float:
+    """Minus the level-1 demands times ``trip_costs``, summed in OD order.
+    Finite trip costs can still give a product or a sum past the float
+    range; a total that is not finite raises ``LoadingError`` naming it."""
     total = 0.0
-    for od, cost in zip(net.levels[0].od_pairs, trip_costs[0]):
+    for od, cost in zip(net.levels[0].od_pairs, trip_costs):
         total -= od.demand * cost
+    if not math.isfinite(total):
+        if total != total:
+            raise _SmoothOverflow("the smooth dual value is nan")
+        raise _SmoothOverflow(f"the smooth dual value overflows to {total:+}")
     return total
 
 
 def _forward_dag(
     index: LevelIndex,
     choice: _Choice,
-    slot: int,
-    supply: list[float],
+    order: Sequence[int],
+    through: list[float],
     flows: list[float],
     k: int,
 ) -> float:
-    """Carry the demand bound for destination ``slot`` to it by the
-    ``choice`` its soft-min sweep kept, running the steps of its subgraph,
-    which holds all the flow, in Kahn order.
+    """Carry the demand of an acyclic level to its destinations by the
+    ``choice`` its soft-min sweep kept, one destination slot after another
+    in ``order``, each by the steps of its run of the level's program in
+    Kahn order; its run holds all its flow.
 
-    ``supply[v]`` is the summed demand of the level's OD pairs from node
-    ``v`` to that destination; it becomes the through-flow in place. Adds
-    the edge flows to ``flows`` and returns the demand-weighted trajectory
-    entropy. A node with one exit moves its whole through-flow along it,
-    with entropy 0. At a node with several, the probabilities out of it, if
-    flow reaches it, must sum to 1 within ``_MASS_TOL``, or
-    ``MassLeakError`` names the node. Flow reaches only nodes with a route:
-    the sweep checks each origin, and an edge into a node without one has
-    probability 0. ``k`` is the level's position, for error messages.
+    ``through`` holds the demand placed at each origin's position, summed
+    over the OD pairs from it to its slot's destination; it becomes the
+    through-flow in place. Adds the edge flows to ``flows`` and returns the
+    demand-weighted trajectory entropy, summed per slot and then over the
+    slots in ``order``. A node with one exit moves its whole through-flow
+    along it, with entropy 0. At a node with several, the probabilities out
+    of it, if flow reaches it, must sum to 1 within ``_MASS_TOL``, or
+    ``MassLeakError`` names the node and the destination. Flow reaches only
+    nodes with a route: the sweep checks each origin, and an edge into a
+    node without one has probability 0. ``k`` is the level's position, for
+    error messages.
     """
+    program = index.program
     probs, node_entropy = choice
-    through = supply
-    entropy = 0.0
-    for step in reversed(index.dest_subgraphs[slot]):
-        h = through[step[0]]
-        if h <= 0.0:
-            continue
-        if len(step) == 3:
-            _, e, u = step
-            flows[e] += h
-            through[u] += h
-            continue
-        v, exits = step
-        mass = 0.0
-        for e, u in exits:
-            p = probs[e]
-            mass += p
-            q = h * p
-            flows[e] += q
-            through[u] += q
-        if abs(mass - 1.0) > _MASS_TOL:
-            raise MassLeakError(
-                f"choice probabilities out of node {index.nodes[v]!r} toward "
-                f"{index.nodes[index.dests[slot]]!r} sum to {mass} at level {k + 1}"
-            )
-        entropy += h * node_entropy[v]
-    return entropy
+    total = 0.0
+    for slot in order:
+        entropy = 0.0
+        run = program.runs[slot]
+        v = program.at_dst[slot] + len(run) + 1
+        for edge, head in reversed(run):
+            v -= 1
+            h = through[v]
+            if h <= 0.0:
+                continue
+            if edge >= 0:
+                flows[edge] += h
+                through[head] += h
+                continue
+            mass = 0.0
+            for e, u, c in head:
+                p = probs[c]
+                mass += p
+                q = h * p
+                flows[e] += q
+                through[u] += q
+            if abs(mass - 1.0) > _MASS_TOL:
+                raise MassLeakError(
+                    f"choice probabilities out of node {index.nodes[program.node_at[v]]!r} "
+                    f"toward {index.nodes[index.dests[slot]]!r} sum to {mass} at level {k + 1}"
+                )
+            entropy += h * node_entropy[v]
+        total += entropy
+    return total
 
 
 def _forward_cyclic(
@@ -621,41 +646,49 @@ def network_loading(net: NetworkHierarchy, t: Sequence[float]) -> LoadResult:
 
     The plain-edge flows are minus the gradient of ``dual_smooth_value``
     componentwise. Portal flows become the next level's OD demands, so the
-    sweep runs top-down after the bottom-up weight pass. An acyclic level
-    runs one forward pass per destination with positive demand, a cyclic
-    level one batched pass over all of them.
+    sweep runs top-down after the bottom-up weight pass. Each level runs
+    one forward pass over all its destinations with positive demand: an
+    acyclic level through its program, a cyclic level one batched pass.
     """
     _, trip_costs, choices = _sweep_weights(net, t, keep_choices=True)
     m = net.num_levels
 
     demands: list[list[float]] = [[] for _ in range(m)]
     demands[0] = [od.demand for od in net.levels[0].od_pairs]
-    smooth = 0.0
-    for d, cost in zip(demands[0], trip_costs[0]):
-        smooth -= d * cost
+    smooth = _smooth_value(net, trip_costs[0])
     flows: list[list[float]] = []
     entropies: list[float] = []
     for k in range(m):
         level = net.levels[k]
         index = level.index
-        level_flows = [0.0] * len(level.edges)
-        level_entropy = 0.0
-        supplies: dict[int, list[float]] = {}  # destination slot -> demand per origin
-        for j, (src, dst) in enumerate(index.od_nodes):
-            d = demands[k][j]
-            slot = index.dest_slot[j]
-            if d <= 0.0 or src == dst:
-                continue
-            if slot not in supplies:
-                supplies[slot] = [0.0] * index.n_nodes
-            supplies[slot][src] += d
+        demand = demands[k]
         if index.topo is None:
+            supplies: dict[int, list[float]] = {}  # destination slot -> demand per origin
+            for j, (src, dst) in enumerate(index.od_nodes):
+                d = demand[j]
+                slot = index.dest_slot[j]
+                if d <= 0.0 or src == dst:
+                    continue
+                if slot not in supplies:
+                    supplies[slot] = [0.0] * index.n_nodes
+                supplies[slot][src] += d
             level_flows, level_entropy = _forward_cyclic(index, choices[k], supplies)
         else:
-            for slot, supply in supplies.items():
-                level_entropy += _forward_dag(
-                    index, choices[k][slot], slot, supply, level_flows, k
-                )
+            # Slots run in the order their first demand arrives in, so that
+            # edge flows and entropies are summed over them in that order.
+            program = index.program
+            through = [0.0] * len(program.rho)
+            order: list[int] = []
+            seen = [False] * len(program.at_dst)
+            for j, at, slot in program.supplies:
+                d = demand[j]
+                if d > 0.0:
+                    through[at] += d
+                    if not seen[slot]:
+                        seen[slot] = True
+                        order.append(slot)
+            level_flows = [0.0] * len(level.edges)
+            level_entropy = _forward_dag(index, choices[k], order, through, level_flows, k)
         flows.append(level_flows)
         entropies.append(level_entropy)
         if k + 1 < m:

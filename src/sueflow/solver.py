@@ -52,6 +52,7 @@ from typing import TYPE_CHECKING, Callable, Sequence
 from .costs import CostTable
 from .loading import (
     LoadResult,
+    _SmoothOverflow,
     dual_smooth_value,
     entropy_term,
     network_loading,
@@ -330,7 +331,12 @@ class _DualSmooth:
         return result.smooth_value, -self.flows[self.plain], result
 
     def value(self, t: np.ndarray) -> float:
-        return dual_smooth_value(self.net, t.tolist())
+        """The smooth value at a trial point; NaN where it leaves the float
+        range, which no descent test accepts, so the trial is rejected."""
+        try:
+            return dual_smooth_value(self.net, t.tolist())
+        except _SmoothOverflow:
+            return math.nan
 
 
 class _PrimalCandidates:

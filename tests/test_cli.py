@@ -184,6 +184,24 @@ class TestValidateCommand:
         out = capsys.readouterr().out
         assert out.startswith("[DemandAtUpperLevel] levels[1].od_pairs[0]: "), out
 
+    def test_demands_summing_past_the_float_range_are_a_violation(self, tmp_path, capsys):
+        # Two level-1 OD pairs of demand 1e308 meet on m -> d, whose flow
+        # would overflow to inf.
+        doc = json.loads((FIXTURES / "two_level.json").read_text())
+        od = doc["levels"][0]["od_pairs"][0]
+        od["demand"] = 1e308
+        doc["levels"][0]["od_pairs"].append({"origin": "m", "destination": "d", "demand": 1e308})
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        assert run_cli("validate", "--network", bad) == 2
+        out = capsys.readouterr().out
+        assert out == (
+            "[DemandSumOverflow] levels[0].od_pairs: level-1 demands sum past the largest float\n"
+        )
+        doc["levels"][0]["od_pairs"][1]["demand"] = 7e307
+        bad.write_text(json.dumps(doc))
+        assert run_cli("validate", "--network", bad) == 0
+
     def test_missing_file(self, capsys):
         assert run_cli("validate", "--network", "/no/such/file.json") == 2
 
@@ -280,6 +298,19 @@ class TestLoadCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "'o' -> 'd'" in err
         assert not (out / "flows.csv").exists()
+
+    def test_smooth_value_overflow_gives_exit_3(self, tmp_path, capsys):
+        # The trip cost o -> d is finite, near 1e308; twice it, the demand
+        # times the cost, is not.
+        tfile = tmp_path / "t.json"
+        tfile.write_text(json.dumps({"version": 1, "times": [
+            {"p1": 1e308, "p2": 1e308, "direct": 1e308}, {"q1": 1.0, "q2": 1.0, "q3": 1.0}]}))
+        out = tmp_path / "out"
+        code = run_cli("load", "--network", FIXTURES / "two_level.json", "--t-file", tfile,
+                       "--out", out)
+        assert code == 3
+        assert capsys.readouterr().err == "error: the smooth dual value overflows to -inf\n"
+        assert not out.exists()
 
     def test_t_file_required(self, tmp_path):
         assert (

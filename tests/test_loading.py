@@ -7,6 +7,7 @@ import itertools
 import math
 import random
 from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -31,7 +32,7 @@ from sueflow import (
 )
 from sueflow import loading
 from sueflow.loading import entropy_term, surrogate_primal, verify_conservation
-from sueflow.model import LevelIndex
+from sueflow.model import LevelIndex, LevelProgram
 from sueflow import oracle
 
 from conftest import (
@@ -65,29 +66,75 @@ def cyclic_level(demand=1.0):
     )
 
 
-def whole_level(index, dst):
-    """Every node of an acyclic level but ``dst``, each with all its
-    out-edges, compiled to steps in reverse Kahn order as
-    ``LevelIndex.dest_subgraphs`` compiles a subgraph."""
-    steps = []
-    for v in reversed(index.topo):
-        if v != dst:
-            exits = tuple((e, index.heads[e]) for e in index.out_edges[v])
-            steps.append((v, *exits[0]) if len(exits) == 1 else (v, exits))
-    return tuple(steps)
+def whole_program(index, dests, ods=()):
+    """A level program toward ``dests`` in which each slot holds every node
+    of the level but its destination, each with all its out-edges, in
+    reverse Kahn order; ``ods`` gives each OD pair as ``(origin, slot)``."""
+    node_at, runs, at_dst, where, n_choices = [-1], [], [], [], 0
+    for dst in dests:
+        at = {dst: len(node_at)}
+        at_dst.append(len(node_at))
+        node_at.append(dst)
+        run = []
+        for v in reversed(index.topo):
+            if v == dst:
+                continue
+            at[v] = len(node_at)
+            node_at.append(v)
+            exits = [(e, at[index.heads[e]]) for e in index.out_edges[v]]
+            if len(exits) == 1:
+                run.append(exits[0])
+            else:
+                run.append((-1, [(e, u, n_choices + i) for i, (e, u) in enumerate(exits)]))
+                n_choices += len(exits)
+        runs.append(run)
+        where.append(at)
+    rho = [math.inf] * len(node_at)
+    for p in at_dst:
+        rho[p] = 0.0
+    at_origin = tuple(where[slot][src] for src, slot in ods)
+    supplies = tuple(
+        (j, at_origin[j], slot) for j, (src, slot) in enumerate(ods) if src != dests[slot]
+    )
+    return LevelProgram(tuple(runs), rho, tuple(at_dst), tuple(node_at), at_origin, supplies,
+                        n_choices)
+
+
+def slot_steps(program, slot):
+    """The steps of one destination slot in Kahn order, as ``(node
+    position, exits)``: each exit ``(edge, head, choice)``, its choice
+    ``None`` at a node with one exit."""
+    first, run = program.at_dst[slot], program.runs[slot]
+    steps = [
+        (first + 1 + k, [(edge, head, None)] if edge >= 0 else head)
+        for k, (edge, head) in enumerate(run)
+    ]
+    return steps[::-1]
+
+
+def slot_run(program, slot):
+    """The positions of one destination slot: its destination's, then one
+    per step."""
+    first = program.at_dst[slot]
+    return range(first, first + len(program.runs[slot]) + 1)
 
 
 def potentials(level, weights, gamma, dest):
     """Soft-min distance from every node of ``level`` to ``dest`` under the
-    ``edge id -> weight`` map, by the loading's kernels: one field of
-    ``_softmin`` over the whole level, or of ``_softmin_cyclic``."""
+    ``edge id -> weight`` map, by the loading's kernels: ``_softmin`` over a
+    program of the whole level toward ``dest`` alone, or one field of
+    ``_softmin_cyclic``."""
     index = level.index
     w = [float(weights[e.id]) for e in level.edges]
     dst = index.node_index[dest]
     if index.topo is None:
         rho = loading._softmin_cyclic(index, w, gamma, [dst])[0]
     else:
-        rho = loading._softmin(index, w, gamma, dst, whole_level(index, dst))
+        program = whole_program(index, [dst])
+        flat = loading._softmin(SimpleNamespace(program=program), w, gamma)
+        rho = [None] * index.n_nodes
+        for pos in slot_run(program, 0):
+            rho[program.node_at[pos]] = flat[pos]
     return {v: rho[i] for v, i in index.node_index.items()}
 
 
@@ -437,6 +484,35 @@ class TestNetworkLoading:
             "the trip cost 'u' -> 'w' at level 2 is nan": 1024,
         }
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning:sueflow")
+    def test_times_near_the_float_range_end_in_a_finite_smooth_value(self, two_level_net):
+        # Finite trip costs can still make -demand * cost overflow. Every
+        # time vector drawn from these values ends in a finite smooth value
+        # or in LoadingError naming the value, from both entry points alike.
+        outcomes = Counter()
+        for t in itertools.product([1.0, 1e308, -1e308, -1.7e308], repeat=6):
+            ends = []
+            for entry in (dual_smooth_value, network_loading):
+                try:
+                    value = entry(two_level_net, list(t))
+                except LoadingError as err:
+                    ends.append(str(err))
+                    continue
+                if entry is network_loading:
+                    assert all(map(math.isfinite, itertools.chain(*value.flows))), t
+                    value = value.smooth_value
+                assert math.isfinite(value), t
+                ends.append(value)
+            assert ends[0] == ends[1], t
+            outcomes[ends[0] if isinstance(ends[0], str) else "finite"] += 1
+        assert outcomes == {
+            "finite": 243,
+            "the smooth dual value overflows to +inf": 1160,
+            "the smooth dual value overflows to -inf": 21,
+            "the trip cost 'o' -> 'd' at level 1 is nan": 1648,
+            "the trip cost 'u' -> 'w' at level 2 is nan": 1024,
+        }
+
     def test_cyclic_loading_conserves(self):
         net = NetworkHierarchy([cyclic_level(demand=2.0)], [0.9], walk_cap=1)
         res = network_loading(net, [1.0, 1.2, 2.0, 1.5])
@@ -567,19 +643,27 @@ def shared_destination_grid():
     return NetworkHierarchy([level1, level2], [0.8, 0.5])
 
 
+def destinations(index):
+    """The destination nodes of a level program's slots, in slot order."""
+    program = index.program
+    return [index.nodes[program.node_at[at]] for at in program.at_dst]
+
+
 class TestOncePerDestination:
     def test_one_field_and_one_forward_pass_per_destination(self, monkeypatch):
+        # Each level makes one sweep and one forward pass, over all of its
+        # destinations: one slot of its program each.
         net = shared_destination_grid()
         softmin_calls, forward_calls = [], []
         softmin, forward = loading._softmin, loading._forward_dag
 
-        def counted_softmin(index, weights, gamma, dst, graph, choice=None):
-            softmin_calls.append((id(index), dst))
-            return softmin(index, weights, gamma, dst, graph, choice)
+        def counted_softmin(index, weights, gamma, choice=None):
+            softmin_calls.append(id(index))
+            return softmin(index, weights, gamma, choice)
 
-        def counted_forward(index, choice, slot, supply, flows, k):
-            forward_calls.append((k, index.dests[slot]))
-            return forward(index, choice, slot, supply, flows, k)
+        def counted_forward(index, choice, order, through, flows, k):
+            forward_calls.append((k, [index.nodes[index.dests[slot]] for slot in order]))
+            return forward(index, choice, order, through, flows, k)
 
         monkeypatch.setattr(loading, "_softmin", counted_softmin)
         monkeypatch.setattr(loading, "_forward_dag", counted_forward)
@@ -587,15 +671,11 @@ class TestOncePerDestination:
         verify_conservation(net, res)
 
         level1, level2 = (level.index for level in net.levels)
-        by_name = level1.node_index
-        assert sorted(softmin_calls) == sorted(
-            [(id(level1), by_name[v]) for v in ("r3c3", "r3c2", "r2c2")]
-            + [(id(level2), level2.node_index["r2c2"])]
-        )
-        # r2c2 at level 1 carries no demand, so it gets no forward pass
-        assert sorted(forward_calls) == sorted(
-            [(0, by_name["r3c3"]), (0, by_name["r3c2"]), (1, level2.node_index["r2c2"])]
-        )
+        assert sorted(softmin_calls) == sorted([id(level1), id(level2)])
+        assert destinations(level1) == ["r3c3", "r3c2", "r2c2"]
+        assert destinations(level2) == ["r2c2"]
+        # r2c2 at level 1 carries no demand, so its slot gets no forward pass
+        assert forward_calls == [(0, ["r3c3", "r3c2"]), (1, ["r2c2"])]
 
 
 def two_way_cycle_level(cycle, od_pairs):
@@ -764,14 +844,15 @@ class TestBatchedCyclicPasses:
         assert 0.1 < res.flows[0][0] < 1.9  # both levels carry real route choice
 
 
-def general_softmin(index, weights, gamma, dst, graph, choice=None):
-    """Reference for ``loading._softmin``: the general per-node formula,
-    shifted ``exp``s summed and one ``log``, at every node of the whole
-    level, whatever its number of exits; ``graph`` is not read."""
+def general_field(index, weights, gamma, dst):
+    """The general per-node formula toward ``dst``, shifted ``exp``s summed
+    and one ``log``, at every node of the whole level, whatever its number
+    of exits: the soft-min value and entropy of each node and the choice
+    probability of each edge."""
     rho = [math.inf] * index.n_nodes
     rho[dst] = 0.0
     heads = index.heads
-    probs, entropy = choice or ([0.0] * len(heads), None)
+    probs, entropy = [0.0] * len(heads), [0.0] * index.n_nodes
     for v in reversed(index.topo):
         if v == dst:
             continue
@@ -788,32 +869,61 @@ def general_softmin(index, weights, gamma, dst, graph, choice=None):
             ex = probs[e] = math.exp((best - (weights[e] + rho[heads[e]])) / gamma)
             acc += ex
         r = rho[v] = best - gamma * math.log(acc)
-        if entropy is None:
-            continue
         h = 0.0
         for e in out:
             p = probs[e] = probs[e] / acc
             if p > 0.0:
                 h += p * (weights[e] + rho[heads[e]] - r)
         entropy[v] = h / gamma
+    return rho, probs, entropy
+
+
+def general_softmin(index, weights, gamma, choice=None):
+    """Reference for ``loading._softmin``: ``general_field`` toward each
+    destination of the level on its own, copied into the flat arrays of the
+    level's program."""
+    program = index.program
+    rho = program.rho.copy()
+    for slot, dst in enumerate(index.dests):
+        field, probs, entropy = general_field(index, weights, gamma, dst)
+        for pos in slot_run(program, slot):
+            rho[pos] = field[program.node_at[pos]]
+            if choice is not None:
+                choice.entropy[pos] = entropy[program.node_at[pos]]
+        for _, exits in slot_steps(program, slot):
+            for e, _, c in exits:
+                if choice is not None and c is not None:
+                    choice.probs[c] = probs[e]
     return rho
 
 
-def general_forward(index, choice, slot, supply, flows, k):
-    """Reference for ``loading._forward_dag``: every node of the whole
-    level in Kahn order splits its through-flow by the kept probabilities."""
-    probs, node_entropy = choice
-    entropy = 0.0
-    for v in index.topo:
-        h = supply[v]
-        if h <= 0.0 or v == index.dests[slot]:
-            continue
-        for e in index.out_edges[v]:
-            q = h * probs[e]
-            flows[e] += q
-            supply[index.heads[e]] += q
-        entropy += h * node_entropy[v]
-    return entropy
+def general_forward(index, choice, order, through, flows, k):
+    """Reference for ``loading._forward_dag``: per destination in
+    ``order``, every node of the whole level in Kahn order splits its
+    through-flow by the kept probabilities (1.0 at a node with one exit)."""
+    program = index.program
+    total = 0.0
+    for slot in order:
+        supply, probs = [0.0] * index.n_nodes, [0.0] * len(index.heads)
+        node_entropy = [0.0] * index.n_nodes
+        for pos in slot_run(program, slot):
+            supply[program.node_at[pos]] = through[pos]
+            node_entropy[program.node_at[pos]] = choice.entropy[pos]
+        for _, exits in slot_steps(program, slot):
+            for e, _, c in exits:
+                probs[e] = 1.0 if c is None else choice.probs[c]
+        entropy = 0.0
+        for v in index.topo:
+            h = supply[v]
+            if h <= 0.0 or v == index.dests[slot]:
+                continue
+            for e in index.out_edges[v]:
+                q = h * probs[e]
+                flows[e] += q
+                supply[index.heads[e]] += q
+            entropy += h * node_entropy[v]
+        total += entropy
+    return total
 
 
 @contextlib.contextmanager
@@ -853,15 +963,18 @@ class TestSingleExitSteps:
         )
         index = level.index
         w = [0.5, term, 2.0]
-        dst = index.node_index["d"]
-        (sub,) = index.dest_subgraphs
-        assert sub[0] == (index.node_index["m"], 1, dst)
+        program = index.program
+        assert program.node_at[program.at_dst[0] + 1] == index.node_index["m"]
+        assert program.runs[0][0] == (1, program.at_dst[0])
         fields = []
         for sweep in (loading._softmin, general_softmin):
-            choice = loading._Choice([0.0] * 3, [0.0] * 3)
-            rho = sweep(index, w, 0.7, dst, sub, choice)
+            choice = loading._Choice([0.0] * program.n_choices, [0.0] * len(program.rho))
+            rho = sweep(index, w, 0.7, choice)
             fields.append([repr(x) for x in rho + choice.probs + choice.entropy])
         assert fields[0] == fields[1]
+        # m's one exit has the probability 1.0 the general formula gives it
+        _, probs, _ = general_field(index, w, 0.7, index.node_index["d"])
+        assert probs[1] == (1.0 if term < math.inf else 0.0)
 
     def test_minus_inf_trip_cost_is_named(self):
         # The one soft-min term of o is -1e308 + -1e308 = -inf; the general
@@ -881,8 +994,9 @@ class TestSingleExitSteps:
 
     def test_program_holds_the_subgraph_edges_only(self):
         # 100 diamonds a -> {b, c} -> d chained into one 400-node level, each
-        # its own OD: the programs hold a few entries per subgraph edge, far
-        # below one out-edge slot per destination and node (D * n = 40 000).
+        # its own OD: the program holds a few entries per subgraph edge, far
+        # below one out-edge slot per destination and node (D * n = 40 000),
+        # and so do the arrays of each loading.
         diamonds = 100
         nodes = tuple(f"{x}{i}" for i in range(diamonds) for x in "abcd")
         edges = []
@@ -896,12 +1010,18 @@ class TestSingleExitSteps:
         level = LevelGraph(nodes, tuple(edges), ods)
         net = NetworkHierarchy([level], [0.5])
         verify_conservation(net, network_loading(net, [1.0] * len(edges)))
-        programs = level.index.dest_subgraphs
-        assert len(programs) == diamonds
-        kept = sum(len(step) if len(step) == 3 else 1 + 2 * len(step[1])
-                   for program in programs for step in program)
+        program = level.index.program
+        assert len(program.at_dst) == diamonds
+        # (edge, head), or a marker and an (edge, head, choice) per exit
+        kept = sum(2 if edge >= 0 else 1 + 3 * len(head)
+                   for run in program.runs for edge, head in run)
         assert kept <= 3 * 4 * diamonds  # four subgraph edges per destination
         assert kept < diamonds * len(nodes) / 10
+        # a position per subgraph node and one for origins with no route;
+        # a choice position per exit of a node with two
+        arrays = len(program.rho) + program.n_choices
+        assert (len(program.rho), program.n_choices) == (4 * diamonds + 1, 2 * diamonds)
+        assert arrays < diamonds * len(nodes) / 10
 
 
 class TestDestinationSubgraphs:
@@ -913,9 +1033,16 @@ class TestDestinationSubgraphs:
     def test_restricted_loading_equals_whole_level(self, case):
         net, t = case
         restricted = network_loading(net, t), dual_smooth_value(net, t)
-        whole_levels = property(lambda index: [whole_level(index, dst) for dst in index.dests])
+        compiled = {}
+
+        def whole_levels(index):
+            if id(index) not in compiled:
+                ods = list(zip((src for src, _ in index.od_nodes), index.dest_slot))
+                compiled[id(index)] = whole_program(index, index.dests, ods)
+            return compiled[id(index)]
+
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(LevelIndex, "dest_subgraphs", whole_levels)
+            mp.setattr(LevelIndex, "program", property(whole_levels))
             whole = network_loading(net, t), dual_smooth_value(net, t)
         assert restricted == whole
 
@@ -932,6 +1059,46 @@ class TestDestinationSubgraphs:
                 if k > 0:
                     portal = net.levels[k - 1].edges[net.levels[k - 1].index.portal_for_od[j]]
                     assert weights[k - 1][portal.id] == rho[od.origin]
+
+
+class TestBatchedAcyclicPasses:
+    # An acyclic level's sweep and forward pass run over all its
+    # destinations at once; each destination's run of the program sees the
+    # float operations, in the same order, of a pass of its own.
+    @given(case=any_dag_hierarchy)
+    @settings(max_examples=150, deadline=None)
+    def test_matches_one_destination_at_a_time(self, case):
+        net, t = case
+        weights, _, _ = loading._sweep_weights(net, t)
+        res = network_loading(net, t)
+        for k, level in enumerate(net.levels):
+            index, gamma = level.index, net.gammas[k]
+            program = index.program
+            choice = loading._Choice([0.0] * program.n_choices, [0.0] * len(program.rho))
+            rho = loading._softmin(index, weights[k], gamma, choice)
+            for slot, dst in enumerate(index.dests):
+                alone, probs, entropy = general_field(index, weights[k], gamma, dst)
+                for pos in slot_run(program, slot):
+                    v = program.node_at[pos]
+                    assert repr((rho[pos], choice.entropy[pos])) == repr((alone[v], entropy[v]))
+                for _, exits in slot_steps(program, slot):
+                    for e, _, c in exits:
+                        if c is not None:
+                            assert repr(choice.probs[c]) == repr(probs[e])
+            # Each destination alone, its flows added to the level's in the
+            # order its first demand arrives in, gives the level's pass.
+            flows, total, order = [0.0] * len(level.edges), 0.0, []
+            for j, at, slot in program.supplies:
+                if res.induced_demands[k][j] > 0.0 and slot not in order:
+                    order.append(slot)
+            for slot in order:
+                through = [0.0] * len(program.rho)
+                for j, at, s in program.supplies:
+                    if s == slot and res.induced_demands[k][j] > 0.0:
+                        through[at] += res.induced_demands[k][j]
+                total += general_forward(index, choice, [slot], through, flows, k)
+            assert flows == res.flows[k]
+            assert total == res.entropies[k]
 
 
 def weights_edge_by_edge(net, t):
@@ -1069,19 +1236,19 @@ class TestMassLeak:
     def test_wrong_potential_raises(self):
         net, t = jittered_chain(10, 1.0, 0.5, seed=0)
         _, _, choices = loading._sweep_weights(net, t, keep_choices=True)
-        choice = choices[0][0]
+        choice = choices[0]
         index = net.levels[0].index
+        program = index.program
         # a potential at s5 raised by 1 % of gamma would scale the choice at
         # s4, whose successor it is, by exp(-0.01): no longer normalised
-        for e in index.out_edges[index.node_index["s4"]]:
-            choice.probs[e] *= math.exp(-0.01)
-        src, _ = index.od_nodes[0]
-        supply = [0.0] * index.n_nodes
-        supply[src] = 1.0
+        s4 = program.node_at.index(index.node_index["s4"])
+        (exits,) = [exits for v, exits in slot_steps(program, 0) if v == s4]
+        for _, _, c in exits:
+            choice.probs[c] *= math.exp(-0.01)
+        through = [0.0] * len(program.rho)
+        through[program.at_origin[0]] = 1.0
         with pytest.raises(MassLeakError) as caught:
-            loading._forward_dag(
-                index, choice, index.dest_slot[0], supply, [0.0] * len(t), 0,
-            )
+            loading._forward_dag(index, choice, [index.dest_slot[0]], through, [0.0] * len(t), 0)
         assert "node 's4' toward 's10'" in str(caught.value)
         assert "at level 1" in str(caught.value)
 

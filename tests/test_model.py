@@ -252,6 +252,13 @@ def violation_cases():
               "level-1 demand must be finite and > 0, got None"),
              ("BadDemand", "levels[0].od_pairs[1]",
               "level-1 demand must be finite and > 0, got inf")]),
+        "DemandSumOverflow": (
+            one_level(("a", "b", "m", "d"),
+                      (Edge("am", "a", "m", cost=A), Edge("bm", "b", "m", cost=A),
+                       Edge("md", "m", "d", cost=A)),
+                      (ODPair("a", "d", 1e308), ODPair("b", "d", 1e308))),
+            [("DemandSumOverflow", "levels[0].od_pairs",
+              "level-1 demands sum past the largest float")]),
         "DemandAtUpperLevel": (chain3(middle=(ODPair("u", "w", 5.0),)), [
             ("DemandAtUpperLevel", "levels[1].od_pairs[0]",
              "demands below level 1 are induced by portal flow, not data")]),
@@ -390,17 +397,22 @@ class TestLevelIndex:
         assert level.index.dest_slot == [0, 1, 0, 0]
 
 
-def decoded(index, sub):
-    """The nodes of a compiled subgraph in Kahn order and, per node of the
-    level, the edges of its step; a step has one exit exactly when it is
-    written ``(node, edge, head)``, and each exit names its edge's head."""
+def decoded(index, slot):
+    """The nodes of a slot of the level program in Kahn order and, per node
+    of the level, the edges of its step; a step has one exit exactly when it
+    is written ``(edge, head)``, and each exit names its edge's head by a
+    position of the same slot."""
+    program = index.program
+    node_at, first, run = program.node_at, program.at_dst[slot], program.runs[slot]
+    positions = range(first, first + len(run) + 1)
     topo, out_edges = [], [[] for _ in range(index.n_nodes)]
-    for step in reversed(sub):
-        v, exits = (step[0], (step[1:],)) if len(step) == 3 else step
-        assert (len(step) == 3) == (len(exits) == 1)
-        assert all(index.heads[e] == u for e, u in exits)
-        topo.append(v)
-        out_edges[v] = [e for e, _ in exits]
+    for k in reversed(range(len(run))):
+        edge, head = run[k]
+        exits = [(edge, head)] if edge >= 0 else [(e, u) for e, u, _ in head]
+        assert (edge >= 0) == (len(exits) == 1)
+        assert all(u in positions and index.heads[e] == node_at[u] for e, u in exits)
+        topo.append(node_at[first + 1 + k])
+        out_edges[topo[-1]] = [e for e, _ in exits]
     return topo, out_edges
 
 
@@ -414,12 +426,14 @@ class TestDestinationSubgraphs:
         net, _ = case
         for level in net.levels:
             index = level.index
+            program = index.program
             n = index.n_nodes
             graph = csr_matrix(
                 ([1.0] * len(index.tails), (index.tails, index.heads)), shape=(n, n)
             )
-            assert len(index.dest_subgraphs) == len(index.dests)
-            for slot, (dst, sub) in enumerate(zip(index.dests, index.dest_subgraphs)):
+            assert len(program.at_dst) == len(program.runs) == len(index.dests)
+            for slot, dst in enumerate(index.dests):
+                assert program.node_at[program.at_dst[slot]] == dst
                 below = set()
                 for (src, _), s in zip(index.od_nodes, index.dest_slot):
                     if s == slot:
@@ -430,21 +444,31 @@ class TestDestinationSubgraphs:
                     graph.T.tocsr(), dst, directed=True, return_predecessors=False
                 ).tolist()
                 members = below & set(above)
-                topo, out_edges = decoded(index, sub)
+                topo, out_edges = decoded(index, slot)
                 assert topo == [v for v in index.topo if v in members and v != dst]
                 for v in range(n):
                     kept = [e for e in index.out_edges[v] if index.heads[e] in members]
                     assert out_edges[v] == (kept if v in members else [])
+            # position 0 stands for origins without a route; then each slot's
+            # destination and the nodes of its steps, in the order of its steps
+            positions = [p for first, run in zip(program.at_dst, program.runs)
+                         for p in range(first, first + len(run) + 1)]
+            assert positions == list(range(1, len(program.node_at)))
+            # the choice positions of the nodes with several exits, in order
+            choices = [c for run in program.runs for edge, head in run if edge < 0
+                       for _, _, c in head]
+            assert choices == list(range(program.n_choices))
+            assert program.node_at[0] == -1 and program.rho[0] == math.inf
 
     def test_built_on_first_loading_not_by_validation(self):
         net = parse_network(FIXTURES / "two_level.json")
         assert validate_hierarchy(net) == []
-        assert all(level.index._dest_subgraphs is None for level in net.levels)
+        assert all(level.index._program is None for level in net.levels)
         network_loading(net, net.free_flow_times())
-        built = [level.index._dest_subgraphs for level in net.levels]
+        built = [level.index._program for level in net.levels]
         assert all(b is not None for b in built)
         network_loading(net, net.free_flow_times())
-        assert all(level.index.dest_subgraphs is b for level, b in zip(net.levels, built))
+        assert all(level.index.program is b for level, b in zip(net.levels, built))
 
     def test_cyclic_level_builds_none(self):
         # A cyclic level's passes are linear solves over the whole level.
@@ -459,7 +483,7 @@ class TestDestinationSubgraphs:
             od_pairs=(ODPair("a", "d", 1.0),),
         )
         network_loading(NetworkHierarchy([level], [0.5], walk_cap=1), [1.0] * 4)
-        assert level.index._dest_subgraphs is None
+        assert level.index._program is None
 
 
 def whole_level_longest_routes(index, weights, dst):
@@ -514,18 +538,23 @@ class TestLongestPathBound:
         bounds = longest_path_bounds(net)
         for k, level in enumerate(net.levels):
             index = level.index
+            program = index.program
             weights = [
                 1 if edge.is_plain else bounds[k + 1][edge.target_od.od] for edge in level.edges
             ]
+            sub = _longest_routes(index, weights)
             for slot, dst in enumerate(index.dests):
                 whole = whole_level_longest_routes(index, weights, dst)
-                sub = _longest_routes(index, weights, slot)
-                inside = [dst] + [step[0] for step in index.dest_subgraphs[slot]]
-                assert [sub[v] for v in inside] == [whole[v] for v in inside]
-                assert all(sub[v] == -1 for v in set(range(index.n_nodes)) - set(inside))
-                for (src, _), od_slot in zip(index.od_nodes, index.dest_slot):
+                first = program.at_dst[slot]
+                inside = list(range(first, first + len(program.runs[slot]) + 1))
+                assert [sub[p] for p in inside] == [whole[program.node_at[p]] for p in inside]
+                for (src, _), od_slot, at in zip(index.od_nodes, index.dest_slot,
+                                                 program.at_origin):
                     if od_slot == slot:
-                        assert src in inside and sub[src] == whole[src] >= 0
+                        assert at in inside and program.node_at[at] == src
+                        assert sub[at] == whole[src] >= 0
+            # the one position outside every slot, for origins without a route
+            assert program.node_at[0] == -1 and sub[0] == -1
 
     def test_monotone_under_edge_addition(self):
         base = diamond_net()

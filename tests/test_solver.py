@@ -473,9 +473,12 @@ class TestLipschitzDiagnostic:
         calls = Counter()
         measure = model._longest_routes
 
-        def counted(index, weights, slot):
-            calls[index, index.nodes[index.dests[slot]]] += 1
-            return measure(index, weights, slot)
+        def counted(index, weights):
+            # one pass per level, over the slots of all its destinations
+            program = index.program
+            for at in program.at_dst:
+                calls[index, index.nodes[program.node_at[at]]] += 1
+            return measure(index, weights)
 
         monkeypatch.setattr(model, "_longest_routes", counted)
         # Routes of 3, 2 and 1 plain edges: (1 * 9 + 2 * 4 + 0.5 * 1) / 0.5.
