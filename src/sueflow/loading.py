@@ -45,23 +45,27 @@ or allocates per destination. A node with one exit costs no ``exp`` or
 ``log``: its soft-min value is its one term, and it passes all its flow
 on, with entropy 0.0, the bits the general formula gives.
 
-A cyclic level runs each pass once for all its destinations: one
-Bellman-Ford over a (destinations, nodes) array and one stacked solve of
-the per-destination systems, in groups of ``_STACK_FLOATS // n**2``
-destinations (at least one) so that a stack holds at most ``max(n**2,
-_STACK_FLOATS)`` floats. Each destination sees the float operations of a
-pass of its own, so the grouping changes no bit of the result. The level
-is compiled once into the arrays of those passes (``_CyclicPlan``, kept
-as ``LevelIndex.cyclic_plan``): per group, the walk edges of each
-destination and their flat positions in the node arrays and the systems.
-A pass then only gathers, relaxes, exponentiates, solves and scatters.
+A cyclic level keeps that contract through a plan compiled once
+(``_CyclicPlan``, kept as ``LevelIndex.cyclic_plan``), whose flat arrays
+hold ``n`` node positions per destination slot; trip costs are read and
+demand is placed at the plan's ``at_origin`` and ``supplies``. Each pass
+runs once for all its destinations: one Bellman-Ford over a
+(destinations, nodes) array and one stacked solve of the per-destination
+systems, in groups of ``_STACK_FLOATS // n**2`` destinations (at least
+one) so that a stack holds at most ``max(n**2, _STACK_FLOATS)`` floats.
+Each destination sees the float operations of a pass of its own, so the
+grouping changes no bit of the result. Per group the plan holds the walk
+edges of each destination and their flat positions in the node arrays
+and the systems, so a pass only gathers, relaxes, exponentiates, solves
+and scatters.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
+from operator import itemgetter
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .model import LevelIndex, NetworkHierarchy
 
@@ -135,10 +139,11 @@ class _Choice(NamedTuple):
     probability that flow at a node with several exits takes the exit at
     choice position ``c``; it stays 0.0 at nodes with no route. A node with
     one exit passes on all its flow and has no entry. ``entropy[v]`` is the
-    entropy of the choice at node position ``v``. On a cyclic level one
-    choice per group of destinations of its plan, in arrays: ``probs`` per
-    walk edge of the group, in the order of its ``rows``, and ``entropy``
-    per destination and node.
+    entropy of the choice at node position ``v``. On a cyclic level a list
+    of one choice per group of destinations of its plan (``_CyclicPlan``),
+    in arrays: ``probs`` per walk edge of the group, in the order of its
+    ``rows``, and ``entropy`` per destination and node, over the group's
+    run of the plan's positions.
     """
 
     probs: Sequence[float]
@@ -225,15 +230,15 @@ class _CyclicGroup(NamedTuple):
     """The arrays of one stack of a cyclic level's destinations.
 
     Row ``i`` of the group's ``(g, n)`` node arrays and ``(g, n, n)``
-    systems belongs to destination ``dsts[i]``; ``slots`` are the positions
-    of the group's destinations in the plan's list. ``rows`` and ``edges``
-    list the edges a walk toward each row's destination can take (every
-    edge not out of it), row by row in edge order, and each ``at_*`` array
-    gives, per such edge, a flat position: ``at_tail`` and ``at_head`` of
-    its tail and head in the node arrays, ``walk_at`` of its entry
-    ``A[tail, head]`` in the sweep's system and ``visit_at`` of its entry
-    ``Q^T[head, tail]`` in the forward pass's. ``at_dst`` holds each
-    destination's position in the node arrays.
+    systems belongs to destination ``dsts[i]``, of slot ``slots[i]``, so
+    the node arrays cover the plan's positions from ``slots[0] * n`` on.
+    ``rows`` and ``edges`` list the edges a walk toward each row's
+    destination can take (every edge not out of it), row by row in edge
+    order, and each ``at_*`` array gives, per such edge, a flat position:
+    ``at_tail`` and ``at_head`` of its tail and head in the node arrays,
+    ``walk_at`` of its entry ``A[tail, head]`` in the sweep's system and
+    ``visit_at`` of its entry ``Q^T[head, tail]`` in the forward pass's.
+    ``at_dst`` holds each destination's position in the node arrays.
     """
 
     dsts: list[int]
@@ -248,18 +253,26 @@ class _CyclicGroup(NamedTuple):
 
 
 class _CyclicPlan(NamedTuple):
-    """A cyclic level's passes toward a list of destinations, compiled once:
-    the ``(n, n)`` identity every system starts from and the destinations in
-    groups (``_groups``), each with its ``_CyclicGroup`` arrays; with them,
-    the ``_STACK_FLOATS`` that sized the groups. It holds ``O(D E + n**2)``
+    """A cyclic level's passes toward its destinations, compiled once
+    (``_cyclic_plan``). Its flat node arrays hold node ``v`` of slot ``s``
+    at ``s * n + v``; ``rho``, ``at_origin`` and ``supplies`` are as in a
+    ``LevelProgram``. ``eye`` is the ``(n, n)`` identity every system
+    starts from, and ``groups`` the destinations in groups (``_groups``),
+    each with its ``_CyclicGroup`` arrays. It holds ``O(D E + n**2)``
     numbers for ``D`` destinations and ``E`` edges, no stack of systems."""
 
-    stack_floats: int
+    rho: np.ndarray
+    at_origin: list[int]
+    supplies: list[tuple[int, int, int]]
     eye: np.ndarray
     groups: list[_CyclicGroup]
 
 
-def _compile_cyclic(index: LevelIndex, dsts: Sequence[int]) -> _CyclicPlan:
+def _cyclic_plan(index: LevelIndex) -> _CyclicPlan:
+    """The compiled passes of a cyclic level, kept on the index from its
+    first loading on."""
+    if index.cyclic_plan is not None:
+        return index.cyclic_plan
     import numpy as np
 
     n = index.n_nodes
@@ -267,7 +280,7 @@ def _compile_cyclic(index: LevelIndex, dsts: Sequence[int]) -> _CyclicPlan:
     heads = np.array(index.heads, dtype=np.intp)
     groups = []
     start = 0
-    for group in _groups(n, list(dsts)):
+    for group in _groups(n, index.dests):
         g = len(group)
         dst = np.array(group, dtype=np.intp)
         rows, edges = (tails != dst[:, None]).nonzero()
@@ -284,31 +297,26 @@ def _compile_cyclic(index: LevelIndex, dsts: Sequence[int]) -> _CyclicPlan:
             visit_at=(rows * n + heads[edges]) * n + tails[edges],
         ))
         start += g
-    return _CyclicPlan(_STACK_FLOATS, np.eye(n), groups)
-
-
-def _cyclic_plan(index: LevelIndex, dsts: Sequence[int]) -> _CyclicPlan:
-    """The compiled passes of a cyclic level toward ``dsts``: for the
-    level's own destinations, the plan kept on the index, compiled on first
-    use and again only if ``_STACK_FLOATS`` has changed since; for any
-    other list, one compiled for the call."""
-    if list(dsts) != index.dests:
-        return _compile_cyclic(index, dsts)
-    plan = index.cyclic_plan
-    if plan is None or plan.stack_floats != _STACK_FLOATS:
-        plan = index.cyclic_plan = _compile_cyclic(index, dsts)
-    return plan
+    rho = np.full(len(index.dests) * n, math.inf)
+    rho[[slot * n + dst for slot, dst in enumerate(index.dests)]] = 0.0
+    at_origin = [slot * n + src for (src, _), slot in zip(index.od_nodes, index.dest_slot)]
+    supplies = sorted(
+        ((j, at_origin[j], slot) for j, ((src, dst), slot)
+         in enumerate(zip(index.od_nodes, index.dest_slot)) if src != dst),
+        key=itemgetter(2),
+    )
+    index.cyclic_plan = _CyclicPlan(rho, at_origin, supplies, np.eye(n), groups)
+    return index.cyclic_plan
 
 
 def _softmin_cyclic(
     index: LevelIndex,
     weights: Sequence[float],
     gamma: float,
-    dsts: Sequence[int],
     choices: list[_Choice] | None = None,
-) -> list[list[float]]:
-    """Soft-min over all walks to each of ``dsts``, one field per
-    destination, as ``rho = d - gamma * log(y)``.
+) -> list[float]:
+    """Soft-min over all walks to each destination of a cyclic level, per
+    position of its plan (``_cyclic_plan``), as ``rho = d - gamma * log(y)``.
 
     ``d`` is the shortest-path distance to the destination and ``y``
     solves ``(I - A) y = e_dst``, where ``A[v, u]`` sums ``exp(-(w + d[u] -
@@ -317,9 +325,9 @@ def _softmin_cyclic(
     keeps every exponent at or below zero, so the solve does not depend on
     the unit of time. A positive ``y`` exists only when the walk sum
     converges: it bounds the spectral radius of ``A`` (Collatz-Wielandt).
-    Otherwise ``LoadingError`` names the first destination, in the order of
-    ``dsts``, whose sum diverges. A ``gamma * log(y)`` that overflows makes
-    the field infinite, which the sweep reports as an overflowing trip cost.
+    Otherwise ``LoadingError`` names the first destination, in slot order,
+    whose sum diverges. A ``gamma * log(y)`` that overflows makes the field
+    infinite, which the sweep reports as an overflowing trip cost.
 
     Given ``choices``, the sweep appends the logit choice toward each group
     of destinations (below), as ``_softmin`` does for its level: the
@@ -333,26 +341,23 @@ def _softmin_cyclic(
     numbers that stay finite at any ``gamma``, since a positive share
     bounds ``x_e`` by about -745.
 
-    Destinations are taken in the groups of their plan (``_cyclic_plan``):
-    Bellman-Ford relaxes one ``(group, nodes)`` distance array, and one
-    stacked solve gives every ``y`` of the group. The passes only gather,
-    relax, exponentiate, solve and scatter through the plan's positions.
-    Each row sees the same float operations, in the same order, as a solve
-    for its destination alone.
+    Destinations are taken in the groups of their plan: Bellman-Ford
+    relaxes one ``(group, nodes)`` distance array, and one stacked solve
+    gives every ``y`` of the group. Each row sees the same float
+    operations, in the same order, as a solve for its destination alone.
     """
     # Imported here so that runs on DAG levels never load numpy.
     import numpy as np
 
-    plan = _cyclic_plan(index, dsts)
+    plan = _cyclic_plan(index)
     n = index.n_nodes
     w = np.asarray(weights, dtype=float)
-    fields: list[list[float]] = []
+    field: list[float] = []
     for group in plan.groups:
         g = len(group.dsts)
         rows, at_tail, at_head = group.rows, group.at_tail, group.at_head
         w_walk = w[group.edges]
-        d = np.full(g * n, math.inf)
-        d[group.at_dst] = 0.0
+        d = plan.rho[group.slots.start * n:group.slots.stop * n].copy()
         # Bellman-Ford: shortest paths have at most n - 1 edges, so a change
         # in round n means a negative cycle, around which the walk sum
         # diverges. A row that stops changing stays fixed.
@@ -400,7 +405,7 @@ def _softmin_cyclic(
         log_y[reach] = np.log(y[reach])
         with np.errstate(over="ignore"):
             rho = d - gamma * log_y
-        fields.extend(rho.reshape(g, n).tolist())
+        field.extend(rho.tolist())
         if choices is None:
             continue
         share = walk * y[at_head] / y[at_tail]
@@ -414,7 +419,7 @@ def _softmin_cyclic(
         entropy = np.zeros(g * n)
         np.add.at(entropy, at, p * ((log_y[at] - log_y[at_head[used]]) - expo[used]))
         choices.append(_Choice(probs, entropy.reshape(g, n)))
-    return fields
+    return field
 
 
 def _sweep_weights(
@@ -434,13 +439,15 @@ def _sweep_weights(
     in one call. So ``t`` must hold exactly one value per plain edge, or
     ``ValueError`` names both lengths; a longer or shorter ``t`` would
     shift the slices and misread the trip costs. A NaN or infinite value
-    raises ``ValueError`` naming its edge and level. An acyclic level makes
-    one sweep over its program, whose fields are finite only on each
-    destination's subgraph, which holds every origin that can reach the
-    destination. A trip cost that is not finite raises ``NoPathError`` if
-    it is ``+inf`` because the trip has no route, and otherwise
-    ``LoadingError`` naming the trip and the value: ``+inf`` or ``-inf``
-    for a cost that overflowed, ``nan`` for one that subtracted infinities.
+    raises ``ValueError`` naming its edge and level. Each level makes one
+    sweep, over its program or its cyclic plan, and reads each OD pair's
+    trip cost at its ``at_origin`` position; a program's fields are finite
+    only on each destination's subgraph, which holds every origin that can
+    reach the destination. A trip cost that is not finite raises
+    ``NoPathError`` if it is ``+inf`` because the trip has no route, and
+    otherwise ``LoadingError`` naming the trip and the value: ``+inf`` or
+    ``-inf`` for a cost that overflowed, ``nan`` for one that subtracted
+    infinities.
     """
     n_plain = net.num_plain_edges()
     if len(t) != n_plain:
@@ -472,22 +479,21 @@ def _sweep_weights(
         if pick is not None:
             w = pick(w + trip_costs[k + 1])
         weights[k] = w
-        gamma = net.gammas[k]
+        choice = None
         if index.topo is None:
-            kept = [] if keep_choices else None
-            try:
-                fields = _softmin_cyclic(index, w, gamma, index.dests, kept)
-            except LoadingError as err:
-                raise LoadingError(f"{err} at level {k + 1}") from None
-            choices[k] = kept
-            costs = [fields[slot][src] for (src, _), slot in zip(index.od_nodes, index.dest_slot)]
-        else:
-            program = index.program
-            choice = None
+            softmin, program = _softmin_cyclic, _cyclic_plan(index)
             if keep_choices:
-                choice = choices[k] = _Choice([0.0] * program.n_choices, [0.0] * len(program.rho))
-            rho = _softmin(index, w, gamma, choice)
-            costs = [rho[at] for at in program.at_origin]
+                choice = []
+        else:
+            softmin, program = _softmin, index.program
+            if keep_choices:
+                choice = _Choice([0.0] * program.n_choices, [0.0] * len(program.rho))
+        try:
+            rho = softmin(index, w, net.gammas[k], choice)
+        except LoadingError as err:
+            raise LoadingError(f"{err} at level {k + 1}") from None
+        choices[k] = choice
+        costs = [rho[at] for at in program.at_origin]
         if not math.isfinite(sum(costs)):
             for j, cost in enumerate(costs):
                 if not math.isfinite(cost):
@@ -594,51 +600,53 @@ def _forward_dag(
 
 def _forward_cyclic(
     index: LevelIndex,
-    choices: Sequence[_Choice],
-    supplies: Mapping[int, Sequence[float]],
-) -> tuple[list[float], float]:
-    """Walk-measure loading of a cyclic level toward every destination slot
-    in ``supplies``, over the whole level, by the ``choices`` its soft-min
-    sweep kept, one per group of the level's plan: the expected node visits
-    solve ``(I - Q^T) h = supply``, one solve for every origin bound for the
-    destination.
+    choice: Sequence[_Choice],
+    order: Sequence[int],
+    through: Sequence[float],
+    flows: list[float],
+    k: int,
+) -> float:
+    """Walk-measure loading of a cyclic level toward the destination slots
+    in ``order``, over the whole level, by the choice its soft-min sweep
+    kept, one ``_Choice`` per group of the level's plan: the expected node
+    visits solve ``(I - Q^T) h = supply``, one solve for every origin bound
+    for the destination.
 
-    ``supplies`` maps a destination slot to the summed demand per origin
-    node. Returns the edge flows, summed destination by destination in the
-    order of ``supplies``, and the demand-weighted trajectory entropy summed
-    in that order. Each group with a supplied destination takes one stacked
-    solve; an edge a row's sweep dropped has probability 0 there, which
-    leaves its system entry and flow as they are.
+    ``through`` holds the demand placed at each origin's position of the
+    plan, summed over the OD pairs from it to its slot's destination. Adds
+    the edge flows to ``flows`` and returns the demand-weighted trajectory
+    entropy, each summed over the slots in ``order``. Each group with a slot
+    in ``order`` takes one stacked solve; an edge a row's sweep dropped has
+    probability 0 there, which leaves its system entry and flow as they
+    are. ``k`` goes unused: the sweep makes each node's probabilities sum
+    to 1, so no mass leaks.
     """
     import numpy as np
 
+    plan = index.cyclic_plan
     n, n_edges = index.n_nodes, len(index.tails)
-    plan = _cyclic_plan(index, index.dests)
-    supply = np.zeros((len(index.dests), n))
-    for slot, s in supplies.items():
-        supply[slot] = s
-    through = np.zeros((len(index.dests), n))
-    edge_flows = np.zeros((len(index.dests), n_edges))
-    entropies = []
-    for group, (probs, entropy) in zip(plan.groups, choices):
-        entropies.extend(entropy)
-        at = slice(group.slots.start, group.slots.stop)
-        if not any(slot in supplies for slot in group.slots):
+    supply = np.array(through).reshape(-1, n, 1)
+    visits = np.zeros((len(supply), n))
+    edge_flows = np.zeros((len(supply), n_edges))
+    entropies = [row for _, entropy in choice for row in entropy]
+    for group, (probs, _) in zip(plan.groups, choice):
+        if not any(slot in group.slots for slot in order):
             continue
+        at = slice(group.slots.start, group.slots.stop)
         g = len(group.dsts)
         system = np.empty((g, n, n))  # I - Q^T per destination
         system[:] = plan.eye
         np.subtract.at(system.reshape(-1), group.visit_at, probs)
         # The exact visits are nonnegative; clip rounding residue below zero.
-        visits = np.maximum(np.linalg.solve(system, supply[at, :, None]).reshape(g, n), 0.0)
-        through[at] = visits
-        edge_flows[at][group.rows, group.edges] = visits.reshape(-1)[group.at_tail] * probs
-    flows = np.zeros(n_edges)
+        visits[at] = np.maximum(np.linalg.solve(system, supply[at]).reshape(g, n), 0.0)
+        edge_flows[at][group.rows, group.edges] = visits[at].reshape(-1)[group.at_tail] * probs
+    total_flows = np.array(flows)
     total = 0.0
-    for slot in supplies:
-        flows += edge_flows[slot]
-        total += float(np.dot(through[slot], entropies[slot]))
-    return flows.tolist(), total
+    for slot in order:
+        total_flows += edge_flows[slot]
+        total += float(np.dot(visits[slot], entropies[slot]))
+    flows[:] = total_flows.tolist()
+    return total
 
 
 def network_loading(net: NetworkHierarchy, t: Sequence[float]) -> LoadResult:
@@ -646,9 +654,9 @@ def network_loading(net: NetworkHierarchy, t: Sequence[float]) -> LoadResult:
 
     The plain-edge flows are minus the gradient of ``dual_smooth_value``
     componentwise. Portal flows become the next level's OD demands, so the
-    sweep runs top-down after the bottom-up weight pass. Each level runs
-    one forward pass over all its destinations with positive demand: an
-    acyclic level through its program, a cyclic level one batched pass.
+    sweep runs top-down after the bottom-up weight pass. Each level places
+    its demand at the origin positions of its program or cyclic plan and
+    makes one forward call over all its destinations with positive demand.
     """
     _, trip_costs, choices = _sweep_weights(net, t, keep_choices=True)
     m = net.num_levels
@@ -663,32 +671,21 @@ def network_loading(net: NetworkHierarchy, t: Sequence[float]) -> LoadResult:
         index = level.index
         demand = demands[k]
         if index.topo is None:
-            supplies: dict[int, list[float]] = {}  # destination slot -> demand per origin
-            for j, (src, dst) in enumerate(index.od_nodes):
-                d = demand[j]
-                slot = index.dest_slot[j]
-                if d <= 0.0 or src == dst:
-                    continue
-                if slot not in supplies:
-                    supplies[slot] = [0.0] * index.n_nodes
-                supplies[slot][src] += d
-            level_flows, level_entropy = _forward_cyclic(index, choices[k], supplies)
+            forward, program = _forward_cyclic, index.cyclic_plan
         else:
-            # Slots run in the order their first demand arrives in, so that
-            # edge flows and entropies are summed over them in that order.
-            program = index.program
-            through = [0.0] * len(program.rho)
-            order: list[int] = []
-            seen = [False] * len(program.at_dst)
-            for j, at, slot in program.supplies:
-                d = demand[j]
-                if d > 0.0:
-                    through[at] += d
-                    if not seen[slot]:
-                        seen[slot] = True
-                        order.append(slot)
-            level_flows = [0.0] * len(level.edges)
-            level_entropy = _forward_dag(index, choices[k], order, through, level_flows, k)
+            forward, program = _forward_dag, index.program
+        # Supplies come grouped by slot in ascending order, so flows and
+        # entropies are summed over the slots with demand in that order.
+        through = [0.0] * len(program.rho)
+        order: list[int] = []
+        for j, at, slot in program.supplies:
+            d = demand[j]
+            if d > 0.0:
+                through[at] += d
+                if not order or order[-1] != slot:
+                    order.append(slot)
+        level_flows = [0.0] * len(level.edges)
+        level_entropy = forward(index, choices[k], order, through, level_flows, k)
         flows.append(level_flows)
         entropies.append(level_entropy)
         if k + 1 < m:

@@ -108,8 +108,8 @@ class LevelProgram(NamedTuple):
     0, before them, stands for every origin without a route and stays
     ``+inf``. ``runs`` holds each slot's steps in reverse Kahn order, the
     ``k``-th at position ``at_dst[slot] + 1 + k``: the sweep runs them slot
-    after slot, the forward pass backwards, slot by slot in the order their
-    demand arrives. A step names each head by its position in the slot's
+    after slot, the forward pass backwards, the slots with demand in
+    ascending order. A step names each head by its position in the slot's
     run and each exit of a node with several by its position in the flat
     array of choice probabilities, ``n_choices`` long.
 
@@ -118,7 +118,7 @@ class LevelProgram(NamedTuple):
     each position (-1 for position 0). ``at_origin`` gives each OD pair the
     position its trip cost is read from; ``supplies`` lists ``(OD, origin
     position, slot)`` for each OD pair whose origin is not its destination,
-    where a loading places its demand.
+    grouped by slot in ascending order, where a loading places its demand.
     """
 
     runs: list[list[Step]]
@@ -139,9 +139,10 @@ class LevelIndex:
     cycle. ``dests`` lists the distinct OD destinations in order of first
     appearance, and ``dest_slot[j]`` is the position of OD ``j``'s
     destination in it: loading computes one soft-min field per destination.
-    An acyclic level runs every destination's passes at once, by one
-    program per level (``program``). On a cyclic level the loading module
-    compiles the arrays of its passes on first use and keeps them in
+    Each level runs every destination's passes at once. An acyclic level
+    does so by one program per level (``program``). On a cyclic level the
+    loading module compiles a plan on first use, with the program's
+    ``rho``, ``at_origin`` and ``supplies``, and keeps it in
     ``cyclic_plan``, ``None`` until then.
     """
 

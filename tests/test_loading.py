@@ -69,7 +69,8 @@ def cyclic_level(demand=1.0):
 def whole_program(index, dests, ods=()):
     """A level program toward ``dests`` in which each slot holds every node
     of the level but its destination, each with all its out-edges, in
-    reverse Kahn order; ``ods`` gives each OD pair as ``(origin, slot)``."""
+    reverse Kahn order; ``ods`` gives each OD pair as ``(origin, slot)``.
+    Its supplies are grouped by slot, as ``LevelIndex.program``'s are."""
     node_at, runs, at_dst, where, n_choices = [-1], [], [], [], 0
     for dst in dests:
         at = {dst: len(node_at)}
@@ -93,9 +94,10 @@ def whole_program(index, dests, ods=()):
     for p in at_dst:
         rho[p] = 0.0
     at_origin = tuple(where[slot][src] for src, slot in ods)
-    supplies = tuple(
-        (j, at_origin[j], slot) for j, (src, slot) in enumerate(ods) if src != dests[slot]
-    )
+    supplies = tuple(sorted(
+        ((j, at_origin[j], slot) for j, (src, slot) in enumerate(ods) if src != dests[slot]),
+        key=lambda supply: supply[2],
+    ))
     return LevelProgram(tuple(runs), rho, tuple(at_dst), tuple(node_at), at_origin, supplies,
                         n_choices)
 
@@ -122,13 +124,14 @@ def slot_run(program, slot):
 def potentials(level, weights, gamma, dest):
     """Soft-min distance from every node of ``level`` to ``dest`` under the
     ``edge id -> weight`` map, by the loading's kernels: ``_softmin`` over a
-    program of the whole level toward ``dest`` alone, or one field of
-    ``_softmin_cyclic``."""
+    program of the whole level toward ``dest`` alone, or ``_softmin_cyclic``
+    over a copy of the level whose one OD pair ends at ``dest``."""
     index = level.index
     w = [float(weights[e.id]) for e in level.edges]
     dst = index.node_index[dest]
     if index.topo is None:
-        rho = loading._softmin_cyclic(index, w, gamma, [dst])[0]
+        alone = LevelGraph(level.nodes, level.edges, (ODPair(dest, dest),))
+        rho = loading._softmin_cyclic(alone.index, w, gamma)
     else:
         program = whole_program(index, [dst])
         flat = loading._softmin(SimpleNamespace(program=program), w, gamma)
@@ -561,6 +564,11 @@ def draw_ring(data):
     return n, arcs, t, gamma
 
 
+def two_way_ring(n):
+    """The arcs of an ``n``-node ring, both ways round."""
+    return [(i, (i + 1) % n) for i in range(n)] + [((i + 1) % n, i) for i in range(n)]
+
+
 def ring_level(n, arcs, od_pairs):
     return LevelGraph(
         nodes=tuple(f"v{i}" for i in range(n)),
@@ -677,6 +685,37 @@ class TestOncePerDestination:
         # r2c2 at level 1 carries no demand, so its slot gets no forward pass
         assert forward_calls == [(0, ["r3c3", "r3c2"]), (1, ["r2c2"])]
 
+    def test_one_sweep_and_one_forward_pass_per_cyclic_level(self, monkeypatch):
+        # A cyclic level too makes one sweep call over all its destinations
+        # and one forward call over the slots with demand, in ascending
+        # order: v0's slot first, though its demand arrives after v3's.
+        n = 8
+        arcs = two_way_ring(n)
+        ods = [ODPair("v0", "v0", 1.0), ODPair("v1", "v3", 1.5), ODPair("v2", "v5", 0.0),
+               ODPair("v6", "v0", 1.2)]
+        net = NetworkHierarchy([ring_level(n, arcs, ods)], [0.5], walk_cap=1)
+        softmin_calls, forward_calls = [], []
+        softmin, forward = loading._softmin_cyclic, loading._forward_cyclic
+
+        def counted_softmin(index, weights, gamma, choices=None):
+            softmin_calls.append(id(index))
+            return softmin(index, weights, gamma, choices)
+
+        def counted_forward(index, choice, order, through, flows, k):
+            forward_calls.append((k, [index.nodes[index.dests[slot]] for slot in order]))
+            return forward(index, choice, order, through, flows, k)
+
+        monkeypatch.setattr(loading, "_softmin_cyclic", counted_softmin)
+        monkeypatch.setattr(loading, "_forward_cyclic", counted_forward)
+        res = network_loading(net, [1.0] * len(arcs))
+        verify_conservation(net, res)
+
+        index = net.levels[0].index
+        assert softmin_calls == [id(index)]
+        assert [index.nodes[v] for v in index.dests] == ["v0", "v3", "v5"]
+        # v5 carries no demand, so its slot gets no forward pass
+        assert forward_calls == [(0, ["v0", "v3"])]
+
 
 def two_way_cycle_level(cycle, od_pairs):
     """a <-> b by two parallel edges each way, both exits from b.
@@ -717,12 +756,16 @@ class TestBatchedCyclicPasses:
         level = ring_level(n, arcs, pairs)
         net = NetworkHierarchy([level], [gamma], walk_cap=1)
 
-        weights, _, _ = loading._sweep_weights(net, t)
-        fields = loading._softmin_cyclic(level.index, weights[0], gamma, level.index.dests)
+        weights, trip_costs, _ = loading._sweep_weights(net, t)
+        field = loading._softmin_cyclic(level.index, weights[0], gamma)
         by_id = {e.id: w for e, w in zip(level.edges, weights[0])}
         for slot, dst in enumerate(level.index.dests):
             alone = potentials(level, by_id, gamma, level.nodes[dst])
-            assert fields[slot] == [alone[v] for v in level.nodes]
+            assert field[slot * n:(slot + 1) * n] == [alone[v] for v in level.nodes]
+            # each OD pair's trip cost is its origin's entry in that field
+            for od, cost in zip(pairs, trip_costs[0]):
+                if od.destination == level.nodes[dst]:
+                    assert repr(cost) == repr(alone[od.origin])
 
         res = network_loading(net, t)
         verify_conservation(net, res)
@@ -735,22 +778,51 @@ class TestBatchedCyclicPasses:
         assert res.entropies[0] == pytest.approx(entropy, rel=1e-12, abs=1e-12)
         assert_flows_are_minus_gradient(net, t, res, 1e-6 * sum(x for *_, x in ods))
 
+    def test_slots_are_summed_in_ascending_order(self):
+        # The first OD pair starts at its destination v0, which holds slot
+        # 0 but receives its first demand after v3's and v5's. The level's
+        # flows and entropy are still the loadings toward each destination
+        # alone, added up in slot order.
+        n = 8
+        arcs = two_way_ring(n)
+        ods = [ODPair("v0", "v0", 1.0), ODPair("v1", "v3", 1.5), ODPair("v2", "v5", 0.7),
+               ODPair("v6", "v0", 1.2), ODPair("v7", "v3", 0.9)]
+        rng = random.Random(8)
+        for _ in range(50):
+            t = [rng.uniform(0.5, 2.0) for _ in arcs]
+            net = NetworkHierarchy([ring_level(n, arcs, ods)], [0.5], walk_cap=1)
+            assert [net.levels[0].nodes[v] for v in net.levels[0].index.dests] == ["v0", "v3", "v5"]
+            res = network_loading(net, t)
+            flows, entropy = [0.0] * len(arcs), 0.0
+            for dst in ("v0", "v3", "v5"):
+                alone = ring_level(n, arcs, [od for od in ods if od.destination == dst])
+                one = network_loading(NetworkHierarchy([alone], [0.5], walk_cap=1), t)
+                flows = [a + b for a, b in zip(flows, one.flows[0])]
+                entropy += one.entropies[0]
+            assert repr((res.flows[0], res.entropies[0])) == repr((flows, entropy))
+
     @pytest.mark.parametrize("per_group", [1, 2])
     def test_groups_change_no_bit(self, monkeypatch, per_group):
         ods = [("r0c0", "r2c2"), ("r2c0", "r0c2"), ("r1c1", "r2c2"), ("r0c2", "r1c0"),
                ("r2c2", "r0c0")]
-        level = grid3_level([ODPair(o, d, 0.5 + 0.2 * j) for j, (o, d) in enumerate(ods)])
-        net = NetworkHierarchy([level], [0.3], walk_cap=1)
+
+        def grid_net():
+            level = grid3_level([ODPair(o, d, 0.5 + 0.2 * j) for j, (o, d) in enumerate(ods)])
+            return NetworkHierarchy([level], [0.3], walk_cap=1)
+
+        net = grid_net()
         t = [1.1 * c.free_flow_time for c in net.plain_costs()]
         one_group = network_loading(net, t), dual_smooth_value(net, t)
-        n = level.index.n_nodes
+        n = net.levels[0].index.n_nodes
         monkeypatch.setattr(loading, "_STACK_FLOATS", per_group * n * n)
-        assert [len(g) for g in loading._groups(n, level.index.dests)] == (
+        assert [len(g) for g in loading._groups(n, net.levels[0].index.dests)] == (
             [1, 1, 1, 1] if per_group == 1 else [2, 2]
         )
+        # a plan is compiled once per level: a level built after the patch
+        # runs its passes on the patched groups
+        net = grid_net()
         assert (network_loading(net, t), dual_smooth_value(net, t)) == one_group
-        # the passes ran on the patched groups, not on those compiled before
-        assert [len(g.dsts) for g in level.index.cyclic_plan.groups] == (
+        assert [len(g.dsts) for g in net.levels[0].index.cyclic_plan.groups] == (
             [1, 1, 1, 1] if per_group == 1 else [2, 2]
         )
 
@@ -759,7 +831,7 @@ class TestBatchedCyclicPasses:
         # stack, and the arrays kept on the index are O(D E + n**2), far
         # below the D n**2 of a stack of identities per group.
         n, dests = 256, 20
-        arcs = [(i, (i + 1) % n) for i in range(n)] + [((i + 1) % n, i) for i in range(n)]
+        arcs = two_way_ring(n)
         ods = [ODPair(f"v{(13 * j + 5) % n}", f"v{11 * j}", 1.0) for j in range(dests)]
         level = ring_level(n, arcs, ods)
         net = NetworkHierarchy([level], [0.5], walk_cap=1)
@@ -1085,12 +1157,10 @@ class TestBatchedAcyclicPasses:
                     for e, _, c in exits:
                         if c is not None:
                             assert repr(choice.probs[c]) == repr(probs[e])
-            # Each destination alone, its flows added to the level's in the
-            # order its first demand arrives in, gives the level's pass.
-            flows, total, order = [0.0] * len(level.edges), 0.0, []
-            for j, at, slot in program.supplies:
-                if res.induced_demands[k][j] > 0.0 and slot not in order:
-                    order.append(slot)
+            # Each destination alone, its flows added to the level's in
+            # ascending slot order, gives the level's pass.
+            flows, total = [0.0] * len(level.edges), 0.0
+            order = sorted({s for j, _, s in program.supplies if res.induced_demands[k][j] > 0.0})
             for slot in order:
                 through = [0.0] * len(program.rho)
                 for j, at, s in program.supplies:
