@@ -48,16 +48,17 @@ on, with entropy 0.0, the bits the general formula gives.
 A cyclic level keeps that contract through a plan compiled once
 (``_CyclicPlan``, kept as ``LevelIndex.cyclic_plan``), whose flat arrays
 hold ``n`` node positions per destination slot; trip costs are read and
-demand is placed at the plan's ``at_origin`` and ``supplies``. Each pass
-runs once for all its destinations: one Bellman-Ford over a
-(destinations, nodes) array and one stacked solve of the per-destination
-systems, in groups of ``_STACK_FLOATS // n**2`` destinations (at least
-one) so that a stack holds at most ``max(n**2, _STACK_FLOATS)`` floats.
-Each destination sees the float operations of a pass of its own, so the
-grouping changes no bit of the result. Per group the plan holds the walk
-edges of each destination and their flat positions in the node arrays
-and the systems, so a pass only gathers, relaxes, exponentiates, solves
-and scatters.
+demand is placed at the plan's ``at_origin`` and ``supplies``. The plan
+lists the walk edges toward every slot's destination, with their flat
+positions, once for the whole level. Each pass runs once over them for
+all its destinations: one Bellman-Ford, one ``exp`` and one ``log`` over
+the level's arrays, and one choice. Only the per-destination ``(n, n)``
+systems come in stacks (``_CyclicStack``) of ``_STACK_FLOATS // n**2``
+destinations (at least one), so that a stack holds at most
+``max(n**2, _STACK_FLOATS)`` floats; both passes build a stack at the
+same positions, and the forward pass solves its transpose. Each
+destination sees the float operations of a pass of its own, so the
+stacking changes no bit of the result.
 """
 
 from __future__ import annotations
@@ -139,11 +140,10 @@ class _Choice(NamedTuple):
     probability that flow at a node with several exits takes the exit at
     choice position ``c``; it stays 0.0 at nodes with no route. A node with
     one exit passes on all its flow and has no entry. ``entropy[v]`` is the
-    entropy of the choice at node position ``v``. On a cyclic level a list
-    of one choice per group of destinations of its plan (``_CyclicPlan``),
-    in arrays: ``probs`` per walk edge of the group, in the order of its
-    ``rows``, and ``entropy`` per destination and node, over the group's
-    run of the plan's positions.
+    entropy of the choice at node position ``v``. On a cyclic level the
+    same over the arrays of its plan (``_CyclicPlan``): ``probs`` per walk
+    edge, in the order of its ``rows``, and ``entropy`` per node position;
+    an edge or node without a route keeps 0.0.
     """
 
     probs: Sequence[float]
@@ -226,46 +226,40 @@ def _groups(n_nodes: int, items: Sequence) -> list:
     return [items[i:i + size] for i in range(0, len(items), size)]
 
 
-class _CyclicGroup(NamedTuple):
-    """The arrays of one stack of a cyclic level's destinations.
+class _CyclicStack(NamedTuple):
+    """One stack of a cyclic level's ``(g, n, n)`` systems: those of the
+    destination slots ``slots``. ``walk`` is the slice of the plan's walk
+    edges toward them, ``walk_at`` gives each of those edges the flat
+    position of its entry ``[tail, head]`` in the stack, and ``at_dst`` each
+    destination's position in the stack's ``(g, n)`` node arrays."""
 
-    Row ``i`` of the group's ``(g, n)`` node arrays and ``(g, n, n)``
-    systems belongs to destination ``dsts[i]``, of slot ``slots[i]``, so
-    the node arrays cover the plan's positions from ``slots[0] * n`` on.
-    ``rows`` and ``edges`` list the edges a walk toward each row's
-    destination can take (every edge not out of it), row by row in edge
-    order, and each ``at_*`` array gives, per such edge, a flat position:
-    ``at_tail`` and ``at_head`` of its tail and head in the node arrays,
-    ``walk_at`` of its entry ``A[tail, head]`` in the sweep's system and
-    ``visit_at`` of its entry ``Q^T[head, tail]`` in the forward pass's.
-    ``at_dst`` holds each destination's position in the node arrays.
-    """
-
-    dsts: list[int]
     slots: range
-    at_dst: np.ndarray
-    rows: np.ndarray
-    edges: np.ndarray
-    at_tail: np.ndarray
-    at_head: np.ndarray
+    walk: slice
     walk_at: np.ndarray
-    visit_at: np.ndarray
+    at_dst: np.ndarray
 
 
 class _CyclicPlan(NamedTuple):
     """A cyclic level's passes toward its destinations, compiled once
     (``_cyclic_plan``). Its flat node arrays hold node ``v`` of slot ``s``
     at ``s * n + v``; ``rho``, ``at_origin`` and ``supplies`` are as in a
-    ``LevelProgram``. ``eye`` is the ``(n, n)`` identity every system
-    starts from, and ``groups`` the destinations in groups (``_groups``),
-    each with its ``_CyclicGroup`` arrays. It holds ``O(D E + n**2)``
-    numbers for ``D`` destinations and ``E`` edges, no stack of systems."""
+    ``LevelProgram``. ``rows`` and ``edges`` list the walk edges, the edges
+    a walk toward each slot's destination can take (every edge not out of
+    it), slot by slot in edge order; ``at_tail`` and ``at_head`` give each
+    one's tail and head position in the node arrays. ``eye`` is the
+    ``(n, n)`` identity every system starts from, and ``stacks`` the slots
+    in stacks (``_groups``). It holds ``O(D E + n**2)`` numbers for ``D``
+    destinations and ``E`` edges, no stack of systems."""
 
     rho: np.ndarray
     at_origin: list[int]
     supplies: list[tuple[int, int, int]]
+    rows: np.ndarray
+    edges: np.ndarray
+    at_tail: np.ndarray
+    at_head: np.ndarray
     eye: np.ndarray
-    groups: list[_CyclicGroup]
+    stacks: list[_CyclicStack]
 
 
 def _cyclic_plan(index: LevelIndex) -> _CyclicPlan:
@@ -278,25 +272,18 @@ def _cyclic_plan(index: LevelIndex) -> _CyclicPlan:
     n = index.n_nodes
     tails = np.array(index.tails, dtype=np.intp)
     heads = np.array(index.heads, dtype=np.intp)
-    groups = []
-    start = 0
-    for group in _groups(n, index.dests):
-        g = len(group)
-        dst = np.array(group, dtype=np.intp)
-        rows, edges = (tails != dst[:, None]).nonzero()
-        at_tail, at_head = rows * n + tails[edges], rows * n + heads[edges]
-        groups.append(_CyclicGroup(
-            dsts=group,
-            slots=range(start, start + g),
-            at_dst=np.arange(g) * n + dst,
-            rows=rows,
-            edges=edges,
-            at_tail=at_tail,
-            at_head=at_head,
-            walk_at=at_tail * n + heads[edges],
-            visit_at=(rows * n + heads[edges]) * n + tails[edges],
+    dsts = np.array(index.dests, dtype=np.intp)
+    rows, edges = (tails != dsts[:, None]).nonzero()
+    at_tail, at_head = rows * n + tails[edges], rows * n + heads[edges]
+    stacks = []
+    for slots in _groups(n, range(len(dsts))):
+        start, stop = rows.searchsorted([slots.start, slots.stop])
+        stacks.append(_CyclicStack(
+            slots=slots,
+            walk=slice(start, stop),
+            walk_at=(at_tail[start:stop] - slots.start * n) * n + heads[edges[start:stop]],
+            at_dst=np.arange(len(slots)) * n + dsts[slots.start:slots.stop],
         ))
-        start += g
     rho = np.full(len(index.dests) * n, math.inf)
     rho[[slot * n + dst for slot, dst in enumerate(index.dests)]] = 0.0
     at_origin = [slot * n + src for (src, _), slot in zip(index.od_nodes, index.dest_slot)]
@@ -305,7 +292,9 @@ def _cyclic_plan(index: LevelIndex) -> _CyclicPlan:
          in enumerate(zip(index.od_nodes, index.dest_slot)) if src != dst),
         key=itemgetter(2),
     )
-    index.cyclic_plan = _CyclicPlan(rho, at_origin, supplies, np.eye(n), groups)
+    index.cyclic_plan = _CyclicPlan(
+        rho, at_origin, supplies, rows, edges, at_tail, at_head, np.eye(n), stacks
+    )
     return index.cyclic_plan
 
 
@@ -313,7 +302,7 @@ def _softmin_cyclic(
     index: LevelIndex,
     weights: Sequence[float],
     gamma: float,
-    choices: list[_Choice] | None = None,
+    choice: _Choice | None = None,
 ) -> list[float]:
     """Soft-min over all walks to each destination of a cyclic level, per
     position of its plan (``_cyclic_plan``), as ``rho = d - gamma * log(y)``.
@@ -329,107 +318,103 @@ def _softmin_cyclic(
     whose sum diverges. A ``gamma * log(y)`` that overflows makes the field
     infinite, which the sweep reports as an overflowing trip cost.
 
-    Given ``choices``, the sweep appends the logit choice toward each group
-    of destinations (below), as ``_softmin`` does for its level: the
-    probability of each of the group's walk edges, in its ``rows`` order,
-    and a ``(group, nodes)`` array of node entropies. An edge's share is its
-    term of ``y[v] = sum_e A_e y[u]``: ``A_e * y[u] / y[v]``, divided by
-    the sum of its tail's shares so that each node's probabilities add up
-    to 1. A node's entropy sums ``p_e (log y[v] - log y[u] - x_e)`` over its
-    out-edges, where ``x_e`` is ``A_e``'s exponent: ``_softmin``'s ``p_e
-    (term_e - rho[v]) / gamma`` with ``rho`` written out, formed from
-    numbers that stay finite at any ``gamma``, since a positive share
-    bounds ``x_e`` by about -745.
+    Given a ``choice`` of zeros, the sweep fills in the logit choice toward
+    each destination, as ``_softmin`` does for its level: the probability
+    of each walk edge of the plan, and the entropy at each node position.
+    An edge's share is its term of ``y[v] = sum_e A_e y[u]``: ``A_e * y[u]
+    / y[v]``, divided by the sum of its tail's shares so that each node's
+    probabilities add up to 1. A node's entropy sums ``p_e (log y[v] - log
+    y[u] - x_e)`` over its out-edges, where ``x_e`` is ``A_e``'s exponent:
+    ``_softmin``'s ``p_e (term_e - rho[v]) / gamma`` with ``rho`` written
+    out, formed from numbers that stay finite at any ``gamma``, since a
+    positive share bounds ``x_e`` by about -745.
 
-    Destinations are taken in the groups of their plan: Bellman-Ford
-    relaxes one ``(group, nodes)`` distance array, and one stacked solve
-    gives every ``y`` of the group. Each row sees the same float
-    operations, in the same order, as a solve for its destination alone.
+    Bellman-Ford, the ``exp``s, the checks, the ``log``s and the choice each
+    run once over the whole level; only each stack's systems are built and
+    solved one stack at a time. Each destination sees the same float
+    operations, in the same order, as a pass for it alone.
     """
     # Imported here so that runs on DAG levels never load numpy.
     import numpy as np
 
     plan = _cyclic_plan(index)
     n = index.n_nodes
-    w = np.asarray(weights, dtype=float)
-    field: list[float] = []
-    for group in plan.groups:
-        g = len(group.dsts)
-        rows, at_tail, at_head = group.rows, group.at_tail, group.at_head
-        w_walk = w[group.edges]
-        d = plan.rho[group.slots.start * n:group.slots.stop * n].copy()
-        # Bellman-Ford: shortest paths have at most n - 1 edges, so a change
-        # in round n means a negative cycle, around which the walk sum
-        # diverges. A row that stops changing stays fixed.
-        # A distance that overflows is +inf, as if the node could not reach
-        # the destination: its trip cost then reads +inf, which the sweep
-        # reports as an overflow, and the edges at it are dropped below.
-        bad = np.zeros(g, dtype=bool)
-        with np.errstate(over="ignore"):
-            for _ in range(n):
-                relaxed = d.copy()
-                np.minimum.at(relaxed, at_tail, w_walk + d[at_head])
-                if (relaxed == d).all():
-                    break
-                d, last = relaxed, d
-            else:
-                bad = (d != last).reshape(g, n).any(axis=1)
-            # Edges between nodes at a finite distance; without an overflow,
-            # every edge into a node that reaches the destination.
-            keep = np.isfinite(d[at_head]) & np.isfinite(d[at_tail]) & ~bad[rows]
-            at_tail, at_head, w_walk = at_tail[keep], at_head[keep], w_walk[keep]
-            # An exponent that overflows to -inf is a term that rounds to 0.
-            expo = (d[at_tail] - w_walk - d[at_head]) / gamma
-            walk = np.exp(expo)
+    rows, at_tail, at_head = plan.rows, plan.at_tail, plan.at_head
+    w_walk = np.asarray(weights, dtype=float)[plan.edges]
+    d = plan.rho.copy()
+    # Bellman-Ford: shortest paths have at most n - 1 edges, so a change in
+    # round n means a negative cycle, around which the walk sum diverges. A
+    # slot that stops changing stays fixed.
+    # A distance that overflows is +inf, as if the node could not reach the
+    # destination: its trip cost then reads +inf, which the sweep reports as
+    # an overflow, and the edges at it are dropped below.
+    bad = np.zeros(len(index.dests), dtype=bool)
+    walk = np.zeros(len(rows))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(n):
+            relaxed = d.copy()
+            np.minimum.at(relaxed, at_tail, w_walk + d[at_head])
+            if (relaxed == d).all():
+                break
+            d, last = relaxed, d
+        else:
+            bad = (d != last).reshape(-1, n).any(axis=1)
+        # Edges between nodes at a finite distance; without an overflow,
+        # every edge into a node that reaches the destination.
+        keep = np.isfinite(d[at_head]) & np.isfinite(d[at_tail]) & ~bad[rows]
+        # An exponent that overflows to -inf is a term that rounds to 0. A
+        # dropped edge's term is 0.0, which leaves its system entry as it
+        # is; its exponent, NaN at two infinite distances, is never read.
+        expo = (d[at_tail] - w_walk - d[at_head]) / gamma
+        np.exp(expo, out=walk, where=keep)
+    y = np.empty(len(d))
+    for stack in plan.stacks:
+        g = len(stack.slots)
         system = np.empty((g, n, n))
         system[:] = plan.eye
-        np.subtract.at(system.reshape(-1), group.walk_at[keep], walk)
+        np.subtract.at(system.reshape(-1), stack.walk_at, walk[stack.walk])
         unit = np.zeros((g, n, 1))
-        unit.reshape(-1)[group.at_dst] = 1.0
+        unit.reshape(-1)[stack.at_dst] = 1.0
         try:
-            y = np.linalg.solve(system, unit).reshape(-1)
+            solved = np.linalg.solve(system, unit)
         except np.linalg.LinAlgError:
-            y = np.full((g, n, 1), math.nan)  # find the singular systems one by one
+            solved = np.full((g, n, 1), math.nan)  # find the singular systems one by one
             for i in range(g):
                 try:
-                    y[i] = np.linalg.solve(system[i], unit[i])
+                    solved[i] = np.linalg.solve(system[i], unit[i])
                 except np.linalg.LinAlgError:
                     pass
-            y = y.reshape(-1)
-        reach = np.isfinite(d)
-        bad |= (reach & ~(np.isfinite(y) & (y > 0.0))).reshape(g, n).any(axis=1)
-        if bad.any():
-            raise _divergent(index, group.dsts[int(bad.argmax())])
-        # Where no walk reaches the destination, d is +inf and so is rho.
-        log_y = np.zeros(g * n)
-        log_y[reach] = np.log(y[reach])
-        with np.errstate(over="ignore"):
-            rho = d - gamma * log_y
-        field.extend(rho.tolist())
-        if choices is None:
-            continue
+        y[stack.slots.start * n:stack.slots.stop * n] = solved.reshape(-1)
+    reach = np.isfinite(d)
+    bad |= (reach & ~(np.isfinite(y) & (y > 0.0))).reshape(-1, n).any(axis=1)
+    if bad.any():
+        raise _divergent(index, index.dests[int(bad.argmax())])
+    # Where no walk reaches the destination, d is +inf and so is rho.
+    log_y = np.zeros(len(d))
+    log_y[reach] = np.log(y[reach])
+    with np.errstate(over="ignore"):
+        rho = d - gamma * log_y
+    if choice is not None:
+        probs, entropy = choice
+        at_tail, at_head, walk, expo = at_tail[keep], at_head[keep], walk[keep], expo[keep]
         share = walk * y[at_head] / y[at_tail]
-        mass = np.zeros(g * n)
+        mass = np.zeros(len(d))
         np.add.at(mass, at_tail, share)
         share /= mass[at_tail]  # exact conservation; the raw sums are 1 up to rounding
-        probs = np.zeros(len(rows))
         probs[keep] = share
         used = share > 0.0  # a term that rounds to 0 has no share and no entropy
         at, p = at_tail[used], share[used]
-        entropy = np.zeros(g * n)
         np.add.at(entropy, at, p * ((log_y[at] - log_y[at_head[used]]) - expo[used]))
-        choices.append(_Choice(probs, entropy.reshape(g, n)))
-    return field
+    return rho.tolist()
 
 
 def _sweep_weights(
     net: NetworkHierarchy, t: Sequence[float], keep_choices: bool = False
-) -> tuple[list[Sequence[float]], list[list[float]], list[_Choice | list[_Choice] | None]]:
+) -> tuple[list[Sequence[float]], list[list[float]], list[_Choice | None]]:
     """Bottom-up pass: per-level edge weights, per-level trip costs (the
     soft-min cost of each OD pair, in OD order), and, with
-    ``keep_choices``, the logit choice of each level (``_Choice``): one for
-    an acyclic level, a list of one per group of its plan for a cyclic one
-    (``None`` per level without ``keep_choices``).
+    ``keep_choices``, the logit choice of each level (``_Choice``; ``None``
+    per level without ``keep_choices``).
 
     A portal edge's weight is the soft-min trip cost of its target OD pair
     one level down, so levels are processed deepest first. Each level's
@@ -465,7 +450,7 @@ def _sweep_weights(
     gathers = net.weight_gathers()
     m = net.num_levels
     weights: list[Sequence[float]] = [()] * m
-    choices: list[_Choice | list[_Choice] | None] = [None] * m
+    choices: list[_Choice | None] = [None] * m
     trip_costs: list[list[float]] = [[] for _ in range(m)]
 
     for k in range(m - 1, -1, -1):
@@ -483,7 +468,9 @@ def _sweep_weights(
         if index.topo is None:
             softmin, program = _softmin_cyclic, _cyclic_plan(index)
             if keep_choices:
-                choice = []
+                import numpy as np
+
+                choice = _Choice(np.zeros(len(program.edges)), np.zeros(len(program.rho)))
         else:
             softmin, program = _softmin, index.program
             if keep_choices:
@@ -600,52 +587,54 @@ def _forward_dag(
 
 def _forward_cyclic(
     index: LevelIndex,
-    choice: Sequence[_Choice],
+    choice: _Choice,
     order: Sequence[int],
     through: Sequence[float],
     flows: list[float],
     k: int,
 ) -> float:
     """Walk-measure loading of a cyclic level toward the destination slots
-    in ``order``, over the whole level, by the choice its soft-min sweep
-    kept, one ``_Choice`` per group of the level's plan: the expected node
-    visits solve ``(I - Q^T) h = supply``, one solve for every origin bound
-    for the destination.
+    in ``order``, over the whole level, by the ``choice`` its soft-min
+    sweep kept: the expected node visits solve ``(I - Q^T) h = supply``, one
+    solve for every origin bound for the destination.
 
     ``through`` holds the demand placed at each origin's position of the
     plan, summed over the OD pairs from it to its slot's destination. Adds
     the edge flows to ``flows`` and returns the demand-weighted trajectory
-    entropy, each summed over the slots in ``order``. Each group with a slot
-    in ``order`` takes one stacked solve; an edge a row's sweep dropped has
-    probability 0 there, which leaves its system entry and flow as they
-    are. ``k`` goes unused: the sweep makes each node's probabilities sum
-    to 1, so no mass leaks.
+    entropy, each summed over the slots in ``order``. Each stack builds
+    ``I - Q`` at the sweep's positions and solves its transpose for the
+    slots in ``order`` alone; a stack whose slots are all in ``order`` is
+    solved whole. An edge a slot's sweep dropped has probability 0 there,
+    which leaves its system entry and flow as they are. ``k`` goes unused:
+    the sweep makes each node's probabilities sum to 1, so no mass leaks.
     """
     import numpy as np
 
     plan = index.cyclic_plan
-    n, n_edges = index.n_nodes, len(index.tails)
+    n = index.n_nodes
+    probs, entropy = choice
     supply = np.array(through).reshape(-1, n, 1)
-    visits = np.zeros((len(supply), n))
-    edge_flows = np.zeros((len(supply), n_edges))
-    entropies = [row for _, entropy in choice for row in entropy]
-    for group, (probs, _) in zip(plan.groups, choice):
-        if not any(slot in group.slots for slot in order):
+    visits = np.zeros(supply.shape[:2])
+    for stack in plan.stacks:
+        slots = [slot for slot in order if slot in stack.slots]
+        if not slots:
             continue
-        at = slice(group.slots.start, group.slots.stop)
-        g = len(group.dsts)
-        system = np.empty((g, n, n))  # I - Q^T per destination
+        system = np.empty((len(stack.slots), n, n))  # I - Q per destination
         system[:] = plan.eye
-        np.subtract.at(system.reshape(-1), group.visit_at, probs)
+        np.subtract.at(system.reshape(-1), stack.walk_at, probs[stack.walk])
+        at = slice(stack.slots.start, stack.slots.stop)
+        if len(slots) < len(stack.slots):  # only the systems of slots in order
+            system, at = system[[slot - at.start for slot in slots]], slots
         # The exact visits are nonnegative; clip rounding residue below zero.
-        visits[at] = np.maximum(np.linalg.solve(system, supply[at]).reshape(g, n), 0.0)
-        edge_flows[at][group.rows, group.edges] = visits[at].reshape(-1)[group.at_tail] * probs
+        solved = np.linalg.solve(system.transpose(0, 2, 1), supply[at])
+        visits[at] = np.maximum(solved.reshape(-1, n), 0.0)
+    # A slot not in order has no visits: its edges add 0.0 to each sum.
     total_flows = np.array(flows)
+    np.add.at(total_flows, plan.edges, visits.reshape(-1)[plan.at_tail] * probs)
+    flows[:] = total_flows.tolist()
     total = 0.0
     for slot in order:
-        total_flows += edge_flows[slot]
-        total += float(np.dot(visits[slot], entropies[slot]))
-    flows[:] = total_flows.tolist()
+        total += float(np.dot(visits[slot], entropy[slot * n:(slot + 1) * n]))
     return total
 
 

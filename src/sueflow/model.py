@@ -142,8 +142,10 @@ class LevelIndex:
     Each level runs every destination's passes at once. An acyclic level
     does so by one program per level (``program``). On a cyclic level the
     loading module compiles a plan on first use, with the program's
-    ``rho``, ``at_origin`` and ``supplies``, and keeps it in
-    ``cyclic_plan``, ``None`` until then.
+    ``rho``, ``at_origin`` and ``supplies``, the walk edges toward every
+    destination, listed once for the whole level, and the stacks its
+    linear systems are solved in; it keeps the plan in ``cyclic_plan``,
+    ``None`` until then.
     """
 
     __slots__ = (

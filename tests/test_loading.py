@@ -689,32 +689,42 @@ class TestOncePerDestination:
         # A cyclic level too makes one sweep call over all its destinations
         # and one forward call over the slots with demand, in ascending
         # order: v0's slot first, though its demand arrives after v3's.
+        import numpy as np
+
         n = 8
         arcs = two_way_ring(n)
         ods = [ODPair("v0", "v0", 1.0), ODPair("v1", "v3", 1.5), ODPair("v2", "v5", 0.0),
                ODPair("v6", "v0", 1.2)]
         net = NetworkHierarchy([ring_level(n, arcs, ods)], [0.5], walk_cap=1)
-        softmin_calls, forward_calls = [], []
+        softmin_calls, forward_calls, solved = [], [], []
         softmin, forward = loading._softmin_cyclic, loading._forward_cyclic
+        solve = np.linalg.solve
 
-        def counted_softmin(index, weights, gamma, choices=None):
+        def counted_softmin(index, weights, gamma, choice=None):
             softmin_calls.append(id(index))
-            return softmin(index, weights, gamma, choices)
+            return softmin(index, weights, gamma, choice)
 
         def counted_forward(index, choice, order, through, flows, k):
             forward_calls.append((k, [index.nodes[index.dests[slot]] for slot in order]))
             return forward(index, choice, order, through, flows, k)
 
+        def recorded_solve(a, b):
+            solved.append(a.shape)
+            return solve(a, b)
+
         monkeypatch.setattr(loading, "_softmin_cyclic", counted_softmin)
         monkeypatch.setattr(loading, "_forward_cyclic", counted_forward)
+        monkeypatch.setattr(np.linalg, "solve", recorded_solve)
         res = network_loading(net, [1.0] * len(arcs))
         verify_conservation(net, res)
 
         index = net.levels[0].index
         assert softmin_calls == [id(index)]
         assert [index.nodes[v] for v in index.dests] == ["v0", "v3", "v5"]
-        # v5 carries no demand, so its slot gets no forward pass
+        # v5 carries no demand, so its slot gets no forward pass, and the
+        # forward stack holds the systems of v0 and v3 alone
         assert forward_calls == [(0, ["v0", "v3"])]
+        assert solved == [(3, n, n), (2, n, n)]
 
 
 def two_way_cycle_level(cycle, od_pairs):
@@ -778,11 +788,14 @@ class TestBatchedCyclicPasses:
         assert res.entropies[0] == pytest.approx(entropy, rel=1e-12, abs=1e-12)
         assert_flows_are_minus_gradient(net, t, res, 1e-6 * sum(x for *_, x in ods))
 
-    def test_slots_are_summed_in_ascending_order(self):
+    @pytest.mark.parametrize("stack_floats", [2**16, 8 * 8])
+    def test_slots_are_summed_in_ascending_order(self, monkeypatch, stack_floats):
         # The first OD pair starts at its destination v0, which holds slot
         # 0 but receives its first demand after v3's and v5's. The level's
         # flows and entropy are still the loadings toward each destination
-        # alone, added up in slot order.
+        # alone, added up in slot order, whether its three slots share one
+        # stack or take one each.
+        monkeypatch.setattr(loading, "_STACK_FLOATS", stack_floats)
         n = 8
         arcs = two_way_ring(n)
         ods = [ODPair("v0", "v0", 1.0), ODPair("v1", "v3", 1.5), ODPair("v2", "v5", 0.7),
@@ -793,6 +806,8 @@ class TestBatchedCyclicPasses:
             net = NetworkHierarchy([ring_level(n, arcs, ods)], [0.5], walk_cap=1)
             assert [net.levels[0].nodes[v] for v in net.levels[0].index.dests] == ["v0", "v3", "v5"]
             res = network_loading(net, t)
+            stacks = net.levels[0].index.cyclic_plan.stacks
+            assert [len(s.slots) for s in stacks] == ([3] if stack_floats > n * n else [1, 1, 1])
             flows, entropy = [0.0] * len(arcs), 0.0
             for dst in ("v0", "v3", "v5"):
                 alone = ring_level(n, arcs, [od for od in ods if od.destination == dst])
@@ -801,35 +816,40 @@ class TestBatchedCyclicPasses:
                 entropy += one.entropies[0]
             assert repr((res.flows[0], res.entropies[0])) == repr((flows, entropy))
 
-    @pytest.mark.parametrize("per_group", [1, 2])
+    @pytest.mark.parametrize("per_group", [1, 2, 4])
     def test_groups_change_no_bit(self, monkeypatch, per_group):
         ods = [("r0c0", "r2c2"), ("r2c0", "r0c2"), ("r1c1", "r2c2"), ("r0c2", "r1c0"),
                ("r2c2", "r0c0")]
+        sizes = {1: [1, 1, 1, 1], 2: [2, 2], 4: [4]}[per_group]
 
         def grid_net():
             level = grid3_level([ODPair(o, d, 0.5 + 0.2 * j) for j, (o, d) in enumerate(ods)])
             return NetworkHierarchy([level], [0.3], walk_cap=1)
 
+        def kept_choice(net):
+            # the trip costs and the cyclic level's choice, as lists
+            _, trip_costs, (choice,) = loading._sweep_weights(net, t, keep_choices=True)
+            return repr((trip_costs, choice.probs.tolist(), choice.entropy.tolist()))
+
         net = grid_net()
         t = [1.1 * c.free_flow_time for c in net.plain_costs()]
         one_group = network_loading(net, t), dual_smooth_value(net, t)
+        one_choice = kept_choice(net)
         n = net.levels[0].index.n_nodes
         monkeypatch.setattr(loading, "_STACK_FLOATS", per_group * n * n)
-        assert [len(g) for g in loading._groups(n, net.levels[0].index.dests)] == (
-            [1, 1, 1, 1] if per_group == 1 else [2, 2]
-        )
+        assert [len(g) for g in loading._groups(n, net.levels[0].index.dests)] == sizes
         # a plan is compiled once per level: a level built after the patch
         # runs its passes on the patched groups
         net = grid_net()
         assert (network_loading(net, t), dual_smooth_value(net, t)) == one_group
-        assert [len(g.dsts) for g in net.levels[0].index.cyclic_plan.groups] == (
-            [1, 1, 1, 1] if per_group == 1 else [2, 2]
-        )
+        assert kept_choice(net) == one_choice
+        assert [len(s.slots) for s in net.levels[0].index.cyclic_plan.stacks] == sizes
 
     def test_compiled_passes_keep_no_stack_of_systems(self):
         # 20 destinations on a 256-node bidirectional ring: one system per
-        # stack, and the arrays kept on the index are O(D E + n**2), far
-        # below the D n**2 of a stack of identities per group.
+        # stack, and the arrays kept on the index (the plan's and its
+        # stacks') are O(D E + n**2), far below the D n**2 of a stack of
+        # identities per group.
         n, dests = 256, 20
         arcs = two_way_ring(n)
         ods = [ODPair(f"v{(13 * j + 5) % n}", f"v{11 * j}", 1.0) for j in range(dests)]
@@ -838,9 +858,10 @@ class TestBatchedCyclicPasses:
         res = network_loading(net, [1.0] * len(arcs))
         verify_conservation(net, res)
         plan = level.index.cyclic_plan
-        assert [len(g.dsts) for g in plan.groups] == [1] * dests
-        kept = plan.eye.size + sum(getattr(a, "size", 0) for g in plan.groups for a in g)
-        assert kept <= 8 * dests * len(arcs) + n * n
+        assert [len(s.slots) for s in plan.stacks] == [1] * dests
+        arrays = [*plan, *(a for s in plan.stacks for a in s)]
+        kept = sum(getattr(a, "size", 0) for a in arrays)
+        assert kept <= 5 * dests * len(arcs) + dests * n + n * n
         assert kept < dests * n * n / 10
 
     @pytest.mark.parametrize("n", [1, 2, 16, 255, 256, 500])
