@@ -15,17 +15,23 @@ pass. On a cyclic level the soft-min sums over all walks, not just simple
 paths: it is the walk sum of a Markov chain absorbed at the destination,
 and one linear solve per destination gives it exactly (Akamatsu 1996,
 "Cyclic flows, Markov process and stochastic traffic assignment"). A walk
-sum that diverges raises ``LoadingError``. Both passes read each level's
-compiled index, ``LevelGraph.index``.
+sum that diverges raises ``LoadingError``. On a DAG level every walk is a
+path, so the walk sum is exact there too.
 
-Every level has one contract between its passes. The sweep hands back
-one trip cost per OD pair, the soft-min cost from its origin to its
-destination. For a gradient, it also keeps the logit choice toward each
-destination (``_Choice``: each edge's probability, each node's entropy),
+Each level compiles one plan on its first loading and keeps it as
+``LevelIndex.plan``. Only ``_plan`` picks its kind, a ``_DagPlan`` for an
+acyclic level and a ``_CyclicPlan`` for a cyclic one, and the kind names
+the level's kernels. Every kind keeps one contract between its passes.
+The sweep (``plan.sweep``) starts from ``rho`` and hands back the soft-min
+value at each position of the plan's flat node arrays; each OD pair's
+trip cost is read at its ``at_origin`` position. For a gradient, it also
+fills in the logit choice toward each destination (``_Choice``, zeros
+from ``plan.choice()``: each edge's probability, each node's entropy),
 from the ``exp``s it pays once per edge (on an acyclic level, once per
-edge out of a node with several exits); the forward pass only propagates
-flow through that choice, with no ``exp`` or ``log`` of its own. A value
-runs the same sweep and keeps no choice.
+edge out of a node with several exits); the forward pass
+(``plan.forward``) only propagates the demand placed at the positions of
+``supplies`` through that choice, with no ``exp`` or ``log`` of its own.
+A value runs the same sweep and keeps no choice.
 
 OD pairs enter only through their destinations: pairs that share one share
 its soft-min field, and since flows and trajectory entropy are linear in
@@ -33,31 +39,24 @@ the through-flow, one forward pass carries the demand of all their origins
 (the destination-based form of Dial's STOCH loading). On an acyclic level
 each distinct destination's field covers only the nodes between that
 destination's origins and it: elsewhere the soft-min is ``+inf`` and the
-flow zero, so skipping them changes no result. The level compiles those
-nodes once, on its first loading, into one program per level
-(``LevelIndex.program``, a ``LevelProgram``): per destination slot, its
-steps in reverse Kahn order, each exit naming its edge, the position of
-its head in the level's flat per-loading arrays and, at a node with
-several exits, the position of its choice probability. A loading makes
-one sweep call over every slot and one forward call that runs the slots
-with demand, backwards, with multiply-adds only; no pass looks a head up
-or allocates per destination. A node with one exit costs no ``exp`` or
-``log``: its soft-min value is its one term, and it passes all its flow
-on, with entropy 0.0, the bits the general formula gives.
+flow zero, so skipping them changes no result. Its plan holds their steps
+in reverse Kahn order, each exit naming its edge, the position of its head
+in the flat arrays and, at a node with several exits, the position of its
+choice probability. The sweep runs every slot; the forward pass runs the
+slots with demand, backwards, with multiply-adds only; no pass looks a
+head up or allocates per destination. A node with one exit costs no
+``exp`` or ``log``: its soft-min value is its one term, and it passes all
+its flow on, with entropy 0.0, the bits the general formula gives.
 
-A cyclic level keeps that contract through a plan compiled once
-(``_CyclicPlan``, kept as ``LevelIndex.cyclic_plan``), whose flat arrays
-hold ``n`` node positions per destination slot; trip costs are read and
-demand is placed at the plan's ``at_origin`` and ``supplies``. The plan
-lists the walk edges toward every slot's destination, with their flat
-positions, once for the whole level. Each pass runs once over them for
-all its destinations: one Bellman-Ford, one ``exp`` and one ``log`` over
-the level's arrays, and one choice. Only the per-destination ``(n, n)``
-systems come in stacks (``_CyclicStack``) of ``_STACK_FLOATS // n**2``
-destinations (at least one), so that a stack holds at most
-``max(n**2, _STACK_FLOATS)`` floats; both passes build a stack at the
-same positions, and the forward pass solves its transpose. Each
-destination sees the float operations of a pass of its own, so the
+A cyclic level's plan lists the walk edges toward every slot's
+destination once for the whole level, and each pass runs once over them
+for all its destinations: one Bellman-Ford, one ``exp`` and one ``log``
+over the level's arrays, and one choice. Only the per-destination
+``(n, n)`` systems come in stacks (``_CyclicStack``) of
+``_STACK_FLOATS // n**2`` destinations (at least one), so that a stack
+holds at most ``max(n**2, _STACK_FLOATS)`` floats; both passes build a
+stack at the same positions, and the forward pass solves its transpose.
+Each destination sees the float operations of a pass of its own, so the
 stacking changes no bit of the result.
 """
 
@@ -133,35 +132,42 @@ class LoadResult:
 
 class _Choice(NamedTuple):
     """Logit edge choice toward the destinations of a level, kept by the
-    gradient's sweep for its forward pass.
+    gradient's sweep for its forward pass, in the flat arrays of the
+    level's plan, which gives one of zeros (``plan.choice()``).
 
-    On an acyclic level one choice for all its destinations, in the flat
-    arrays of its program (``LevelProgram``): ``probs[c]`` is the
-    probability that flow at a node with several exits takes the exit at
-    choice position ``c``; it stays 0.0 at nodes with no route. A node with
-    one exit passes on all its flow and has no entry. ``entropy[v]`` is the
-    entropy of the choice at node position ``v``. On a cyclic level the
-    same over the arrays of its plan (``_CyclicPlan``): ``probs`` per walk
-    edge, in the order of its ``rows``, and ``entropy`` per node position;
-    an edge or node without a route keeps 0.0.
+    ``entropy[v]`` is the entropy of the choice at node position ``v``. In
+    a ``_DagPlan``, ``probs[c]`` is the probability that flow at a node
+    with several exits takes the exit at choice position ``c``; a node with
+    one exit passes on all its flow and has no entry. In a ``_CyclicPlan``,
+    ``probs`` holds one per walk edge, in the order of its ``rows``. An
+    edge or node without a route keeps 0.0.
     """
 
     probs: Sequence[float]
     entropy: Sequence[float]
 
 
+# One step of an acyclic level's plan (``_DagPlan``), in positions of its
+# flat arrays: a node with one exit is ``(edge, head)``; a node with several
+# is ``(-1, exits)``, its exits ``(edge, head, choice)`` triples in the
+# level's order. The first entry is negative only there, which tells the
+# two apart.
+_Step = tuple[int, int] | tuple[int, list[tuple[int, int, int]]]
+
+
 def _softmin(
+    plan: _DagPlan,
     index: LevelIndex,
     weights: Sequence[float],
     gamma: float,
     choice: _Choice | None = None,
 ) -> list[float]:
     """Soft-min distance to each destination of an acyclic level, per
-    position of its program (``LevelIndex.program``); the destinations are
-    absorbing.
+    position of its plan; the destinations are absorbing. The plan holds
+    all the sweep reads, so ``index`` goes unused.
 
     One field per destination slot serves every OD pair of the level that
-    ends there. The sweep runs the program's steps, each slot's in reverse
+    ends there. The sweep runs the plan's steps, each slot's in reverse
     Kahn order, and leaves every position it does not reach at ``+inf``. At
     a node with several exits it shifts the terms ``weights[e] + rho[head]``
     by their minimum ``best`` and sums their ``exp``s left to right into
@@ -180,11 +186,10 @@ def _softmin(
     telescopes against the very potentials of the dual. A node with one exit
     keeps its entropy of 0.0.
     """
-    program = index.program
-    rho = program.rho.copy()
+    rho = plan.rho.copy()
     exp, log, inf = math.exp, math.log, math.inf
-    probs, entropy = choice or ([0.0] * program.n_choices, None)
-    for v, run in zip(program.at_dst, program.runs):
+    probs, entropy = choice or ([0.0] * plan.n_choices, None)
+    for v, run in zip(plan.at_dst, plan.runs):
         for edge, head in run:
             v += 1
             if edge >= 0:
@@ -215,6 +220,184 @@ def _softmin(
     return rho
 
 
+def _forward_dag(
+    plan: _DagPlan,
+    index: LevelIndex,
+    choice: _Choice,
+    order: Sequence[int],
+    through: list[float],
+    flows: list[float],
+    k: int,
+) -> float:
+    """Carry the demand of an acyclic level to its destinations by the
+    ``choice`` its soft-min sweep kept, one destination slot after another
+    in ``order``, each by the steps of its run of the plan in Kahn order;
+    its run holds all its flow.
+
+    ``through`` holds the demand placed at each origin's position, summed
+    over the OD pairs from it to its slot's destination; it becomes the
+    through-flow in place. Adds the edge flows to ``flows`` and returns the
+    demand-weighted trajectory entropy, summed per slot and then over the
+    slots in ``order``. A node with one exit moves its whole through-flow
+    along it, with entropy 0. At a node with several, the probabilities out
+    of it, if flow reaches it, must sum to 1 within ``_MASS_TOL``, or
+    ``MassLeakError`` names the node and the destination. Flow reaches only
+    nodes with a route: the sweep checks each origin, and an edge into a
+    node without one has probability 0. ``index`` and ``k``, the level's
+    position, name them in that error.
+    """
+    probs, node_entropy = choice
+    total = 0.0
+    for slot in order:
+        entropy = 0.0
+        run = plan.runs[slot]
+        v = plan.at_dst[slot] + len(run) + 1
+        for edge, head in reversed(run):
+            v -= 1
+            h = through[v]
+            if h <= 0.0:
+                continue
+            if edge >= 0:
+                flows[edge] += h
+                through[head] += h
+                continue
+            mass = 0.0
+            for e, u, c in head:
+                p = probs[c]
+                mass += p
+                q = h * p
+                flows[e] += q
+                through[u] += q
+            if abs(mass - 1.0) > _MASS_TOL:
+                raise MassLeakError(
+                    f"choice probabilities out of node {index.nodes[plan.node_at[v]]!r} "
+                    f"toward {index.nodes[index.dests[slot]]!r} sum to {mass} at level {k + 1}"
+                )
+            entropy += h * node_entropy[v]
+        total += entropy
+    return total
+
+
+class _DagPlan(NamedTuple):
+    """An acyclic level's loading passes toward every destination slot,
+    compiled once (``_dag_plan``).
+
+    Each slot owns a run of positions in the flat node arrays of a loading
+    (soft-min values, through-flows, node entropies): its destination's,
+    ``at_dst[slot]``, then one per node between its origins and it. Position
+    0, before them, stands for every origin without a route and stays
+    ``+inf``. ``runs`` holds each slot's steps in reverse Kahn order, the
+    ``k``-th at position ``at_dst[slot] + 1 + k``: the sweep runs them slot
+    after slot, the forward pass backwards, the slots with demand in
+    ascending order. A step names each head by its position in the slot's
+    run and each exit of a node with several by its position in the flat
+    array of choice probabilities, ``n_choices`` long.
+
+    ``rho`` is the soft-min array a sweep starts from: 0.0 at each
+    destination, ``+inf`` elsewhere. ``node_at`` names the level node of
+    each position (-1 for position 0). ``at_origin`` gives each OD pair the
+    position its trip cost is read from; ``supplies`` lists ``(OD, origin
+    position, slot)`` for each OD pair whose origin is not its destination,
+    grouped by slot in ascending order, where a loading places its demand.
+    """
+
+    runs: list[list[_Step]]
+    rho: list[float]
+    at_dst: list[int]
+    node_at: list[int]
+    at_origin: list[int]
+    supplies: list[tuple[int, int, int]]
+    n_choices: int
+
+    sweep = _softmin
+    forward = _forward_dag
+
+    def choice(self) -> _Choice:
+        return _Choice([0.0] * self.n_choices, [0.0] * len(self.rho))
+
+
+def _dag_plan(index: LevelIndex) -> _DagPlan:
+    """The plan of an acyclic level: per destination slot, the descendants
+    of its OD pairs' origins that are also its ancestors, each step keeping
+    only the edges whose heads are among them. It holds an entry per kept
+    node and edge of each slot, and none for the rest of the level.
+    """
+    trips: list[list[tuple[int, int]]] = [[] for _ in index.dests]
+    for j, (src, _) in enumerate(index.od_nodes):
+        trips[index.dest_slot[j]].append((j, src))
+    node_at = [-1]  # position 0: every origin without a route
+    runs: list[list[_Step]] = []
+    at_dst: list[int] = []
+    at_origin = [0] * len(index.od_nodes)
+    supplies: list[tuple[int, int, int]] = []
+    n_choices = 0
+    for slot, dst in enumerate(index.dests):
+        at_dst.append(len(node_at))
+        run, at, n_choices = _between(index, trips[slot], dst, node_at, n_choices)
+        runs.append(run)
+        for j, src in trips[slot]:
+            at_origin[j] = at[src]
+            if src != dst:
+                supplies.append((j, at[src], slot))
+    rho = [math.inf] * len(node_at)
+    for p in at_dst:
+        rho[p] = 0.0
+    return _DagPlan(runs, rho, at_dst, node_at, at_origin, supplies, n_choices)
+
+
+def _between(
+    index: LevelIndex,
+    trips: list[tuple[int, int]],
+    dst: int,
+    node_at: list[int],
+    n_choices: int,
+) -> tuple[list[_Step], list[int], int]:
+    """One slot of an acyclic level's plan: the nodes on some route to
+    ``dst`` from the origins of ``trips``, ``(OD, origin)`` pairs.
+
+    Appends the slot's nodes to ``node_at``, the destination first, and
+    returns its steps in reverse Kahn order, the position of each node
+    of the level (0 outside the slot) and the next choice position.
+    """
+    heads, out_edges = index.heads, index.out_edges
+    below = [False] * index.n_nodes  # a descendant of some origin
+    for _, v in trips:
+        below[v] = True
+    # Only nodes before the destination in Kahn order can be its ancestors.
+    window = index.topo[:index.topo.index(dst)]
+    for v in window:
+        if below[v]:
+            for e in out_edges[v]:
+                below[heads[e]] = True
+    at = [0] * index.n_nodes  # also an ancestor of ``dst``: its position
+    p = len(node_at)
+    if below[dst]:
+        at[dst] = p
+    add = node_at.append
+    add(dst)
+    run: list[_Step] = []
+    for v in reversed(window):
+        if below[v]:
+            exits = []
+            c = n_choices
+            for e in out_edges[v]:
+                u = at[heads[e]]
+                if u:
+                    exits.append((e, u, c))
+                    c += 1
+            if exits:
+                p += 1
+                at[v] = p
+                add(v)
+                if c - n_choices == 1:
+                    e, u, _ = exits[0]
+                    run.append((e, u))
+                else:
+                    run.append((-1, exits))
+                    n_choices = c
+    return run, at, n_choices
+
+
 def _divergent(index: LevelIndex, dst: int) -> LoadingError:
     return LoadingError(f"the walk sum to destination {index.nodes[dst]!r} diverges")
 
@@ -239,73 +422,15 @@ class _CyclicStack(NamedTuple):
     at_dst: np.ndarray
 
 
-class _CyclicPlan(NamedTuple):
-    """A cyclic level's passes toward its destinations, compiled once
-    (``_cyclic_plan``). Its flat node arrays hold node ``v`` of slot ``s``
-    at ``s * n + v``; ``rho``, ``at_origin`` and ``supplies`` are as in a
-    ``LevelProgram``. ``rows`` and ``edges`` list the walk edges, the edges
-    a walk toward each slot's destination can take (every edge not out of
-    it), slot by slot in edge order; ``at_tail`` and ``at_head`` give each
-    one's tail and head position in the node arrays. ``eye`` is the
-    ``(n, n)`` identity every system starts from, and ``stacks`` the slots
-    in stacks (``_groups``). It holds ``O(D E + n**2)`` numbers for ``D``
-    destinations and ``E`` edges, no stack of systems."""
-
-    rho: np.ndarray
-    at_origin: list[int]
-    supplies: list[tuple[int, int, int]]
-    rows: np.ndarray
-    edges: np.ndarray
-    at_tail: np.ndarray
-    at_head: np.ndarray
-    eye: np.ndarray
-    stacks: list[_CyclicStack]
-
-
-def _cyclic_plan(index: LevelIndex) -> _CyclicPlan:
-    """The compiled passes of a cyclic level, kept on the index from its
-    first loading on."""
-    if index.cyclic_plan is not None:
-        return index.cyclic_plan
-    import numpy as np
-
-    n = index.n_nodes
-    tails = np.array(index.tails, dtype=np.intp)
-    heads = np.array(index.heads, dtype=np.intp)
-    dsts = np.array(index.dests, dtype=np.intp)
-    rows, edges = (tails != dsts[:, None]).nonzero()
-    at_tail, at_head = rows * n + tails[edges], rows * n + heads[edges]
-    stacks = []
-    for slots in _groups(n, range(len(dsts))):
-        start, stop = rows.searchsorted([slots.start, slots.stop])
-        stacks.append(_CyclicStack(
-            slots=slots,
-            walk=slice(start, stop),
-            walk_at=(at_tail[start:stop] - slots.start * n) * n + heads[edges[start:stop]],
-            at_dst=np.arange(len(slots)) * n + dsts[slots.start:slots.stop],
-        ))
-    rho = np.full(len(index.dests) * n, math.inf)
-    rho[[slot * n + dst for slot, dst in enumerate(index.dests)]] = 0.0
-    at_origin = [slot * n + src for (src, _), slot in zip(index.od_nodes, index.dest_slot)]
-    supplies = sorted(
-        ((j, at_origin[j], slot) for j, ((src, dst), slot)
-         in enumerate(zip(index.od_nodes, index.dest_slot)) if src != dst),
-        key=itemgetter(2),
-    )
-    index.cyclic_plan = _CyclicPlan(
-        rho, at_origin, supplies, rows, edges, at_tail, at_head, np.eye(n), stacks
-    )
-    return index.cyclic_plan
-
-
 def _softmin_cyclic(
+    plan: _CyclicPlan,
     index: LevelIndex,
     weights: Sequence[float],
     gamma: float,
     choice: _Choice | None = None,
 ) -> list[float]:
     """Soft-min over all walks to each destination of a cyclic level, per
-    position of its plan (``_cyclic_plan``), as ``rho = d - gamma * log(y)``.
+    position of its plan, as ``rho = d - gamma * log(y)``.
 
     ``d`` is the shortest-path distance to the destination and ``y``
     solves ``(I - A) y = e_dst``, where ``A[v, u]`` sums ``exp(-(w + d[u] -
@@ -337,7 +462,6 @@ def _softmin_cyclic(
     # Imported here so that runs on DAG levels never load numpy.
     import numpy as np
 
-    plan = _cyclic_plan(index)
     n = index.n_nodes
     rows, at_tail, at_head = plan.rows, plan.at_tail, plan.at_head
     w_walk = np.asarray(weights, dtype=float)[plan.edges]
@@ -408,6 +532,128 @@ def _softmin_cyclic(
     return rho.tolist()
 
 
+def _forward_cyclic(
+    plan: _CyclicPlan,
+    index: LevelIndex,
+    choice: _Choice,
+    order: Sequence[int],
+    through: Sequence[float],
+    flows: list[float],
+    k: int,
+) -> float:
+    """Walk-measure loading of a cyclic level toward the destination slots
+    in ``order``, over the whole level, by the ``choice`` its soft-min
+    sweep kept: the expected node visits solve ``(I - Q^T) h = supply``, one
+    solve for every origin bound for the destination.
+
+    ``through`` holds the demand placed at each origin's position of the
+    plan, summed over the OD pairs from it to its slot's destination. Adds
+    the edge flows to ``flows`` and returns the demand-weighted trajectory
+    entropy, each summed over the slots in ``order``. Each stack builds
+    ``I - Q`` at the sweep's positions and solves its transpose for the
+    slots in ``order`` alone; a stack whose slots are all in ``order`` is
+    solved whole. An edge a slot's sweep dropped has probability 0 there,
+    which leaves its system entry and flow as they are. ``k`` goes unused:
+    the sweep makes each node's probabilities sum to 1, so no mass leaks.
+    """
+    import numpy as np
+
+    n = index.n_nodes
+    probs, entropy = choice
+    supply = np.array(through).reshape(-1, n, 1)
+    visits = np.zeros(supply.shape[:2])
+    for stack in plan.stacks:
+        slots = [slot for slot in order if slot in stack.slots]
+        if not slots:
+            continue
+        system = np.empty((len(stack.slots), n, n))  # I - Q per destination
+        system[:] = plan.eye
+        np.subtract.at(system.reshape(-1), stack.walk_at, probs[stack.walk])
+        at = slice(stack.slots.start, stack.slots.stop)
+        if len(slots) < len(stack.slots):  # only the systems of slots in order
+            system, at = system[[slot - at.start for slot in slots]], slots
+        # The exact visits are nonnegative; clip rounding residue below zero.
+        solved = np.linalg.solve(system.transpose(0, 2, 1), supply[at])
+        visits[at] = np.maximum(solved.reshape(-1, n), 0.0)
+    # A slot not in order has no visits: its edges add 0.0 to each sum.
+    total_flows = np.array(flows)
+    np.add.at(total_flows, plan.edges, visits.reshape(-1)[plan.at_tail] * probs)
+    flows[:] = total_flows.tolist()
+    total = 0.0
+    for slot in order:
+        total += float(np.dot(visits[slot], entropy[slot * n:(slot + 1) * n]))
+    return total
+
+
+class _CyclicPlan(NamedTuple):
+    """A level's walk-sum passes toward its destinations, compiled once
+    (``_cyclic_plan``). Its flat node arrays hold node ``v`` of slot ``s``
+    at ``s * n + v``. ``rows`` and ``edges`` list the walk edges, the edges
+    a walk toward each slot's destination can take (every edge not out of
+    it), slot by slot in edge order; ``at_tail`` and ``at_head`` give each
+    one's tail and head position in the node arrays. ``eye`` is the
+    ``(n, n)`` identity every system starts from, and ``stacks`` the slots
+    in stacks (``_groups``). It holds ``O(D E + n**2)`` numbers for ``D``
+    destinations and ``E`` edges, no stack of systems."""
+
+    rho: np.ndarray
+    at_origin: list[int]
+    supplies: list[tuple[int, int, int]]
+    rows: np.ndarray
+    edges: np.ndarray
+    at_tail: np.ndarray
+    at_head: np.ndarray
+    eye: np.ndarray
+    stacks: list[_CyclicStack]
+
+    sweep = _softmin_cyclic
+    forward = _forward_cyclic
+
+    def choice(self) -> _Choice:
+        import numpy as np
+
+        return _Choice(np.zeros(len(self.edges)), np.zeros(len(self.rho)))
+
+
+def _cyclic_plan(index: LevelIndex) -> _CyclicPlan:
+    """The walk-sum plan of a level, exact whether or not it has a cycle."""
+    import numpy as np
+
+    n = index.n_nodes
+    tails = np.array(index.tails, dtype=np.intp)
+    heads = np.array(index.heads, dtype=np.intp)
+    dsts = np.array(index.dests, dtype=np.intp)
+    rows, edges = (tails != dsts[:, None]).nonzero()
+    at_tail, at_head = rows * n + tails[edges], rows * n + heads[edges]
+    stacks = []
+    for slots in _groups(n, range(len(dsts))):
+        start, stop = rows.searchsorted([slots.start, slots.stop])
+        stacks.append(_CyclicStack(
+            slots=slots,
+            walk=slice(start, stop),
+            walk_at=(at_tail[start:stop] - slots.start * n) * n + heads[edges[start:stop]],
+            at_dst=np.arange(len(slots)) * n + dsts[slots.start:slots.stop],
+        ))
+    rho = np.full(len(index.dests) * n, math.inf)
+    rho[[slot * n + dst for slot, dst in enumerate(index.dests)]] = 0.0
+    at_origin = [slot * n + src for (src, _), slot in zip(index.od_nodes, index.dest_slot)]
+    supplies = sorted(
+        ((j, at_origin[j], slot) for j, ((src, dst), slot)
+         in enumerate(zip(index.od_nodes, index.dest_slot)) if src != dst),
+        key=itemgetter(2),
+    )
+    return _CyclicPlan(rho, at_origin, supplies, rows, edges, at_tail, at_head, np.eye(n), stacks)
+
+
+def _plan(index: LevelIndex) -> _DagPlan | _CyclicPlan:
+    """The level's plan, compiled on its first loading and kept on the
+    index: a ``_DagPlan`` when the level has a Kahn order, a
+    ``_CyclicPlan`` when it has a cycle."""
+    if index.plan is None:
+        index.plan = _dag_plan(index) if index.topo is not None else _cyclic_plan(index)
+    return index.plan
+
+
 def _sweep_weights(
     net: NetworkHierarchy, t: Sequence[float], keep_choices: bool = False
 ) -> tuple[list[Sequence[float]], list[list[float]], list[_Choice | None]]:
@@ -425,10 +671,8 @@ def _sweep_weights(
     ``ValueError`` names both lengths; a longer or shorter ``t`` would
     shift the slices and misread the trip costs. A NaN or infinite value
     raises ``ValueError`` naming its edge and level. Each level makes one
-    sweep, over its program or its cyclic plan, and reads each OD pair's
-    trip cost at its ``at_origin`` position; a program's fields are finite
-    only on each destination's subgraph, which holds every origin that can
-    reach the destination. A trip cost that is not finite raises
+    sweep over its plan (``_plan``) and reads each OD pair's trip cost at
+    its ``at_origin`` position. A trip cost that is not finite raises
     ``NoPathError`` if it is ``+inf`` because the trip has no route, and
     otherwise ``LoadingError`` naming the trip and the value: ``+inf`` or
     ``-inf`` for a cost that overflowed, ``nan`` for one that subtracted
@@ -464,23 +708,14 @@ def _sweep_weights(
         if pick is not None:
             w = pick(w + trip_costs[k + 1])
         weights[k] = w
-        choice = None
-        if index.topo is None:
-            softmin, program = _softmin_cyclic, _cyclic_plan(index)
-            if keep_choices:
-                import numpy as np
-
-                choice = _Choice(np.zeros(len(program.edges)), np.zeros(len(program.rho)))
-        else:
-            softmin, program = _softmin, index.program
-            if keep_choices:
-                choice = _Choice([0.0] * program.n_choices, [0.0] * len(program.rho))
+        plan = _plan(index)
+        choice = plan.choice() if keep_choices else None
         try:
-            rho = softmin(index, w, net.gammas[k], choice)
+            rho = plan.sweep(index, w, net.gammas[k], choice)
         except LoadingError as err:
             raise LoadingError(f"{err} at level {k + 1}") from None
         choices[k] = choice
-        costs = [rho[at] for at in program.at_origin]
+        costs = [rho[at] for at in plan.at_origin]
         if not math.isfinite(sum(costs)):
             for j, cost in enumerate(costs):
                 if not math.isfinite(cost):
@@ -527,125 +762,14 @@ def _smooth_value(net: NetworkHierarchy, trip_costs: Sequence[float]) -> float:
     return total
 
 
-def _forward_dag(
-    index: LevelIndex,
-    choice: _Choice,
-    order: Sequence[int],
-    through: list[float],
-    flows: list[float],
-    k: int,
-) -> float:
-    """Carry the demand of an acyclic level to its destinations by the
-    ``choice`` its soft-min sweep kept, one destination slot after another
-    in ``order``, each by the steps of its run of the level's program in
-    Kahn order; its run holds all its flow.
-
-    ``through`` holds the demand placed at each origin's position, summed
-    over the OD pairs from it to its slot's destination; it becomes the
-    through-flow in place. Adds the edge flows to ``flows`` and returns the
-    demand-weighted trajectory entropy, summed per slot and then over the
-    slots in ``order``. A node with one exit moves its whole through-flow
-    along it, with entropy 0. At a node with several, the probabilities out
-    of it, if flow reaches it, must sum to 1 within ``_MASS_TOL``, or
-    ``MassLeakError`` names the node and the destination. Flow reaches only
-    nodes with a route: the sweep checks each origin, and an edge into a
-    node without one has probability 0. ``k`` is the level's position, for
-    error messages.
-    """
-    program = index.program
-    probs, node_entropy = choice
-    total = 0.0
-    for slot in order:
-        entropy = 0.0
-        run = program.runs[slot]
-        v = program.at_dst[slot] + len(run) + 1
-        for edge, head in reversed(run):
-            v -= 1
-            h = through[v]
-            if h <= 0.0:
-                continue
-            if edge >= 0:
-                flows[edge] += h
-                through[head] += h
-                continue
-            mass = 0.0
-            for e, u, c in head:
-                p = probs[c]
-                mass += p
-                q = h * p
-                flows[e] += q
-                through[u] += q
-            if abs(mass - 1.0) > _MASS_TOL:
-                raise MassLeakError(
-                    f"choice probabilities out of node {index.nodes[program.node_at[v]]!r} "
-                    f"toward {index.nodes[index.dests[slot]]!r} sum to {mass} at level {k + 1}"
-                )
-            entropy += h * node_entropy[v]
-        total += entropy
-    return total
-
-
-def _forward_cyclic(
-    index: LevelIndex,
-    choice: _Choice,
-    order: Sequence[int],
-    through: Sequence[float],
-    flows: list[float],
-    k: int,
-) -> float:
-    """Walk-measure loading of a cyclic level toward the destination slots
-    in ``order``, over the whole level, by the ``choice`` its soft-min
-    sweep kept: the expected node visits solve ``(I - Q^T) h = supply``, one
-    solve for every origin bound for the destination.
-
-    ``through`` holds the demand placed at each origin's position of the
-    plan, summed over the OD pairs from it to its slot's destination. Adds
-    the edge flows to ``flows`` and returns the demand-weighted trajectory
-    entropy, each summed over the slots in ``order``. Each stack builds
-    ``I - Q`` at the sweep's positions and solves its transpose for the
-    slots in ``order`` alone; a stack whose slots are all in ``order`` is
-    solved whole. An edge a slot's sweep dropped has probability 0 there,
-    which leaves its system entry and flow as they are. ``k`` goes unused:
-    the sweep makes each node's probabilities sum to 1, so no mass leaks.
-    """
-    import numpy as np
-
-    plan = index.cyclic_plan
-    n = index.n_nodes
-    probs, entropy = choice
-    supply = np.array(through).reshape(-1, n, 1)
-    visits = np.zeros(supply.shape[:2])
-    for stack in plan.stacks:
-        slots = [slot for slot in order if slot in stack.slots]
-        if not slots:
-            continue
-        system = np.empty((len(stack.slots), n, n))  # I - Q per destination
-        system[:] = plan.eye
-        np.subtract.at(system.reshape(-1), stack.walk_at, probs[stack.walk])
-        at = slice(stack.slots.start, stack.slots.stop)
-        if len(slots) < len(stack.slots):  # only the systems of slots in order
-            system, at = system[[slot - at.start for slot in slots]], slots
-        # The exact visits are nonnegative; clip rounding residue below zero.
-        solved = np.linalg.solve(system.transpose(0, 2, 1), supply[at])
-        visits[at] = np.maximum(solved.reshape(-1, n), 0.0)
-    # A slot not in order has no visits: its edges add 0.0 to each sum.
-    total_flows = np.array(flows)
-    np.add.at(total_flows, plan.edges, visits.reshape(-1)[plan.at_tail] * probs)
-    flows[:] = total_flows.tolist()
-    total = 0.0
-    for slot in order:
-        total += float(np.dot(visits[slot], entropy[slot * n:(slot + 1) * n]))
-    return total
-
-
 def network_loading(net: NetworkHierarchy, t: Sequence[float]) -> LoadResult:
     """Edge flows induced by logit route choice at dual point ``t``.
 
     The plain-edge flows are minus the gradient of ``dual_smooth_value``
     componentwise. Portal flows become the next level's OD demands, so the
     sweep runs top-down after the bottom-up weight pass. Each level places
-    its demand at the origin positions of its program or cyclic plan and
-    makes one forward call over all its destinations with positive demand.
+    its demand at the origin positions of its plan and makes one forward
+    call over all its destinations with positive demand.
     """
     _, trip_costs, choices = _sweep_weights(net, t, keep_choices=True)
     m = net.num_levels
@@ -658,23 +782,20 @@ def network_loading(net: NetworkHierarchy, t: Sequence[float]) -> LoadResult:
     for k in range(m):
         level = net.levels[k]
         index = level.index
+        plan = index.plan
         demand = demands[k]
-        if index.topo is None:
-            forward, program = _forward_cyclic, index.cyclic_plan
-        else:
-            forward, program = _forward_dag, index.program
         # Supplies come grouped by slot in ascending order, so flows and
         # entropies are summed over the slots with demand in that order.
-        through = [0.0] * len(program.rho)
+        through = [0.0] * len(plan.rho)
         order: list[int] = []
-        for j, at, slot in program.supplies:
+        for j, at, slot in plan.supplies:
             d = demand[j]
             if d > 0.0:
                 through[at] += d
                 if not order or order[-1] != slot:
                     order.append(slot)
         level_flows = [0.0] * len(level.edges)
-        level_entropy = forward(index, choices[k], order, through, level_flows, k)
+        level_entropy = plan.forward(index, choices[k], order, through, level_flows, k)
         flows.append(level_flows)
         entropies.append(level_entropy)
         if k + 1 < m:
@@ -741,3 +862,56 @@ def verify_conservation(
                     raise AssertionError(
                         f"portal flow and induced demand disagree for level-{k + 2} OD {j}"
                     )
+
+
+def longest_path_bounds(net: NetworkHierarchy) -> list[list[float]]:
+    """Most plain edges any fully expanded route of each OD pair can
+    traverse, per level, in one bottom-up pass that runs one longest-route
+    search per level, over its plan.
+
+    A portal edge counts the bound of its target OD pair, so on DAG levels
+    the value equals exhaustive path expansion. A walk-sum plan sums over
+    walks of every length, so there the bound is ``inf``, and so is that of
+    every OD pair above whose routes may cross its portals. Raises
+    ``ValueError`` naming the first OD pair, in OD order, with no route.
+    """
+    bounds: list[list[float]] = [[] for _ in net.levels]
+    for k in range(net.num_levels - 1, -1, -1):
+        level = net.levels[k]
+        index = level.index
+        plan = _plan(index)
+        if isinstance(plan, _CyclicPlan):
+            bounds[k] = [math.inf] * len(level.od_pairs)
+            continue
+        weights = [
+            1 if edge.is_plain else bounds[k + 1][edge.target_od.od] for edge in level.edges
+        ]
+        longest = _longest_routes(plan, weights)
+        for (src, dst), at in zip(index.od_nodes, plan.at_origin):
+            length = longest[at]
+            if length < 0:
+                raise ValueError(f"no path {index.nodes[src]!r} -> {index.nodes[dst]!r}")
+            bounds[k].append(length)
+    return bounds
+
+
+def _longest_routes(plan: _DagPlan, weights: list[float]) -> list[float]:
+    """Largest total weight of a route to its slot's destination from each
+    position of an acyclic level's plan, or -1 where there is none; the
+    destinations absorb.
+
+    Every route from an origin bound for a destination stays in its slot's
+    nodes, whose steps the pass walks, so at those origins the values are
+    the whole level's.
+    """
+    best = [-1] * len(plan.rho)
+    for v, run in zip(plan.at_dst, plan.runs):
+        best[v] = 0
+        for edge, head in run:
+            v += 1
+            for e, u, _ in ((edge, head, 0),) if edge >= 0 else head:
+                if best[u] >= 0:
+                    cand = weights[e] + best[u]
+                    if cand > best[v]:
+                        best[v] = cand
+    return best

@@ -26,11 +26,9 @@ __all__ = [
     "Edge",
     "LevelGraph",
     "LevelIndex",
-    "LevelProgram",
     "NetworkHierarchy",
     "Violation",
     "validate_hierarchy",
-    "longest_path_bounds",
 ]
 
 
@@ -91,61 +89,17 @@ class LevelGraph:
         return LevelIndex(self)
 
 
-# One step of a level program (``LevelProgram``), in positions of its flat
-# arrays: a node with one exit is ``(edge, head)``; a node with several is
-# ``(-1, exits)``, its exits ``(edge, head, choice)`` triples in the level's
-# order. The first entry is negative only there, which tells the two apart.
-Step = tuple[int, int] | tuple[int, list[tuple[int, int, int]]]
-
-
-class LevelProgram(NamedTuple):
-    """An acyclic level's loading passes toward every destination slot,
-    compiled once (``LevelIndex.program``).
-
-    Each slot owns a run of positions in the flat node arrays of a loading
-    (soft-min values, through-flows, node entropies): its destination's,
-    ``at_dst[slot]``, then one per node between its origins and it. Position
-    0, before them, stands for every origin without a route and stays
-    ``+inf``. ``runs`` holds each slot's steps in reverse Kahn order, the
-    ``k``-th at position ``at_dst[slot] + 1 + k``: the sweep runs them slot
-    after slot, the forward pass backwards, the slots with demand in
-    ascending order. A step names each head by its position in the slot's
-    run and each exit of a node with several by its position in the flat
-    array of choice probabilities, ``n_choices`` long.
-
-    ``rho`` is the soft-min array a sweep starts from: 0.0 at each
-    destination, ``+inf`` elsewhere. ``node_at`` names the level node of
-    each position (-1 for position 0). ``at_origin`` gives each OD pair the
-    position its trip cost is read from; ``supplies`` lists ``(OD, origin
-    position, slot)`` for each OD pair whose origin is not its destination,
-    grouped by slot in ascending order, where a loading places its demand.
-    """
-
-    runs: list[list[Step]]
-    rho: list[float]
-    at_dst: list[int]
-    node_at: list[int]
-    at_origin: list[int]
-    supplies: list[tuple[int, int, int]]
-    n_choices: int
-
-
 class LevelIndex:
-    """Integer index of one level graph, shared by validation, route-length
-    bounds and loading.
+    """Integer index of one level graph, shared by validation and loading.
 
     Nodes and edges are numbered by their position in the level. ``topo``
     is a Kahn order of the node positions, or ``None`` when the graph has a
     cycle. ``dests`` lists the distinct OD destinations in order of first
     appearance, and ``dest_slot[j]`` is the position of OD ``j``'s
     destination in it: loading computes one soft-min field per destination.
-    Each level runs every destination's passes at once. An acyclic level
-    does so by one program per level (``program``). On a cyclic level the
-    loading module compiles a plan on first use, with the program's
-    ``rho``, ``at_origin`` and ``supplies``, the walk edges toward every
-    destination, listed once for the whole level, and the stacks its
-    linear systems are solved in; it keeps the plan in ``cyclic_plan``,
-    ``None`` until then.
+    ``plan`` is the level's compiled loading plan, which the loading module
+    builds on the level's first loading and keeps; it is ``None`` until
+    then, and validation never reads it.
     """
 
     __slots__ = (
@@ -160,8 +114,7 @@ class LevelIndex:
         "dests",
         "dest_slot",
         "portal_for_od",
-        "_program",
-        "cyclic_plan",
+        "plan",
     )
 
     def __init__(self, level: LevelGraph) -> None:
@@ -196,102 +149,7 @@ class LevelIndex:
         for pos, e in enumerate(level.edges):
             if e.is_portal:
                 self.portal_for_od[e.target_od.od] = pos
-        self._program: LevelProgram | None = None
-        self.cyclic_plan: object | None = None
-
-    @property
-    def program(self) -> LevelProgram:
-        """The level program of an acyclic level (``LevelProgram``): per
-        destination slot, the nodes between its OD origins and it.
-
-        These are the descendants of the origins of the OD pairs bound for
-        the destination that are also its ancestors, and each step keeps
-        only the edges whose heads are among them. Outside them the soft-min
-        distance is ``+inf`` and the flow toward the destination zero, so
-        loading passes over the program compute the whole level's trip
-        costs and flows exactly, and a longest-route pass over it the
-        origins' route bounds. It holds an entry per kept node and edge of
-        each slot, and none for the rest of the level. A cyclic level has
-        none: its passes are linear solves over the whole level. Compiled on
-        first use and kept: validation never reads it.
-        """
-        if self._program is None:
-            trips: list[list[tuple[int, int]]] = [[] for _ in self.dests]
-            for j, (src, _) in enumerate(self.od_nodes):
-                trips[self.dest_slot[j]].append((j, src))
-            node_at = [-1]  # position 0: every origin without a route
-            runs: list[list[Step]] = []
-            at_dst: list[int] = []
-            at_origin = [0] * len(self.od_nodes)
-            supplies: list[tuple[int, int, int]] = []
-            n_choices = 0
-            for slot, dst in enumerate(self.dests):
-                at_dst.append(len(node_at))
-                run, at, n_choices = self._between(trips[slot], dst, node_at, n_choices)
-                runs.append(run)
-                for j, src in trips[slot]:
-                    at_origin[j] = at[src]
-                    if src != dst:
-                        supplies.append((j, at[src], slot))
-            rho = [math.inf] * len(node_at)
-            for p in at_dst:
-                rho[p] = 0.0
-            self._program = LevelProgram(
-                runs, rho, at_dst, node_at, at_origin, supplies, n_choices
-            )
-        return self._program
-
-    def _between(
-        self,
-        trips: list[tuple[int, int]],
-        dst: int,
-        node_at: list[int],
-        n_choices: int,
-    ) -> tuple[list[Step], list[int], int]:
-        """One slot of the level program: the nodes on some route to
-        ``dst`` from the origins of ``trips``, ``(OD, origin)`` pairs.
-
-        Appends the slot's nodes to ``node_at``, the destination first, and
-        returns its steps in reverse Kahn order, the position of each node
-        of the level (0 outside the slot) and the next choice position.
-        """
-        heads, out_edges = self.heads, self.out_edges
-        below = [False] * self.n_nodes  # a descendant of some origin
-        for _, v in trips:
-            below[v] = True
-        # Only nodes before the destination in Kahn order can be its ancestors.
-        window = self.topo[:self.topo.index(dst)]
-        for v in window:
-            if below[v]:
-                for e in out_edges[v]:
-                    below[heads[e]] = True
-        at = [0] * self.n_nodes  # also an ancestor of ``dst``: its position
-        p = len(node_at)
-        if below[dst]:
-            at[dst] = p
-        add = node_at.append
-        add(dst)
-        run: list[Step] = []
-        for v in reversed(window):
-            if below[v]:
-                exits = []
-                c = n_choices
-                for e in out_edges[v]:
-                    u = at[heads[e]]
-                    if u:
-                        exits.append((e, u, c))
-                        c += 1
-                if exits:
-                    p += 1
-                    at[v] = p
-                    add(v)
-                    if c - n_choices == 1:
-                        e, u, _ = exits[0]
-                        run.append((e, u))
-                    else:
-                        run.append((-1, exits))
-                        n_choices = c
-        return run, at, n_choices
+        self.plan: object | None = None
 
     def reaches(self, src: int, dst: int) -> bool:
         """Whether some route of the level leads from ``src`` to ``dst``."""
@@ -622,56 +480,3 @@ def _edge_path(k: int, i: int, edge: Edge) -> str:
 def _od_path(k: int, j: int) -> str:
     return f"levels[{k}].od_pairs[{j}]"
 
-
-def longest_path_bounds(net: NetworkHierarchy) -> list[list[float]]:
-    """Most plain edges any fully expanded route of each OD pair can
-    traverse, per level, in one bottom-up pass that runs one longest-route
-    search per level, over its ``LevelIndex.program``.
-
-    A portal edge counts the bound of its target OD pair, so on DAG levels
-    the value equals exhaustive path expansion. Loading on a cyclic level
-    sums over walks of every length, so there the bound is ``inf``, and so
-    is that of every OD pair above whose routes may cross its portals.
-    Raises ``ValueError`` naming the first OD pair, in OD order, with no
-    route.
-    """
-    bounds: list[list[float]] = [[] for _ in net.levels]
-    for k in range(net.num_levels - 1, -1, -1):
-        level = net.levels[k]
-        index = level.index
-        if index.topo is None:
-            bounds[k] = [math.inf] * len(level.od_pairs)
-            continue
-        weights = [
-            1 if edge.is_plain else bounds[k + 1][edge.target_od.od] for edge in level.edges
-        ]
-        longest = _longest_routes(index, weights)
-        for (src, dst), at in zip(index.od_nodes, index.program.at_origin):
-            length = longest[at]
-            if length < 0:
-                raise ValueError(f"no path {index.nodes[src]!r} -> {index.nodes[dst]!r}")
-            bounds[k].append(length)
-    return bounds
-
-
-def _longest_routes(index: LevelIndex, weights: list[float]) -> list[float]:
-    """Largest total weight of a route to its slot's destination from each
-    position of an acyclic level's program (``LevelIndex.program``), or -1
-    where there is none; the destinations absorb.
-
-    Every route from an origin bound for a destination stays in its slot's
-    nodes, whose steps the pass walks, so at those origins the values are
-    the whole level's.
-    """
-    program = index.program
-    best = [-1] * len(program.rho)
-    for v, run in zip(program.at_dst, program.runs):
-        best[v] = 0
-        for edge, head in run:
-            v += 1
-            for e, u, _ in ((edge, head, 0),) if edge >= 0 else head:
-                if best[u] >= 0:
-                    cand = weights[e] + best[u]
-                    if cand > best[v]:
-                        best[v] = cand
-    return best

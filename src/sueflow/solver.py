@@ -55,10 +55,11 @@ from .loading import (
     _SmoothOverflow,
     dual_smooth_value,
     entropy_term,
+    longest_path_bounds,
     network_loading,
     surrogate_primal,  # unused here; perfbench/spans.py traces solver.surrogate_primal
 )
-from .model import NetworkHierarchy, longest_path_bounds
+from .model import NetworkHierarchy
 
 if TYPE_CHECKING:
     import numpy as np

@@ -214,22 +214,25 @@ def random_hierarchy(seed: int) -> tuple[NetworkHierarchy, list[float]]:
 
 
 @st.composite
-def dag_hierarchies(draw) -> tuple[NetworkHierarchy, list[float]]:
+def dag_hierarchies(
+    draw, max_nodes: int = 7, max_edges: int = 12
+) -> tuple[NetworkHierarchy, list[float]]:
     """Random valid DAG hierarchy plus a dual point, built deepest level first.
 
     Each level lists its nodes and edges in a drawn order, and its OD pairs
     join any node to one it reaches, so a destination often has several
     origins, some upstream of others, and an OD pair may start at its
     destination. Portals join any nodes a route can use, so some carry no
-    flow and their lower-level OD pairs get zero demand.
+    flow and their lower-level OD pairs get zero demand. Each level has 2
+    to ``max_nodes`` nodes and 1 to ``max_edges`` plain edges.
     """
     m = draw(st.integers(1, 3), label="levels")
     levels: list[LevelGraph] = []
     portals = 0  # the OD pairs of the level below, one portal each
     for k in range(m - 1, -1, -1):
-        n = draw(st.integers(2, 7), label="nodes")
+        n = draw(st.integers(2, max_nodes), label="nodes")
         forward = st.sampled_from([(a, b) for a in range(n) for b in range(a + 1, n)])
-        arcs = draw(st.lists(forward, min_size=1, max_size=12), label="plain edges")
+        arcs = draw(st.lists(forward, min_size=1, max_size=max_edges), label="plain edges")
         gates = draw(st.lists(forward, min_size=portals, max_size=portals), label="portals")
         edges = [
             Edge(f"L{k}e{i}", f"L{k}n{a}", f"L{k}n{b}", cost=ConstantCost(1.0))

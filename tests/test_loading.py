@@ -7,11 +7,12 @@ import itertools
 import math
 import random
 from collections import Counter
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import breadth_first_order
 
 from sueflow import (
     AffineCost,
@@ -32,12 +33,14 @@ from sueflow import (
 )
 from sueflow import loading
 from sueflow.loading import entropy_term, surrogate_primal, verify_conservation
-from sueflow.model import LevelIndex, LevelProgram
 from sueflow import oracle
+from sueflow.cli import parse_network
 
 from conftest import (
+    FIXTURES,
     any_dag_hierarchy,
     chain3_net,
+    dag_hierarchies,
     diamond_net,
     grid3_level,
     parallel_net,
@@ -67,10 +70,11 @@ def cyclic_level(demand=1.0):
 
 
 def whole_program(index, dests, ods=()):
-    """A level program toward ``dests`` in which each slot holds every node
-    of the level but its destination, each with all its out-edges, in
-    reverse Kahn order; ``ods`` gives each OD pair as ``(origin, slot)``.
-    Its supplies are grouped by slot, as ``LevelIndex.program``'s are."""
+    """An acyclic level's plan toward ``dests`` in which each slot holds
+    every node of the level but its destination, each with all its
+    out-edges, in reverse Kahn order; ``ods`` gives each OD pair as
+    ``(origin, slot)``. Its supplies are grouped by slot, as a compiled
+    plan's are."""
     node_at, runs, at_dst, where, n_choices = [-1], [], [], [], 0
     for dst in dests:
         at = {dst: len(node_at)}
@@ -98,8 +102,8 @@ def whole_program(index, dests, ods=()):
         ((j, at_origin[j], slot) for j, (src, slot) in enumerate(ods) if src != dests[slot]),
         key=lambda supply: supply[2],
     ))
-    return LevelProgram(tuple(runs), rho, tuple(at_dst), tuple(node_at), at_origin, supplies,
-                        n_choices)
+    return loading._DagPlan(tuple(runs), rho, tuple(at_dst), tuple(node_at), at_origin,
+                            supplies, n_choices)
 
 
 def slot_steps(program, slot):
@@ -123,18 +127,18 @@ def slot_run(program, slot):
 
 def potentials(level, weights, gamma, dest):
     """Soft-min distance from every node of ``level`` to ``dest`` under the
-    ``edge id -> weight`` map, by the loading's kernels: ``_softmin`` over a
-    program of the whole level toward ``dest`` alone, or ``_softmin_cyclic``
-    over a copy of the level whose one OD pair ends at ``dest``."""
+    ``edge id -> weight`` map, by the loading's kernels: the sweep of a
+    plan of the whole level toward ``dest`` alone, or of the walk-sum plan
+    of a copy of the level whose one OD pair ends at ``dest``."""
     index = level.index
     w = [float(weights[e.id]) for e in level.edges]
     dst = index.node_index[dest]
     if index.topo is None:
         alone = LevelGraph(level.nodes, level.edges, (ODPair(dest, dest),))
-        rho = loading._softmin_cyclic(alone.index, w, gamma)
+        rho = loading._cyclic_plan(alone.index).sweep(alone.index, w, gamma)
     else:
         program = whole_program(index, [dst])
-        flat = loading._softmin(SimpleNamespace(program=program), w, gamma)
+        flat = program.sweep(index, w, gamma)
         rho = [None] * index.n_nodes
         for pos in slot_run(program, 0):
             rho[program.node_at[pos]] = flat[pos]
@@ -652,8 +656,8 @@ def shared_destination_grid():
 
 
 def destinations(index):
-    """The destination nodes of a level program's slots, in slot order."""
-    program = index.program
+    """The destination nodes of a level plan's slots, in slot order."""
+    program = index.plan
     return [index.nodes[program.node_at[at]] for at in program.at_dst]
 
 
@@ -665,16 +669,16 @@ class TestOncePerDestination:
         softmin_calls, forward_calls = [], []
         softmin, forward = loading._softmin, loading._forward_dag
 
-        def counted_softmin(index, weights, gamma, choice=None):
+        def counted_softmin(plan, index, weights, gamma, choice=None):
             softmin_calls.append(id(index))
-            return softmin(index, weights, gamma, choice)
+            return softmin(plan, index, weights, gamma, choice)
 
-        def counted_forward(index, choice, order, through, flows, k):
+        def counted_forward(plan, index, choice, order, through, flows, k):
             forward_calls.append((k, [index.nodes[index.dests[slot]] for slot in order]))
-            return forward(index, choice, order, through, flows, k)
+            return forward(plan, index, choice, order, through, flows, k)
 
-        monkeypatch.setattr(loading, "_softmin", counted_softmin)
-        monkeypatch.setattr(loading, "_forward_dag", counted_forward)
+        monkeypatch.setattr(loading._DagPlan, "sweep", counted_softmin)
+        monkeypatch.setattr(loading._DagPlan, "forward", counted_forward)
         res = network_loading(net, [c.free_flow_time for c in net.plain_costs()])
         verify_conservation(net, res)
 
@@ -700,20 +704,20 @@ class TestOncePerDestination:
         softmin, forward = loading._softmin_cyclic, loading._forward_cyclic
         solve = np.linalg.solve
 
-        def counted_softmin(index, weights, gamma, choice=None):
+        def counted_softmin(plan, index, weights, gamma, choice=None):
             softmin_calls.append(id(index))
-            return softmin(index, weights, gamma, choice)
+            return softmin(plan, index, weights, gamma, choice)
 
-        def counted_forward(index, choice, order, through, flows, k):
+        def counted_forward(plan, index, choice, order, through, flows, k):
             forward_calls.append((k, [index.nodes[index.dests[slot]] for slot in order]))
-            return forward(index, choice, order, through, flows, k)
+            return forward(plan, index, choice, order, through, flows, k)
 
         def recorded_solve(a, b):
             solved.append(a.shape)
             return solve(a, b)
 
-        monkeypatch.setattr(loading, "_softmin_cyclic", counted_softmin)
-        monkeypatch.setattr(loading, "_forward_cyclic", counted_forward)
+        monkeypatch.setattr(loading._CyclicPlan, "sweep", counted_softmin)
+        monkeypatch.setattr(loading._CyclicPlan, "forward", counted_forward)
         monkeypatch.setattr(np.linalg, "solve", recorded_solve)
         res = network_loading(net, [1.0] * len(arcs))
         verify_conservation(net, res)
@@ -767,7 +771,7 @@ class TestBatchedCyclicPasses:
         net = NetworkHierarchy([level], [gamma], walk_cap=1)
 
         weights, trip_costs, _ = loading._sweep_weights(net, t)
-        field = loading._softmin_cyclic(level.index, weights[0], gamma)
+        field = level.index.plan.sweep(level.index, weights[0], gamma)
         by_id = {e.id: w for e, w in zip(level.edges, weights[0])}
         for slot, dst in enumerate(level.index.dests):
             alone = potentials(level, by_id, gamma, level.nodes[dst])
@@ -806,7 +810,7 @@ class TestBatchedCyclicPasses:
             net = NetworkHierarchy([ring_level(n, arcs, ods)], [0.5], walk_cap=1)
             assert [net.levels[0].nodes[v] for v in net.levels[0].index.dests] == ["v0", "v3", "v5"]
             res = network_loading(net, t)
-            stacks = net.levels[0].index.cyclic_plan.stacks
+            stacks = net.levels[0].index.plan.stacks
             assert [len(s.slots) for s in stacks] == ([3] if stack_floats > n * n else [1, 1, 1])
             flows, entropy = [0.0] * len(arcs), 0.0
             for dst in ("v0", "v3", "v5"):
@@ -843,7 +847,7 @@ class TestBatchedCyclicPasses:
         net = grid_net()
         assert (network_loading(net, t), dual_smooth_value(net, t)) == one_group
         assert kept_choice(net) == one_choice
-        assert [len(s.slots) for s in net.levels[0].index.cyclic_plan.stacks] == sizes
+        assert [len(s.slots) for s in net.levels[0].index.plan.stacks] == sizes
 
     def test_compiled_passes_keep_no_stack_of_systems(self):
         # 20 destinations on a 256-node bidirectional ring: one system per
@@ -857,7 +861,7 @@ class TestBatchedCyclicPasses:
         net = NetworkHierarchy([level], [0.5], walk_cap=1)
         res = network_loading(net, [1.0] * len(arcs))
         verify_conservation(net, res)
-        plan = level.index.cyclic_plan
+        plan = level.index.plan
         assert [len(s.slots) for s in plan.stacks] == [1] * dests
         arrays = [*plan, *(a for s in plan.stacks for a in s)]
         kept = sum(getattr(a, "size", 0) for a in arrays)
@@ -971,11 +975,10 @@ def general_field(index, weights, gamma, dst):
     return rho, probs, entropy
 
 
-def general_softmin(index, weights, gamma, choice=None):
+def general_softmin(program, index, weights, gamma, choice=None):
     """Reference for ``loading._softmin``: ``general_field`` toward each
     destination of the level on its own, copied into the flat arrays of the
-    level's program."""
-    program = index.program
+    level's plan."""
     rho = program.rho.copy()
     for slot, dst in enumerate(index.dests):
         field, probs, entropy = general_field(index, weights, gamma, dst)
@@ -990,11 +993,10 @@ def general_softmin(index, weights, gamma, choice=None):
     return rho
 
 
-def general_forward(index, choice, order, through, flows, k):
+def general_forward(program, index, choice, order, through, flows, k):
     """Reference for ``loading._forward_dag``: per destination in
     ``order``, every node of the whole level in Kahn order splits its
     through-flow by the kept probabilities (1.0 at a node with one exit)."""
-    program = index.program
     total = 0.0
     for slot in order:
         supply, probs = [0.0] * index.n_nodes, [0.0] * len(index.heads)
@@ -1023,8 +1025,8 @@ def general_forward(index, choice, order, through, flows, k):
 def general_formula():
     """A context in which acyclic loading runs the reference passes."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(loading, "_softmin", general_softmin)
-        mp.setattr(loading, "_forward_dag", general_forward)
+        mp.setattr(loading._DagPlan, "sweep", general_softmin)
+        mp.setattr(loading._DagPlan, "forward", general_forward)
         yield
 
 
@@ -1056,13 +1058,13 @@ class TestSingleExitSteps:
         )
         index = level.index
         w = [0.5, term, 2.0]
-        program = index.program
+        program = loading._plan(index)
         assert program.node_at[program.at_dst[0] + 1] == index.node_index["m"]
         assert program.runs[0][0] == (1, program.at_dst[0])
         fields = []
         for sweep in (loading._softmin, general_softmin):
-            choice = loading._Choice([0.0] * program.n_choices, [0.0] * len(program.rho))
-            rho = sweep(index, w, 0.7, choice)
+            choice = program.choice()
+            rho = sweep(program, index, w, 0.7, choice)
             fields.append([repr(x) for x in rho + choice.probs + choice.entropy])
         assert fields[0] == fields[1]
         # m's one exit has the probability 1.0 the general formula gives it
@@ -1103,7 +1105,7 @@ class TestSingleExitSteps:
         level = LevelGraph(nodes, tuple(edges), ods)
         net = NetworkHierarchy([level], [0.5])
         verify_conservation(net, network_loading(net, [1.0] * len(edges)))
-        program = level.index.program
+        program = level.index.plan
         assert len(program.at_dst) == diamonds
         # (edge, head), or a marker and an (edge, head, choice) per exit
         kept = sum(2 if edge >= 0 else 1 + 3 * len(head)
@@ -1117,6 +1119,25 @@ class TestSingleExitSteps:
         assert arrays < diamonds * len(nodes) / 10
 
 
+def decoded(index, slot):
+    """The nodes of a slot of an acyclic level's plan in Kahn order and, per
+    node of the level, the edges of its step; a step has one exit exactly
+    when it is written ``(edge, head)``, and each exit names its edge's head
+    by a position of the same slot."""
+    program = index.plan
+    node_at, first, run = program.node_at, program.at_dst[slot], program.runs[slot]
+    positions = range(first, first + len(run) + 1)
+    topo, out_edges = [], [[] for _ in range(index.n_nodes)]
+    for k in reversed(range(len(run))):
+        edge, head = run[k]
+        exits = [(edge, head)] if edge >= 0 else [(e, u) for e, u, _ in head]
+        assert (edge >= 0) == (len(exits) == 1)
+        assert all(u in positions and index.heads[e] == node_at[u] for e, u in exits)
+        topo.append(node_at[first + 1 + k])
+        out_edges[topo[-1]] = [e for e, _ in exits]
+    return topo, out_edges
+
+
 class TestDestinationSubgraphs:
     # Outside a destination's subgraph every soft-min term is +inf, whose
     # exp adds an exact 0.0, and every choice probability is 0.0: passes
@@ -1126,17 +1147,11 @@ class TestDestinationSubgraphs:
     def test_restricted_loading_equals_whole_level(self, case):
         net, t = case
         restricted = network_loading(net, t), dual_smooth_value(net, t)
-        compiled = {}
-
-        def whole_levels(index):
-            if id(index) not in compiled:
-                ods = list(zip((src for src, _ in index.od_nodes), index.dest_slot))
-                compiled[id(index)] = whole_program(index, index.dests, ods)
-            return compiled[id(index)]
-
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(LevelIndex, "program", property(whole_levels))
-            whole = network_loading(net, t), dual_smooth_value(net, t)
+        for level in net.levels:
+            index = level.index
+            ods = list(zip((src for src, _ in index.od_nodes), index.dest_slot))
+            index.plan = whole_program(index, index.dests, ods)
+        whole = network_loading(net, t), dual_smooth_value(net, t)
         assert restricted == whole
 
     @given(case=any_dag_hierarchy)
@@ -1153,6 +1168,76 @@ class TestDestinationSubgraphs:
                     portal = net.levels[k - 1].edges[net.levels[k - 1].index.portal_for_od[j]]
                     assert weights[k - 1][portal.id] == rho[od.origin]
 
+    @given(case=any_dag_hierarchy)
+    @settings(max_examples=200, deadline=None)
+    def test_between_origins_and_destination(self, case):
+        # descendants of the origins that are ancestors of the destination,
+        # the destination aside (it has no step), in Kahn order, each keeping
+        # its out-edges into the set in order
+        net, _ = case
+        for level in net.levels:
+            index = level.index
+            program = loading._plan(index)
+            n = index.n_nodes
+            graph = csr_matrix(
+                ([1.0] * len(index.tails), (index.tails, index.heads)), shape=(n, n)
+            )
+            assert len(program.at_dst) == len(program.runs) == len(index.dests)
+            for slot, dst in enumerate(index.dests):
+                assert program.node_at[program.at_dst[slot]] == dst
+                below = set()
+                for (src, _), s in zip(index.od_nodes, index.dest_slot):
+                    if s == slot:
+                        below.update(breadth_first_order(
+                            graph, src, directed=True, return_predecessors=False
+                        ).tolist())
+                above = breadth_first_order(
+                    graph.T.tocsr(), dst, directed=True, return_predecessors=False
+                ).tolist()
+                members = below & set(above)
+                topo, out_edges = decoded(index, slot)
+                assert topo == [v for v in index.topo if v in members and v != dst]
+                for v in range(n):
+                    kept = [e for e in index.out_edges[v] if index.heads[e] in members]
+                    assert out_edges[v] == (kept if v in members else [])
+            # position 0 stands for origins without a route; then each slot's
+            # destination and the nodes of its steps, in the order of its steps
+            positions = [p for first, run in zip(program.at_dst, program.runs)
+                         for p in range(first, first + len(run) + 1)]
+            assert positions == list(range(1, len(program.node_at)))
+            # the choice positions of the nodes with several exits, in order
+            choices = [c for run in program.runs for edge, head in run if edge < 0
+                       for _, _, c in head]
+            assert choices == list(range(program.n_choices))
+            assert program.node_at[0] == -1 and program.rho[0] == math.inf
+
+    def test_built_on_first_loading_not_by_validation(self):
+        net = parse_network(FIXTURES / "two_level.json")
+        assert validate_hierarchy(net) == []
+        assert all(level.index.plan is None for level in net.levels)
+        network_loading(net, net.free_flow_times())
+        built = [level.index.plan for level in net.levels]
+        assert all(isinstance(b, loading._DagPlan) for b in built)
+        network_loading(net, net.free_flow_times())
+        assert all(level.index.plan is b for level, b in zip(net.levels, built))
+
+    def test_cyclic_level_builds_a_walk_sum_plan(self):
+        # A cyclic level's passes are linear solves over the whole level.
+        level = LevelGraph(
+            nodes=("a", "b", "d", "x"),
+            edges=(
+                Edge("ab", "a", "b", cost=AffineCost(1.0, 1.0)),
+                Edge("ba", "b", "a", cost=AffineCost(1.0, 1.0)),
+                Edge("bd", "b", "d", cost=AffineCost(1.0, 1.0)),
+                Edge("dx", "d", "x", cost=AffineCost(1.0, 1.0)),
+            ),
+            od_pairs=(ODPair("a", "d", 1.0),),
+        )
+        assert validate_hierarchy(NetworkHierarchy([level], [0.5], walk_cap=1)) == []
+        assert level.index.plan is None
+        network_loading(NetworkHierarchy([level], [0.5], walk_cap=1), [1.0] * 4)
+        assert isinstance(level.index.plan, loading._CyclicPlan)
+
 
 class TestBatchedAcyclicPasses:
     # An acyclic level's sweep and forward pass run over all its
@@ -1166,9 +1251,9 @@ class TestBatchedAcyclicPasses:
         res = network_loading(net, t)
         for k, level in enumerate(net.levels):
             index, gamma = level.index, net.gammas[k]
-            program = index.program
-            choice = loading._Choice([0.0] * program.n_choices, [0.0] * len(program.rho))
-            rho = loading._softmin(index, weights[k], gamma, choice)
+            program = index.plan
+            choice = program.choice()
+            rho = loading._softmin(program, index, weights[k], gamma, choice)
             for slot, dst in enumerate(index.dests):
                 alone, probs, entropy = general_field(index, weights[k], gamma, dst)
                 for pos in slot_run(program, slot):
@@ -1187,10 +1272,50 @@ class TestBatchedAcyclicPasses:
                 for j, at, s in program.supplies:
                     if s == slot and res.induced_demands[k][j] > 0.0:
                         through[at] += res.induced_demands[k][j]
-                total += general_forward(index, choice, [slot], through, flows, k)
+                total += general_forward(program, index, choice, [slot], through, flows, k)
             assert flows == res.flows[k]
             assert total == res.entropies[k]
 
+
+
+def loaded(net, t):
+    """The trip costs, the loading and the smooth value at ``t``."""
+    _, trip_costs, _ = loading._sweep_weights(net, t)
+    return trip_costs, network_loading(net, t), dual_smooth_value(net, t)
+
+
+class TestWalkSumCrossCheck:
+    # The walk-sum plan is exact on an acyclic level too, where every walk
+    # is a path (Dial's path sum), and shares no code with the acyclic
+    # sweep: a Bellman-Ford and dense solves in place of a recursion over
+    # the plan's steps. So it checks acyclic loadings at sizes that route
+    # enumeration cannot reach. Small draws put several exits on most nodes
+    # that carry flow; large ones reach 100 nodes a level.
+    @given(case=st.one_of(dag_hierarchies(), dag_hierarchies(max_nodes=100, max_edges=200)))
+    @settings(max_examples=200, deadline=None)
+    def test_acyclic_loading_equals_the_walk_sum(self, case):
+        net, t = case
+        trips, res, value = loaded(net, t)
+        for level in net.levels:
+            level.index.plan = loading._cyclic_plan(level.index)
+        walk_trips, walk_res, walk_value = loaded(net, t)
+        # An OD pair that starts at its destination costs 0.0 on the
+        # acyclic sweep and gamma times the log of the walk-sum solve's
+        # rounding residue, about 3e-16 gamma, on the walk sum; the absolute
+        # floors cover it. Entropies are compared absolutely: where they
+        # are near 1e-10, the walk-sum form cancels to a relative error of
+        # up to 1e-3.
+        demand = sum(od.demand for od in net.levels[0].od_pairs)
+        for k, gamma in enumerate(net.gammas):
+            assert walk_trips[k] == pytest.approx(trips[k], rel=1e-12, abs=1e-12 * gamma)
+            assert walk_res.flows[k] == pytest.approx(res.flows[k], rel=1e-12, abs=1e-12 * demand)
+            assert walk_res.induced_demands[k] == pytest.approx(
+                res.induced_demands[k], rel=1e-12, abs=1e-12 * demand)
+            assert walk_res.entropies[k] == pytest.approx(res.entropies[k], rel=0.0,
+                                                          abs=1e-12 * demand)
+        floor = 1e-12 * demand * net.gammas[0]
+        assert walk_value == pytest.approx(value, rel=1e-12, abs=floor)
+        assert walk_res.smooth_value == pytest.approx(res.smooth_value, rel=1e-12, abs=floor)
 
 def weights_edge_by_edge(net, t):
     """Per-level ``edge id -> weight`` maps built from ``level.edges``,
@@ -1329,7 +1454,7 @@ class TestMassLeak:
         _, _, choices = loading._sweep_weights(net, t, keep_choices=True)
         choice = choices[0]
         index = net.levels[0].index
-        program = index.program
+        program = index.plan
         # a potential at s5 raised by 1 % of gamma would scale the choice at
         # s4, whose successor it is, by exp(-0.01): no longer normalised
         s4 = program.node_at.index(index.node_index["s4"])
@@ -1339,7 +1464,9 @@ class TestMassLeak:
         through = [0.0] * len(program.rho)
         through[program.at_origin[0]] = 1.0
         with pytest.raises(MassLeakError) as caught:
-            loading._forward_dag(index, choice, [index.dest_slot[0]], through, [0.0] * len(t), 0)
+            loading._forward_dag(
+                program, index, choice, [index.dest_slot[0]], through, [0.0] * len(t), 0
+            )
         assert "node 's4' toward 's10'" in str(caught.value)
         assert "at level 1" in str(caught.value)
 

@@ -20,16 +20,12 @@ from sueflow import (
     ODPair,
     ODRef,
     lipschitz_bound_diagnostic,
-    network_loading,
     validate_hierarchy,
 )
-from sueflow.cli import parse_network
-from sueflow.model import _longest_routes, longest_path_bounds
+from sueflow.loading import _longest_routes, longest_path_bounds
 from sueflow.oracle import expand_paths
 
 from conftest import (
-    FIXTURES,
-    any_dag_hierarchy,
     chain3_net,
     diamond_net,
     grid3_level,
@@ -397,95 +393,6 @@ class TestLevelIndex:
         assert level.index.dest_slot == [0, 1, 0, 0]
 
 
-def decoded(index, slot):
-    """The nodes of a slot of the level program in Kahn order and, per node
-    of the level, the edges of its step; a step has one exit exactly when it
-    is written ``(edge, head)``, and each exit names its edge's head by a
-    position of the same slot."""
-    program = index.program
-    node_at, first, run = program.node_at, program.at_dst[slot], program.runs[slot]
-    positions = range(first, first + len(run) + 1)
-    topo, out_edges = [], [[] for _ in range(index.n_nodes)]
-    for k in reversed(range(len(run))):
-        edge, head = run[k]
-        exits = [(edge, head)] if edge >= 0 else [(e, u) for e, u, _ in head]
-        assert (edge >= 0) == (len(exits) == 1)
-        assert all(u in positions and index.heads[e] == node_at[u] for e, u in exits)
-        topo.append(node_at[first + 1 + k])
-        out_edges[topo[-1]] = [e for e, _ in exits]
-    return topo, out_edges
-
-
-class TestDestinationSubgraphs:
-    @given(case=any_dag_hierarchy)
-    @settings(max_examples=200, deadline=None)
-    def test_between_origins_and_destination(self, case):
-        # descendants of the origins that are ancestors of the destination,
-        # the destination aside (it has no step), in Kahn order, each keeping
-        # its out-edges into the set in order
-        net, _ = case
-        for level in net.levels:
-            index = level.index
-            program = index.program
-            n = index.n_nodes
-            graph = csr_matrix(
-                ([1.0] * len(index.tails), (index.tails, index.heads)), shape=(n, n)
-            )
-            assert len(program.at_dst) == len(program.runs) == len(index.dests)
-            for slot, dst in enumerate(index.dests):
-                assert program.node_at[program.at_dst[slot]] == dst
-                below = set()
-                for (src, _), s in zip(index.od_nodes, index.dest_slot):
-                    if s == slot:
-                        below.update(breadth_first_order(
-                            graph, src, directed=True, return_predecessors=False
-                        ).tolist())
-                above = breadth_first_order(
-                    graph.T.tocsr(), dst, directed=True, return_predecessors=False
-                ).tolist()
-                members = below & set(above)
-                topo, out_edges = decoded(index, slot)
-                assert topo == [v for v in index.topo if v in members and v != dst]
-                for v in range(n):
-                    kept = [e for e in index.out_edges[v] if index.heads[e] in members]
-                    assert out_edges[v] == (kept if v in members else [])
-            # position 0 stands for origins without a route; then each slot's
-            # destination and the nodes of its steps, in the order of its steps
-            positions = [p for first, run in zip(program.at_dst, program.runs)
-                         for p in range(first, first + len(run) + 1)]
-            assert positions == list(range(1, len(program.node_at)))
-            # the choice positions of the nodes with several exits, in order
-            choices = [c for run in program.runs for edge, head in run if edge < 0
-                       for _, _, c in head]
-            assert choices == list(range(program.n_choices))
-            assert program.node_at[0] == -1 and program.rho[0] == math.inf
-
-    def test_built_on_first_loading_not_by_validation(self):
-        net = parse_network(FIXTURES / "two_level.json")
-        assert validate_hierarchy(net) == []
-        assert all(level.index._program is None for level in net.levels)
-        network_loading(net, net.free_flow_times())
-        built = [level.index._program for level in net.levels]
-        assert all(b is not None for b in built)
-        network_loading(net, net.free_flow_times())
-        assert all(level.index.program is b for level, b in zip(net.levels, built))
-
-    def test_cyclic_level_builds_none(self):
-        # A cyclic level's passes are linear solves over the whole level.
-        level = LevelGraph(
-            nodes=("a", "b", "d", "x"),
-            edges=(
-                Edge("ab", "a", "b", cost=AffineCost(1.0, 1.0)),
-                Edge("ba", "b", "a", cost=AffineCost(1.0, 1.0)),
-                Edge("bd", "b", "d", cost=AffineCost(1.0, 1.0)),
-                Edge("dx", "d", "x", cost=AffineCost(1.0, 1.0)),
-            ),
-            od_pairs=(ODPair("a", "d", 1.0),),
-        )
-        network_loading(NetworkHierarchy([level], [0.5], walk_cap=1), [1.0] * 4)
-        assert level.index._program is None
-
-
 def whole_level_longest_routes(index, weights, dst):
     """Reference longest routes to ``dst`` over every node of an acyclic level."""
     best = [-1] * index.n_nodes
@@ -538,11 +445,11 @@ class TestLongestPathBound:
         bounds = longest_path_bounds(net)
         for k, level in enumerate(net.levels):
             index = level.index
-            program = index.program
+            program = index.plan
             weights = [
                 1 if edge.is_plain else bounds[k + 1][edge.target_od.od] for edge in level.edges
             ]
-            sub = _longest_routes(index, weights)
+            sub = _longest_routes(program, weights)
             for slot, dst in enumerate(index.dests):
                 whole = whole_level_longest_routes(index, weights, dst)
                 first = program.at_dst[slot]

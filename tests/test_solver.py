@@ -448,7 +448,7 @@ class TestLipschitzDiagnostic:
         # bound for w; level 1 has destinations d and m.
         from collections import Counter
 
-        from sueflow import model
+        from sueflow import loading
         from sueflow import ConstantCost, Edge, LevelGraph, NetworkHierarchy, ODPair
 
         level1 = LevelGraph(
@@ -471,19 +471,21 @@ class TestLipschitzDiagnostic:
         )
         net = NetworkHierarchy([level1, level2], [1.0, 0.5])
         calls = Counter()
-        measure = model._longest_routes
+        measure = loading._longest_routes
 
-        def counted(index, weights):
+        def counted(plan, weights):
             # one pass per level, over the slots of all its destinations
-            program = index.program
-            for at in program.at_dst:
-                calls[index, index.nodes[program.node_at[at]]] += 1
-            return measure(index, weights)
+            for at in plan.at_dst:
+                calls[id(plan), plan.node_at[at]] += 1
+            return measure(plan, weights)
 
-        monkeypatch.setattr(model, "_longest_routes", counted)
+        monkeypatch.setattr(loading, "_longest_routes", counted)
         # Routes of 3, 2 and 1 plain edges: (1 * 9 + 2 * 4 + 0.5 * 1) / 0.5.
         assert lipschitz_bound_diagnostic(net) == pytest.approx(35.0)
-        expected = {(level1.index, "d"), (level1.index, "m"), (level2.index, "w")}
+        expected = {
+            (id(index.plan), index.node_index[v])
+            for index, v in ((level1.index, "d"), (level1.index, "m"), (level2.index, "w"))
+        }
         assert set(calls) == expected
         assert set(calls.values()) == {1}
 

@@ -67,6 +67,16 @@ class TestPublicNames:
         # Optional fields would let a certificate be built without them.
         for field in dataclasses.fields(solver.GapCertificate):
             assert field.default is dataclasses.MISSING, field.name
+        # The loading module compiles and keeps each level's one plan; the
+        # model keeps graph facts only.
+        for name in ("LevelProgram", "Step", "longest_path_bounds", "_longest_routes"):
+            assert not hasattr(model, name), name
+            assert name not in model.__all__
+        for name in ("program", "cyclic_plan", "_program"):
+            assert not hasattr(model.LevelIndex, name), name
+        plan_slots = [s for s in model.LevelIndex.__slots__ if "plan" in s or "program" in s]
+        assert plan_slots == ["plan"]
+        assert "longest_path_bounds" not in loading.__all__
 
 
 def load_spans(monkeypatch):
