@@ -204,10 +204,10 @@ class Violation:
 class NetworkHierarchy:
     """Immutable level stack with per-level rationality temperatures.
 
-    ``walk_cap`` admits cyclic level graphs; without it every level must be
-    a DAG. Only ``validate_hierarchy`` reads it, as that opt-in: loading on
-    a cyclic level sums over walks of every length, solved exactly, and
-    fails when that sum diverges.
+    A level may be cyclic: its loading sums over walks of every length,
+    solved exactly, and raises ``LoadingError`` when that sum diverges.
+    ``walk_cap`` is accepted and ignored: ``perfbench/run.py`` still passes
+    it, and ROADMAP item 3 removes the keyword together with that call.
     """
 
     def __init__(
@@ -218,7 +218,6 @@ class NetworkHierarchy:
     ) -> None:
         self.levels: tuple[LevelGraph, ...] = tuple(levels)
         self.gammas: tuple[float, ...] = tuple(float(g) for g in gammas)
-        self.walk_cap = walk_cap
         self._plain_order: list[tuple[int, int]] | None = None
         self._gathers: list[WeightGather] | None = None
 
@@ -454,20 +453,6 @@ def validate_hierarchy(net: NetworkHierarchy) -> list[Violation]:
                         f"no path {od.origin!r} -> {od.destination!r}",
                     )
                 )
-
-    # Cycles are only admitted under an explicit walk-length cap.
-    if net.walk_cap is None:
-        for k, index in enumerate(indexes):
-            if index is not None and index.topo is None:
-                out.append(
-                    Violation(
-                        "CyclicLevelWithoutCap",
-                        f"levels[{k}]",
-                        "cyclic level graph requires an explicit walk-length cap",
-                    )
-                )
-    elif net.walk_cap < 1:
-        out.append(Violation("BadWalkCap", "walk_cap", f"cap must be >= 1, got {net.walk_cap}"))
 
     return out
 

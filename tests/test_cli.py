@@ -77,7 +77,7 @@ class TestParseNetwork:
 
     def test_unknown_keys_rejected(self, tmp_path):
         doc = json.loads((FIXTURES / "two_edge.json").read_text())
-        doc["walk_cap"] = 5
+        doc["walk_limit"] = 5
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(doc))
         with pytest.raises(ParseError, match="unknown keys"):
@@ -488,6 +488,54 @@ class TestSolveCommand:
                 assert stripped_a == stripped_b
 
 
+
+class TestCyclicNetwork:
+    """A cyclic level is ordinary input. ``cyclic_grid.json`` is a
+    bidirectional 3x3 grid at gamma 0.5; ``cyclic_grid_divergent.json`` is
+    the same grid at gamma 50, where the walk sum to each destination
+    diverges already at free-flow times."""
+
+    CYCLIC = FIXTURES / "cyclic_grid.json"
+    DIVERGENT = FIXTURES / "cyclic_grid_divergent.json"
+    DIVERGES = "error: the walk sum to destination 'r2c2' diverges at level 1\n"
+
+    @pytest.mark.parametrize("network", [CYCLIC, DIVERGENT], ids=["cyclic", "divergent"])
+    def test_validate_checks_structure_only(self, capsys, network):
+        assert parse_network(network).levels[0].index.topo is None
+        assert run_cli("validate", "--network", network) == 0
+        assert capsys.readouterr().out == "OK\n"
+
+    def test_solve_reaches_the_gap(self, tmp_path):
+        out = tmp_path / "out"
+        assert run_cli("solve", "--network", self.CYCLIC, "--out", out) == 0
+        cert = json.loads((out / "certificate.json").read_text())
+        assert cert["stop"] == "gap_reached"
+        # No walk length bounds a route on a cyclic level, so no a-priori bound.
+        assert cert["L2_diagnostic"] is None
+        _, lib, _ = sueflow.solve(parse_network(self.CYCLIC))
+        assert (cert["primal_point"], cert["primal_value"], cert["gap"], cert["T"]) == (
+            lib.primal_point, lib.primal_value, lib.gap, lib.T
+        )
+
+    def test_divergent_solve_exits_3(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run_cli("solve", "--network", self.DIVERGENT, "--out", out) == 3
+        err = capsys.readouterr().err
+        assert err == self.DIVERGES and "Traceback" not in err
+        assert not (out / "flows.csv").exists()
+
+    def test_divergent_load_exits_3(self, tmp_path, capsys):
+        net = parse_network(self.DIVERGENT)
+        free = {e.id: e.cost.free_flow_time for e in net.levels[0].edges}
+        tfile = tmp_path / "t.json"
+        tfile.write_text(json.dumps({"version": 1, "times": [free]}))
+        out = tmp_path / "out"
+        assert run_cli("load", "--network", self.DIVERGENT, "--t-file", tfile, "--out", out) == 3
+        err = capsys.readouterr().err
+        assert err == self.DIVERGES and "Traceback" not in err
+        assert not (out / "flows.csv").exists()
+
+
 NONFINITE_CASES = [
     ("cost", ("validate", "load", "solve"), "$.levels[0].edges[0].cost: cost parameter 'a'"),
     ("demand", ("validate", "load", "solve"), "$.levels[0].od_pairs[0].demand"),
@@ -600,7 +648,7 @@ OD0 = ("levels", 0, "od_pairs", 0)
 # Edits of two_level.json, each with the exact message of its first offence.
 MALFORMED = {
     "doc-not-object": (None, "$: expected an object, got list"),
-    "doc-unknown-key": ([(("walk_cap",), 5)], "$: unknown keys ['walk_cap']"),
+    "doc-unknown-key": ([(("walk_limit",), 5)], "$: unknown keys ['walk_limit']"),
     "doc-missing-keys": (
         [(("gammas",), DROP), (("version",), DROP)], "$: missing keys ['version', 'gammas']"),
     "version": ([(("version",), 2)], "$.version: unsupported version 2"),
@@ -609,7 +657,7 @@ MALFORMED = {
     "levels-not-list": ([(("levels",), {})], "$.levels: expected a non-empty list"),
     "level-not-object": ([(("levels", 1), [])], "$.levels[1]: expected an object, got list"),
     "level-unknown-key": (
-        [(("levels", 1, "walk_cap"), 3)], "$.levels[1]: unknown keys ['walk_cap']"),
+        [(("levels", 1, "walk_limit"), 3)], "$.levels[1]: unknown keys ['walk_limit']"),
     "nodes-not-list": ([(("levels", 0, "nodes"), "omd")], "$.levels[0].nodes: expected a list"),
     "node-not-string": (
         [(("levels", 1, "nodes", 2), 7)], "$.levels[1].nodes[2]: expected a string, got 7"),
@@ -831,10 +879,12 @@ class TestOracleCompareCommand:
 
     def test_cli_does_not_import_the_oracle(self, tmp_path):
         # The path-enumeration oracle is a test-only reference implementation,
-        # and numpy is loaded only by solve and by cyclic levels: importing
-        # the CLI, validating and loading a DAG network leave both out.
+        # and numpy is loaded only by solve and by loading cyclic levels:
+        # importing the CLI, validating any network and loading a DAG
+        # network leave both out.
         env = dict(os.environ, PYTHONPATH=str(Path(sueflow.__file__).parents[1]))
         net, times = FIXTURES / "two_level.json", FIXTURES / "two_level_times.json"
+        cyclic = FIXTURES / "cyclic_grid.json"
         cfg = tmp_path / "cfg.json"
         cfg.write_text('{"gap_tol": 1e-4}')
         code = "\n".join([
@@ -843,6 +893,7 @@ class TestOracleCompareCommand:
             "    return sorted(m for m in ('sueflow.oracle', 'numpy') if m in sys.modules)",
             "assert not loaded(), loaded()",
             f"assert sueflow.cli.main(['validate', '--network', {str(net)!r}]) == 0",
+            f"assert sueflow.cli.main(['validate', '--network', {str(cyclic)!r}]) == 0",
             "assert not loaded(), loaded()",
             f"assert sueflow.cli.main(['load', '--network', {str(net)!r}, "
             f"'--t-file', {str(times)!r}, '--out', {str(tmp_path / 'load')!r}]) == 0",

@@ -58,7 +58,7 @@ def scaled_net(net: NetworkHierarchy, c: float) -> NetworkHierarchy:
         )
         for level in net.levels
     ]
-    return NetworkHierarchy(levels, [c * g for g in net.gammas], walk_cap=net.walk_cap)
+    return NetworkHierarchy(levels, [c * g for g in net.gammas])
 
 
 def assert_scales_exactly(net, t0, gap_tol, max_iters, c):
@@ -116,7 +116,7 @@ def relabelled(net: NetworkHierarchy, node_orders, edge_orders) -> NetworkHierar
         )
         for level, nodes, edges in zip(net.levels, node_orders, edge_orders)
     ]
-    return NetworkHierarchy(levels, net.gammas, walk_cap=net.walk_cap)
+    return NetworkHierarchy(levels, net.gammas)
 
 
 def by_edge_id(net: NetworkHierarchy, per_level) -> list[dict[str, float]]:

@@ -215,7 +215,7 @@ class TestSoftminPotentials:
         w = {"ab1": 0.1, "ab2": 0.1, "ba1": 0.1, "ba2": 0.1, "bd": 1.0}
         with pytest.raises(LoadingError, match="destination 'd' diverges"):
             potentials(level, w, 1.0, "d")
-        net = NetworkHierarchy([level], [1.0], walk_cap=1)
+        net = NetworkHierarchy([level], [1.0])
         with pytest.raises(LoadingError, match="'d' diverges at level 1"):
             network_loading(net, [w[e.id] for e in level.edges])
 
@@ -375,14 +375,14 @@ class TestNetworkLoading:
         if case == "grid3":
             ods = [("r0c0", "r2c2"), ("r2c0", "r0c2"), ("r1c1", "r2c2"), ("r2c2", "r0c0")]
             level = grid3_level([ODPair(o, d, 0.5 + 0.2 * j) for j, (o, d) in enumerate(ods)])
-            net = NetworkHierarchy([level], [0.4], walk_cap=1)
+            net = NetworkHierarchy([level], [0.4])
             t = [(1 + 0.05 * math.sin(i)) * c.free_flow_time
                  for i, c in enumerate(net.plain_costs())]
         elif case == "ring":
             arcs = [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (1, 3)]
             arcs += [(j, i) for i, j in arcs]
             ods = [ODPair("v0", "v3", 1.5), ODPair("v4", "v3", 0.7), ODPair("v2", "v0", 1.0)]
-            net = NetworkHierarchy([ring_level(5, arcs, ods)], [0.6], walk_cap=1)
+            net = NetworkHierarchy([ring_level(5, arcs, ods)], [0.6])
             t = [1.0 + 0.1 * ((3 * i) % 5) for i in range(len(arcs))]
         else:
             net, t = random_hierarchy(case)
@@ -408,13 +408,13 @@ class TestNetworkLoading:
         om = Edge("om", "o", "m", cost=ConstantCost(1.0))
         mo = Edge("mo", "m", "o", cost=ConstantCost(1.0))
         md = Edge("md", "m", "d", cost=ConstantCost(1.0))
-        cases = [((om, md), None, [1e308, 1e308])]
-        cases += [((om, mo, md), 1, t) for t in ([1e308] * 3, [1e308, 1.0, 1e308])]
-        for edges, walk_cap, t in cases:
+        cases = [((om, md), [1e308, 1e308])]
+        cases += [((om, mo, md), t) for t in ([1e308] * 3, [1e308, 1.0, 1e308])]
+        for edges, t in cases:
             level = LevelGraph(
                 nodes=("o", "m", "d"), edges=edges, od_pairs=(ODPair("o", "d", 1.0),)
             )
-            net = NetworkHierarchy([level], [1.0], walk_cap=walk_cap)
+            net = NetworkHierarchy([level], [1.0])
             with pytest.raises(LoadingError) as caught:
                 network_loading(net, t)
             assert not isinstance(caught.value, NoPathError)
@@ -434,7 +434,7 @@ class TestNetworkLoading:
             ),
             od_pairs=(ODPair("o", "d", 1.0),),
         )
-        net = NetworkHierarchy([level], [1.0], walk_cap=1)
+        net = NetworkHierarchy([level], [1.0])
         assert network_loading(net, [1.0, 1e308, 1e308, 1e308]).flows == [[1.0, 0.0, 0.0, 0.0]]
 
     def test_gamma_near_the_float_range_on_a_cyclic_level(self):
@@ -452,7 +452,7 @@ class TestNetworkLoading:
             ),
             od_pairs=(ODPair("o", "d", 1.0),),
         )
-        net = NetworkHierarchy([level], [1e308], walk_cap=1)
+        net = NetworkHierarchy([level], [1e308])
         loaded = 0
         for t in itertools.product([1.0, 1e308, -1e308, 1.7e308, -1.7e308], repeat=4):
             try:
@@ -521,7 +521,7 @@ class TestNetworkLoading:
         }
 
     def test_cyclic_loading_conserves(self):
-        net = NetworkHierarchy([cyclic_level(demand=2.0)], [0.9], walk_cap=1)
+        net = NetworkHierarchy([cyclic_level(demand=2.0)], [0.9])
         res = network_loading(net, [1.0, 1.2, 2.0, 1.5])
         verify_conservation(net, res, tol=1e-9)
         # gradient identity also holds for the walk-measure loading
@@ -540,7 +540,7 @@ class TestNetworkLoading:
         n, arcs, t, gamma = draw_ring(data)
         demand = data.draw(st.floats(0.5, 3.0), label="demand")
         level = ring_level(n, arcs, [ODPair("v0", f"v{n - 1}", demand)])
-        net = NetworkHierarchy([level], [gamma], walk_cap=1)
+        net = NetworkHierarchy([level], [gamma])
         res = network_loading(net, t)
         verify_conservation(net, res)
         assert_flows_are_minus_gradient(net, t, res, 1e-6 * demand)
@@ -699,7 +699,7 @@ class TestOncePerDestination:
         arcs = two_way_ring(n)
         ods = [ODPair("v0", "v0", 1.0), ODPair("v1", "v3", 1.5), ODPair("v2", "v5", 0.0),
                ODPair("v6", "v0", 1.2)]
-        net = NetworkHierarchy([ring_level(n, arcs, ods)], [0.5], walk_cap=1)
+        net = NetworkHierarchy([ring_level(n, arcs, ods)], [0.5])
         softmin_calls, forward_calls, solved = [], [], []
         softmin, forward = loading._softmin_cyclic, loading._forward_cyclic
         solve = np.linalg.solve
@@ -743,7 +743,7 @@ def two_way_cycle_level(cycle, od_pairs):
     arcs = ["ab1", "ab2", "ba1", "ba2", "bd", "be"]
     edges = tuple(Edge(e, e[0], e[1], cost=ConstantCost(1.0)) for e in arcs)
     level = LevelGraph(("a", "b", "d", "e"), edges, tuple(od_pairs))
-    return NetworkHierarchy([level], [1.0], walk_cap=1), [cycle] * 4 + [1.0, 1.0]
+    return NetworkHierarchy([level], [1.0]), [cycle] * 4 + [1.0, 1.0]
 
 
 class TestBatchedCyclicPasses:
@@ -768,7 +768,7 @@ class TestBatchedCyclicPasses:
         ]
         pairs = [ODPair(f"v{o}", f"v{d}", x) for o, d, x in ods]
         level = ring_level(n, arcs, pairs)
-        net = NetworkHierarchy([level], [gamma], walk_cap=1)
+        net = NetworkHierarchy([level], [gamma])
 
         weights, trip_costs, _ = loading._sweep_weights(net, t)
         field = level.index.plan.sweep(level.index, weights[0], gamma)
@@ -807,7 +807,7 @@ class TestBatchedCyclicPasses:
         rng = random.Random(8)
         for _ in range(50):
             t = [rng.uniform(0.5, 2.0) for _ in arcs]
-            net = NetworkHierarchy([ring_level(n, arcs, ods)], [0.5], walk_cap=1)
+            net = NetworkHierarchy([ring_level(n, arcs, ods)], [0.5])
             assert [net.levels[0].nodes[v] for v in net.levels[0].index.dests] == ["v0", "v3", "v5"]
             res = network_loading(net, t)
             stacks = net.levels[0].index.plan.stacks
@@ -815,7 +815,7 @@ class TestBatchedCyclicPasses:
             flows, entropy = [0.0] * len(arcs), 0.0
             for dst in ("v0", "v3", "v5"):
                 alone = ring_level(n, arcs, [od for od in ods if od.destination == dst])
-                one = network_loading(NetworkHierarchy([alone], [0.5], walk_cap=1), t)
+                one = network_loading(NetworkHierarchy([alone], [0.5]), t)
                 flows = [a + b for a, b in zip(flows, one.flows[0])]
                 entropy += one.entropies[0]
             assert repr((res.flows[0], res.entropies[0])) == repr((flows, entropy))
@@ -828,7 +828,7 @@ class TestBatchedCyclicPasses:
 
         def grid_net():
             level = grid3_level([ODPair(o, d, 0.5 + 0.2 * j) for j, (o, d) in enumerate(ods)])
-            return NetworkHierarchy([level], [0.3], walk_cap=1)
+            return NetworkHierarchy([level], [0.3])
 
         def kept_choice(net):
             # the trip costs and the cyclic level's choice, as lists
@@ -858,7 +858,7 @@ class TestBatchedCyclicPasses:
         arcs = two_way_ring(n)
         ods = [ODPair(f"v{(13 * j + 5) % n}", f"v{11 * j}", 1.0) for j in range(dests)]
         level = ring_level(n, arcs, ods)
-        net = NetworkHierarchy([level], [0.5], walk_cap=1)
+        net = NetworkHierarchy([level], [0.5])
         res = network_loading(net, [1.0] * len(arcs))
         verify_conservation(net, res)
         plan = level.index.plan
@@ -910,7 +910,7 @@ class TestBatchedCyclicPasses:
             ),
             od_pairs=(ODPair("b", "a", 1.0), ODPair("a", "d", 1.0)),
         )
-        net = NetworkHierarchy([level], [1.0], walk_cap=1)
+        net = NetworkHierarchy([level], [1.0])
         message = "^the walk sum to destination 'd' diverges at level 1$"
         with pytest.raises(LoadingError, match=message):
             network_loading(net, [0.0, 0.0, 1.0])
@@ -929,7 +929,7 @@ class TestBatchedCyclicPasses:
             od_pairs=(ODPair("o", "d", 2.0),),
         )
         level2 = grid3_level([ODPair("r0c0", "r2c2"), ODPair("r0c2", "r2c0")])
-        net = NetworkHierarchy([level1, level2], [1.0, 0.02], walk_cap=1)
+        net = NetworkHierarchy([level1, level2], [1.0, 0.02])
         assert validate_hierarchy(net) == []
         t = [(1 + 0.05 * math.sin(i)) * c.free_flow_time for i, c in enumerate(net.plain_costs())]
         res = network_loading(net, t)
@@ -1233,9 +1233,9 @@ class TestDestinationSubgraphs:
             ),
             od_pairs=(ODPair("a", "d", 1.0),),
         )
-        assert validate_hierarchy(NetworkHierarchy([level], [0.5], walk_cap=1)) == []
+        assert validate_hierarchy(NetworkHierarchy([level], [0.5])) == []
         assert level.index.plan is None
-        network_loading(NetworkHierarchy([level], [0.5], walk_cap=1), [1.0] * 4)
+        network_loading(NetworkHierarchy([level], [0.5]), [1.0] * 4)
         assert isinstance(level.index.plan, loading._CyclicPlan)
 
 
@@ -1373,8 +1373,8 @@ class TestWeightGather:
         )
         top_t = data.draw(st.lists(st.floats(0.2, 3.0), min_size=3, max_size=3), label="times")
         for net, t in (
-            (NetworkHierarchy([ring], [gamma], walk_cap=1), ring_t),
-            (NetworkHierarchy([top, ring], [1.0, gamma], walk_cap=1), top_t + ring_t),
+            (NetworkHierarchy([ring], [gamma]), ring_t),
+            (NetworkHierarchy([top, ring], [1.0, gamma]), top_t + ring_t),
         ):
             assert hierarchical_weights(net, t) == weights_edge_by_edge(net, t)
 
@@ -1408,7 +1408,7 @@ class TestDualVectorLength:
     def test_non_finite_value_raises(self, two_level_net, entry, bad, cyclic):
         # The first non-finite value in plain-edge order is named.
         if cyclic:
-            net = NetworkHierarchy([cyclic_level()], [1.0], walk_cap=1)
+            net = NetworkHierarchy([cyclic_level()], [1.0])
             t, first, where = [1.0, 1.2, 2.0, 1.5], 2, "'ad' at level 1"
         else:
             net, t, first, where = two_level_net, list(self.T), 4, "'q2' at level 2"

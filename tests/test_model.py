@@ -91,7 +91,7 @@ class TestValidate:
             ),
             od_pairs=(ODPair("o", "d", 1.0),),
         )
-        found = codes(NetworkHierarchy([level], [1.0], walk_cap=5))
+        found = codes(NetworkHierarchy([level], [1.0]))
         assert "SelfLoop" in found
 
     def test_unknown_endpoint(self):
@@ -148,10 +148,9 @@ class TestValidate:
             ),
             od_pairs=(ODPair("o", "d", 1.0),),
         )
-        assert "CyclicLevelWithoutCap" in codes(NetworkHierarchy([level], [1.0]))
-        assert "CyclicLevelWithoutCap" not in codes(
-            NetworkHierarchy([level], [1.0], walk_cap=64)
-        )
+        # A cyclic level is ordinary input: its loading sums over walks and
+        # reports a sum that diverges; validation checks structure only.
+        assert codes(NetworkHierarchy([level], [1.0])) == []
 
     def test_gamma_checks(self):
         net = two_edge_net()
@@ -193,8 +192,8 @@ A = AffineCost(1.0, 1.0)
 OD = ODPair("o", "d", 1.0)
 
 
-def one_level(nodes, edges, od_pairs, walk_cap=None):
-    return NetworkHierarchy([LevelGraph(nodes, edges, od_pairs)], [1.0], walk_cap)
+def one_level(nodes, edges, od_pairs):
+    return NetworkHierarchy([LevelGraph(nodes, edges, od_pairs)], [1.0])
 
 
 def chain3(top=None, middle=None):
@@ -225,7 +224,7 @@ def violation_cases():
             [("DuplicateEdgeId", "levels[0].edges[1](e)", "edge id 'e' repeated")]),
         "SelfLoop": (
             one_level(("o", "d"), (Edge("e", "o", "d", cost=A), Edge("loop", "o", "o", cost=A)),
-                      (OD,), walk_cap=5),
+                      (OD,)),
             [("SelfLoop", "levels[0].edges[1](loop)", "self-loops are not allowed")]),
         "UnknownEndpoint": (
             one_level(("o", "d"), (Edge("e", "o", "x", cost=A),), (ODPair("y", "d", 1.0),)),
@@ -267,13 +266,6 @@ def violation_cases():
             ("UnboundOD", "levels[1].od_pairs[1]", "no level-1 portal is bound to this OD pair")]),
         "NoPathForOD": (one_level(("o", "d", "x"), (Edge("e", "o", "x", cost=A),), (OD,)), [
             ("NoPathForOD", "levels[0].od_pairs[0]", "no path 'o' -> 'd'")]),
-        "CyclicLevelWithoutCap": (
-            one_level(("o", "a", "d"), (Edge("e1", "o", "a", cost=A), Edge("e2", "a", "o", cost=A),
-                                        Edge("e3", "a", "d", cost=A)), (OD,)),
-            [("CyclicLevelWithoutCap", "levels[0]",
-              "cyclic level graph requires an explicit walk-length cap")]),
-        "BadWalkCap": (one_level(("o", "d"), (Edge("e", "o", "d", cost=A),), (OD,), walk_cap=0), [
-            ("BadWalkCap", "walk_cap", "cap must be >= 1, got 0")]),
     }
 
 
@@ -322,7 +314,7 @@ class TestLevelIndex:
                 assert position[t] < position[h]
         found = {
             v.path
-            for v in validate_hierarchy(NetworkHierarchy([level], [1.0], walk_cap=1))
+            for v in validate_hierarchy(NetworkHierarchy([level], [1.0]))
             if v.code == "NoPathForOD"
         }
         expected = {
@@ -477,10 +469,10 @@ class TestLongestPathBound:
 
     def test_cyclic_level_is_unbounded(self):
         # Loading on a cyclic level sums over walks of every length, so no
-        # walk length, however large the cap, bounds its routes; the bound is
-        # inf at once, on the level and through a portal into it.
+        # walk length bounds its routes; the bound is inf at once, on the
+        # level and through a portal into it.
         grid = grid3_level((ODPair("r0c0", "r2c2", 1.0),))
-        flat = NetworkHierarchy([grid], [0.02], walk_cap=100000)
+        flat = NetworkHierarchy([grid], [0.02])
         above = LevelGraph(
             nodes=("o", "d"),
             edges=(
@@ -490,7 +482,7 @@ class TestLongestPathBound:
             od_pairs=(ODPair("o", "d", 1.0),),
         )
         below = LevelGraph(grid.nodes, grid.edges, (ODPair("r0c0", "r2c2"),))
-        stacked = NetworkHierarchy([above, below], [1.0, 0.02], walk_cap=100000)
+        stacked = NetworkHierarchy([above, below], [1.0, 0.02])
         assert validate_hierarchy(flat) == validate_hierarchy(stacked) == []
         start = time.perf_counter()
         assert longest_path_bounds(flat) == [[math.inf]]

@@ -15,6 +15,7 @@ from sueflow import (
     ConstantCost,
     Edge,
     LevelGraph,
+    LoadingError,
     NetworkHierarchy,
     ODPair,
     PowerCost,
@@ -341,7 +342,7 @@ class TestGradientGather:
             od_pairs=(ODPair("o", "d", 2.0),),
         )
         level2 = grid3_level([ODPair("r0c0", "r2c2"), ODPair("r0c2", "r2c0")])
-        net = NetworkHierarchy([level1, level2], [1.0, 0.3], walk_cap=1)
+        net = NetworkHierarchy([level1, level2], [1.0, 0.3])
         t = [(1 + 0.05 * math.sin(i)) * c.free_flow_time for i, c in enumerate(net.plain_costs())]
         assert_gradient_is_minus_plain_flows(net, t)
 
@@ -509,6 +510,53 @@ class TestDriver:
             prob, CostTable([AffineCost(0.2, 1.0)]), [0.0], SolverConfig(max_iters=5, gap_tol=0.0)
         )
         assert all(r.gap is None for r in history)
+
+
+class TestFreeFlowFloor:
+    """From free-flow times every iterate stays at or above them. Both prox
+    maps take an argument at or above free flow to a point at or above it,
+    and each argument is an iterate plus a nonnegative multiple of the
+    loaded flows. Larger times only shrink a walk sum, so a cyclic level
+    whose walk sums converge at free flow never diverges later in a solve."""
+
+    @staticmethod
+    def ring(gamma):
+        # Two-way ring of six nodes, affine and BPR links of free-flow time 1.
+        # Toward a destination the other five nodes form a path, whose walk
+        # sum converges while 2 cos(pi / 6) exp(-t / gamma) < 1.
+        n = 6
+        arcs = [(i, (i + 1) % n) for i in range(n)] + [((i + 1) % n, i) for i in range(n)]
+        edges = tuple(
+            Edge(f"e{i}-{j}", f"v{i}", f"v{j}",
+                 cost=AffineCost(1.0, 0.5) if k % 2 else PowerCost(1.0, 0.15, 2.0, 4.0))
+            for k, (i, j) in enumerate(arcs)
+        )
+        ods = (ODPair("v0", "v3", 2.0), ODPair("v1", "v4", 1.0))
+        level = LevelGraph(tuple(f"v{i}" for i in range(n)), edges, ods)
+        return NetworkHierarchy([level], [gamma])
+
+    def test_iterates_stay_at_or_above_free_flow_on_a_cyclic_ring(self):
+        net = self.ring(1.7)
+        free = np.array(net.free_flow_times())
+        # The margin is thin: 10 % below free flow the walk sums diverge.
+        with pytest.raises(LoadingError, match="diverges at level 1"):
+            network_loading(net, 0.9 * free)
+        points = []
+
+        def on_accept(info):
+            assert np.all(info.x >= free), info.x - free
+            assert all(f >= 0.0 for f in info.aux.flows[0])
+            points.append(info.x)
+            return None
+
+        t, history = minimize_composite(
+            _DualSmooth(net, _plain_positions(net)), CostTable(net.plain_costs()),
+            net.free_flow_times(), SolverConfig(max_iters=60, gap_tol=0.0), on_accept,
+        )
+        assert len(points) == len(history) == 60
+        assert np.all(t >= free) and np.any(t > free)
+        _, cert, _ = solve(net)
+        assert cert.stop == "gap_reached"
 
 
 class TestStepEstimate:

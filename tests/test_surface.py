@@ -1,10 +1,13 @@
-"""The public surface: the names ``sueflow`` exports, and the library names
-that the benchmark's tracer, ``perfbench/spans.py``, rebinds by name."""
+"""The public surface: the names ``sueflow`` exports, the library names that
+the benchmark's tracer, ``perfbench/spans.py``, rebinds by name, and the
+library calls that the benchmark's driver, ``perfbench/run.py``, makes."""
 
 from __future__ import annotations
 
 import dataclasses
 import importlib.util
+import json
+import math
 import sys
 from pathlib import Path
 
@@ -12,7 +15,7 @@ import sueflow
 import sueflow.cli  # the tracer rebinds names of the cli module too
 from sueflow import costs, loading, model, oracle, solver
 
-SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 PUBLIC = [
     "__version__",
@@ -79,9 +82,9 @@ class TestPublicNames:
         assert "longest_path_bounds" not in loading.__all__
 
 
-def load_spans(monkeypatch):
-    """``perfbench/spans.py`` as a module, imported from its path unedited."""
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS_PATH)
+def load_perfbench(monkeypatch, name):
+    """``perfbench/<name>.py`` as a module, imported from its path unedited."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     # Its dataclasses look their module up while they are built.
     monkeypatch.setitem(sys.modules, spec.name, module)
@@ -91,7 +94,7 @@ def load_spans(monkeypatch):
 
 class TestTracerPins:
     def test_instrument_rebinds_every_pin_and_restores_it(self, monkeypatch):
-        spans = load_spans(monkeypatch)
+        spans = load_perfbench(monkeypatch, "spans")
         pins = [(getattr(sueflow, module), attr) for module, attr, _ in spans.SPAN_TARGETS]
         pins += [
             (cls, attr)
@@ -104,3 +107,40 @@ class TestTracerPins:
                 assert owner.__dict__[attr] is not original, attr
         for (owner, attr), original in zip(pins, originals):
             assert owner.__dict__[attr] is original, attr
+
+
+class TestBenchmarkCallPins:
+    """The calls ``perfbench/run.py`` makes into the library. It builds the
+    ``cyclic-grid`` workload as ``NetworkHierarchy(levels, gammas,
+    walk_cap=100_000)``; that keyword is accepted and ignored until the
+    benchmark stops passing it."""
+
+    def test_walk_cap_is_accepted_and_changes_nothing(self, monkeypatch):
+        workloads = load_perfbench(monkeypatch, "workloads")
+        doc, walk_cap = workloads.GENERATORS["cyclic-grid"](0, 1)
+        assert walk_cap == 100_000
+        base = sueflow.cli.network_from_dict(doc)
+        fresh = sueflow.cli.network_from_dict(doc)  # its own levels, compiled apart
+        capped = sueflow.NetworkHierarchy(fresh.levels, fresh.gammas, walk_cap=walk_cap)
+        assert capped.levels[0].index.topo is None  # the level is cyclic
+        assert not hasattr(capped, "walk_cap")
+        assert sueflow.cli.validate_hierarchy(capped) == sueflow.validate_hierarchy(base) == []
+        t = base.free_flow_times()
+        a, b = loading.network_loading(base, t), loading.network_loading(capped, t)
+        assert repr((a.flows, a.smooth_value, a.entropies)) == repr(
+            (b.flows, b.smooth_value, b.entropies)
+        )
+
+    def test_driver_calls_resolve(self, monkeypatch, tmp_path):
+        workloads = load_perfbench(monkeypatch, "workloads")
+        doc, _ = workloads.GENERATORS["grid-distinct"](0, 1)
+        path = tmp_path / "network.json"
+        path.write_text(json.dumps(doc))
+        net = sueflow.cli.parse_network(path)
+        assert sueflow.cli.network_from_dict(doc).gammas == net.gammas
+        value = loading.dual_objective(net, net.free_flow_times())
+        assert math.isfinite(value)
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"gap_tol": 1e-6 * abs(value), "max_iters": 1000}))
+        assert sueflow.cli.load_config(cfg).L0 == 1.0
+        assert sueflow.cli.main(["validate", "--network", str(path)]) == 0

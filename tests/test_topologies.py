@@ -191,7 +191,7 @@ def test_cyclic_grid_matches_enumeration():
     # carries under exp(-80) of an OD's mass, so the walk sum of the cyclic
     # loading and the oracle's simple-path enumeration must agree.
     level = grid3_level((ODPair("r0c0", "r2c2", 1.0), ODPair("r2c0", "r0c2", 2.0)))
-    net = NetworkHierarchy([level], [0.02], walk_cap=1)
+    net = NetworkHierarchy([level], [0.02])
     assert validate_hierarchy(net) == []
     t = net.free_flow_times()
     res = network_loading(net, t)
@@ -286,7 +286,7 @@ def test_cyclic_grid_two_origins_into_one_corner():
     # the grid and temperature of test_cyclic_grid_matches_enumeration, with
     # both trips bound for r2c2
     level = grid3_level((ODPair("r0c0", "r2c2", 1.0), ODPair("r2c0", "r2c2", 2.0)))
-    net = NetworkHierarchy([level], [0.02], walk_cap=1)
+    net = NetworkHierarchy([level], [0.02])
     assert validate_hierarchy(net) == []
     t = net.free_flow_times()
     res = assert_matches_enumeration(net, t)
