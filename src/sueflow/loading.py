@@ -18,20 +18,22 @@ and one linear solve per destination gives it exactly (Akamatsu 1996,
 sum that diverges raises ``LoadingError``. On a DAG level every walk is a
 path, so the walk sum is exact there too.
 
-Each level compiles one plan on its first loading and keeps it as
-``LevelIndex.plan``. Only ``_plan`` picks its kind, a ``_DagPlan`` for an
-acyclic level and a ``_CyclicPlan`` for a cyclic one, and the kind names
-the level's kernels. Every kind keeps one contract between its passes.
-The sweep (``plan.sweep``) starts from ``rho`` and hands back the soft-min
-value at each position of the plan's flat node arrays; each OD pair's
-trip cost is read at its ``at_origin`` position. For a gradient, it also
-fills in the logit choice toward each destination (``_Choice``, zeros
+The first loading compiles one edge layout per network (``_Layout``, kept
+as ``NetworkHierarchy.layout``), which places each level's edges in the
+dual vector and among all levels' flows, and one plan per level, kept as
+``LevelIndex.plan``. Only ``_plan`` picks a plan's kind, a ``_DagPlan``
+for an acyclic level and a ``_CyclicPlan`` for a cyclic one, and the kind
+names the level's kernels. Every kind keeps one contract between its
+passes. The sweep (``plan.sweep``) starts from ``rho`` and hands back the
+soft-min value at each position of the plan's flat node arrays; each OD
+pair's trip cost is read at its ``at_origin`` position. For a gradient, it
+also fills in the logit choice toward each destination (``_Choice``, zeros
 from ``plan.choice()``: each edge's probability, each node's entropy),
 from the ``exp``s it pays once per edge (on an acyclic level, once per
 edge out of a node with several exits); the forward pass
 (``plan.forward``) only propagates the demand placed at the positions of
-``supplies`` through that choice, with no ``exp`` or ``log`` of its own.
-A value runs the same sweep and keeps no choice.
+``supplies`` through that choice, with no ``exp`` or ``log`` of its own. A
+value runs the same sweep and keeps no choice.
 
 OD pairs enter only through their destinations: pairs that share one share
 its soft-min field, and since flows and trajectory entropy are linear in
@@ -65,7 +67,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import TYPE_CHECKING, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
 from .model import LevelIndex, NetworkHierarchy
 
@@ -654,6 +656,50 @@ def _plan(index: LevelIndex) -> _DagPlan | _CyclicPlan:
     return index.plan
 
 
+class _Layout(NamedTuple):
+    """Where each level's edges sit in the dual vector of plain-edge times
+    and among all levels' edge flows concatenated; built by ``_layout``.
+
+    Level ``k``'s plain edges hold the entries ``start:stop`` of the dual
+    vector (``gathers[k] = (start, stop, pick)``), in edge order. ``pick``
+    is ``None`` when the level has no portal; otherwise it takes the
+    weights, in edge order, out of the next level's trip costs followed by
+    that slice. ``plain_at`` gives each plain edge's flow position, in
+    plain-edge order, and ``ends[k]`` where level ``k``'s flows end.
+    """
+
+    gathers: list[tuple[int, int, Callable[[Sequence[float]], Sequence[float]] | None]]
+    plain_at: list[int]
+    ends: list[int]
+
+
+def _layout(net: NetworkHierarchy) -> _Layout:
+    """The network's layout, compiled in one pass over the levels' edges on
+    first use (a loading or a solve) and kept on the network."""
+    if net.layout is None:
+        gathers, plain_at, ends, end = [], [], [], 0
+        for k, level in enumerate(net.levels):
+            below = len(net.levels[k + 1].od_pairs) if k + 1 < net.num_levels else 0
+            start = len(plain_at)
+            source = []  # each edge's weight in the trip costs below, then the slice
+            for pos, edge in enumerate(level.edges):
+                if edge.is_plain:
+                    source.append(below + len(plain_at) - start)
+                    plain_at.append(end + pos)
+                else:
+                    source.append(edge.target_od.od)
+            pick = None
+            if len(plain_at) - start < len(source):
+                # itemgetter of one key returns the item, of a slice a list
+                pick = itemgetter(*source) if len(source) > 1 else itemgetter(
+                    slice(source[0], source[0] + 1))
+            gathers.append((start, len(plain_at), pick))
+            end += len(source)
+            ends.append(end)
+        net.layout = _Layout(gathers, plain_at, ends)
+    return net.layout
+
+
 def _sweep_weights(
     net: NetworkHierarchy, t: Sequence[float], keep_choices: bool = False
 ) -> tuple[list[Sequence[float]], list[list[float]], list[_Choice | None]]:
@@ -664,15 +710,14 @@ def _sweep_weights(
 
     A portal edge's weight is the soft-min trip cost of its target OD pair
     one level down, so levels are processed deepest first. Each level's
-    weights come from its gather, compiled once from the plain-edge order
-    (``NetworkHierarchy.weight_gathers``): the level's contiguous slice of
-    ``t``, with the next level's trip costs after it, picked into edge order
-    in one call. So ``t`` must hold exactly one value per plain edge, or
-    ``ValueError`` names both lengths; a longer or shorter ``t`` would
-    shift the slices and misread the trip costs. A NaN or infinite value
-    raises ``ValueError`` naming its edge and level. Each level makes one
-    sweep over its plan (``_plan``) and reads each OD pair's trip cost at
-    its ``at_origin`` position. A trip cost that is not finite raises
+    weights come from its gather in the network's layout (``_layout``): the
+    level's contiguous slice of ``t``, after the next level's trip costs,
+    picked into edge order in one call. So ``t`` must hold exactly one
+    value per plain edge, or ``ValueError`` names both lengths; a longer or
+    shorter ``t`` would shift the slices and misread the trip costs. A NaN
+    or infinite value raises ``ValueError`` naming its edge and level. Each
+    level makes one sweep over its plan (``_plan``) and reads each OD
+    pair's trip cost at its ``at_origin`` position. A trip cost that is not finite raises
     ``NoPathError`` if it is ``+inf`` because the trip has no route, and
     otherwise ``LoadingError`` naming the trip and the value: ``+inf`` or
     ``-inf`` for a cost that overflowed, ``nan`` for one that subtracted
@@ -691,7 +736,7 @@ def _sweep_weights(
                 raise ValueError(
                     f"non-finite time {value} for plain edge {edge_id!r} at level {k + 1}"
                 )
-    gathers = net.weight_gathers()
+    gathers = _layout(net).gathers
     m = net.num_levels
     weights: list[Sequence[float]] = [()] * m
     choices: list[_Choice | None] = [None] * m
@@ -706,7 +751,7 @@ def _sweep_weights(
         start, stop, pick = gathers[k]
         w = values[start:stop]
         if pick is not None:
-            w = pick(w + trip_costs[k + 1])
+            w = pick(trip_costs[k + 1] + w)
         weights[k] = w
         plan = _plan(index)
         choice = plan.choice() if keep_choices else None

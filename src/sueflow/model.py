@@ -12,11 +12,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
-from operator import itemgetter
-from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterator, Mapping
 
 from .costs import LinkCost
 
@@ -179,21 +177,6 @@ def _unknown_node(level: LevelGraph, node_index: Mapping[str, int]) -> ValueErro
     return ValueError(f"{owner} names node {node!r}, which the level lacks")
 
 
-class WeightGather(NamedTuple):
-    """How loading assembles one level's edge weights from the dual vector.
-
-    The level's plain edges hold the entries ``start:stop`` of the vector,
-    in edge order. ``pick`` is ``None`` when the level has no portal, so
-    that the slice is its weight list. Otherwise ``pick`` takes the weights,
-    in edge order, out of the slice followed by the trip costs of the next
-    level's OD pairs, in one call.
-    """
-
-    start: int
-    stop: int
-    pick: Callable[[Sequence[float]], Sequence[float]] | None
-
-
 @dataclass(frozen=True)
 class Violation:
     code: str
@@ -206,6 +189,11 @@ class NetworkHierarchy:
 
     A level may be cyclic: its loading sums over walks of every length,
     solved exactly, and raises ``LoadingError`` when that sum diverges.
+    The loading module compiles one plan per level (``LevelIndex.plan``)
+    and one edge layout per network, kept as ``layout``: how each level's
+    weights come from the dual vector, and where each plain edge and each
+    level's edges sit among all levels' edges. ``layout`` is ``None`` until
+    the first loading, and validation never reads it.
     ``walk_cap`` is accepted and ignored: ``perfbench/run.py`` still passes
     it, and ROADMAP item 3 removes the keyword together with that call.
     """
@@ -219,7 +207,7 @@ class NetworkHierarchy:
         self.levels: tuple[LevelGraph, ...] = tuple(levels)
         self.gammas: tuple[float, ...] = tuple(float(g) for g in gammas)
         self._plain_order: list[tuple[int, int]] | None = None
-        self._gathers: list[WeightGather] | None = None
+        self.layout: object | None = None
 
     @property
     def num_levels(self) -> int:
@@ -235,32 +223,6 @@ class NetworkHierarchy:
                         order.append((k, i))
             self._plain_order = order
         return self._plain_order
-
-    def weight_gathers(self) -> list[WeightGather]:
-        """Per level, its weight assembly compiled from ``plain_edge_order``:
-        a plain edge takes its level's entry of the dual vector, a portal the
-        trip cost of its target OD pair. Built on first use and kept."""
-        if self._gathers is None:
-            order = self.plain_edge_order()
-            gathers = []
-            start = 0
-            for k, level in enumerate(self.levels):
-                stop = bisect_left(order, (k + 1,))
-                n_plain = stop - start
-                pick = None
-                if n_plain < len(level.edges):
-                    rank = {i: r for r, (_, i) in enumerate(order[start:stop])}
-                    source = [
-                        rank[pos] if pos in rank else n_plain + edge.target_od.od
-                        for pos, edge in enumerate(level.edges)
-                    ]
-                    # itemgetter of one key returns the item, of a slice a list
-                    pick = itemgetter(*source) if len(source) > 1 else itemgetter(
-                        slice(source[0], source[0] + 1))
-                gathers.append(WeightGather(start, stop, pick))
-                start = stop
-            self._gathers = gathers
-        return self._gathers
 
     def plain_edges(self) -> Iterator[tuple[int, Edge]]:
         """Yield (level, edge) over plain edges in canonical order."""

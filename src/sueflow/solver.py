@@ -42,7 +42,6 @@ vanishes exactly at equilibrium. The run stops once the gap reaches
 
 from __future__ import annotations
 
-import itertools
 import math
 import numbers
 import sys
@@ -52,6 +51,8 @@ from typing import TYPE_CHECKING, Callable, Sequence
 from .costs import CostTable
 from .loading import (
     LoadResult,
+    _Layout,
+    _layout,
     _SmoothOverflow,
     dual_smooth_value,
     entropy_term,
@@ -302,21 +303,13 @@ def _stop_reason(gap: float | None, dual_value: float, gap_tol: float) -> str | 
     return None
 
 
-def _plain_positions(net: NetworkHierarchy) -> np.ndarray:
-    """Position of each plain edge, in plain-edge order, among the edges of
-    every level concatenated in level order."""
-    import numpy as np
-
-    offsets = [0, *itertools.accumulate(len(level.edges) for level in net.levels)]
-    return np.array([offsets[k] + pos for k, pos in net.plain_edge_order()], dtype=np.intp)
-
-
 class _DualSmooth:
     """Smooth-oracle adapter: loading supplies value, gradient, and extras.
 
-    ``plain`` is ``_plain_positions(net)``: the gradient is minus the flows
-    it picks from the loading's concatenated levels. ``flows`` keeps that
-    concatenation for the latest gradient's loading.
+    ``plain`` holds the plain edges' positions in the loading's levels
+    concatenated (the layout's ``plain_at``): the gradient is minus the
+    flows there. ``flows`` keeps that concatenation for the latest
+    gradient's loading.
     """
 
     def __init__(self, net: NetworkHierarchy, plain: np.ndarray) -> None:
@@ -346,20 +339,20 @@ class _PrimalCandidates:
     value so far.
 
     Flows are one array over every edge of every level, in level order,
-    whose plain edges sit at ``plain`` (``_plain_positions``); the cost
-    integrals of the primal values go through ``table``.
+    whose plain edges sit at ``plain`` and whose levels end at ``ends``, as
+    the network's ``layout`` places them; the cost integrals of the primal
+    values go through ``table``.
     """
 
-    def __init__(self, net: NetworkHierarchy, table: CostTable, plain: np.ndarray) -> None:
+    def __init__(self, net: NetworkHierarchy, table: CostTable, layout: _Layout) -> None:
         import numpy as np
 
         self.net = net
         self.table = table
         self.weight = 0.0
-        offsets = list(itertools.accumulate(len(level.edges) for level in net.levels))
-        self.level_ends = offsets[:-1]
-        self.plain = plain
-        self.flow_sums = np.zeros(offsets[-1])
+        self.ends = layout.ends
+        self.plain = np.array(layout.plain_at, dtype=np.intp)
+        self.flow_sums = np.zeros(self.ends[-1])
         self.entropy_sum = 0.0
         self.average_value = math.inf
         self.loading: tuple[float, np.ndarray | None, float] = (math.inf, None, math.nan)
@@ -390,7 +383,7 @@ class _PrimalCandidates:
             flows, entropy = self.flow_sums / self.weight, self.entropy_sum / self.weight
         else:
             kind, (value, flows, entropy) = "loading", self.loading
-        return kind, value, [part.tolist() for part in np.split(flows, self.level_ends)], entropy
+        return kind, value, [part.tolist() for part in np.split(flows, self.ends[:-1])], entropy
 
 
 def solve(
@@ -407,9 +400,8 @@ def solve(
     cfg = cfg or SolverConfig()
     start = net.free_flow_times() if t0 is None else [float(v) for v in t0]
     table = CostTable(net.plain_costs())
-    plain = _plain_positions(net)
-    candidates = _PrimalCandidates(net, table, plain)
-    smooth = _DualSmooth(net, plain)
+    candidates = _PrimalCandidates(net, table, _layout(net))
+    smooth = _DualSmooth(net, candidates.plain)
 
     def on_accept(info: StepInfo) -> float:
         # The accepted loading is the latest gradient's: a trial's value

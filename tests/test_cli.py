@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import os
@@ -13,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import sueflow
-from sueflow import AffineCost, ConstantCost, ODPair, ODRef, PowerCost, solver
+from sueflow import AffineCost, ConstantCost, ODPair, ODRef, PowerCost, loading, solver
 from sueflow.cli import ParseError, load_config, load_times, main, parse_network
 
 from conftest import FIXTURES
@@ -405,6 +406,19 @@ class TestSolveCommand:
         assert math.isfinite(cert["gap"])
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
+    def test_huge_gammas_stop_at_roundoff(self, tmp_path):
+        # At gamma 1e12 the primal value is near 3.2e12, so the default
+        # absolute gap_tol of 1e-8 lies below its round-off: an honest exit 1.
+        doc = json.loads((FIXTURES / "two_level.json").read_text())
+        doc["gammas"] = [1e12, 1e12]
+        network = tmp_path / "net.json"
+        network.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert run_cli("solve", "--network", network, "--out", out) == 1
+        cert = json.loads((out / "certificate.json").read_text())
+        assert (cert["stop"], cert["T"]) == ("roundoff", 3)
+        assert math.isfinite(cert["gap"])
+
     def test_vanishing_L0_reaches_the_gap(self, tmp_path):
         # 4 * L0**2 underflowed to 0 in the step weight's old form, which
         # ended in a ZeroDivisionError; the products alpha * L stay finite.
@@ -524,6 +538,22 @@ class TestCyclicNetwork:
         assert err == self.DIVERGES and "Traceback" not in err
         assert not (out / "flows.csv").exists()
 
+    def test_load_at_free_flow(self, tmp_path):
+        net = parse_network(self.CYCLIC)
+        free = {e.id: e.cost.free_flow_time for e in net.levels[0].edges}
+        tfile = tmp_path / "t.json"
+        tfile.write_text(json.dumps({"version": 1, "times": [free]}))
+        out = tmp_path / "out"
+        assert run_cli("load", "--network", self.CYCLIC, "--t-file", tfile, "--out", out) == 0
+        rows = [row.split(",") for row in (out / "flows.csv").read_text().splitlines()[2:]]
+        assert [(level, edge_id) for level, edge_id, _, _ in rows] == [
+            ("1", e.id) for e in net.levels[0].edges
+        ]
+        flows = [float(flow) for _, _, flow, _ in rows]
+        result = loading.network_loading(net, net.free_flow_times())
+        assert flows == result.flows[0]
+        loading.verify_conservation(net, dataclasses.replace(result, flows=[flows]))
+
     def test_divergent_load_exits_3(self, tmp_path, capsys):
         net = parse_network(self.DIVERGENT)
         free = {e.id: e.cost.free_flow_time for e in net.levels[0].edges}
@@ -574,25 +604,38 @@ class TestOverflowingRuns:
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
     def test_infinite_gap_exits_3_before_writing(self, tmp_path, capsys):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text('{"max_iters": 50}')
-        out = tmp_path / "out"
-        network = self.network(tmp_path, cap=1e-100)
-        assert run_cli("solve", "--network", network, "--config", cfg, "--out", out) == 3
-        assert "error: the duality gap is inf at T 50" in capsys.readouterr().err
-        assert not out.exists()
+        # At demand 1e100 and L0 1e100 no primal candidate ever has a
+        # finite value, so every gap is inf up to the iteration cap.
+        for edits, config, T in (
+            ({"cap": 1e-100}, '{"max_iters": 50}', 50),
+            ({"demand": 1e100}, '{"L0": 1e100, "max_iters": 200}', 200),
+        ):
+            network = self.network(tmp_path, **edits)
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(config)
+            out = tmp_path / f"out{T}"
+            assert run_cli("solve", "--network", network, "--config", cfg, "--out", out) == 3
+            assert f"error: the duality gap is inf at T {T}" in capsys.readouterr().err
+            assert not out.exists()
 
     def test_huge_demand_exits_3_without_a_warning(self, tmp_path, capsys):
         # The step's dot products overflow; the secant is then no number and
-        # each rejection doubles L until the budget runs out.
-        out = tmp_path / "out"
-        network = self.network(tmp_path, demand=1e300)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            code = run_cli("solve", "--network", network, "--out", out)
-        assert code == 3
-        assert "no acceptable local Lipschitz estimate" in capsys.readouterr().err
-        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        # each rejection doubles L until the budget runs out. At demand 1e100
+        # the secant is finite but small, so each rejection only doubles L
+        # too, and 60 doublings fall short of the 1e99 the step needs.
+        for demand in (1e300, 1e100):
+            out = tmp_path / f"out{demand:g}"
+            network = self.network(tmp_path, demand=demand)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                code = run_cli("solve", "--network", network, "--out", out)
+            assert code == 3
+            assert capsys.readouterr().err == (
+                "error: no acceptable local Lipschitz estimate within 60 backtracks"
+                " at iteration 0\n"
+            )
+            assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+            assert not out.exists()
 
 
 class TestNonFiniteInput:

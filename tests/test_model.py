@@ -1,9 +1,8 @@
-"""Hierarchy validation, the compiled level index, and route-length bounds."""
+"""Hierarchy validation and the compiled level index."""
 
 from __future__ import annotations
 
 import math
-import time
 
 import pytest
 from hypothesis import given, settings
@@ -19,20 +18,10 @@ from sueflow import (
     NetworkHierarchy,
     ODPair,
     ODRef,
-    lipschitz_bound_diagnostic,
     validate_hierarchy,
 )
-from sueflow.loading import _longest_routes, longest_path_bounds
-from sueflow.oracle import expand_paths
 
-from conftest import (
-    chain3_net,
-    diamond_net,
-    grid3_level,
-    parallel_net,
-    random_hierarchy,
-    two_edge_net,
-)
+from conftest import chain3_net, parallel_net, two_edge_net
 
 
 def codes(net):
@@ -383,110 +372,3 @@ class TestLevelIndex:
         )
         assert level.index.dests == [3, 4]
         assert level.index.dest_slot == [0, 1, 0, 0]
-
-
-def whole_level_longest_routes(index, weights, dst):
-    """Reference longest routes to ``dst`` over every node of an acyclic level."""
-    best = [-1] * index.n_nodes
-    best[dst] = 0
-    for v in reversed(index.topo):
-        if v != dst:
-            for e in index.out_edges[v]:
-                if best[index.heads[e]] >= 0:
-                    best[v] = max(best[v], weights[e] + best[index.heads[e]])
-    return best
-
-
-class TestLongestPathBound:
-    def test_parallel(self):
-        # routes of 1 edge each
-        assert longest_path_bounds(two_edge_net())[0][0] == 1
-
-    def test_diamond(self):
-        assert longest_path_bounds(diamond_net())[0][0] == 2
-
-    def test_chain_of_levels(self):
-        # one plain edge at each of three levels
-        assert longest_path_bounds(chain3_net())[0][0] == 3
-
-    def test_two_level_fixture_vs_expansion(self, two_level_net):
-        expanded = expand_paths(two_level_net, ODRef(0, 0))
-        brute = max(p.total_plain_edges for p in expanded)
-        assert longest_path_bounds(two_level_net)[0][0] == brute == 3
-        self.assert_every_od_matches_expansion(two_level_net)
-
-    @pytest.mark.parametrize("seed", [100, 101, 102, 103])
-    def test_every_od_vs_expansion_random(self, seed):
-        net, _ = random_hierarchy(seed)
-        self.assert_every_od_matches_expansion(net)
-
-    @staticmethod
-    def assert_every_od_matches_expansion(net):
-        bounds = longest_path_bounds(net)
-        for k, level in enumerate(net.levels):
-            for j in range(len(level.od_pairs)):
-                brute = max(p.total_plain_edges for p in expand_paths(net, ODRef(k, j)))
-                assert bounds[k][j] == brute
-                if k == 0:
-                    assert longest_path_bounds(net)[0][j] == brute
-
-    @given(seed=st.integers(0, 299))
-    @settings(max_examples=40, deadline=None)
-    def test_subgraph_pass_matches_the_whole_level_walk(self, seed):
-        net, _ = random_hierarchy(seed)
-        bounds = longest_path_bounds(net)
-        for k, level in enumerate(net.levels):
-            index = level.index
-            program = index.plan
-            weights = [
-                1 if edge.is_plain else bounds[k + 1][edge.target_od.od] for edge in level.edges
-            ]
-            sub = _longest_routes(program, weights)
-            for slot, dst in enumerate(index.dests):
-                whole = whole_level_longest_routes(index, weights, dst)
-                first = program.at_dst[slot]
-                inside = list(range(first, first + len(program.runs[slot]) + 1))
-                assert [sub[p] for p in inside] == [whole[program.node_at[p]] for p in inside]
-                for (src, _), od_slot, at in zip(index.od_nodes, index.dest_slot,
-                                                 program.at_origin):
-                    if od_slot == slot:
-                        assert at in inside and program.node_at[at] == src
-                        assert sub[at] == whole[src] >= 0
-            # the one position outside every slot, for origins without a route
-            assert program.node_at[0] == -1 and sub[0] == -1
-
-    def test_monotone_under_edge_addition(self):
-        base = diamond_net()
-        level = base.levels[0]
-        more = LevelGraph(
-            nodes=level.nodes,
-            edges=level.edges + (Edge("ab", "a", "b", cost=AffineCost(0.1, 0.1)),),
-            od_pairs=level.od_pairs,
-        )
-        bigger = NetworkHierarchy([more], base.gammas)
-        assert longest_path_bounds(bigger)[0][0] >= longest_path_bounds(base)[0][0]
-        assert longest_path_bounds(bigger)[0][0] == 3
-
-    def test_cyclic_level_is_unbounded(self):
-        # Loading on a cyclic level sums over walks of every length, so no
-        # walk length bounds its routes; the bound is inf at once, on the
-        # level and through a portal into it.
-        grid = grid3_level((ODPair("r0c0", "r2c2", 1.0),))
-        flat = NetworkHierarchy([grid], [0.02])
-        above = LevelGraph(
-            nodes=("o", "d"),
-            edges=(
-                Edge("gate", "o", "d", target_od=ODRef(1, 0)),
-                Edge("od", "o", "d", cost=AffineCost(1.0, 1.0)),
-            ),
-            od_pairs=(ODPair("o", "d", 1.0),),
-        )
-        below = LevelGraph(grid.nodes, grid.edges, (ODPair("r0c0", "r2c2"),))
-        stacked = NetworkHierarchy([above, below], [1.0, 0.02])
-        assert validate_hierarchy(flat) == validate_hierarchy(stacked) == []
-        start = time.perf_counter()
-        assert longest_path_bounds(flat) == [[math.inf]]
-        assert longest_path_bounds(stacked) == [[math.inf], [math.inf]]
-        assert lipschitz_bound_diagnostic(flat) == math.inf
-        assert lipschitz_bound_diagnostic(stacked) == math.inf
-        assert time.perf_counter() - start < 1.0

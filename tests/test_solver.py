@@ -30,12 +30,13 @@ from sueflow import (
 from sueflow.costs import CostTable
 from sueflow.loading import (
     LoadResult,
+    _layout,
     entropy_term,
     network_loading,
     surrogate_primal,
     verify_conservation,
 )
-from sueflow.solver import _DualSmooth, _plain_positions, _stop_reason, minimize_composite
+from sueflow.solver import _DualSmooth, _stop_reason, minimize_composite
 from sueflow import oracle
 from sueflow import solver as solver_module
 
@@ -317,7 +318,7 @@ class TestVectorisedStep:
 def assert_gradient_is_minus_plain_flows(net, t):
     """The oracle's gradient, gathered through the compiled plain-edge
     index, holds the very floats of minus the edge-by-edge plain flows."""
-    _, grad, result = _DualSmooth(net, _plain_positions(net)).value_and_grad(np.array(t))
+    _, grad, result = _DualSmooth(net, _layout(net).plain_at).value_and_grad(np.array(t))
     reference = -np.array(plain_flows(net, result), dtype=np.float64)
     assert grad.dtype == np.float64
     assert grad.tobytes() == reference.tobytes()
@@ -403,7 +404,7 @@ class TestDualityGap:
             return None
 
         minimize_composite(
-            _DualSmooth(net, _plain_positions(net)), CostTable(net.plain_costs()),
+            _DualSmooth(net, _layout(net).plain_at), CostTable(net.plain_costs()),
             net.free_flow_times(),
             SolverConfig(max_iters=40, gap_tol=0.0), on_accept,
         )
@@ -550,7 +551,7 @@ class TestFreeFlowFloor:
             return None
 
         t, history = minimize_composite(
-            _DualSmooth(net, _plain_positions(net)), CostTable(net.plain_costs()),
+            _DualSmooth(net, _layout(net).plain_at), CostTable(net.plain_costs()),
             net.free_flow_times(), SolverConfig(max_iters=60, gap_tol=0.0), on_accept,
         )
         assert len(points) == len(history) == 60
@@ -703,7 +704,7 @@ def replay_candidates(net, t, iters):
     against ``surrogate_primal`` separately.
     """
     table = CostTable(net.plain_costs())
-    plain = _plain_positions(net)
+    plain = _layout(net).plain_at
     weight = 0.0
     flow_sums = [[0.0] * len(level.edges) for level in net.levels]
     entropy_sum = 0.0

@@ -80,6 +80,12 @@ class TestPublicNames:
         plan_slots = [s for s in model.LevelIndex.__slots__ if "plan" in s or "program" in s]
         assert plan_slots == ["plan"]
         assert "longest_path_bounds" not in loading.__all__
+        # The loading module compiles and keeps each network's one edge
+        # layout: the weight gathers and the solver's plain-edge positions.
+        assert not hasattr(model, "WeightGather")
+        assert "WeightGather" not in model.__all__
+        assert not hasattr(model.NetworkHierarchy, "weight_gathers")
+        assert not hasattr(solver, "_plain_positions")
 
 
 def load_perfbench(monkeypatch, name):
