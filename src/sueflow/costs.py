@@ -52,7 +52,8 @@ _ROOT_ITERS = 200
 
 
 class ProxConvergenceError(ArithmeticError):
-    """The power-cost prox did not converge within ``_ROOT_ITERS`` steps."""
+    """The power-cost prox did not converge within ``_ROOT_ITERS`` steps, or
+    a table's prox has no finite answer in floats."""
 
 
 class LinkCost:
@@ -239,6 +240,10 @@ def _power_prox(block: _NewtonBlock, v, step, flows=None):
     ``hi`` is 0, and its answer ``min(a, v) = v``, the identity.
     The loop runs until its slowest element has stopped and raises
     ``ProxConvergenceError`` if that takes more than ``_ROOT_ITERS`` steps.
+    It runs under its caller's ``np.errstate``: where a bound, a power or a
+    slope overflows (a huge excess over a tiny ``c``, a flow far above a
+    tiny ``s``, a huge ``mu``), an element may end in NaN, which
+    ``CostTable.prox`` rejects; every finite path keeps its bits.
     """
     import numpy as np
 
@@ -305,7 +310,9 @@ class CostTable:
         self.a, self.c, self.s, self.mu = np.array(forms, dtype=np.float64).reshape(-1, 4).T
         at = np.flatnonzero([type(cost) is PowerCost for cost in costs])
         a, c, s, mu = self.a[at], self.c[at], self.s[at], self.mu[at]
-        self._newton = _NewtonBlock(at, a, c, s, 1.0 / mu, mu - 1.0, c * mu / s) if at.size else None
+        with np.errstate(over="ignore"):  # a slope past the float range is +inf
+            slope = c * mu / s
+        self._newton = _NewtonBlock(at, a, c, s, 1.0 / mu, mu - 1.0, slope) if at.size else None
         # Where c = 0 the conjugate's domain ends at a, so d = t - a is 0 in it
         # and any divisor serves.
         self._c_div = np.where(self.c > 0.0, self.c, 1.0)
@@ -321,25 +328,41 @@ class CostTable:
         edge's flow ``(v - t)/step`` at the answer; Newton starts there
         instead of at the top of its range. Any estimate gives the same
         answer up to Newton's tolerance.
+
+        The kernels run without numpy warnings. The answer lies between
+        ``min(a, v)`` and ``v``, so at a finite ``v`` only a NaN is not
+        finite, as where a power cost's Newton leaves the float range; it
+        raises ``ProxConvergenceError`` naming the step and the number of
+        such edges. An infinite ``v`` may give an infinite answer. An
+        infinite step, a step weight past the float range, raises
+        ``ProxConvergenceError`` too.
         """
         import numpy as np
 
         if step <= 0.0:
             raise ValueError(f"prox step must be positive, got {step}")
+        if step == math.inf:
+            raise ProxConvergenceError("the prox step overflows to inf")
         v = np.asarray(v, dtype=np.float64)
         a, c = self.a, self.c
-        # fmax takes the negative excess below a to 0, and so the NaN of
-        # 0 * inf at a constant cost's v = +inf.
-        with np.errstate(invalid="ignore"):
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            # fmax takes the negative excess below a to 0, and so the NaN of
+            # 0 * inf at a constant cost's v = +inf.
             t = np.minimum(a + np.fmax(c / (c + step) * (v - a), 0.0), v)
-        if self._newton is not None:
-            if flows is not None:
-                flows = np.asarray(flows, dtype=np.float64)
-            t[self._newton.at] = _power_prox(self._newton, v, step, flows)
+            if self._newton is not None:
+                if flows is not None:
+                    flows = np.asarray(flows, dtype=np.float64)
+                t[self._newton.at] = _power_prox(self._newton, v, step, flows)
+        bad = np.count_nonzero(np.isnan(t))
+        if bad:
+            raise ProxConvergenceError(
+                f"the prox at step {step!r} is not finite for {bad} of {t.size} plain edges"
+            )
         return t
 
     def conjugate(self, t: np.ndarray) -> float:
-        """Sum of the conjugates at ``t``; ``+inf`` outside the domain."""
+        """Sum of the conjugates at ``t``; ``+inf`` outside the domain or
+        once a term overflows."""
         import numpy as np
 
         d = np.maximum(t - self.a, 0.0)
@@ -347,23 +370,34 @@ class CostTable:
             return math.inf
         # f*t - integral(f) at tau(f) = t, simplified so that nothing cancels
         # near free flow.
-        f = self.s * (d / self._c_div) ** (1.0 / self.mu)
-        return _ordered_sum(0.0, f * d * self.mu / (self.mu + 1.0))
+        with np.errstate(over="ignore"):
+            f = self.s * (d / self._c_div) ** (1.0 / self.mu)
+            terms = f * d * self.mu / (self.mu + 1.0)
+        return _ordered_sum(0.0, terms)
 
     def integral(self, f: np.ndarray, start: float = 0.0) -> float:
         """``start`` plus the sum of the cost integrals at the flows ``f``;
-        ``+inf`` once a term overflows, as at a flow far above a tiny ``cap``."""
+        ``+inf`` once a term's power overflows, as at a flow far above a
+        tiny ``cap``, and wherever the sum is no number: a coefficient that
+        underflowed to 0 times a power that overflowed, or an infinite
+        ``start`` against an infinite term. So a primal value from this
+        sum is never NaN, and one that is not finite certifies nothing."""
         import numpy as np
 
-        with np.errstate(over="ignore"):
-            terms = self.a * f + self._int_coef * (f / self.s) ** (self.mu + 1.0)
-        return _ordered_sum(start, terms)
+        with np.errstate(over="ignore", invalid="ignore"):
+            power = (f / self.s) ** (self.mu + 1.0)
+            # A constant cost (c = 0) has no congestion term, whatever its power.
+            terms = self.a * f + np.where(self.c > 0.0, self._int_coef * power, 0.0)
+        total = _ordered_sum(start, terms)
+        return math.inf if math.isnan(total) else total
 
 
 def _ordered_sum(start: float, values: np.ndarray) -> float:
     """``start`` plus ``values`` added left to right in plain-edge order: the
     order of the per-edge loops that the table replaces, so a sum of the same
-    values keeps its bits."""
+    values keeps its bits. A sum past the float range is infinite, and one
+    of opposite infinities NaN."""
     import numpy as np
 
-    return float(np.add.accumulate(np.concatenate(([start], values)))[-1])
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(np.add.accumulate(np.concatenate(([start], values)))[-1])

@@ -18,19 +18,19 @@ and one linear solve per destination gives it exactly (Akamatsu 1996,
 sum that diverges raises ``LoadingError``. On a DAG level every walk is a
 path, so the walk sum is exact there too.
 
-The first loading compiles one edge layout per network (``_Layout``, kept
-as ``NetworkHierarchy.layout``), which places each level's edges in the
-dual vector and among all levels' flows, and one plan per level, kept as
-``LevelIndex.plan``. Only ``_plan`` picks a plan's kind, a ``_DagPlan``
-for an acyclic level and a ``_CyclicPlan`` for a cyclic one, and the kind
-names the level's kernels. Every kind keeps one contract between its
-passes. The sweep (``plan.sweep``) starts from ``rho`` and hands back the
-soft-min value at each position of the plan's flat node arrays; each OD
-pair's trip cost is read at its ``at_origin`` position. For a gradient, it
-also fills in the logit choice toward each destination (``_Choice``, zeros
-from ``plan.choice()``: each edge's probability, each node's entropy),
-from the ``exp``s it pays once per edge (on an acyclic level, once per
-edge out of a node with several exits); the forward pass
+A network's first loading compiles it once: one plan per level, its
+weight gather and its portal positions, in one layout (``_Layout``, kept
+as ``NetworkHierarchy.layout``), which also places each level's edges
+among all levels' flows. Only ``_layout`` picks a plan's kind, a
+``_DagPlan`` for an acyclic level and a ``_CyclicPlan`` for a cyclic one,
+and the kind names the level's kernels. Every kind keeps one contract
+between its passes. The sweep (``plan.sweep``) starts from ``rho`` and
+hands back the soft-min value at each position of the plan's flat node
+arrays; each OD pair's trip cost is read at its ``at_origin`` position.
+For a gradient, it also fills in the logit choice toward each destination
+(``_Choice``, zeros from ``plan.choice()``: each edge's probability, each
+node's entropy), from the ``exp``s it pays once per edge (on an acyclic
+level, once per edge out of a node with several exits); the forward pass
 (``plan.forward``) only propagates the demand placed at the positions of
 ``supplies`` through that choice, with no ``exp`` or ``log`` of its own. A
 value runs the same sweep and keeps no choice.
@@ -647,39 +647,41 @@ def _cyclic_plan(index: LevelIndex) -> _CyclicPlan:
     return _CyclicPlan(rho, at_origin, supplies, rows, edges, at_tail, at_head, np.eye(n), stacks)
 
 
-def _plan(index: LevelIndex) -> _DagPlan | _CyclicPlan:
-    """The level's plan, compiled on its first loading and kept on the
-    index: a ``_DagPlan`` when the level has a Kahn order, a
-    ``_CyclicPlan`` when it has a cycle."""
-    if index.plan is None:
-        index.plan = _dag_plan(index) if index.topo is not None else _cyclic_plan(index)
-    return index.plan
-
-
 class _Layout(NamedTuple):
-    """Where each level's edges sit in the dual vector of plain-edge times
-    and among all levels' edge flows concatenated; built by ``_layout``.
+    """A network compiled for loading in one pass over its levels.
 
-    Level ``k``'s plain edges hold the entries ``start:stop`` of the dual
-    vector (``gathers[k] = (start, stop, pick)``), in edge order. ``pick``
-    is ``None`` when the level has no portal; otherwise it takes the
-    weights, in edge order, out of the next level's trip costs followed by
-    that slice. ``plain_at`` gives each plain edge's flow position, in
+    ``plans[k]`` is level ``k``'s plan: a ``_DagPlan`` when the level has a
+    Kahn order, a ``_CyclicPlan`` when it has a cycle. Its plain edges hold
+    the entries ``start:stop`` of the dual vector of plain-edge times
+    (``gathers[k] = (start, stop, pick)``), in edge order. ``pick`` is
+    ``None`` when the level has no portal; otherwise it takes the weights,
+    in edge order, out of the next level's trip costs followed by that
+    slice. ``portals[k]`` gives, for each OD pair of level ``k + 1`` in OD
+    order, the position of the portal edge bound to it. ``plain_at`` gives
+    each plain edge's position among all levels' flows concatenated, in
     plain-edge order, and ``ends[k]`` where level ``k``'s flows end.
     """
 
+    plans: list[_DagPlan | _CyclicPlan]
     gathers: list[tuple[int, int, Callable[[Sequence[float]], Sequence[float]] | None]]
+    portals: list[list[int]]
     plain_at: list[int]
     ends: list[int]
 
 
 def _layout(net: NetworkHierarchy) -> _Layout:
-    """The network's layout, compiled in one pass over the levels' edges on
-    first use (a loading or a solve) and kept on the network."""
+    """The network's layout, compiled on first use (a loading or a solve)
+    and kept on the network; ``ValueError`` names a node a level lacks."""
     if net.layout is None:
-        gathers, plain_at, ends, end = [], [], [], 0
+        plans, gathers, portals, plain_at, ends, end = [], [], [], [], [], 0
         for k, level in enumerate(net.levels):
+            try:
+                index = level.index
+            except ValueError as err:
+                raise ValueError(f"{err} at level {k + 1}") from None
+            plans.append(_dag_plan(index) if index.topo is not None else _cyclic_plan(index))
             below = len(net.levels[k + 1].od_pairs) if k + 1 < net.num_levels else 0
+            portal = [0] * below
             start = len(plain_at)
             source = []  # each edge's weight in the trip costs below, then the slice
             for pos, edge in enumerate(level.edges):
@@ -688,15 +690,17 @@ def _layout(net: NetworkHierarchy) -> _Layout:
                     plain_at.append(end + pos)
                 else:
                     source.append(edge.target_od.od)
+                    portal[edge.target_od.od] = pos
             pick = None
             if len(plain_at) - start < len(source):
                 # itemgetter of one key returns the item, of a slice a list
                 pick = itemgetter(*source) if len(source) > 1 else itemgetter(
                     slice(source[0], source[0] + 1))
             gathers.append((start, len(plain_at), pick))
+            portals.append(portal)
             end += len(source)
             ends.append(end)
-        net.layout = _Layout(gathers, plain_at, ends)
+        net.layout = _Layout(plans, gathers, portals, plain_at, ends)
     return net.layout
 
 
@@ -716,14 +720,15 @@ def _sweep_weights(
     value per plain edge, or ``ValueError`` names both lengths; a longer or
     shorter ``t`` would shift the slices and misread the trip costs. A NaN
     or infinite value raises ``ValueError`` naming its edge and level. Each
-    level makes one sweep over its plan (``_plan``) and reads each OD
+    level makes one sweep over its plan in the layout and reads each OD
     pair's trip cost at its ``at_origin`` position. A trip cost that is not finite raises
     ``NoPathError`` if it is ``+inf`` because the trip has no route, and
     otherwise ``LoadingError`` naming the trip and the value: ``+inf`` or
     ``-inf`` for a cost that overflowed, ``nan`` for one that subtracted
     infinities.
     """
-    n_plain = net.num_plain_edges()
+    layout = _layout(net)
+    n_plain = len(layout.plain_at)
     if len(t) != n_plain:
         raise ValueError(f"expected {n_plain} dual values, one per plain edge, got {len(t)}")
     values = list(map(float, t))
@@ -736,7 +741,6 @@ def _sweep_weights(
                 raise ValueError(
                     f"non-finite time {value} for plain edge {edge_id!r} at level {k + 1}"
                 )
-    gathers = _layout(net).gathers
     m = net.num_levels
     weights: list[Sequence[float]] = [()] * m
     choices: list[_Choice | None] = [None] * m
@@ -744,16 +748,13 @@ def _sweep_weights(
 
     for k in range(m - 1, -1, -1):
         level = net.levels[k]
-        try:
-            index = level.index
-        except ValueError as err:
-            raise ValueError(f"{err} at level {k + 1}") from None
-        start, stop, pick = gathers[k]
+        index = level.index
+        start, stop, pick = layout.gathers[k]
         w = values[start:stop]
         if pick is not None:
             w = pick(trip_costs[k + 1] + w)
         weights[k] = w
-        plan = _plan(index)
+        plan = layout.plans[k]
         choice = plan.choice() if keep_choices else None
         try:
             rho = plan.sweep(index, w, net.gammas[k], choice)
@@ -817,6 +818,7 @@ def network_loading(net: NetworkHierarchy, t: Sequence[float]) -> LoadResult:
     call over all its destinations with positive demand.
     """
     _, trip_costs, choices = _sweep_weights(net, t, keep_choices=True)
+    layout = _layout(net)
     m = net.num_levels
 
     demands: list[list[float]] = [[] for _ in range(m)]
@@ -827,7 +829,7 @@ def network_loading(net: NetworkHierarchy, t: Sequence[float]) -> LoadResult:
     for k in range(m):
         level = net.levels[k]
         index = level.index
-        plan = index.plan
+        plan = layout.plans[k]
         demand = demands[k]
         # Supplies come grouped by slot in ascending order, so flows and
         # entropies are summed over the slots with demand in that order.
@@ -844,10 +846,7 @@ def network_loading(net: NetworkHierarchy, t: Sequence[float]) -> LoadResult:
         flows.append(level_flows)
         entropies.append(level_entropy)
         if k + 1 < m:
-            demands[k + 1] = [
-                level_flows[index.portal_for_od[j]]
-                for j in range(len(net.levels[k + 1].od_pairs))
-            ]
+            demands[k + 1] = [level_flows[pos] for pos in layout.portals[k]]
     return LoadResult(
         smooth_value=smooth, flows=flows, induced_demands=demands, entropies=entropies
     )
@@ -883,7 +882,10 @@ def dual_objective(net: NetworkHierarchy, t: Sequence[float]) -> float:
 def verify_conservation(
     net: NetworkHierarchy, result: LoadResult, tol: float = 1e-9
 ) -> None:
-    """Raise unless flow balances at every node and portals feed demands."""
+    """Raise unless flow balances at every node and portals feed demands.
+
+    Each portal's binding is read from its edge, not from the compiled
+    layout that the loading used, so the check does not share that map."""
     for k, level in enumerate(net.levels):
         index = level.index
         scale = 1.0 + max((abs(v) for v in result.flows[k]), default=0.0)
@@ -901,9 +903,11 @@ def verify_conservation(
                     f"flow imbalance {residual} at node {level.nodes[v]!r}, level {k + 1}"
                 )
         if k + 1 < net.num_levels:
-            for j in range(len(net.levels[k + 1].od_pairs)):
-                portal_flow = result.flows[k][index.portal_for_od[j]]
-                if abs(portal_flow - result.induced_demands[k + 1][j]) > tol * scale:
+            for pos, edge in enumerate(level.edges):
+                if not edge.is_portal:
+                    continue
+                j = edge.target_od.od
+                if abs(result.flows[k][pos] - result.induced_demands[k + 1][j]) > tol * scale:
                     raise AssertionError(
                         f"portal flow and induced demand disagree for level-{k + 2} OD {j}"
                     )
@@ -914,23 +918,25 @@ def longest_path_bounds(net: NetworkHierarchy) -> list[list[float]]:
     traverse, per level, in one bottom-up pass that runs one longest-route
     search per level, over its plan.
 
-    A portal edge counts the bound of its target OD pair, so on DAG levels
-    the value equals exhaustive path expansion. A walk-sum plan sums over
-    walks of every length, so there the bound is ``inf``, and so is that of
-    every OD pair above whose routes may cross its portals. Raises
-    ``ValueError`` naming the first OD pair, in OD order, with no route.
+    A portal edge counts the bound of its target OD pair, taken through the
+    level's weight gather, so on DAG levels the value equals exhaustive
+    path expansion. A walk-sum plan sums over walks of every length, so
+    there the bound is ``inf``, and so is that of every OD pair above whose
+    routes may cross its portals. Raises ``ValueError`` naming the first OD
+    pair, in OD order, with no route.
     """
+    layout = _layout(net)
     bounds: list[list[float]] = [[] for _ in net.levels]
     for k in range(net.num_levels - 1, -1, -1):
-        level = net.levels[k]
-        index = level.index
-        plan = _plan(index)
+        index = net.levels[k].index
+        plan = layout.plans[k]
         if isinstance(plan, _CyclicPlan):
-            bounds[k] = [math.inf] * len(level.od_pairs)
+            bounds[k] = [math.inf] * len(index.od_nodes)
             continue
-        weights = [
-            1 if edge.is_plain else bounds[k + 1][edge.target_od.od] for edge in level.edges
-        ]
+        start, stop, pick = layout.gathers[k]
+        weights = [1] * (stop - start)
+        if pick is not None:
+            weights = pick(bounds[k + 1] + weights)
         longest = _longest_routes(plan, weights)
         for (src, dst), at in zip(index.od_nodes, plan.at_origin):
             length = longest[at]
@@ -940,7 +946,7 @@ def longest_path_bounds(net: NetworkHierarchy) -> list[list[float]]:
     return bounds
 
 
-def _longest_routes(plan: _DagPlan, weights: list[float]) -> list[float]:
+def _longest_routes(plan: _DagPlan, weights: Sequence[float]) -> list[float]:
     """Largest total weight of a route to its slot's destination from each
     position of an acyclic level's plan, or -1 where there is none; the
     destinations absorb.

@@ -95,9 +95,9 @@ class LevelIndex:
     cycle. ``dests`` lists the distinct OD destinations in order of first
     appearance, and ``dest_slot[j]`` is the position of OD ``j``'s
     destination in it: loading computes one soft-min field per destination.
-    ``plan`` is the level's compiled loading plan, which the loading module
-    builds on the level's first loading and keeps; it is ``None`` until
-    then, and validation never reads it.
+    The index holds graph facts only; the loading module compiles the
+    level's plan from it into the network's layout
+    (``NetworkHierarchy.layout``).
     """
 
     __slots__ = (
@@ -111,8 +111,6 @@ class LevelIndex:
         "od_nodes",
         "dests",
         "dest_slot",
-        "portal_for_od",
-        "plan",
     )
 
     def __init__(self, level: LevelGraph) -> None:
@@ -143,11 +141,6 @@ class LevelIndex:
         slot_of: dict[int, int] = {}
         self.dest_slot = [slot_of.setdefault(dst, len(slot_of)) for _, dst in self.od_nodes]
         self.dests = list(slot_of)
-        self.portal_for_od: dict[int, int] = {}
-        for pos, e in enumerate(level.edges):
-            if e.is_portal:
-                self.portal_for_od[e.target_od.od] = pos
-        self.plan: object | None = None
 
     def reaches(self, src: int, dst: int) -> bool:
         """Whether some route of the level leads from ``src`` to ``dst``."""
@@ -189,11 +182,11 @@ class NetworkHierarchy:
 
     A level may be cyclic: its loading sums over walks of every length,
     solved exactly, and raises ``LoadingError`` when that sum diverges.
-    The loading module compiles one plan per level (``LevelIndex.plan``)
-    and one edge layout per network, kept as ``layout``: how each level's
-    weights come from the dual vector, and where each plain edge and each
-    level's edges sit among all levels' edges. ``layout`` is ``None`` until
-    the first loading, and validation never reads it.
+    A network's first loading compiles it once: one plan per level, its
+    weight gather and its portal positions, kept by the loading module as
+    ``layout``, with where each plain edge and each level's edges sit among
+    all levels' edges. ``layout`` is ``None`` until the first loading, and
+    validation never reads it.
     ``walk_cap`` is accepted and ignored: ``perfbench/run.py`` still passes
     it, and ROADMAP item 3 removes the keyword together with that call.
     """

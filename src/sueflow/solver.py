@@ -361,13 +361,17 @@ class _PrimalCandidates:
         """Fold in the loading made with step weight ``alpha``, whose flows
         ``flows`` concatenates; returns the smaller primal value of the two
         candidates."""
+        import numpy as np
+
         entropy = entropy_term(self.net, result)
         self.weight += alpha
-        self.flow_sums += alpha * flows
         self.entropy_sum += alpha * entropy
-        self.average_value = self.table.integral(
-            self.flow_sums[self.plain] / self.weight, start=self.entropy_sum / self.weight
-        )
+        # Sums past the float range are infinite, and their averages may be
+        # NaN; the table's integral then reads +inf, which certifies nothing.
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.flow_sums += alpha * flows
+            average = self.flow_sums[self.plain] / self.weight
+        self.average_value = self.table.integral(average, start=self.entropy_sum / self.weight)
         value = self.table.integral(flows[self.plain], start=entropy)
         if value < self.loading[0]:
             self.loading = (value, flows, entropy)
@@ -380,7 +384,9 @@ class _PrimalCandidates:
 
         if self.average_value <= self.loading[0]:
             kind, value = "average", self.average_value
-            flows, entropy = self.flow_sums / self.weight, self.entropy_sum / self.weight
+            with np.errstate(invalid="ignore"):  # an infinite sum over an infinite weight
+                flows = self.flow_sums / self.weight
+            entropy = self.entropy_sum / self.weight
         else:
             kind, (value, flows, entropy) = "loading", self.loading
         return kind, value, [part.tolist() for part in np.split(flows, self.ends[:-1])], entropy

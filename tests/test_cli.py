@@ -6,6 +6,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -580,12 +581,15 @@ class TestOverflowingRuns:
     warning, and no non-finite certificate."""
 
     @staticmethod
-    def network(tmp_path, cap=2.0, demand=2.0):
-        """``two_level.json`` with power cost ``p2``'s ``cap`` and the
-        level-1 demand set."""
+    def network(tmp_path, cap=2.0, demand=2.0, costs=None):
+        """``two_level.json`` with power cost ``p2``'s ``cap``, the level-1
+        demand and the level-1 cost parameters of ``costs`` (edge id ->
+        parameters) set."""
         doc = json.loads((FIXTURES / "two_level.json").read_text())
-        (p2,) = [e for e in doc["levels"][0]["edges"] if e["id"] == "p2"]
-        p2["cost"]["cap"] = cap
+        edges = {e["id"]: e for e in doc["levels"][0]["edges"]}
+        edges["p2"]["cost"]["cap"] = cap
+        for edge_id, params in (costs or {}).items():
+            edges[edge_id]["cost"].update(params)
         doc["levels"][0]["od_pairs"][0]["demand"] = demand
         path = tmp_path / "net.json"
         path.write_text(json.dumps(doc))
@@ -636,6 +640,56 @@ class TestOverflowingRuns:
             )
             assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
             assert not out.exists()
+
+    @pytest.mark.parametrize("edits, error", [
+        # The first trial's prox (step 1) overflows in Newton's bounds.
+        pytest.param({"demand": 1e193, "costs": {"p2": {"beta": 1e-116}}},
+                     r"the prox at step 1\.0 is not finite for 1 of 6 plain edges",
+                     id="huge-demand-tiny-beta"),
+        # A mirror step near 1.9e300, and a cost integral of 0 * inf.
+        pytest.param({"costs": {"p2": {"beta": 1e-8, "cap": 1e-199, "mu": 1e117}}},
+                     r"the prox at step 1\.9\d*e\+300 is not finite for 1 of 6 plain edges",
+                     id="tiny-cap-huge-mu-tiny-beta"),
+        # A step near 3.9e307, where the averaged flows overflow too.
+        pytest.param({"cap": 1e-199, "costs": {"p2": {"mu": 1e110}}},
+                     r"the prox at step 3\.9\d*e\+307 is not finite for 1 of 6 plain edges",
+                     id="tiny-cap-huge-mu"),
+        # The compiled slope c*mu/s overflows, and later the step weight.
+        pytest.param({"cap": 1e-199, "costs": {"p2": {"mu": 1e110, "beta": 1.0}}},
+                     "the prox step overflows to inf", id="overflowing-slope"),
+    ])
+    def test_prox_without_a_finite_answer_exits_3(self, tmp_path, capsys, edits, error):
+        # Valid networks whose power-cost prox has no finite answer in
+        # floats: the prox raises naming its step, where a NaN time once
+        # reached the loading and ended in a traceback.
+        network = self.network(tmp_path, **edits)
+        assert run_cli("validate", "--network", network) == 0
+        out = tmp_path / "out"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run_cli("solve", "--network", network, "--out", out)
+        assert code == 3
+        assert re.fullmatch(f"error: {error}\n", capsys.readouterr().err)
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert not out.exists()
+
+    def test_overflowing_conjugate_still_reaches_the_gap(self, tmp_path):
+        # direct's free-flow time of 1e170: two accepted points have a
+        # conjugate past the float range, so an infinite dual value, and
+        # the run goes on to its gap.
+        network = self.network(tmp_path, cap=10.0, demand=10.0,
+                               costs={"direct": {"a": 1e170}})
+        out = tmp_path / "out"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run_cli("solve", "--network", network, "--out", out)
+        assert code == 0
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        cert = json.loads((out / "certificate.json").read_text())
+        assert (cert["stop"], cert["T"]) == ("gap_reached", 24)
+        assert math.isfinite(cert["gap"])
+        history = (out / "history.csv").read_text().splitlines()[2:]
+        assert sum(1 for row in history if row.split(",")[3] == "inf") == 2
 
 
 class TestNonFiniteInput:

@@ -405,6 +405,24 @@ class TestCostTable:
         )
         assert t.tolist() == [2.0, math.inf]
 
+    def test_overflows_give_inf_or_raise(self):
+        # p2 of two_level.json with beta 1e-8, cap 1e-199 and mu 1e117: its
+        # integral's coefficient underflows to 0 and its power overflows, so
+        # the term is 0 * inf; with beta 1, the compiled slope c*mu/s
+        # overflows. A constant cost has no such term at any flow.
+        tiny = PowerCost(1.0, 1e-8, 1e-199, 1e117)
+        table = CostTable([tiny, ConstantCost(3.0), PowerCost(1.0, 1.0, 1e-199, 1e110)])
+        assert table.integral(np.array([2.0, 1.0, 0.0])) == math.inf
+        assert table.integral(np.array([0.0, 1e160, 0.0])) == 3e160
+        assert table.integral(np.array([2.0, 1.0, 0.0]), start=-math.inf) == math.inf
+        assert CostTable([AffineCost(1e170, 1.0)]).conjugate(np.array([1e300])) == math.inf
+        # Demand 1e193 and beta 1e-116: Newton's first bound overflows.
+        huge = CostTable([PowerCost(1.0, 1e-116, 2.0, 4.0)])
+        with pytest.raises(ProxConvergenceError, match="^the prox at step 1.0 is not finite"):
+            huge.prox(np.array([1e193]), 1.0)
+        with pytest.raises(ProxConvergenceError, match="^the prox step overflows to inf$"):
+            table.prox(np.array([1.5, 3.0, 1.5]), math.inf)
+
     @pytest.mark.parametrize("step", [1e-3, 0.5, 1e3])
     def test_constant_prox_above_free_flow_is_free_flow(self, step):
         t0 = 1.7

@@ -355,6 +355,22 @@ class TestNetworkLoading:
         res = network_loading(net, t)
         verify_conservation(net, res)
 
+    def test_conservation_check_reads_portals_from_the_edges(self):
+        # A layout with its two portals swapped feeds each level-2 OD pair
+        # the other's portal flow; the levels still balance. The check reads
+        # each binding from its edge, not from that layout, so it catches it.
+        net = shared_destination_grid()
+        t = [c.free_flow_time for c in net.plain_costs()]
+        verify_conservation(net, network_loading(net, t))
+        portals = net.layout.portals[0]
+        assert len(portals) == 2
+        portals.reverse()
+        res = network_loading(net, t)
+        assert res.flows[0][portals[0]] != res.flows[0][portals[1]]
+        message = "^portal flow and induced demand disagree for level-2 OD "
+        with pytest.raises(AssertionError, match=message):
+            verify_conservation(net, res)
+
     @pytest.mark.parametrize("seed", range(8))
     def test_gradient_identity_random(self, seed):
         net, t = random_hierarchy(seed)
@@ -665,9 +681,10 @@ def shared_destination_grid():
     return NetworkHierarchy([level1, level2], [0.8, 0.5])
 
 
-def destinations(index):
-    """The destination nodes of a level plan's slots, in slot order."""
-    program = index.plan
+def destinations(net, k):
+    """The destination nodes of the slots of level ``k``'s plan, in slot
+    order."""
+    index, program = net.levels[k].index, net.layout.plans[k]
     return [index.nodes[program.node_at[at]] for at in program.at_dst]
 
 
@@ -694,8 +711,8 @@ class TestOncePerDestination:
 
         level1, level2 = (level.index for level in net.levels)
         assert sorted(softmin_calls) == sorted([id(level1), id(level2)])
-        assert destinations(level1) == ["r3c3", "r3c2", "r2c2"]
-        assert destinations(level2) == ["r2c2"]
+        assert destinations(net, 0) == ["r3c3", "r3c2", "r2c2"]
+        assert destinations(net, 1) == ["r2c2"]
         # r2c2 at level 1 carries no demand, so its slot gets no forward pass
         assert forward_calls == [(0, ["r3c3", "r3c2"]), (1, ["r2c2"])]
 
@@ -781,7 +798,7 @@ class TestBatchedCyclicPasses:
         net = NetworkHierarchy([level], [gamma])
 
         weights, trip_costs, _ = loading._sweep_weights(net, t)
-        field = level.index.plan.sweep(level.index, weights[0], gamma)
+        field = net.layout.plans[0].sweep(level.index, weights[0], gamma)
         by_id = {e.id: w for e, w in zip(level.edges, weights[0])}
         for slot, dst in enumerate(level.index.dests):
             alone = potentials(level, by_id, gamma, level.nodes[dst])
@@ -820,7 +837,7 @@ class TestBatchedCyclicPasses:
             net = NetworkHierarchy([ring_level(n, arcs, ods)], [0.5])
             assert [net.levels[0].nodes[v] for v in net.levels[0].index.dests] == ["v0", "v3", "v5"]
             res = network_loading(net, t)
-            stacks = net.levels[0].index.plan.stacks
+            stacks = net.layout.plans[0].stacks
             assert [len(s.slots) for s in stacks] == ([3] if stack_floats > n * n else [1, 1, 1])
             flows, entropy = [0.0] * len(arcs), 0.0
             for dst in ("v0", "v3", "v5"):
@@ -857,11 +874,11 @@ class TestBatchedCyclicPasses:
         net = grid_net()
         assert (network_loading(net, t), dual_smooth_value(net, t)) == one_group
         assert kept_choice(net) == one_choice
-        assert [len(s.slots) for s in net.levels[0].index.plan.stacks] == sizes
+        assert [len(s.slots) for s in net.layout.plans[0].stacks] == sizes
 
     def test_compiled_passes_keep_no_stack_of_systems(self):
         # 20 destinations on a 256-node bidirectional ring: one system per
-        # stack, and the arrays kept on the index (the plan's and its
+        # stack, and the arrays kept in the layout (the plan's and its
         # stacks') are O(D E + n**2), far below the D n**2 of a stack of
         # identities per group.
         n, dests = 256, 20
@@ -871,7 +888,7 @@ class TestBatchedCyclicPasses:
         net = NetworkHierarchy([level], [0.5])
         res = network_loading(net, [1.0] * len(arcs))
         verify_conservation(net, res)
-        plan = level.index.plan
+        plan = net.layout.plans[0]
         assert [len(s.slots) for s in plan.stacks] == [1] * dests
         arrays = [*plan, *(a for s in plan.stacks for a in s)]
         kept = sum(getattr(a, "size", 0) for a in arrays)
@@ -1068,7 +1085,7 @@ class TestSingleExitSteps:
         )
         index = level.index
         w = [0.5, term, 2.0]
-        program = loading._plan(index)
+        program = loading._dag_plan(index)
         assert program.node_at[program.at_dst[0] + 1] == index.node_index["m"]
         assert program.runs[0][0] == (1, program.at_dst[0])
         fields = []
@@ -1115,7 +1132,7 @@ class TestSingleExitSteps:
         level = LevelGraph(nodes, tuple(edges), ods)
         net = NetworkHierarchy([level], [0.5])
         verify_conservation(net, network_loading(net, [1.0] * len(edges)))
-        program = level.index.plan
+        program = net.layout.plans[0]
         assert len(program.at_dst) == diamonds
         # (edge, head), or a marker and an (edge, head, choice) per exit
         kept = sum(2 if edge >= 0 else 1 + 3 * len(head)
@@ -1129,12 +1146,11 @@ class TestSingleExitSteps:
         assert arrays < diamonds * len(nodes) / 10
 
 
-def decoded(index, slot):
+def decoded(index, program, slot):
     """The nodes of a slot of an acyclic level's plan in Kahn order and, per
     node of the level, the edges of its step; a step has one exit exactly
     when it is written ``(edge, head)``, and each exit names its edge's head
     by a position of the same slot."""
-    program = index.plan
     node_at, first, run = program.node_at, program.at_dst[slot], program.runs[slot]
     positions = range(first, first + len(run) + 1)
     topo, out_edges = [], [[] for _ in range(index.n_nodes)]
@@ -1157,10 +1173,10 @@ class TestDestinationSubgraphs:
     def test_restricted_loading_equals_whole_level(self, case):
         net, t = case
         restricted = network_loading(net, t), dual_smooth_value(net, t)
-        for level in net.levels:
+        for k, level in enumerate(net.levels):
             index = level.index
             ods = list(zip((src for src, _ in index.od_nodes), index.dest_slot))
-            index.plan = whole_program(index, index.dests, ods)
+            net.layout.plans[k] = whole_program(index, index.dests, ods)
         whole = network_loading(net, t), dual_smooth_value(net, t)
         assert restricted == whole
 
@@ -1175,7 +1191,7 @@ class TestDestinationSubgraphs:
                 rho = potentials(level, weights[k], net.gammas[k], od.destination)
                 assert trip_costs[k][j] == rho[od.origin]
                 if k > 0:
-                    portal = net.levels[k - 1].edges[net.levels[k - 1].index.portal_for_od[j]]
+                    portal = net.levels[k - 1].edges[net.layout.portals[k - 1][j]]
                     assert weights[k - 1][portal.id] == rho[od.origin]
 
     @given(case=any_dag_hierarchy)
@@ -1185,9 +1201,8 @@ class TestDestinationSubgraphs:
         # the destination aside (it has no step), in Kahn order, each keeping
         # its out-edges into the set in order
         net, _ = case
-        for level in net.levels:
+        for level, program in zip(net.levels, loading._layout(net).plans):
             index = level.index
-            program = loading._plan(index)
             n = index.n_nodes
             graph = csr_matrix(
                 ([1.0] * len(index.tails), (index.tails, index.heads)), shape=(n, n)
@@ -1205,7 +1220,7 @@ class TestDestinationSubgraphs:
                     graph.T.tocsr(), dst, directed=True, return_predecessors=False
                 ).tolist()
                 members = below & set(above)
-                topo, out_edges = decoded(index, slot)
+                topo, out_edges = decoded(index, program, slot)
                 assert topo == [v for v in index.topo if v in members and v != dst]
                 for v in range(n):
                     kept = [e for e in index.out_edges[v] if index.heads[e] in members]
@@ -1221,25 +1236,20 @@ class TestDestinationSubgraphs:
             assert choices == list(range(program.n_choices))
             assert program.node_at[0] == -1 and program.rho[0] == math.inf
 
-    def test_built_on_first_loading_not_by_validation(self):
-        net = parse_network(FIXTURES / "two_level.json")
-        assert validate_hierarchy(net) == []
-        assert all(level.index.plan is None for level in net.levels)
-        network_loading(net, net.free_flow_times())
-        built = [level.index.plan for level in net.levels]
-        assert all(isinstance(b, loading._DagPlan) for b in built)
-        network_loading(net, net.free_flow_times())
-        assert all(level.index.plan is b for level, b in zip(net.levels, built))
-
     def test_network_layout_built_on_first_loading_not_by_validation(self):
+        # One compile per network: its layout and each level's plan in it
+        # are built by the first loading and kept by the next.
         net = parse_network(FIXTURES / "two_level.json")
         assert validate_hierarchy(net) == []
         assert net.layout is None
         network_loading(net, net.free_flow_times())
         built = net.layout
         assert isinstance(built, loading._Layout)
+        plans = list(built.plans)
+        assert all(isinstance(plan, loading._DagPlan) for plan in plans)
         network_loading(net, net.free_flow_times())
         assert net.layout is built
+        assert all(plan is kept for plan, kept in zip(net.layout.plans, plans))
 
     def test_cyclic_level_builds_a_walk_sum_plan(self):
         # A cyclic level's passes are linear solves over the whole level.
@@ -1253,10 +1263,11 @@ class TestDestinationSubgraphs:
             ),
             od_pairs=(ODPair("a", "d", 1.0),),
         )
-        assert validate_hierarchy(NetworkHierarchy([level], [0.5])) == []
-        assert level.index.plan is None
-        network_loading(NetworkHierarchy([level], [0.5]), [1.0] * 4)
-        assert isinstance(level.index.plan, loading._CyclicPlan)
+        net = NetworkHierarchy([level], [0.5])
+        assert validate_hierarchy(net) == []
+        assert net.layout is None
+        network_loading(net, [1.0] * 4)
+        assert isinstance(net.layout.plans[0], loading._CyclicPlan)
 
 
 class TestBatchedAcyclicPasses:
@@ -1271,7 +1282,7 @@ class TestBatchedAcyclicPasses:
         res = network_loading(net, t)
         for k, level in enumerate(net.levels):
             index, gamma = level.index, net.gammas[k]
-            program = index.plan
+            program = net.layout.plans[k]
             choice = program.choice()
             rho = loading._softmin(program, index, weights[k], gamma, choice)
             for slot, dst in enumerate(index.dests):
@@ -1316,8 +1327,8 @@ class TestWalkSumCrossCheck:
     def test_acyclic_loading_equals_the_walk_sum(self, case):
         net, t = case
         trips, res, value = loaded(net, t)
-        for level in net.levels:
-            level.index.plan = loading._cyclic_plan(level.index)
+        for k, level in enumerate(net.levels):
+            net.layout.plans[k] = loading._cyclic_plan(level.index)
         walk_trips, walk_res, walk_value = loaded(net, t)
         # An OD pair that starts at its destination costs 0.0 on the
         # acyclic sweep and gamma times the log of the walk-sum solve's
@@ -1474,7 +1485,7 @@ class TestMassLeak:
         _, _, choices = loading._sweep_weights(net, t, keep_choices=True)
         choice = choices[0]
         index = net.levels[0].index
-        program = index.plan
+        program = net.layout.plans[0]
         # a potential at s5 raised by 1 % of gamma would scale the choice at
         # s4, whose successor it is, by exp(-0.01): no longer normalised
         s4 = program.node_at.index(index.node_index["s4"])
@@ -1623,7 +1634,7 @@ class TestLongestPathBound:
         bounds = longest_path_bounds(net)
         for k, level in enumerate(net.levels):
             index = level.index
-            program = index.plan
+            program = net.layout.plans[k]
             weights = [
                 1 if edge.is_plain else bounds[k + 1][edge.target_od.od] for edge in level.edges
             ]

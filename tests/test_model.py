@@ -20,6 +20,7 @@ from sueflow import (
     ODRef,
     validate_hierarchy,
 )
+from sueflow.loading import _layout
 
 from conftest import chain3_net, parallel_net, two_edge_net
 
@@ -316,7 +317,8 @@ class TestLevelIndex:
     def test_compiled_once_per_level(self, two_level_net):
         level = two_level_net.levels[0]
         assert level.index is level.index
-        assert level.index.portal_for_od == {0: 2}
+        # the portal binding is compiled into the network's layout, not the index
+        assert _layout(two_level_net).portals[0] == [2]
         assert [i for k, i in two_level_net.plain_edge_order() if k == 0] == [0, 1, 3]
 
     def test_invalid_endpoints_are_not_compiled(self):

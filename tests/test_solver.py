@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -485,8 +486,8 @@ class TestLipschitzDiagnostic:
         # Routes of 3, 2 and 1 plain edges: (1 * 9 + 2 * 4 + 0.5 * 1) / 0.5.
         assert lipschitz_bound_diagnostic(net) == pytest.approx(35.0)
         expected = {
-            (id(index.plan), index.node_index[v])
-            for index, v in ((level1.index, "d"), (level1.index, "m"), (level2.index, "w"))
+            (id(net.layout.plans[k]), level.index.node_index[v])
+            for k, level, v in ((0, level1, "d"), (0, level1, "m"), (1, level2, "w"))
         }
         assert set(calls) == expected
         assert set(calls.values()) == {1}
@@ -665,10 +666,7 @@ class TestBestPointCertificate:
         assert cert.gap >= -8 * np.finfo(float).eps * scale
         demands = [[od.demand for od in net.levels[0].od_pairs]]
         for k in range(net.num_levels - 1):
-            portal = net.levels[k].index.portal_for_od
-            demands.append(
-                [cert.avg_flows[k][portal[j]] for j in range(len(net.levels[k + 1].od_pairs))]
-            )
+            demands.append([cert.avg_flows[k][pos] for pos in _layout(net).portals[k]])
         reported = LoadResult(
             smooth_value=0.0, flows=cert.avg_flows, induced_demands=demands, entropies=[]
         )
@@ -679,6 +677,28 @@ class TestBestPointCertificate:
         slack = 8 * np.finfo(float).eps * scale
         assert cert.primal_value <= average + slack
         assert cert.primal_value <= min(loadings) + slack
+
+    def test_step_weights_past_the_float_range_certify_nothing(self, two_level_net):
+        # p2's cap of 1e-199 puts each loading's cost integral at +inf, and
+        # two step weights of 1e308 sum past the float range, as on the way
+        # to an overflowing step. Both candidates read +inf, the average
+        # certifies as on a tie, and no numpy warning is raised.
+        top, below = two_level_net.levels
+        edges = tuple(
+            dataclasses.replace(e, cost=PowerCost(1.0, 0.15, 1e-199, 4.0)) if e.id == "p2" else e
+            for e in top.edges
+        )
+        net = NetworkHierarchy([LevelGraph(top.nodes, edges, top.od_pairs), below],
+                               two_level_net.gammas)
+        result = network_loading(net, net.free_flow_times())
+        flows = np.concatenate(result.flows)
+        candidates = solver_module._PrimalCandidates(
+            net, CostTable(net.plain_costs()), _layout(net)
+        )
+        assert candidates.add(1e308, result, flows) == math.inf
+        assert candidates.add(1e308, result, flows) == math.inf
+        kind, value, _, _ = candidates.point()
+        assert (kind, value) == ("average", math.inf)
 
     def test_average_certifies_when_lower(self):
         # Two iterations in, this draw's average lies 0.5 % below both loadings.

@@ -75,13 +75,18 @@ class TestPublicNames:
         for name in ("LevelProgram", "Step", "longest_path_bounds", "_longest_routes"):
             assert not hasattr(model, name), name
             assert name not in model.__all__
-        for name in ("program", "cyclic_plan", "_program"):
+        for name in ("program", "cyclic_plan", "_program", "plan", "portal_for_od"):
             assert not hasattr(model.LevelIndex, name), name
-        plan_slots = [s for s in model.LevelIndex.__slots__ if "plan" in s or "program" in s]
-        assert plan_slots == ["plan"]
+        compiled_slots = [
+            s for s in model.LevelIndex.__slots__
+            if "plan" in s or "program" in s or "portal" in s
+        ]
+        assert compiled_slots == []
         assert "longest_path_bounds" not in loading.__all__
-        # The loading module compiles and keeps each network's one edge
-        # layout: the weight gathers and the solver's plain-edge positions.
+        # The loading module compiles each network once into one layout:
+        # each level's plan, its weight gather and its portal positions, and
+        # the solver's plain-edge positions.
+        assert not hasattr(loading, "_plan")
         assert not hasattr(model, "WeightGather")
         assert "WeightGather" not in model.__all__
         assert not hasattr(model.NetworkHierarchy, "weight_gathers")
