@@ -1236,20 +1236,30 @@ class TestDestinationSubgraphs:
             assert choices == list(range(program.n_choices))
             assert program.node_at[0] == -1 and program.rho[0] == math.inf
 
+    def test_built_on_first_loading_not_by_validation(self):
+        # Each level's plan, held in the network's layout, is built by the
+        # first loading and kept by the next.
+        net = parse_network(FIXTURES / "two_level.json")
+        assert validate_hierarchy(net) == []
+        assert net.layout is None
+        network_loading(net, net.free_flow_times())
+        built = list(net.layout.plans)
+        assert len(built) == len(net.levels)
+        assert all(isinstance(b, loading._DagPlan) for b in built)
+        network_loading(net, net.free_flow_times())
+        assert all(plan is b for plan, b in zip(net.layout.plans, built))
+
     def test_network_layout_built_on_first_loading_not_by_validation(self):
-        # One compile per network: its layout and each level's plan in it
-        # are built by the first loading and kept by the next.
+        # One compile per network: the layout is built by the first loading
+        # and kept by the next.
         net = parse_network(FIXTURES / "two_level.json")
         assert validate_hierarchy(net) == []
         assert net.layout is None
         network_loading(net, net.free_flow_times())
         built = net.layout
         assert isinstance(built, loading._Layout)
-        plans = list(built.plans)
-        assert all(isinstance(plan, loading._DagPlan) for plan in plans)
         network_loading(net, net.free_flow_times())
         assert net.layout is built
-        assert all(plan is kept for plan, kept in zip(net.layout.plans, plans))
 
     def test_cyclic_level_builds_a_walk_sum_plan(self):
         # A cyclic level's passes are linear solves over the whole level.
