@@ -44,9 +44,10 @@ destination's origins and it: elsewhere the soft-min is ``+inf`` and the
 flow zero, so skipping them changes no result. Its plan holds their steps
 in reverse Kahn order, each exit naming its edge, the position of its head
 in the flat arrays and, at a node with several exits, the position of its
-choice probability. The sweep runs every slot; the forward pass runs the
-slots with demand, backwards, with multiply-adds only; no pass looks a
-head up or allocates per destination. A node with one exit costs no
+choice probability. Both passes run every slot in ascending order, the
+forward pass each slot's steps backwards, with multiply-adds only; no pass
+looks a head up or allocates per destination. A slot without demand adds
+0.0 to every flow and entropy sum. A node with one exit costs no
 ``exp`` or ``log``: its soft-min value is its one term, and it passes all
 its flow on, with entropy 0.0, the bits the general formula gives.
 
@@ -226,33 +227,31 @@ def _forward_dag(
     plan: _DagPlan,
     index: LevelIndex,
     choice: _Choice,
-    order: Sequence[int],
     through: list[float],
     flows: list[float],
     k: int,
 ) -> float:
     """Carry the demand of an acyclic level to its destinations by the
     ``choice`` its soft-min sweep kept, one destination slot after another
-    in ``order``, each by the steps of its run of the plan in Kahn order;
-    its run holds all its flow.
+    in ascending order, each by the steps of its run of the plan in Kahn
+    order; its run holds all its flow.
 
     ``through`` holds the demand placed at each origin's position, summed
     over the OD pairs from it to its slot's destination; it becomes the
     through-flow in place. Adds the edge flows to ``flows`` and returns the
     demand-weighted trajectory entropy, summed per slot and then over the
-    slots in ``order``. A node with one exit moves its whole through-flow
-    along it, with entropy 0. At a node with several, the probabilities out
-    of it, if flow reaches it, must sum to 1 within ``_MASS_TOL``, or
-    ``MassLeakError`` names the node and the destination. Flow reaches only
-    nodes with a route: the sweep checks each origin, and an edge into a
-    node without one has probability 0. ``index`` and ``k``, the level's
-    position, name them in that error.
+    slots; a slot without demand adds 0.0 to each. A node with one exit
+    moves its whole through-flow along it, with entropy 0. At a node with
+    several, the probabilities out of it, if flow reaches it, must sum to 1
+    within ``_MASS_TOL``, or ``MassLeakError`` names the node and the
+    destination. Flow reaches only nodes with a route: the sweep checks
+    each origin, and an edge into a node without one has probability 0.
+    ``index`` and ``k``, the level's position, name them in that error.
     """
     probs, node_entropy = choice
     total = 0.0
-    for slot in order:
+    for slot, run in enumerate(plan.runs):
         entropy = 0.0
-        run = plan.runs[slot]
         v = plan.at_dst[slot] + len(run) + 1
         for edge, head in reversed(run):
             v -= 1
@@ -290,7 +289,7 @@ class _DagPlan(NamedTuple):
     0, before them, stands for every origin without a route and stays
     ``+inf``. ``runs`` holds each slot's steps in reverse Kahn order, the
     ``k``-th at position ``at_dst[slot] + 1 + k``: the sweep runs them slot
-    after slot, the forward pass backwards, the slots with demand in
+    after slot, the forward pass backwards, both over every slot in
     ascending order. A step names each head by its position in the slot's
     run and each exit of a node with several by its position in the flat
     array of choice probabilities, ``n_choices`` long.
@@ -299,8 +298,8 @@ class _DagPlan(NamedTuple):
     destination, ``+inf`` elsewhere. ``node_at`` names the level node of
     each position (-1 for position 0). ``at_origin`` gives each OD pair the
     position its trip cost is read from; ``supplies`` lists ``(OD, origin
-    position, slot)`` for each OD pair whose origin is not its destination,
-    grouped by slot in ascending order, where a loading places its demand.
+    position)`` in OD order for each OD pair whose origin is not its
+    destination, where a loading places its demand (``_supplies``).
     """
 
     runs: list[list[_Step]]
@@ -308,7 +307,7 @@ class _DagPlan(NamedTuple):
     at_dst: list[int]
     node_at: list[int]
     at_origin: list[int]
-    supplies: list[tuple[int, int, int]]
+    supplies: list[tuple[int, int]]
     n_choices: int
 
     sweep = _softmin
@@ -331,7 +330,6 @@ def _dag_plan(index: LevelIndex) -> _DagPlan:
     runs: list[list[_Step]] = []
     at_dst: list[int] = []
     at_origin = [0] * len(index.od_nodes)
-    supplies: list[tuple[int, int, int]] = []
     n_choices = 0
     for slot, dst in enumerate(index.dests):
         at_dst.append(len(node_at))
@@ -339,12 +337,17 @@ def _dag_plan(index: LevelIndex) -> _DagPlan:
         runs.append(run)
         for j, src in trips[slot]:
             at_origin[j] = at[src]
-            if src != dst:
-                supplies.append((j, at[src], slot))
     rho = [math.inf] * len(node_at)
     for p in at_dst:
         rho[p] = 0.0
-    return _DagPlan(runs, rho, at_dst, node_at, at_origin, supplies, n_choices)
+    return _DagPlan(runs, rho, at_dst, node_at, at_origin, _supplies(index, at_origin), n_choices)
+
+
+def _supplies(index: LevelIndex, at_origin: list[int]) -> list[tuple[int, int]]:
+    """``(OD, origin position)`` in OD order for each OD pair of a level
+    whose origin is not its destination: where a loading places demand."""
+    return [(j, at) for j, ((src, dst), at) in enumerate(zip(index.od_nodes, at_origin))
+            if src != dst]
 
 
 def _between(
@@ -538,52 +541,45 @@ def _forward_cyclic(
     plan: _CyclicPlan,
     index: LevelIndex,
     choice: _Choice,
-    order: Sequence[int],
     through: Sequence[float],
     flows: list[float],
     k: int,
 ) -> float:
-    """Walk-measure loading of a cyclic level toward the destination slots
-    in ``order``, over the whole level, by the ``choice`` its soft-min
-    sweep kept: the expected node visits solve ``(I - Q^T) h = supply``, one
-    solve for every origin bound for the destination.
+    """Walk-measure loading of a cyclic level toward every destination
+    slot, over the whole level, by the ``choice`` its soft-min sweep kept:
+    the expected node visits solve ``(I - Q^T) h = supply``, one solve for
+    every origin bound for the destination.
 
     ``through`` holds the demand placed at each origin's position of the
     plan, summed over the OD pairs from it to its slot's destination. Adds
     the edge flows to ``flows`` and returns the demand-weighted trajectory
-    entropy, each summed over the slots in ``order``. Each stack builds
-    ``I - Q`` at the sweep's positions and solves its transpose for the
-    slots in ``order`` alone; a stack whose slots are all in ``order`` is
-    solved whole. An edge a slot's sweep dropped has probability 0 there,
-    which leaves its system entry and flow as they are. ``k`` goes unused:
-    the sweep makes each node's probabilities sum to 1, so no mass leaks.
+    entropy, each summed over the slots in ascending order. Each stack
+    builds ``I - Q`` at the sweep's positions and solves its transpose
+    whole; a slot without demand has no visits and adds 0.0 to each sum.
+    An edge a slot's sweep dropped has probability 0 there, which leaves
+    its system entry and flow as they are. ``k`` goes unused: the sweep
+    makes each node's probabilities sum to 1, so no mass leaks.
     """
     import numpy as np
 
     n = index.n_nodes
     probs, entropy = choice
     supply = np.array(through).reshape(-1, n, 1)
-    visits = np.zeros(supply.shape[:2])
+    visits = np.empty(supply.shape[:2])
     for stack in plan.stacks:
-        slots = [slot for slot in order if slot in stack.slots]
-        if not slots:
-            continue
         system = np.empty((len(stack.slots), n, n))  # I - Q per destination
         system[:] = plan.eye
         np.subtract.at(system.reshape(-1), stack.walk_at, probs[stack.walk])
         at = slice(stack.slots.start, stack.slots.stop)
-        if len(slots) < len(stack.slots):  # only the systems of slots in order
-            system, at = system[[slot - at.start for slot in slots]], slots
         # The exact visits are nonnegative; clip rounding residue below zero.
         solved = np.linalg.solve(system.transpose(0, 2, 1), supply[at])
         visits[at] = np.maximum(solved.reshape(-1, n), 0.0)
-    # A slot not in order has no visits: its edges add 0.0 to each sum.
     total_flows = np.array(flows)
     np.add.at(total_flows, plan.edges, visits.reshape(-1)[plan.at_tail] * probs)
     flows[:] = total_flows.tolist()
     total = 0.0
-    for slot in order:
-        total += float(np.dot(visits[slot], entropy[slot * n:(slot + 1) * n]))
+    for slot, row in enumerate(visits):
+        total += float(np.dot(row, entropy[slot * n:(slot + 1) * n]))
     return total
 
 
@@ -595,12 +591,14 @@ class _CyclicPlan(NamedTuple):
     it), slot by slot in edge order; ``at_tail`` and ``at_head`` give each
     one's tail and head position in the node arrays. ``eye`` is the
     ``(n, n)`` identity every system starts from, and ``stacks`` the slots
-    in stacks (``_groups``). It holds ``O(D E + n**2)`` numbers for ``D``
+    in stacks (``_groups``), at whose positions both passes build and solve
+    every system. ``supplies`` lists ``(OD, origin position)`` in OD order
+    (``_supplies``). It holds ``O(D E + n**2)`` numbers for ``D``
     destinations and ``E`` edges, no stack of systems."""
 
     rho: np.ndarray
     at_origin: list[int]
-    supplies: list[tuple[int, int, int]]
+    supplies: list[tuple[int, int]]
     rows: np.ndarray
     edges: np.ndarray
     at_tail: np.ndarray
@@ -639,12 +637,8 @@ def _cyclic_plan(index: LevelIndex) -> _CyclicPlan:
     rho = np.full(len(index.dests) * n, math.inf)
     rho[[slot * n + dst for slot, dst in enumerate(index.dests)]] = 0.0
     at_origin = [slot * n + src for (src, _), slot in zip(index.od_nodes, index.dest_slot)]
-    supplies = sorted(
-        ((j, at_origin[j], slot) for j, ((src, dst), slot)
-         in enumerate(zip(index.od_nodes, index.dest_slot)) if src != dst),
-        key=itemgetter(2),
-    )
-    return _CyclicPlan(rho, at_origin, supplies, rows, edges, at_tail, at_head, np.eye(n), stacks)
+    return _CyclicPlan(rho, at_origin, _supplies(index, at_origin), rows, edges, at_tail, at_head,
+                       np.eye(n), stacks)
 
 
 class _Layout(NamedTuple):
@@ -815,7 +809,7 @@ def network_loading(net: NetworkHierarchy, t: Sequence[float]) -> LoadResult:
     componentwise. Portal flows become the next level's OD demands, so the
     sweep runs top-down after the bottom-up weight pass. Each level places
     its demand at the origin positions of its plan and makes one forward
-    call over all its destinations with positive demand.
+    call over all its destinations.
     """
     _, trip_costs, choices = _sweep_weights(net, t, keep_choices=True)
     layout = _layout(net)
@@ -831,18 +825,11 @@ def network_loading(net: NetworkHierarchy, t: Sequence[float]) -> LoadResult:
         index = level.index
         plan = layout.plans[k]
         demand = demands[k]
-        # Supplies come grouped by slot in ascending order, so flows and
-        # entropies are summed over the slots with demand in that order.
         through = [0.0] * len(plan.rho)
-        order: list[int] = []
-        for j, at, slot in plan.supplies:
-            d = demand[j]
-            if d > 0.0:
-                through[at] += d
-                if not order or order[-1] != slot:
-                    order.append(slot)
+        for j, at in plan.supplies:
+            through[at] += demand[j]
         level_flows = [0.0] * len(level.edges)
-        level_entropy = plan.forward(index, choices[k], order, through, level_flows, k)
+        level_entropy = plan.forward(index, choices[k], through, level_flows, k)
         flows.append(level_flows)
         entropies.append(level_entropy)
         if k + 1 < m:

@@ -199,7 +199,6 @@ class NetworkHierarchy:
     ) -> None:
         self.levels: tuple[LevelGraph, ...] = tuple(levels)
         self.gammas: tuple[float, ...] = tuple(float(g) for g in gammas)
-        self._plain_order: list[tuple[int, int]] | None = None
         self.layout: object | None = None
 
     @property
@@ -207,15 +206,15 @@ class NetworkHierarchy:
         return len(self.levels)
 
     def plain_edge_order(self) -> list[tuple[int, int]]:
-        """Canonical (level, edge position) order of all plain edges."""
-        if self._plain_order is None:
-            order = []
-            for k, level in enumerate(self.levels):
-                for i, edge in enumerate(level.edges):
-                    if edge.is_plain:
-                        order.append((k, i))
-            self._plain_order = order
-        return self._plain_order
+        """Canonical (level, edge position) order of all plain edges: the
+        order of the dual vector. Computed on each call; no caller runs per
+        iteration."""
+        return [
+            (k, i)
+            for k, level in enumerate(self.levels)
+            for i, edge in enumerate(level.edges)
+            if edge.is_plain
+        ]
 
     def plain_edges(self) -> Iterator[tuple[int, Edge]]:
         """Yield (level, edge) over plain edges in canonical order."""
@@ -227,9 +226,6 @@ class NetworkHierarchy:
 
     def free_flow_times(self) -> list[float]:
         return [edge.cost.free_flow_time for _, edge in self.plain_edges()]
-
-    def num_plain_edges(self) -> int:
-        return len(self.plain_edge_order())
 
     def dual_from_map(self, per_level: list[Mapping[str, float]]) -> list[float]:
         """Flatten per-level ``edge id -> time`` maps into canonical order."""

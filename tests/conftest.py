@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
 
 import numpy as np
@@ -256,8 +257,47 @@ def dag_hierarchies(
         portals = len(od_pairs)
     gammas = [draw(st.floats(0.2, 2.0), label="gamma") for _ in range(m)]
     net = NetworkHierarchy(levels=levels, gammas=gammas)
-    t = [draw(st.floats(0.2, 3.0), label="time") for _ in range(net.num_plain_edges())]
+    t = [draw(st.floats(0.2, 3.0), label="time") for _ in range(len(net.plain_edge_order()))]
     return net, t
+
+
+@st.composite
+def cyclic_levels(draw, max_nodes=64):
+    """A one-level cyclic network and a dual point: a bidirectional grid,
+    or a bidirectional ring with chords, of 3 to ``max_nodes`` nodes, with
+    1 to 8 OD pairs between distinct nodes. Each arc has its own time in
+    [0.5, 2]. With every time at least ``w_min`` and at most ``degree``
+    out-edges per node, gamma ``< w_min / log(degree)`` keeps each row of
+    the walk matrix summing below 1, so the walk sum converges.
+    """
+    if draw(st.booleans(), label="grid"):
+        rows = draw(st.integers(2, 8), label="rows")
+        cols = draw(st.integers(2, max_nodes // rows), label="columns")
+        n = rows * cols
+        pairs = {(v, v + 1) for v in range(n) if (v + 1) % cols} | {
+            (v, v + cols) for v in range(n - cols)}
+    else:
+        n = draw(st.integers(3, max_nodes), label="nodes")
+        pairs = {(v, v + 1) for v in range(n - 1)} | {(0, n - 1)}
+        chord = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+        for a, b in draw(st.lists(chord, max_size=n), label="chords"):
+            if a != b:
+                pairs.add((min(a, b), max(a, b)))
+    arcs = sorted(pairs) + sorted((b, a) for a, b in pairs)
+    t = [draw(st.floats(0.5, 2.0), label=f"t{a}-{b}") for a, b in arcs]
+    degree = max(sum(1 for a, _ in arcs if a == v) for v in range(n))
+    gamma = draw(st.floats(0.1, 0.9), label="gamma factor") * min(t) / math.log(degree)
+    node = st.integers(0, n - 1)
+    ends = st.tuples(node, node).filter(lambda od: od[0] != od[1])
+    ods = draw(st.lists(ends, min_size=1, max_size=8), label="OD pairs")
+    level = LevelGraph(
+        nodes=tuple(f"v{v}" for v in range(n)),
+        edges=tuple(Edge(f"e{a}-{b}", f"v{a}", f"v{b}", cost=ConstantCost(1.0)) for a, b in arcs),
+        od_pairs=tuple(
+            ODPair(f"v{o}", f"v{d}", draw(st.floats(0.5, 3.0), label="demand")) for o, d in ods
+        ),
+    )
+    return NetworkHierarchy([level], [gamma]), t
 
 
 # Every DAG hierarchy source above, for property tests of loading.

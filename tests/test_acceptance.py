@@ -169,7 +169,7 @@ def test_criterion_03_gradient_identity():
     for seed in range(20):
         net, t = random_hierarchy(seed)
         flows = plain_flows(net, network_loading(net, t))
-        for pos in range(net.num_plain_edges()):
+        for pos in range(len(net.plain_edge_order())):
             tp, tm = list(t), list(t)
             tp[pos] += h
             tm[pos] -= h

@@ -50,6 +50,7 @@ from conftest import (
     FIXTURES,
     any_dag_hierarchy,
     chain3_net,
+    cyclic_levels,
     dag_hierarchies,
     diamond_net,
     grid3_level,
@@ -79,12 +80,18 @@ def cyclic_level(demand=1.0):
     )
 
 
+def omd_level(*od_pairs):
+    """o -> d, o <-> m and m -> d, each of constant cost 1: a cyclic level."""
+    edges = tuple(Edge(t + h, t, h, cost=ConstantCost(1.0)) for t, h in ("od", "om", "mo", "md"))
+    return LevelGraph(nodes=("o", "m", "d"), edges=edges, od_pairs=od_pairs)
+
+
 def whole_program(index, dests, ods=()):
     """An acyclic level's plan toward ``dests`` in which each slot holds
     every node of the level but its destination, each with all its
     out-edges, in reverse Kahn order; ``ods`` gives each OD pair as
-    ``(origin, slot)``. Its supplies are grouped by slot, as a compiled
-    plan's are."""
+    ``(origin, slot)``. Its supplies are in OD order, as a compiled plan's
+    are."""
     node_at, runs, at_dst, where, n_choices = [-1], [], [], [], 0
     for dst in dests:
         at = {dst: len(node_at)}
@@ -108,10 +115,7 @@ def whole_program(index, dests, ods=()):
     for p in at_dst:
         rho[p] = 0.0
     at_origin = tuple(where[slot][src] for src, slot in ods)
-    supplies = tuple(sorted(
-        ((j, at_origin[j], slot) for j, (src, slot) in enumerate(ods) if src != dests[slot]),
-        key=lambda supply: supply[2],
-    ))
+    supplies = tuple((j, at_origin[j]) for j, (src, slot) in enumerate(ods) if src != dests[slot])
     return loading._DagPlan(tuple(runs), rho, tuple(at_dst), tuple(node_at), at_origin,
                             supplies, n_choices)
 
@@ -377,7 +381,7 @@ class TestNetworkLoading:
         res = network_loading(net, t)
         flows = plain_flows(net, res)
         h = 1e-5
-        for pos in range(net.num_plain_edges()):
+        for pos in range(len(net.plain_edge_order())):
             tp, tm = list(t), list(t)
             tp[pos] += h
             tm[pos] -= h
@@ -450,35 +454,16 @@ class TestNetworkLoading:
         # o -> m costs 1e308 and m's distance is 1e308, so the exponent of
         # o -> m overflows to -inf in the sweep and the loading alike; its
         # probability rounds to 0 and no warning is raised.
-        level = LevelGraph(
-            nodes=("o", "m", "d"),
-            edges=(
-                Edge("od", "o", "d", cost=ConstantCost(1.0)),
-                Edge("om", "o", "m", cost=ConstantCost(1.0)),
-                Edge("mo", "m", "o", cost=ConstantCost(1.0)),
-                Edge("md", "m", "d", cost=ConstantCost(1.0)),
-            ),
-            od_pairs=(ODPair("o", "d", 1.0),),
-        )
-        net = NetworkHierarchy([level], [1.0])
+        net = NetworkHierarchy([omd_level(ODPair("o", "d", 1.0))], [1.0])
         assert network_loading(net, [1.0, 1e308, 1e308, 1e308]).flows == [[1.0, 0.0, 0.0, 0.0]]
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_gamma_near_the_float_range_on_a_cyclic_level(self):
         # At gamma 1e308, gamma * log(y) overflows for some times, and an
         # entropy formed from rho would subtract infinities. Every time
         # vector drawn from these values ends in a finite loading or in
-        # LoadingError, with no numpy warning (an error under pytest).
-        level = LevelGraph(
-            nodes=("o", "m", "d"),
-            edges=(
-                Edge("od", "o", "d", cost=ConstantCost(1.0)),
-                Edge("om", "o", "m", cost=ConstantCost(1.0)),
-                Edge("mo", "m", "o", cost=ConstantCost(1.0)),
-                Edge("md", "m", "d", cost=ConstantCost(1.0)),
-            ),
-            od_pairs=(ODPair("o", "d", 1.0),),
-        )
-        net = NetworkHierarchy([level], [1e308])
+        # LoadingError, with no warning from any module.
+        net = NetworkHierarchy([omd_level(ODPair("o", "d", 1.0))], [1e308])
         loaded = 0
         for t in itertools.product([1.0, 1e308, -1e308, 1.7e308, -1.7e308], repeat=4):
             try:
@@ -489,6 +474,32 @@ class TestNetworkLoading:
             assert all(map(math.isfinite, [res.smooth_value, *res.flows[0], *res.entropies]))
             verify_conservation(net, res)
         assert loaded == 209
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("gamma, demand, split", [
+        (1e308, 1.0, (180, 445)),
+        (0.5, 1.0, (199, 426)),
+        (1e308, 0.0, (209, 416)),
+        (0.5, 0.0, (235, 390)),
+    ])
+    def test_two_destination_slots_near_the_float_range(self, gamma, demand, split):
+        # A second OD pair m -> o, of demand 1 or 0, makes the plan two
+        # destination slots. Every time vector ends in finite flows or in
+        # LoadingError, with no warning from any module, and ``split``
+        # counts the two; every loading conserves flow.
+        net = NetworkHierarchy([omd_level(ODPair("o", "d", 1.0), ODPair("m", "o", demand))],
+                               [gamma])
+        outcomes = [0, 0]
+        for t in itertools.product([1.0, 1e308, -1e308, 1.7e308, -1.7e308], repeat=4):
+            try:
+                res = network_loading(net, list(t))
+            except LoadingError:
+                outcomes[1] += 1
+                continue
+            assert all(map(math.isfinite, [res.smooth_value, *res.flows[0], *res.entropies])), t
+            verify_conservation(net, res)
+            outcomes[0] += 1
+        assert tuple(outcomes) == split
 
     @pytest.mark.filterwarnings("error::RuntimeWarning:sueflow")
     def test_times_near_the_float_range_end_in_finite_trip_costs(self, two_level_net):
@@ -688,6 +699,21 @@ def destinations(net, k):
     return [index.nodes[program.node_at[at]] for at in program.at_dst]
 
 
+def assert_zero_demand_changes_no_bit(net, j, t):
+    """Level 1's OD pair ``j``, which has no demand, changes no bit of the
+    flows, entropies or smooth value: the loading equals that of the same
+    network without it."""
+    level = net.levels[0]
+    assert level.od_pairs[j].demand == 0.0
+    ods = level.od_pairs[:j] + level.od_pairs[j + 1:]
+    without = NetworkHierarchy(
+        [LevelGraph(level.nodes, level.edges, ods), *net.levels[1:]], net.gammas
+    )
+    res, alone = network_loading(net, t), network_loading(without, t)
+    assert repr((res.flows, res.entropies, res.smooth_value)) == repr(
+        (alone.flows, alone.entropies, alone.smooth_value))
+
+
 class TestOncePerDestination:
     def test_one_field_and_one_forward_pass_per_destination(self, monkeypatch):
         # Each level makes one sweep and one forward pass, over all of its
@@ -700,26 +726,29 @@ class TestOncePerDestination:
             softmin_calls.append(id(index))
             return softmin(plan, index, weights, gamma, choice)
 
-        def counted_forward(plan, index, choice, order, through, flows, k):
-            forward_calls.append((k, [index.nodes[index.dests[slot]] for slot in order]))
-            return forward(plan, index, choice, order, through, flows, k)
+        def counted_forward(plan, index, choice, through, flows, k):
+            forward_calls.append(k)
+            return forward(plan, index, choice, through, flows, k)
 
         monkeypatch.setattr(loading._DagPlan, "sweep", counted_softmin)
         monkeypatch.setattr(loading._DagPlan, "forward", counted_forward)
-        res = network_loading(net, [c.free_flow_time for c in net.plain_costs()])
+        t = [c.free_flow_time for c in net.plain_costs()]
+        res = network_loading(net, t)
         verify_conservation(net, res)
 
         level1, level2 = (level.index for level in net.levels)
         assert sorted(softmin_calls) == sorted([id(level1), id(level2)])
         assert destinations(net, 0) == ["r3c3", "r3c2", "r2c2"]
         assert destinations(net, 1) == ["r2c2"]
-        # r2c2 at level 1 carries no demand, so its slot gets no forward pass
-        assert forward_calls == [(0, ["r3c3", "r3c2"]), (1, ["r2c2"])]
+        assert forward_calls == [0, 1]
+        # r2c2 at level 1 carries no demand: its slot's pass adds only 0.0
+        monkeypatch.undo()
+        assert_zero_demand_changes_no_bit(net, len(net.levels[0].od_pairs) - 1, t)
 
     def test_one_sweep_and_one_forward_pass_per_cyclic_level(self, monkeypatch):
-        # A cyclic level too makes one sweep call over all its destinations
-        # and one forward call over the slots with demand, in ascending
-        # order: v0's slot first, though its demand arrives after v3's.
+        # A cyclic level too makes one sweep call and one forward call over
+        # all its destinations, in ascending slot order: v0's slot first,
+        # though its demand arrives after v3's.
         import numpy as np
 
         n = 8
@@ -735,9 +764,9 @@ class TestOncePerDestination:
             softmin_calls.append(id(index))
             return softmin(plan, index, weights, gamma, choice)
 
-        def counted_forward(plan, index, choice, order, through, flows, k):
-            forward_calls.append((k, [index.nodes[index.dests[slot]] for slot in order]))
-            return forward(plan, index, choice, order, through, flows, k)
+        def counted_forward(plan, index, choice, through, flows, k):
+            forward_calls.append(k)
+            return forward(plan, index, choice, through, flows, k)
 
         def recorded_solve(a, b):
             solved.append(a.shape)
@@ -746,16 +775,19 @@ class TestOncePerDestination:
         monkeypatch.setattr(loading._CyclicPlan, "sweep", counted_softmin)
         monkeypatch.setattr(loading._CyclicPlan, "forward", counted_forward)
         monkeypatch.setattr(np.linalg, "solve", recorded_solve)
-        res = network_loading(net, [1.0] * len(arcs))
+        t = [1.0] * len(arcs)
+        res = network_loading(net, t)
         verify_conservation(net, res)
 
         index = net.levels[0].index
         assert softmin_calls == [id(index)]
         assert [index.nodes[v] for v in index.dests] == ["v0", "v3", "v5"]
-        # v5 carries no demand, so its slot gets no forward pass, and the
-        # forward stack holds the systems of v0 and v3 alone
-        assert forward_calls == [(0, ["v0", "v3"])]
-        assert solved == [(3, n, n), (2, n, n)]
+        assert forward_calls == [0]
+        # both passes solve the whole stack; v5 carries no demand, so its
+        # system's visits are zeros that add only 0.0
+        assert solved == [(3, n, n), (3, n, n)]
+        monkeypatch.undo()
+        assert_zero_demand_changes_no_bit(net, 2, t)
 
 
 def two_way_cycle_level(cycle, od_pairs):
@@ -875,6 +907,26 @@ class TestBatchedCyclicPasses:
         assert (network_loading(net, t), dual_smooth_value(net, t)) == one_group
         assert kept_choice(net) == one_choice
         assert [len(s.slots) for s in net.layout.plans[0].stacks] == sizes
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_five_stacks_match_the_destinations_loaded_alone(self):
+        # A 128-node two-way ring with 20 OD pairs to 20 destinations takes
+        # five stacks of systems. Its loading conserves flow and equals the
+        # loadings toward each destination alone, added in slot order, to
+        # the bit.
+        n = 128
+        arcs = two_way_ring(n)
+        ods = [ODPair(f"v{(13 * j + 5) % n}", f"v{11 * j % n}", 1.0) for j in range(20)]
+        t = [1.0] * len(arcs)
+        net = NetworkHierarchy([ring_level(n, arcs, ods)], [0.5])
+        res = network_loading(net, t)
+        verify_conservation(net, res)
+        assert len(net.layout.plans[0].stacks) == 5
+        flows = [0.0] * len(arcs)
+        for od in ods:  # one destination per OD pair, in slot order
+            one = network_loading(NetworkHierarchy([ring_level(n, arcs, [od])], [0.5]), t)
+            flows = [a + b for a, b in zip(flows, one.flows[0])]
+        assert repr(res.flows[0]) == repr(flows)
 
     def test_compiled_passes_keep_no_stack_of_systems(self):
         # 20 destinations on a 256-node bidirectional ring: one system per
@@ -1020,12 +1072,12 @@ def general_softmin(program, index, weights, gamma, choice=None):
     return rho
 
 
-def general_forward(program, index, choice, order, through, flows, k):
-    """Reference for ``loading._forward_dag``: per destination in
-    ``order``, every node of the whole level in Kahn order splits its
+def general_forward(program, index, choice, through, flows, k):
+    """Reference for ``loading._forward_dag``: per destination slot, in
+    ascending order, every node of the whole level in Kahn order splits its
     through-flow by the kept probabilities (1.0 at a node with one exit)."""
     total = 0.0
-    for slot in order:
+    for slot in range(len(index.dests)):
         supply, probs = [0.0] * index.n_nodes, [0.0] * len(index.heads)
         node_entropy = [0.0] * index.n_nodes
         for pos in slot_run(program, slot):
@@ -1307,13 +1359,12 @@ class TestBatchedAcyclicPasses:
             # Each destination alone, its flows added to the level's in
             # ascending slot order, gives the level's pass.
             flows, total = [0.0] * len(level.edges), 0.0
-            order = sorted({s for j, _, s in program.supplies if res.induced_demands[k][j] > 0.0})
-            for slot in order:
+            for slot in range(len(index.dests)):
                 through = [0.0] * len(program.rho)
-                for j, at, s in program.supplies:
-                    if s == slot and res.induced_demands[k][j] > 0.0:
+                for j, at in program.supplies:
+                    if index.dest_slot[j] == slot:
                         through[at] += res.induced_demands[k][j]
-                total += general_forward(program, index, choice, [slot], through, flows, k)
+                total += general_forward(program, index, choice, through, flows, k)
             assert flows == res.flows[k]
             assert total == res.entropies[k]
 
@@ -1357,6 +1408,105 @@ class TestWalkSumCrossCheck:
         floor = 1e-12 * demand * net.gammas[0]
         assert walk_value == pytest.approx(value, rel=1e-12, abs=floor)
         assert walk_res.smooth_value == pytest.approx(res.smooth_value, rel=1e-12, abs=floor)
+
+
+def node_fields(plan, index, rho):
+    """A sweep's values ``rho`` over ``plan``, one list per destination slot
+    indexed by the level's nodes; ``+inf`` where the plan keeps no value."""
+    n = index.n_nodes
+    if isinstance(plan, loading._CyclicPlan):
+        return [list(rho[slot * n:(slot + 1) * n]) for slot in range(len(index.dests))]
+    fields = []
+    for slot in range(len(index.dests)):
+        field = [math.inf] * n
+        for pos in slot_run(plan, slot):
+            field[plan.node_at[pos]] = rho[pos]
+        fields.append(field)
+    return fields
+
+
+def bellman_residual(net, t):
+    """The largest ``|rho[v] - softmin_e(w_e + rho[head_e])| / gamma`` of
+    the loading at ``t``, over every level, destination slot and node with
+    a finite value but the destination. The soft-min runs over ``v``'s
+    out-edges in the level, shifted by its smallest term; the weights come
+    from ``_sweep_weights`` and the values from the level's ``plan.sweep``,
+    so any kernel is checked the same way. A NaN residual is returned as
+    it is, so that it fails any bound."""
+    weights, _, _ = loading._sweep_weights(net, t)
+    worst = 0.0
+    for k, level in enumerate(net.levels):
+        index, gamma, w = level.index, net.gammas[k], weights[k]
+        plan = net.layout.plans[k]
+        fields = node_fields(plan, index, plan.sweep(index, w, gamma))
+        for dst, rho in zip(index.dests, fields):
+            for v in range(index.n_nodes):
+                if v == dst or not math.isfinite(rho[v]):
+                    continue
+                terms = [w[e] + rho[index.heads[e]] for e in index.out_edges[v]]
+                best = min(terms)
+                soft = best - gamma * math.log(sum(math.exp((best - x) / gamma) for x in terms))
+                residual = abs(rho[v] - soft) / gamma
+                if not residual <= worst:
+                    worst = residual
+    return worst
+
+
+class TestSoftBellman:
+    # Every loading's values satisfy their soft Bellman equation, whichever
+    # kernel computed them: exactly on an acyclic level, whose sweep is that
+    # equation, and up to the rounding of the walk-sum solve on a cyclic one.
+    @given(case=dag_hierarchies())
+    @settings(max_examples=100, deadline=None)
+    def test_dag_hierarchies(self, case):
+        assert bellman_residual(*case) <= 1e-12
+
+    @given(case=cyclic_levels())
+    @settings(max_examples=60, deadline=None)
+    def test_cyclic_levels(self, case):
+        assert bellman_residual(*case) <= 1e-12
+
+    @pytest.mark.parametrize("fixture, plan", [
+        ("two_level.json", loading._DagPlan),
+        ("cyclic_grid.json", loading._CyclicPlan),
+    ])
+    def test_a_shifted_value_fails(self, monkeypatch, fixture, plan):
+        # A sweep that raises the value at level 1's first origin by 1e-9
+        # gamma breaks that node's equation by as much.
+        net = parse_network(FIXTURES / fixture)
+        t = [1.1 * x for x in net.free_flow_times()]
+        assert bellman_residual(net, t) <= 1e-12
+        sweep = plan.sweep
+
+        def shifted(own, index, weights, gamma, choice=None):
+            rho = sweep(own, index, weights, gamma, choice)
+            if index is net.levels[0].index:
+                rho[own.at_origin[0]] += 1e-9 * gamma
+            return rho
+
+        monkeypatch.setattr(plan, "sweep", shifted)
+        assert bellman_residual(net, t) == pytest.approx(1e-9, rel=1e-3)
+
+
+class TestPlainEdgeOrder:
+    # The layout places the plain edges among all levels' flows in a pass
+    # of its own; the positions must be those ``plain_edge_order`` gives,
+    # which orders the dual vector.
+    @staticmethod
+    def assert_layout_agrees(net):
+        layout = loading._layout(net)
+        offsets = [0, *itertools.accumulate(len(level.edges) for level in net.levels)]
+        assert layout.plain_at == [offsets[k] + i for k, i in net.plain_edge_order()]
+        assert layout.ends == offsets[1:]
+
+    @given(case=dag_hierarchies())
+    @settings(max_examples=100, deadline=None)
+    def test_dag_hierarchies(self, case):
+        self.assert_layout_agrees(case[0])
+
+    def test_cyclic_grid(self):
+        self.assert_layout_agrees(parse_network(FIXTURES / "cyclic_grid.json"))
+
 
 def weights_edge_by_edge(net, t):
     """Per-level ``edge id -> weight`` maps built from ``level.edges``,
@@ -1505,9 +1655,7 @@ class TestMassLeak:
         through = [0.0] * len(program.rho)
         through[program.at_origin[0]] = 1.0
         with pytest.raises(MassLeakError) as caught:
-            loading._forward_dag(
-                program, index, choice, [index.dest_slot[0]], through, [0.0] * len(t), 0
-            )
+            loading._forward_dag(program, index, choice, through, [0.0] * len(t), 0)
         assert "node 's4' toward 's10'" in str(caught.value)
         assert "at level 1" in str(caught.value)
 

@@ -91,6 +91,10 @@ class TestPublicNames:
         assert "WeightGather" not in model.__all__
         assert not hasattr(model.NetworkHierarchy, "weight_gathers")
         assert not hasattr(solver, "_plain_positions")
+        # ``plain_edge_order`` is computed on each call; its length was
+        # ``num_plain_edges``.
+        assert not hasattr(model.NetworkHierarchy, "num_plain_edges")
+        assert not hasattr(model.NetworkHierarchy([], []), "_plain_order")
 
 
 def load_perfbench(monkeypatch, name):

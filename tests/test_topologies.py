@@ -40,7 +40,7 @@ def assert_matches_enumeration(net, t):
 def gradient_check(net, t, tol=1e-6):
     flows = plain_flows(net, network_loading(net, t))
     h = 1e-5
-    for pos in range(net.num_plain_edges()):
+    for pos in range(len(net.plain_edge_order())):
         tp, tm = list(t), list(t)
         tp[pos] += h
         tm[pos] -= h
