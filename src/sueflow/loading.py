@@ -856,14 +856,16 @@ def surrogate_primal(
 
 
 def dual_objective(net: NetworkHierarchy, t: Sequence[float]) -> float:
-    """Objective the solver minimises: smooth term plus conjugate penalties."""
+    """Objective the solver minimises: smooth term plus conjugate penalties.
+    The smooth term comes first, so ``_sweep_weights`` checks ``t``."""
+    smooth = dual_smooth_value(net, t)
     composite = 0.0
-    for cost, value in zip(net.plain_costs(), t, strict=True):
+    for cost, value in zip(net.plain_costs(), t):
         c = cost.conjugate(value)
         if math.isinf(c):
             raise ValueError(f"time {value} outside the conjugate domain")
         composite += c
-    return dual_smooth_value(net, t) + composite
+    return smooth + composite
 
 
 def verify_conservation(

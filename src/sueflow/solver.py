@@ -99,8 +99,9 @@ class SolverConfig:
     gap_tol: float = 1e-8
 
     def __post_init__(self) -> None:
-        if not (_is_real(self.L0) and math.isfinite(self.L0) and self.L0 > 0.0):
-            raise ValueError(f"L0 must be finite and positive, got {self.L0!r}")
+        L0 = self.L0
+        if not (_is_real(L0) and math.isfinite(L0) and L0 > 0.0 and math.isfinite(1.0 / L0)):
+            raise ValueError(f"L0 must be finite and positive, and so must 1/L0, got {L0!r}")
         iters = self.max_iters
         if isinstance(iters, bool) or not isinstance(iters, int) or iters < 1:
             raise ValueError(f"max_iters must be an integer >= 1, got {self.max_iters!r}")
@@ -157,7 +158,7 @@ def alpha_step(alpha_k: float, L_k: float, L_next: float) -> tuple[float, float]
     of the float range.
     """
     root = 1.0 + math.sqrt(1.0 + 4.0 * (alpha_k * L_k) * (alpha_k * L_next))
-    return root / (2.0 * L_next), 2.0 / root
+    return 0.5 * root / L_next, 2.0 / root
 
 
 @dataclass

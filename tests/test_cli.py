@@ -125,11 +125,16 @@ class TestConfig:
         with pytest.raises(ParseError, match="unknown keys"):
             load_config(p)
 
-    def test_retired_backtrack_key_rejected(self, tmp_path):
+    def test_retired_backtrack_key_rejected(self, tmp_path, capsys):
         p = tmp_path / "cfg.json"
         p.write_text('{"max_backtracks_per_iter": 0}')
         with pytest.raises(ParseError, match="unknown keys"):
             load_config(p)
+        out = tmp_path / "out"
+        network = FIXTURES / "two_level.json"
+        assert run_cli("solve", "--network", network, "--config", p, "--out", out) == 2
+        assert capsys.readouterr().err == f"error: {p}: unknown keys ['max_backtracks_per_iter']\n"
+        assert not out.exists()
 
     def test_type_check(self, tmp_path):
         p = tmp_path / "cfg.json"
@@ -314,6 +319,20 @@ class TestLoadCommand:
         assert capsys.readouterr().err == "error: the smooth dual value overflows to -inf\n"
         assert not out.exists()
 
+    def test_nan_trip_cost_gives_exit_3(self, tmp_path, capsys):
+        # Times near -1e308 on both routes of u -> w: their soft-min
+        # subtracts infinities, so the trip cost is NaN.
+        tfile = tmp_path / "t.json"
+        tfile.write_text(json.dumps({"version": 1, "times": [
+            {"p1": -1e308, "p2": -1e308, "direct": -1e308},
+            {"q1": -1e308, "q2": -1e308, "q3": -1e308}]}))
+        out = tmp_path / "out"
+        code = run_cli("load", "--network", FIXTURES / "two_level.json", "--t-file", tfile,
+                       "--out", out)
+        assert code == 3
+        assert capsys.readouterr().err == "error: the trip cost 'u' -> 'w' at level 2 is nan\n"
+        assert not out.exists()
+
     def test_t_file_required(self, tmp_path):
         assert (
             run_cli("load", "--network", FIXTURES / "two_edge.json", "--out", tmp_path / "o")
@@ -428,6 +447,46 @@ class TestSolveCommand:
         out = tmp_path / "out"
         network = FIXTURES / "two_level.json"
         assert run_cli("solve", "--network", network, "--config", cfg, "--out", out) == 0
+        assert json.loads((out / "certificate.json").read_text())["stop"] == "gap_reached"
+
+    def test_L0_near_the_largest_float_reaches_the_gap(self, tmp_path):
+        # Each iteration halves L at most once, so this takes about 1030.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"L0": 1e308}')
+        out = tmp_path / "out"
+        network = FIXTURES / "two_level.json"
+        assert run_cli("solve", "--network", network, "--config", cfg, "--out", out) == 0
+        assert json.loads((out / "certificate.json").read_text())["stop"] == "gap_reached"
+
+    @pytest.mark.parametrize("L0", [1e-310, 5e-324])
+    def test_L0_whose_step_overflows_gives_exit_2(self, tmp_path, capsys, L0):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"L0": L0}))
+        out = tmp_path / "out"
+        network = FIXTURES / "two_level.json"
+        assert run_cli("solve", "--network", network, "--config", cfg, "--out", out) == 2
+        assert capsys.readouterr().err == (
+            f"error: {cfg}: L0 must be finite and positive, and so must 1/L0, got {L0!r}\n"
+        )
+        assert not out.exists()
+
+    def test_small_L0_costs_few_oracle_calls(self, tmp_path):
+        # A rejected trial jumps to the curvature it measured.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"L0": 1e-6}')
+        out = tmp_path / "out"
+        network = FIXTURES / "two_level.json"
+        assert run_cli("solve", "--network", network, "--config", cfg, "--out", out) == 0
+        assert json.loads((out / "certificate.json").read_text())["stop"] == "gap_reached"
+        last = (out / "history.csv").read_text().splitlines()[-1]
+        assert int(last.split(",")[2]) <= 30
+
+    def test_tiny_capacity_reaches_the_gap(self, tmp_path):
+        # Far above cap 1e-100 a cost integral overflows; that candidate
+        # never certifies (TestOverflowingRuns has the library side).
+        network = TestOverflowingRuns.network(tmp_path, cap=1e-100)
+        out = tmp_path / "out"
+        assert run_cli("solve", "--network", network, "--out", out) == 0
         assert json.loads((out / "certificate.json").read_text())["stop"] == "gap_reached"
 
     def test_outputs_match_the_library_solve(self, tmp_path):

@@ -610,6 +610,14 @@ def two_way_ring(n):
     return [(i, (i + 1) % n) for i in range(n)] + [((i + 1) % n, i) for i in range(n)]
 
 
+def twenty_destination_ring(n):
+    """The ``n``-node two-way ring at gamma 0.5 with 20 OD pairs of demand
+    1, each to its own destination, and a dual point of all ones."""
+    arcs = two_way_ring(n)
+    ods = [ODPair(f"v{(13 * j + 5) % n}", f"v{11 * j % n}", 1.0) for j in range(20)]
+    return NetworkHierarchy([ring_level(n, arcs, ods)], [0.5]), [1.0] * len(arcs)
+
+
 def ring_level(n, arcs, od_pairs):
     return LevelGraph(
         nodes=tuple(f"v{i}" for i in range(n)),
@@ -915,10 +923,8 @@ class TestBatchedCyclicPasses:
         # loadings toward each destination alone, added in slot order, to
         # the bit.
         n = 128
-        arcs = two_way_ring(n)
-        ods = [ODPair(f"v{(13 * j + 5) % n}", f"v{11 * j % n}", 1.0) for j in range(20)]
-        t = [1.0] * len(arcs)
-        net = NetworkHierarchy([ring_level(n, arcs, ods)], [0.5])
+        net, t = twenty_destination_ring(n)
+        arcs, ods = two_way_ring(n), net.levels[0].od_pairs
         res = network_loading(net, t)
         verify_conservation(net, res)
         assert len(net.layout.plans[0].stacks) == 5
@@ -1466,6 +1472,23 @@ class TestSoftBellman:
     def test_cyclic_levels(self, case):
         assert bellman_residual(*case) <= 1e-12
 
+    def test_five_stacks(self):
+        net, t = twenty_destination_ring(128)
+        assert bellman_residual(net, t) <= 1e-12
+        assert len(net.layout.plans[0].stacks) == 5
+
+    def test_stackings_agree(self, monkeypatch):
+        # The 64-node ring at 16 systems per stack (the default), 1 and 3
+        # takes 2, 20 and 7 stacks, with the same residual.
+        residuals = set()
+        for per_stack, stacks in ((16, 2), (1, 20), (3, 7)):
+            monkeypatch.setattr(loading, "_STACK_FLOATS", per_stack * 64 * 64)
+            net, t = twenty_destination_ring(64)
+            residuals.add(repr(bellman_residual(net, t)))
+            assert len(net.layout.plans[0].stacks) == stacks
+        (residual,) = residuals
+        assert float(residual) <= 1e-12
+
     @pytest.mark.parametrize("fixture, plan", [
         ("two_level.json", loading._DagPlan),
         ("cyclic_grid.json", loading._CyclicPlan),
@@ -1584,16 +1607,20 @@ class TestDualVectorLength:
     # a vector of another length would shift the slices; every entry point
     # rejects it, naming both lengths. A NaN or infinite value would reach
     # the sweep as an overflow or a divergence; it is rejected too.
+    # ``dual_objective`` leaves both checks to the smooth term it computes
+    # first.
     T = [1.1, 1.05, 2.6, 0.55, 0.4, 0.35]  # two_level.json has 6 plain edges
 
-    @pytest.mark.parametrize("entry", [network_loading, dual_smooth_value, hierarchical_weights])
+    ENTRIES = [network_loading, dual_smooth_value, hierarchical_weights, dual_objective]
+
+    @pytest.mark.parametrize("entry", ENTRIES)
     @pytest.mark.parametrize("length", [0, 5, 7, 8])
     def test_wrong_length_raises(self, two_level_net, entry, length):
         t = (self.T + [1.0, 1.0])[:length]
         with pytest.raises(ValueError, match=f"^expected 6 dual values, .*, got {length}$"):
             entry(two_level_net, t)
 
-    @pytest.mark.parametrize("entry", [network_loading, dual_smooth_value, hierarchical_weights])
+    @pytest.mark.parametrize("entry", ENTRIES)
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("cyclic", [False, True])
     def test_non_finite_value_raises(self, two_level_net, entry, bad, cyclic):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -76,7 +77,7 @@ class TestSolverConfig:
         [("L0", math.nan), ("L0", math.inf), ("L0", 0.0), ("gap_tol", math.nan),
          ("gap_tol", -1e-9), ("max_iters", 0), ("max_iters", 2.5), ("max_iters", 1e9),
          ("max_iters", 3.0), ("max_iters", True), ("max_iters", "5"), ("L0", "1"),
-         ("L0", True), ("gap_tol", None), ("gap_tol", "0")],
+         ("L0", True), ("gap_tol", None), ("gap_tol", "0"), ("L0", 1e-310), ("L0", 5e-324)],
     )
     def test_bad_setting_raises_naming_the_field(self, field, value):
         with pytest.raises(ValueError, match=field):
@@ -109,6 +110,12 @@ class TestAlphaStep:
         alpha, tau = alpha_step(alpha, L, 2.0 * L)
         assert (alpha * L, tau) == (1.0, 0.5)
         assert alpha_step(1.0 / L, L, L)[1] == alpha_step(1.0, 1.0, 1.0)[1]
+
+    @pytest.mark.parametrize("L", [8.99e307, 1e308, sys.float_info.max])
+    def test_estimates_past_half_the_largest_float(self, L):
+        # 2 L overflows here; the weight is taken as root / 2 / L.
+        alpha, tau = alpha_step(0.0, L, L)
+        assert alpha > 0.0 and 0.0 < tau <= 1.0
 
     @pytest.mark.parametrize("alpha_k", [0.0, 0.3, 2.0, 50.0])
     @pytest.mark.parametrize("L_k", [0.5, 1.0, 8.0])
