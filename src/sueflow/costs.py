@@ -5,22 +5,22 @@ Every cost family is a non-decreasing travel time ``tau(f)`` on flows
 conjugate ``sigma*`` of that integral (maximised over nonnegative flows),
 and the prox of the conjugate.
 
-The composite solver does not call these methods edge by edge: a
-``CostTable`` compiles the plain-edge costs of a network into the one form
-``tau(f) = a + c*(f/s)**mu``, which holds every family (a constant cost has
-``c = 0``, an affine cost ``s = mu = 1``), and evaluates the summed
-conjugate and the summed integral with one array formula each. Its prox is
-one closed form too, except on power costs, where it solves for the edge
-flow behind each prox point by Newton's method, over a block of their
-parameters compiled with the table; the solver passes the flows of its
-latest loading, near which that root lies once the steps settle, so
-Newton starts there. The root's equation is convex and increasing in the
-flow, so Newton needs no bracket: after its first step it falls to the
-root monotonically. The per-edge methods are the independent reference
-for the table: ``travel_time``, ``integral`` and ``conjugate`` also serve
-free-flow times and the loading module's objectives, the per-edge
-``prox_conjugate`` is the scalar form of the table's prox, and
-``PowerCost.prox_conjugate`` is the prox of a one-cost table, started
+The solver and the loading module's objectives do not call these methods
+edge by edge: a ``CostTable`` compiles the plain-edge costs of a network
+into the one form ``tau(f) = a + c*(f/s)**mu``, which holds every family
+(a constant cost has ``c = 0``, an affine cost ``s = mu = 1``), and
+evaluates the summed conjugate and the summed integral with one array
+formula each. Its prox is one closed form too, except on power costs,
+where it solves for the edge flow behind each prox point by Newton's
+method, over a block of their parameters compiled with the table; the
+solver passes the flows of its latest loading, near which that root lies
+once the steps settle, so Newton starts there. The root's equation is
+convex and increasing in the flow, so Newton needs no bracket: after its
+first step it falls to the root monotonically. The per-edge methods are
+the table's independent reference, for the oracle and the table's tests;
+elsewhere in the library only ``travel_time`` runs, for free-flow times.
+The per-edge ``prox_conjugate`` is the scalar form of the table's prox,
+and ``PowerCost.prox_conjugate`` is the prox of a one-cost table, started
 cold. numpy is imported only by the table and its Newton kernel, so
 parsing and validation never load it.
 
@@ -53,7 +53,8 @@ _ROOT_ITERS = 200
 
 class ProxConvergenceError(ArithmeticError):
     """The power-cost prox did not converge within ``_ROOT_ITERS`` steps, or
-    a table's prox has no finite answer in floats."""
+    a table's prox, or the solver's mirror step, has no finite answer in
+    floats."""
 
 
 class LinkCost:

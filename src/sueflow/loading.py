@@ -70,6 +70,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
+from .costs import ConstantCost, CostTable
 from .model import LevelIndex, NetworkHierarchy
 
 if TYPE_CHECKING:
@@ -848,24 +849,34 @@ def surrogate_primal(
     net: NetworkHierarchy, flows: Sequence[Sequence[float]], entropy: float
 ) -> float:
     """Path-free primal value: cost integrals at the flows plus a supplied
-    nested-entropy term (exact for one loading, an upper bound for averages)."""
-    total = entropy
-    for k, pos in net.plain_edge_order():
-        total += net.levels[k].edges[pos].cost.integral(flows[k][pos])
-    return total
+    nested-entropy term (exact for one loading, an upper bound for averages),
+    summed over the ``CostTable`` as ``solve`` sums a certificate's. A
+    plain-edge flow below 0 or NaN raises ``ValueError`` naming the edge."""
+    import numpy as np
+
+    order = net.plain_edge_order()
+    plain = [flows[k][pos] for k, pos in order]
+    for (k, pos), f in zip(order, plain):
+        if not f >= 0.0:  # NaN fails too
+            edge_id = net.levels[k].edges[pos].id
+            raise ValueError(f"flow {f} on plain edge {edge_id!r} at level {k + 1} "
+                             f"must be nonnegative")
+    return CostTable(net.plain_costs()).integral(np.array(plain, dtype=np.float64), entropy)
 
 
 def dual_objective(net: NetworkHierarchy, t: Sequence[float]) -> float:
-    """Objective the solver minimises: smooth term plus conjugate penalties.
-    The smooth term comes first, so ``_sweep_weights`` checks ``t``."""
+    """Objective the solver minimises: smooth term plus conjugate penalties,
+    summed over the ``CostTable`` as ``solve`` sums a certificate's. The
+    smooth term comes first, so ``_sweep_weights`` checks ``t``; a time above
+    a constant cost's ``t0`` raises ``ValueError`` naming the edge."""
+    import numpy as np
+
     smooth = dual_smooth_value(net, t)
-    composite = 0.0
-    for cost, value in zip(net.plain_costs(), t):
-        c = cost.conjugate(value)
-        if math.isinf(c):
-            raise ValueError(f"time {value} outside the conjugate domain")
-        composite += c
-    return smooth + composite
+    for (k, edge), value in zip(net.plain_edges(), t):
+        if isinstance(edge.cost, ConstantCost) and value > edge.cost.t0:
+            raise ValueError(f"time {value} for plain edge {edge.id!r} at level {k + 1} "
+                             f"is outside the conjugate domain")
+    return smooth + CostTable(net.plain_costs()).conjugate(np.array(t, dtype=np.float64))
 
 
 def verify_conservation(

@@ -48,7 +48,7 @@ import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Sequence
 
-from .costs import CostTable
+from .costs import CostTable, ProxConvergenceError
 from .loading import (
     LoadResult,
     _Layout,
@@ -188,7 +188,9 @@ def minimize_composite(
     composite part, one cost per coordinate; the loop sees the costs only
     through its ``prox`` and ``conjugate``. ``on_accept`` may return a
     duality gap, which both lands in the history and stops the loop once it
-    reaches ``cfg.gap_tol`` or round-off (see ``_stop_reason``).
+    reaches ``cfg.gap_tol`` or round-off (see ``_stop_reason``). A trial
+    point past the float range is a rejected trial; a mirror step past it
+    raises ``ProxConvergenceError`` naming the iteration.
     """
     import numpy as np
 
@@ -210,21 +212,25 @@ def minimize_composite(
             grad = np.asarray(grad, dtype=np.float64)
             flows = -grad
             evals += 1
-            y_next = table.prox(x - grad / L, 1.0 / L, flows)
-            fy = smooth.value(y_next)
-            evals += 1
-            d = y_next - x
-            # Products that overflow are infinite: the secant below is then
-            # no number, and a rejection falls back to doubling L.
             with np.errstate(over="ignore"):
-                grad_d = float(grad @ d)
-                d_d = float(d @ d)
-            # Curvature of the smooth part along the trial step.
-            L_sec = 2.0 * (fy - fx - grad_d) / d_d if d_d > 0.0 else 0.0
-            # Quadratic upper bound of the smooth part at the trial point, up
-            # to a round-off slack relative to |fx|, so free of the time unit.
-            if fy <= fx + grad_d + 0.5 * L * d_d + 1e-12 * abs(fx):
-                break
+                trial = x - grad / L
+            L_sec = math.nan  # a trial past the float range is rejected unevaluated
+            if np.isfinite(trial).all():
+                y_next = table.prox(trial, 1.0 / L, flows)
+                fy = smooth.value(y_next)
+                evals += 1
+                d = y_next - x
+                # Products that overflow are infinite: the secant below is then
+                # no number, and a rejection falls back to doubling L.
+                with np.errstate(over="ignore"):
+                    grad_d = float(grad @ d)
+                    d_d = float(d @ d)
+                # Curvature of the smooth part along the trial step.
+                L_sec = 2.0 * (fy - fx - grad_d) / d_d if d_d > 0.0 else 0.0
+                # Quadratic upper bound of the smooth part at the trial point, up
+                # to a round-off slack relative to |fx|, so free of the time unit.
+                if fy <= fx + grad_d + 0.5 * L * d_d + 1e-12 * abs(fx):
+                    break
             backtracks += 1
             if backtracks > _MAX_BACKTRACKS:
                 raise BacktrackBudgetError(
@@ -232,7 +238,13 @@ def minimize_composite(
                     f"{_MAX_BACKTRACKS} backtracks at iteration {k}"
                 )
             L = max(2.0 * L, _SECANT_MARGIN * L_sec) if math.isfinite(L_sec) else 2.0 * L
-        z = table.prox(z - alpha_next * grad, alpha_next, flows)
+        with np.errstate(over="ignore"):
+            mirror = z - alpha_next * grad
+        z = table.prox(mirror, alpha_next, flows)
+        # No test can reject a mirror step; past the float range only a
+        # constant cost's prox caps it.
+        if not np.isfinite(z).all():
+            raise ProxConvergenceError(f"the mirror step leaves the float range at iteration {k}")
         y = y_next
         alpha = alpha_next
         A += alpha_next

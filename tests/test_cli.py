@@ -2,17 +2,22 @@
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
+import io
 import json
 import math
 import os
 import re
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import sueflow
 from sueflow import AffineCost, ConstantCost, ODPair, ODRef, PowerCost, loading, solver
@@ -749,6 +754,114 @@ class TestOverflowingRuns:
         assert math.isfinite(cert["gap"])
         history = (out / "history.csv").read_text().splitlines()[2:]
         assert sum(1 for row in history if row.split(",")[3] == "inf") == 2
+
+    def test_trial_past_the_float_range_is_rejected(self, tmp_path):
+        # grad / L0 passes the float range: the trial is rejected unevaluated
+        # and L doubles, where an infinite time once reached the loading.
+        network = self.network(tmp_path, demand=1000.0)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"L0": 1e-306}')
+        out = tmp_path / "out"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run_cli("solve", "--network", network, "--config", cfg, "--out", out)
+        assert code == 0
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        cert = json.loads((out / "certificate.json").read_text())
+        assert (cert["stop"], cert["T"]) == ("gap_reached", 1494)
+
+    @pytest.mark.parametrize("demand, config, error", [
+        # Rejected trials past the float range use up the backtrack budget.
+        pytest.param(1.6741756718849347e190, {"L0": 3.0964573719113523e-288},
+                     "no acceptable local Lipschitz estimate within 60 backtracks at iteration 0",
+                     id="trial"),
+        # The mirror step, which no test can reject, passes the float range.
+        pytest.param(1.9151248243076568e42, {"L0": 7.550111067711041e-275, "max_iters": 200},
+                     "the mirror step leaves the float range at iteration 1", id="mirror"),
+    ])
+    def test_step_past_the_float_range_exits_3(self, tmp_path, capsys, demand, config, error):
+        network = self.network(tmp_path, demand=demand)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run_cli("solve", "--network", network, "--config", cfg, "--out", out)
+        assert code == 3
+        assert capsys.readouterr().err == f"error: {error}\n"
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert not out.exists()
+
+
+def _two_level_inputs():
+    """Names of the inputs of ``two_level.json`` that the contract test
+    draws: both gammas at once, the level-1 demand, each cost parameter as
+    ``edge.param``, and the config's ``L0`` and ``gap_tol``."""
+    doc = json.loads((FIXTURES / "two_level.json").read_text())
+    params = [
+        f"{edge['id']}.{param}"
+        for level in doc["levels"] for edge in level["edges"] if edge["kind"] == "plain"
+        for param in edge["cost"] if param != "type"
+    ]
+    return ["gammas", "demand", *params, "L0", "gap_tol"]
+
+
+class TestRunContract:
+    """Whatever its input, ``sueflow solve`` exits 0 with ``gap_reached``, 1
+    with a finite certificate, 2 or 3 with an ``error:`` line, and never
+    raises or prints a numpy warning."""
+
+    @staticmethod
+    def run(edits, tmp):
+        """``solve`` on ``two_level.json`` at ``max_iters`` 200 with ``edits``
+        (input name, value) applied; a cost's ``mu`` is set to 1 plus the
+        value. Returns the exit code, stderr and the certificate, if any."""
+        doc = json.loads((FIXTURES / "two_level.json").read_text())
+        costs = {e["id"]: e["cost"] for level in doc["levels"] for e in level["edges"]
+                 if e["kind"] == "plain"}
+        config = {"max_iters": 200}
+        for name, value in edits:
+            if name == "gammas":
+                doc["gammas"] = [value, value]
+            elif name == "demand":
+                doc["levels"][0]["od_pairs"][0]["demand"] = value
+            elif name in ("L0", "gap_tol"):
+                config[name] = value
+            else:
+                edge, param = name.split(".")
+                costs[edge][param] = 1.0 + value if param == "mu" else value
+        (tmp / "net.json").write_text(json.dumps(doc))
+        (tmp / "cfg.json").write_text(json.dumps(config))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = run_cli("solve", "--network", tmp / "net.json", "--config", tmp / "cfg.json",
+                           "--out", tmp / "out")
+        path = tmp / "out" / "certificate.json"
+        return code, err.getvalue(), json.loads(path.read_text()) if path.exists() else None
+
+    @given(edits=st.lists(
+        st.tuples(st.sampled_from(_two_level_inputs()),
+                  st.floats(-300.0, 300.0).map(lambda e: 10.0**e)),
+        min_size=1, max_size=2, unique_by=lambda edit: edit[0],
+    ))
+    # The three rows where a trial point or a mirror step left the float range.
+    @example(edits=[("demand", 1000.0), ("L0", 1e-306)])
+    @example(edits=[("demand", 1.6741756718849347e190), ("L0", 3.0964573719113523e-288)])
+    @example(edits=[("demand", 1.9151248243076568e42), ("L0", 7.550111067711041e-275)])
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    def test_every_input_ends_in_an_allowed_outcome(self, edits):
+        with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, err, cert = self.run(edits, Path(tmp))
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        if code == 0:
+            assert cert["stop"] == "gap_reached"
+        elif code == 1:
+            assert all(math.isfinite(cert[key]) for key in ("dual_value", "primal_value", "gap"))
+        elif code == 3:
+            assert re.fullmatch("error: [^\n]+\n", err), err
+        else:
+            assert code == 2, code
 
 
 class TestNonFiniteInput:

@@ -27,6 +27,7 @@ from sueflow import (
     NoPathError,
     ODPair,
     ODRef,
+    PowerCost,
     dual_objective,
     dual_smooth_value,
     hierarchical_weights,
@@ -1732,6 +1733,17 @@ class TestPrimalObjective:
         pathfree = surrogate_primal(net, res.flows, entropy_term(net, res))
         assert exact == pytest.approx(pathfree, abs=1e-9 * (1 + abs(exact)))
 
+    @pytest.mark.parametrize("bad", [-1.0, math.nan])
+    def test_surrogate_rejects_a_flow_below_zero_or_nan(self, bad):
+        with pytest.raises(ValueError, match=(
+            f"^flow {bad} on plain edge 'e2' at level 1 must be nonnegative$"
+        )):
+            surrogate_primal(two_edge_net(), [[0.5, bad]], 0.0)
+
+    def test_surrogate_past_the_float_range_is_inf(self):
+        net = parallel_net([PowerCost(1.0, 0.15, 1e-200, 4.0)])
+        assert surrogate_primal(net, [[1.0]], 0.0) == math.inf
+
 
 class TestExpectationIdentity:
     def test_smoothed_trip_cost_is_expected_best_response(self, two_level_net):
@@ -1765,6 +1777,20 @@ class TestDualObjective:
         net = parallel_net([ConstantCost(1.0)])
         with pytest.raises(ValueError, match="conjugate domain"):
             dual_objective(net, [1.5])
+
+    def test_outside_domain_names_the_edge(self, two_level_net):
+        # q2 is a constant cost at 0.4, so 1.1x free flow leaves its domain.
+        t = [1.1 * v for v in two_level_net.free_flow_times()]
+        with pytest.raises(ValueError, match=(
+            r"^time 0\.44000000000000006 for plain edge 'q2' at level 2 "
+            r"is outside the conjugate domain$"
+        )):
+            dual_objective(two_level_net, t)
+
+    def test_conjugate_past_the_float_range_is_inf(self):
+        # Inside the domain, as the certificate's sum reads it.
+        net = parallel_net([PowerCost(1.0, 1e-300, 1.0, 1.0)])
+        assert dual_objective(net, [1e200]) == math.inf
 
 
 def whole_level_longest_routes(index, weights, dst):

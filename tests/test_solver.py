@@ -29,6 +29,7 @@ from sueflow import (
     lipschitz_bound_diagnostic,
     solve,
 )
+from sueflow.cli import parse_network
 from sueflow.costs import CostTable
 from sueflow.loading import (
     LoadResult,
@@ -43,6 +44,7 @@ from sueflow import oracle
 from sueflow import solver as solver_module
 
 from conftest import (
+    FIXTURES,
     any_dag_hierarchy,
     chain3_net,
     grid3_level,
@@ -277,6 +279,20 @@ class TestSolve:
         )
         assert recheck == pytest.approx(cert.gap, abs=1e-12)
 
+    # Seeds 23 and 57 recomputed another dual_value, and 2 and 123 (whose
+    # average certifies) another primal_value, when the two functions summed
+    # edge by edge.
+    @pytest.mark.parametrize("case", [23, 57, 2, 123, "cyclic_grid.json"])
+    def test_certificate_recomputes_to_the_bit(self, case):
+        if isinstance(case, int):
+            net, t = random_hierarchy(case)
+        else:
+            net = parse_network(FIXTURES / case)
+            t = None
+        t_final, cert, _ = solve(net, SolverConfig(gap_tol=1e-10, max_iters=100), t)
+        assert dual_objective(net, t_final) == cert.dual_value
+        assert surrogate_primal(net, cert.avg_flows, cert.avg_entropy) == cert.primal_value
+
 
 def bpr_corridor(stages=4, links=5):
     """One OD through ``stages`` stages of parallel BPR links."""
@@ -303,6 +319,22 @@ class TestVectorisedStep:
         }
         _, cert, _ = solve(two_level_net, SolverConfig(gap_tol=1e-6))
         assert 0.0 <= cert.gap <= 1e-6
+
+    def test_objectives_never_call_the_per_edge_conjugate_or_integral(
+        self, two_level_net, monkeypatch
+    ):
+        # Only the oracle and the table's tests use the scalar forms.
+        def refuse(self, value):
+            raise AssertionError(f"per-edge method called on {self!r}")
+
+        for cls in (ConstantCost, AffineCost, PowerCost):
+            monkeypatch.setattr(cls, "conjugate", refuse)
+            monkeypatch.setattr(cls, "integral", refuse)
+        t, cert, _ = solve(two_level_net, SolverConfig(gap_tol=1e-6))
+        assert dual_objective(two_level_net, t) == cert.dual_value
+        assert surrogate_primal(
+            two_level_net, cert.avg_flows, cert.avg_entropy
+        ) == cert.primal_value
 
     def test_bpr_corridor_reruns_are_identical(self):
         net = bpr_corridor()
@@ -722,23 +754,12 @@ def replay_candidates(net, t, iters):
     the first ``iters`` iterations of a solve from ``t``, and the history.
 
     The acceptance hook's return value only decides when to stop, so these
-    are the iterates ``solve`` made. Each primal value sums its cost
-    integrals through ``CostTable.integral``, as the solver does: the
-    per-edge integrals of ``surrogate_primal`` round differently, by more
-    than the certificate's slack when the entropy term cancels most of the
-    integrals, so only the same formula compares the solver's choice exactly.
-    ``test_certificate_is_a_valid_primal_point`` checks the certified value
-    against ``surrogate_primal`` separately.
+    are the iterates ``solve`` made.
     """
-    table = CostTable(net.plain_costs())
-    plain = _layout(net).plain_at
     weight = 0.0
     flow_sums = [[0.0] * len(level.edges) for level in net.levels]
     entropy_sum = 0.0
     loadings = []
-
-    def primal(flows, entropy):
-        return table.integral(np.concatenate(flows)[plain], start=entropy)
 
     def on_accept(info):
         nonlocal weight, entropy_sum
@@ -748,11 +769,14 @@ def replay_candidates(net, t, iters):
                 sums[pos] += info.alpha * f
         entropy = entropy_term(net, info.aux)
         entropy_sum += info.alpha * entropy
-        loadings.append(primal(info.aux.flows, entropy))
+        loadings.append(surrogate_primal(net, info.aux.flows, entropy))
         return None
 
     _, history = minimize_composite(
-        _DualSmooth(net, plain), table, t, SolverConfig(gap_tol=0.0, max_iters=iters), on_accept,
+        _DualSmooth(net, _layout(net).plain_at), CostTable(net.plain_costs()), t,
+        SolverConfig(gap_tol=0.0, max_iters=iters), on_accept,
     )
-    average = primal([[f / weight for f in sums] for sums in flow_sums], entropy_sum / weight)
+    average = surrogate_primal(
+        net, [[f / weight for f in sums] for sums in flow_sums], entropy_sum / weight
+    )
     return average, loadings, history
