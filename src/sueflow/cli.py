@@ -16,7 +16,8 @@ Every output file starts with a manifest line tying it to the exact inputs
 with 17 significant digits so doubles round-trip losslessly.
 
 Exit codes: 0 success (for ``solve``: gap within tolerance), 1 tolerance
-not reached, 2 bad input, 3 solver failure.
+not reached, 2 bad input, 3 solver failure; ``main`` maps every failure
+that a command raises to 2 or 3.
 """
 
 from __future__ import annotations
@@ -131,11 +132,15 @@ def _read_json(path: str | Path):
 def parse_network(path: str | Path) -> NetworkHierarchy:
     """Strict parse of a network file; the result always validates clean."""
     net = network_from_dict(_read_json(path))
-    violations = validate_hierarchy(net)
+    violations = _violations(net)
     if violations:
-        lines = "; ".join(f"[{v.code}] {v.path}: {v.message}" for v in violations)
-        raise _fail(str(path), f"invalid network: {lines}")
+        raise _fail(str(path), f"invalid network: {'; '.join(violations)}")
     return net
+
+
+def _violations(net: NetworkHierarchy) -> list[str]:
+    """The model's violations of ``net``, one ``[code] path: message`` each."""
+    return [f"[{v.code}] {v.path}: {v.message}" for v in validate_hierarchy(net)]
 
 
 _DOC_KEYS = _keys("version", "gammas", "levels")
@@ -351,34 +356,17 @@ def _write_flows(
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    try:
-        net = network_from_dict(_read_json(args.network))
-    except ParseError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    violations = validate_hierarchy(net)
-    if violations:
-        for v in violations:
-            print(f"[{v.code}] {v.path}: {v.message}")
-        return 2
-    print("OK")
-    return 0
+    violations = _violations(network_from_dict(_read_json(args.network)))
+    print("\n".join(violations) or "OK")
+    return 2 if violations else 0
 
 
 def _cmd_load(args: argparse.Namespace) -> int:
-    try:
-        net = parse_network(args.network)
-        if args.t_file is None:
-            raise _fail("load", "--t-file is required")
-        times = load_times(args.t_file, net)
-    except ParseError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    try:
-        result = network_loading(net, times)
-    except LoadingError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 3
+    net = parse_network(args.network)
+    if args.t_file is None:
+        raise _fail("load", "--t-file is required")
+    times = load_times(args.t_file, net)
+    result = network_loading(net, times)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_flows(out_dir / "flows.csv", _manifest("load", args), net, result.flows, times)
@@ -386,17 +374,9 @@ def _cmd_load(args: argparse.Namespace) -> int:
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
-    try:
-        net = parse_network(args.network)
-        cfg = load_config(args.config)
-    except ParseError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    try:
-        t_final, certificate, history = solve(net, cfg)
-    except (BacktrackBudgetError, LoadingError, ProxConvergenceError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 3
+    net = parse_network(args.network)
+    cfg = load_config(args.config)
+    t_final, certificate, history = solve(net, cfg)
     if not math.isfinite(certificate.gap):
         print(f"error: the duality gap is {certificate.gap} at T {certificate.T}", file=sys.stderr)
         return 3
@@ -454,11 +434,15 @@ def main(argv: list[str] | None = None) -> int:
     p_load.add_argument("--t-file", dest="t_file", default=None, help="edge times JSON file")
 
     args = parser.parse_args(argv)
-    if args.command == "validate":
-        return _cmd_validate(args)
-    if args.command == "load":
-        return _cmd_load(args)
-    return _cmd_solve(args)
+    command = {"validate": _cmd_validate, "load": _cmd_load, "solve": _cmd_solve}[args.command]
+    try:
+        return command(args)
+    except ParseError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 2
+    except (BacktrackBudgetError, LoadingError, ProxConvergenceError) as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -179,14 +179,20 @@ class PowerCost(LinkCost):
 
     def travel_time(self, f: float) -> float:
         self._check_flow(f)
-        return self.t0 * (1.0 + self.beta * (f / self.cap) ** self.mu)
+        try:
+            return self.t0 * (1.0 + self.beta * (f / self.cap) ** self.mu)
+        except OverflowError:  # Python's float power raises where numpy's is inf
+            return math.inf
 
     def integral(self, f: float) -> float:
         self._check_flow(f)
         ratio = f / self.cap
-        return self.t0 * f + self.t0 * self.beta * self.cap / (self.mu + 1.0) * ratio ** (
-            self.mu + 1.0
-        )
+        try:
+            return self.t0 * f + self.t0 * self.beta * self.cap / (self.mu + 1.0) * ratio ** (
+                self.mu + 1.0
+            )
+        except OverflowError:
+            return math.inf
 
     def conjugate(self, t: float) -> float:
         if t <= self.t0:
@@ -243,8 +249,9 @@ def _power_prox(block: _NewtonBlock, v, step, flows=None):
     ``ProxConvergenceError`` if that takes more than ``_ROOT_ITERS`` steps.
     It runs under its caller's ``np.errstate``: where a bound, a power or a
     slope overflows (a huge excess over a tiny ``c``, a flow far above a
-    tiny ``s``, a huge ``mu``), an element may end in NaN, which
-    ``CostTable.prox`` rejects; every finite path keeps its bits.
+    tiny ``s``, a huge ``mu``), an element may end in NaN, or in ``-inf``
+    once ``tau`` overflows, which ``CostTable.prox`` rejects; every finite
+    path keeps its bits.
     """
     import numpy as np
 
@@ -317,7 +324,10 @@ class CostTable:
         # Where c = 0 the conjugate's domain ends at a, so d = t - a is 0 in it
         # and any divisor serves.
         self._c_div = np.where(self.c > 0.0, self.c, 1.0)
-        self._int_coef = self.c * self.s / (self.mu + 1.0)
+        # c*s past the float range (a huge cap) is +inf, and so then is every
+        # integral of the table: a primal value that certifies nothing.
+        with np.errstate(over="ignore"):
+            self._int_coef = self.c * self.s / (self.mu + 1.0)
 
     def prox(self, v: np.ndarray, step: float, flows: np.ndarray | None = None) -> np.ndarray:
         """Elementwise ``argmin_t (t - v)**2 / (2*step) + conjugate(t)``.
@@ -330,12 +340,14 @@ class CostTable:
         instead of at the top of its range. Any estimate gives the same
         answer up to Newton's tolerance.
 
-        The kernels run without numpy warnings. The answer lies between
-        ``min(a, v)`` and ``v``, so at a finite ``v`` only a NaN is not
-        finite, as where a power cost's Newton leaves the float range; it
-        raises ``ProxConvergenceError`` naming the step and the number of
-        such edges. An infinite ``v`` may give an infinite answer. An
-        infinite step, a step weight past the float range, raises
+        The kernels run without numpy warnings. In exact arithmetic the
+        answer lies between ``min(a, v)`` and ``v``, but where a power
+        cost's Newton leaves the float range it may end in NaN or, once
+        ``tau`` overflows and the step falls to ``-inf``, in ``-inf``. An
+        answer that is NaN, or infinite at a finite ``v``, raises
+        ``ProxConvergenceError`` naming the step and the number of such
+        edges; an infinite ``v`` may give an infinite answer. An infinite
+        step, a step weight past the float range, raises
         ``ProxConvergenceError`` too.
         """
         import numpy as np
@@ -354,7 +366,7 @@ class CostTable:
                 if flows is not None:
                     flows = np.asarray(flows, dtype=np.float64)
                 t[self._newton.at] = _power_prox(self._newton, v, step, flows)
-        bad = np.count_nonzero(np.isnan(t))
+        bad = np.count_nonzero(np.isnan(t) | np.isinf(t) & np.isfinite(v))
         if bad:
             raise ProxConvergenceError(
                 f"the prox at step {step!r} is not finite for {bad} of {t.size} plain edges"

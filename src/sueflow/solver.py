@@ -238,7 +238,9 @@ def minimize_composite(
                     f"{_MAX_BACKTRACKS} backtracks at iteration {k}"
                 )
             L = max(2.0 * L, _SECANT_MARGIN * L_sec) if math.isfinite(L_sec) else 2.0 * L
-        with np.errstate(over="ignore"):
+        # A step weight past the float range is inf, and inf * 0 is NaN; the
+        # prox rejects that step.
+        with np.errstate(over="ignore", invalid="ignore"):
             mirror = z - alpha_next * grad
         z = table.prox(mirror, alpha_next, flows)
         # No test can reject a mirror step; past the float range only a

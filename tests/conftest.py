@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from pathlib import Path
 
@@ -135,6 +136,35 @@ def grid3_level(od_pairs) -> LevelGraph:
 def plain_flows(net: NetworkHierarchy, res) -> list[float]:
     """The plain-edge flows of loading ``res``, in ``net.plain_edge_order()``."""
     return [res.flows[k][i] for k, i in net.plain_edge_order()]
+
+
+_COST_TYPES = {ConstantCost: "constant", AffineCost: "affine", PowerCost: "power"}
+
+
+def network_doc(net: NetworkHierarchy) -> dict:
+    """``net`` in the network file's JSON form, which ``parse_network`` reads."""
+
+    def edge_doc(edge):
+        doc = {"id": edge.id, "from": edge.tail, "to": edge.head}
+        if edge.cost is None:
+            target = {"level": edge.target_od.level + 1, "od": edge.target_od.od}
+            return {**doc, "kind": "portal", "target_od": target}
+        cost = {"type": _COST_TYPES[type(edge.cost)], **dataclasses.asdict(edge.cost)}
+        return {**doc, "kind": "plain", "cost": cost}
+
+    def od_doc(od):
+        doc = {"origin": od.origin, "destination": od.destination}
+        return doc if od.demand is None else {**doc, "demand": od.demand}
+
+    levels = [
+        {
+            "nodes": list(level.nodes),
+            "edges": [edge_doc(edge) for edge in level.edges],
+            "od_pairs": [od_doc(od) for od in level.od_pairs],
+        }
+        for level in net.levels
+    ]
+    return {"version": 1, "gammas": list(net.gammas), "levels": levels}
 
 
 @pytest.fixture(scope="session")

@@ -21,9 +21,9 @@ from hypothesis import strategies as st
 
 import sueflow
 from sueflow import AffineCost, ConstantCost, ODPair, ODRef, PowerCost, loading, solver
-from sueflow.cli import ParseError, load_config, load_times, main, parse_network
+from sueflow.cli import ParseError, load_config, load_times, main, network_from_dict, parse_network
 
-from conftest import FIXTURES
+from conftest import FIXTURES, network_doc, parallel_net, random_hierarchy
 
 
 def run_cli(*args):
@@ -792,6 +792,42 @@ class TestOverflowingRuns:
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         assert not out.exists()
 
+    @pytest.mark.parametrize("costs, demand, config, error", [
+        # Far above cap, tau overflows to +inf and Newton's step falls to
+        # -inf: a time of -inf once reached the loading and ended in a
+        # traceback with exit 1.
+        pytest.param([PowerCost(1.0, 1e-150, 1.0, 3.0)], 1e126, {},
+                     "the prox at step 8.112963841460668e+31 is not finite for 1 of 1 plain edges",
+                     id="newton-to-minus-inf"),
+        pytest.param([PowerCost(1.0, 1e-272, 1.0, 3.0)], 1e126, {},
+                     "the prox at step 1.0 is not finite for 1 of 1 plain edges",
+                     id="newton-to-minus-inf-at-step-1"),
+        # L halves below 1/max float, so the step weight is inf: inf * 0 on
+        # the edge without flow once printed a numpy warning.
+        pytest.param([AffineCost(1.0, 1.0), PowerCost(1.0, 8.2e178, 1.0, 4.0)], 1.0,
+                     {"L0": 1e-300, "max_iters": 200}, "the prox step overflows to inf",
+                     id="infinite-step-weight"),
+        # c*s of the power cost passes the float range, so every cost
+        # integral and every gap reads inf; that coefficient once printed a
+        # numpy warning.
+        pytest.param([AffineCost(1.0, 1.0), PowerCost(1e9, 1.0, 1e300, 4.0)], 1.0,
+                     {"max_iters": 50}, "the duality gap is inf at T 50",
+                     id="integral-coefficient-past-the-float-range"),
+    ])
+    def test_one_level_overflow_exits_3(self, tmp_path, capsys, costs, demand, config, error):
+        network = tmp_path / "net.json"
+        network.write_text(json.dumps(network_doc(parallel_net(costs, demand=demand))))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run_cli("solve", "--network", network, "--config", cfg, "--out", out)
+        assert code == 3
+        assert capsys.readouterr().err == f"error: {error}\n"
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert not out.exists()
+
 
 def _two_level_inputs():
     """Names of the inputs of ``two_level.json`` that the contract test
@@ -804,6 +840,26 @@ def _two_level_inputs():
         for param in edge["cost"] if param != "type"
     ]
     return ["gammas", "demand", *params, "L0", "gap_tol"]
+
+
+@st.composite
+def _random_hierarchy_edits(draw):
+    """A ``random_hierarchy`` draw in file form, and one or two of its
+    inputs to change: all gammas, the level-1 demand, one cost parameter
+    as ``(level, edge, param)``, ``L0`` or ``gap_tol``, each to a value
+    drawn log-uniformly from 1e-300 to 1e300."""
+    doc = network_doc(random_hierarchy(draw(st.integers(0, 299), label="seed"))[0])
+    params = [
+        (k, i, param)
+        for k, level in enumerate(doc["levels"]) for i, edge in enumerate(level["edges"])
+        if edge["kind"] == "plain" for param in edge["cost"] if param != "type"
+    ]
+    edits = draw(st.lists(
+        st.tuples(st.sampled_from(["gammas", "demand", *params, "L0", "gap_tol"]),
+                  st.floats(-300.0, 300.0).map(lambda e: 10.0**e)),
+        min_size=1, max_size=2, unique_by=lambda edit: edit[0],
+    ), label="edits")
+    return doc, edits
 
 
 class TestRunContract:
@@ -860,6 +916,50 @@ class TestRunContract:
             assert all(math.isfinite(cert[key]) for key in ("dual_value", "primal_value", "gap"))
         elif code == 3:
             assert re.fullmatch("error: [^\n]+\n", err), err
+        else:
+            assert code == 2, code
+
+    def test_network_doc_round_trips(self):
+        for seed in range(300):
+            net, _ = random_hierarchy(seed)
+            parsed = network_from_dict(json.loads(json.dumps(network_doc(net))))
+            assert (parsed.levels, parsed.gammas) == (net.levels, net.gammas)
+
+    @given(case=_random_hierarchy_edits())
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    def test_every_random_hierarchy_ends_in_an_allowed_outcome(self, case):
+        # As on two_level.json, with a cost's mu set to 1 plus the value.
+        doc, edits = case
+        config = {"max_iters": 200}
+        for name, value in edits:
+            if name == "gammas":
+                doc["gammas"] = [value] * len(doc["gammas"])
+            elif name == "demand":
+                doc["levels"][0]["od_pairs"][0]["demand"] = value
+            elif name in ("L0", "gap_tol"):
+                config[name] = value
+            else:
+                k, i, param = name
+                cost = doc["levels"][k]["edges"][i]["cost"]
+                cost[param] = 1.0 + value if param == "mu" else value
+        with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            tmp = Path(tmp)
+            (tmp / "net.json").write_text(json.dumps(doc))
+            (tmp / "cfg.json").write_text(json.dumps(config))
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = run_cli("solve", "--network", tmp / "net.json", "--config",
+                               tmp / "cfg.json", "--out", tmp / "out")
+            path = tmp / "out" / "certificate.json"
+            cert = json.loads(path.read_text()) if path.exists() else None
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        if code == 0:
+            assert cert["stop"] == "gap_reached"
+        elif code == 1:
+            assert all(math.isfinite(cert[key]) for key in ("dual_value", "primal_value", "gap"))
+        elif code == 3:
+            assert re.fullmatch("error: [^\n]+\n", err.getvalue()), err.getvalue()
         else:
             assert code == 2, code
 

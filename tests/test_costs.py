@@ -471,6 +471,19 @@ class TestCostTable:
         table = CostTable([AffineCost(1.0, 1.0), PowerCost(1.0, 0.15, 1e-100, 4.0)])
         assert table.integral(np.array([1.0, 1.0])) == math.inf
 
+    def test_per_edge_power_overflow_is_infinite(self):
+        # Python's float power raises OverflowError where the table's reads inf.
+        cost = PowerCost(1.0, 0.15, 1e-200, 4.0)
+        assert cost.travel_time(1.0) == math.inf
+        assert cost.integral(1.0) == math.inf == CostTable([cost]).integral(np.array([1.0]))
+
+    @pytest.mark.parametrize("flows", [None, [1e126]])
+    def test_prox_whose_newton_falls_to_minus_inf_raises(self, flows):
+        # Far above cap, tau overflows to +inf and Newton's step to -inf.
+        table = CostTable([PowerCost(1.0, 1e-272, 1.0, 3.0)])
+        with pytest.raises(ProxConvergenceError, match="^the prox at step 1.0 is not finite"):
+            table.prox(np.array([1e126]), 1.0, flows)
+
     def test_unknown_cost_class_rejected(self):
         class Odd(ConstantCost):
             pass
