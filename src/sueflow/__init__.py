@@ -34,7 +34,6 @@ from .solver import (
     GapCertificate,
     IterationRecord,
     SolverConfig,
-    alpha_step,
     lipschitz_bound_diagnostic,
     solve,
 )
@@ -64,7 +63,6 @@ __all__ = [
     "GapCertificate",
     "IterationRecord",
     "SolverConfig",
-    "alpha_step",
     "lipschitz_bound_diagnostic",
     "solve",
 ]

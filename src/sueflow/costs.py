@@ -188,9 +188,7 @@ class PowerCost(LinkCost):
         self._check_flow(f)
         ratio = f / self.cap
         try:
-            return self.t0 * f + self.t0 * self.beta * self.cap / (self.mu + 1.0) * ratio ** (
-                self.mu + 1.0
-            )
+            return self.t0 * f + self.t0 * self.beta / (self.mu + 1.0) * (f * ratio**self.mu)
         except OverflowError:
             return math.inf
 
@@ -324,10 +322,10 @@ class CostTable:
         # Where c = 0 the conjugate's domain ends at a, so d = t - a is 0 in it
         # and any divisor serves.
         self._c_div = np.where(self.c > 0.0, self.c, 1.0)
-        # c*s past the float range (a huge cap) is +inf, and so then is every
-        # integral of the table: a primal value that certifies nothing.
-        with np.errstate(over="ignore"):
-            self._int_coef = self.c * self.s / (self.mu + 1.0)
+        # The integral's coefficient leaves out s, which enters through the
+        # ratio f/s instead: c*s/(mu + 1) passes the float range at a huge
+        # cap where the integral itself does not.
+        self._int_coef = self.c / (self.mu + 1.0)
 
     def prox(self, v: np.ndarray, step: float, flows: np.ndarray | None = None) -> np.ndarray:
         """Elementwise ``argmin_t (t - v)**2 / (2*step) + conjugate(t)``.
@@ -398,7 +396,7 @@ class CostTable:
         import numpy as np
 
         with np.errstate(over="ignore", invalid="ignore"):
-            power = (f / self.s) ** (self.mu + 1.0)
+            power = f * (f / self.s) ** self.mu
             # A constant cost (c = 0) has no congestion term, whatever its power.
             terms = self.a * f + np.where(self.c > 0.0, self._int_coef * power, 0.0)
         total = _ordered_sum(start, terms)

@@ -524,6 +524,9 @@ def _softmin_cyclic(
     log_y[reach] = np.log(y[reach])
     with np.errstate(over="ignore"):
         rho = d - gamma * log_y
+    # y[dst] is 1 up to the rounding of the solve; a trip from a
+    # destination to itself costs exactly 0.0, as on an acyclic level.
+    rho[plan.at_dst] = 0.0
     if choice is not None:
         probs, entropy = choice
         at_tail, at_head, walk, expo = at_tail[keep], at_head[keep], walk[keep], expo[keep]
@@ -593,11 +596,13 @@ class _CyclicPlan(NamedTuple):
     one's tail and head position in the node arrays. ``eye`` is the
     ``(n, n)`` identity every system starts from, and ``stacks`` the slots
     in stacks (``_groups``), at whose positions both passes build and solve
-    every system. ``supplies`` lists ``(OD, origin position)`` in OD order
+    every system. ``at_dst`` gives each slot's destination position and
+    ``supplies`` lists ``(OD, origin position)`` in OD order
     (``_supplies``). It holds ``O(D E + n**2)`` numbers for ``D``
     destinations and ``E`` edges, no stack of systems."""
 
     rho: np.ndarray
+    at_dst: np.ndarray
     at_origin: list[int]
     supplies: list[tuple[int, int]]
     rows: np.ndarray
@@ -626,6 +631,7 @@ def _cyclic_plan(index: LevelIndex) -> _CyclicPlan:
     dsts = np.array(index.dests, dtype=np.intp)
     rows, edges = (tails != dsts[:, None]).nonzero()
     at_tail, at_head = rows * n + tails[edges], rows * n + heads[edges]
+    at_dst = np.arange(len(dsts)) * n + dsts
     stacks = []
     for slots in _groups(n, range(len(dsts))):
         start, stop = rows.searchsorted([slots.start, slots.stop])
@@ -633,13 +639,13 @@ def _cyclic_plan(index: LevelIndex) -> _CyclicPlan:
             slots=slots,
             walk=slice(start, stop),
             walk_at=(at_tail[start:stop] - slots.start * n) * n + heads[edges[start:stop]],
-            at_dst=np.arange(len(slots)) * n + dsts[slots.start:slots.stop],
+            at_dst=at_dst[slots.start:slots.stop] - slots.start * n,
         ))
-    rho = np.full(len(index.dests) * n, math.inf)
-    rho[[slot * n + dst for slot, dst in enumerate(index.dests)]] = 0.0
+    rho = np.full(len(dsts) * n, math.inf)
+    rho[at_dst] = 0.0
     at_origin = [slot * n + src for (src, _), slot in zip(index.od_nodes, index.dest_slot)]
-    return _CyclicPlan(rho, at_origin, _supplies(index, at_origin), rows, edges, at_tail, at_head,
-                       np.eye(n), stacks)
+    return _CyclicPlan(rho, at_dst, at_origin, _supplies(index, at_origin), rows, edges, at_tail,
+                       at_head, np.eye(n), stacks)
 
 
 class _Layout(NamedTuple):

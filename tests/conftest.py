@@ -1,9 +1,16 @@
-"""Shared builders: hand-made instances and a random-hierarchy generator."""
+"""Shared builders: hand-made instances and random hierarchies.
+
+Tests pinned to given draws take them from ``random_hierarchy(seed)``, and
+property tests draw from the strategy ``hierarchies``. On its cyclic levels
+no portal lies on a cycle and gamma stays below the smallest plain time
+over the log of the largest out-degree, so every walk sum converges.
+"""
 
 from __future__ import annotations
 
 import dataclasses
 import math
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -244,91 +251,84 @@ def random_hierarchy(seed: int) -> tuple[NetworkHierarchy, list[float]]:
     return net, t
 
 
-@st.composite
-def dag_hierarchies(
-    draw, max_nodes: int = 7, max_edges: int = 12
-) -> tuple[NetworkHierarchy, list[float]]:
-    """Random valid DAG hierarchy plus a dual point, built deepest level first.
+_T0 = st.floats(1.0, 1.3)
+# random_hierarchy's three cost families, over its parameter ranges.
+_COSTS = st.one_of(
+    st.builds(ConstantCost, _T0),
+    st.builds(AffineCost, _T0, st.floats(0.3, 1.5)),
+    st.builds(PowerCost, _T0, st.floats(0.1, 0.3), st.floats(0.8, 2.0),
+              st.integers(2, 4).map(float)),
+)
 
-    Each level lists its nodes and edges in a drawn order, and its OD pairs
-    join any node to one it reaches, so a destination often has several
-    origins, some upstream of others, and an OD pair may start at its
-    destination. Portals join any nodes a route can use, so some carry no
-    flow and their lower-level OD pairs get zero demand. Each level has 2
-    to ``max_nodes`` nodes and 1 to ``max_edges`` plain edges.
+
+def _reach(n: int, arcs) -> list[set[int]]:
+    """The nodes each node of ``range(n)`` reaches over ``arcs``, itself included."""
+    reach = [{v} for v in range(n)]
+    while True:  # one round and a check when every arc is forward
+        before = sum(map(len, reach))
+        for a, b in sorted(arcs, reverse=True):
+            reach[a] |= reach[b]
+        if sum(map(len, reach)) == before:
+            return reach
+
+
+@st.composite
+def hierarchies(draw, max_nodes=7, acyclic=False) -> tuple[NetworkHierarchy, list[float]]:
+    """Random valid hierarchy plus a dual point, built deepest level first.
+
+    A level has 2 to ``max_nodes`` nodes, 1 to ``2 * max_nodes`` forward
+    plain arcs, and a portal per OD pair of the level below on any forward
+    pair, so some portals carry no flow. Its 1 to 6 OD pairs join a node
+    to one it reaches, itself included. Nodes and edges come in a drawn
+    order; costs are constant, affine or power, as in ``random_hierarchy``.
+
+    Unless ``acyclic`` is set, half the levels give some plain arcs a
+    reverse twin, skipping any twin that would put a portal on a cycle.
+    Such a level's gamma is capped at U(0.1, 0.9) times its smallest plain
+    time (at the dual point or free flow, so at any point a solve from it
+    visits) over the log of its largest out-degree: each row of the walk
+    matrix over a cycle then sums below 1.
     """
     m = draw(st.integers(1, 3), label="levels")
-    levels: list[LevelGraph] = []
+    levels, gammas, times = [], [], []
     portals = 0  # the OD pairs of the level below, one portal each
     for k in range(m - 1, -1, -1):
         n = draw(st.integers(2, max_nodes), label="nodes")
         forward = st.sampled_from([(a, b) for a in range(n) for b in range(a + 1, n)])
-        arcs = draw(st.lists(forward, min_size=1, max_size=max_edges), label="plain edges")
+        arcs = draw(st.lists(forward, min_size=1, max_size=2 * max_nodes), label="plain arcs")
         gates = draw(st.lists(forward, min_size=portals, max_size=portals), label="portals")
+        twins = []
+        if not acyclic and draw(st.booleans(), label="cyclic"):
+            for a, b in arcs:
+                if draw(st.booleans(), label="twin"):
+                    reach = _reach(n, arcs + twins + [(b, a)] + gates)
+                    if all(p not in reach[q] for p, q in gates):
+                        twins.append((b, a))
+        plain = arcs + twins
+        costs = draw(st.lists(_COSTS, min_size=len(plain), max_size=len(plain)), label="costs")
         edges = [
-            Edge(f"L{k}e{i}", f"L{k}n{a}", f"L{k}n{b}", cost=ConstantCost(1.0))
-            for i, (a, b) in enumerate(arcs)
+            Edge(f"L{k}e{i}", f"L{k}n{a}", f"L{k}n{b}", cost=cost)
+            for i, ((a, b), cost) in enumerate(zip(plain, costs))
         ] + [
             Edge(f"L{k}g{j}", f"L{k}n{a}", f"L{k}n{b}", target_od=ODRef(k + 1, j))
             for j, (a, b) in enumerate(gates)
         ]
-        reach = [{v} for v in range(n)]
-        for a in range(n - 1, -1, -1):
-            for tail, head in arcs + gates:
-                if tail == a:
-                    reach[a] |= reach[head]
+        reach = _reach(n, plain + gates)
         pairs = [(o, d) for o in range(n) for d in sorted(reach[o])]
         ods = draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=6), label="OD pairs")
         demand = st.floats(0.5, 2.0) if k == 0 else st.none()
         od_pairs = tuple(ODPair(f"L{k}n{o}", f"L{k}n{d}", draw(demand)) for o, d in ods)
         nodes = tuple(draw(st.permutations([f"L{k}n{i}" for i in range(n)]), label="node order"))
         edges = tuple(draw(st.permutations(edges), label="edge order"))
+        t = [draw(st.floats(0.2, 3.0), label="time") for edge in edges if edge.is_plain]
+        gamma = draw(st.floats(0.2, 2.0), label="gamma")
+        if twins:
+            w_min = min(t + [cost.free_flow_time for cost in costs])
+            degree = max(Counter(a for a, _ in plain + gates).values())
+            factor = draw(st.floats(0.1, 0.9), label="gamma factor")
+            gamma = min(gamma, factor * w_min / math.log(max(degree, 2)))
         levels.insert(0, LevelGraph(nodes, edges, od_pairs))
+        gammas.insert(0, gamma)
+        times.insert(0, t)
         portals = len(od_pairs)
-    gammas = [draw(st.floats(0.2, 2.0), label="gamma") for _ in range(m)]
-    net = NetworkHierarchy(levels=levels, gammas=gammas)
-    t = [draw(st.floats(0.2, 3.0), label="time") for _ in range(len(net.plain_edge_order()))]
-    return net, t
-
-
-@st.composite
-def cyclic_levels(draw, max_nodes=64):
-    """A one-level cyclic network and a dual point: a bidirectional grid,
-    or a bidirectional ring with chords, of 3 to ``max_nodes`` nodes, with
-    1 to 8 OD pairs between distinct nodes. Each arc has its own time in
-    [0.5, 2]. With every time at least ``w_min`` and at most ``degree``
-    out-edges per node, gamma ``< w_min / log(degree)`` keeps each row of
-    the walk matrix summing below 1, so the walk sum converges.
-    """
-    if draw(st.booleans(), label="grid"):
-        rows = draw(st.integers(2, 8), label="rows")
-        cols = draw(st.integers(2, max_nodes // rows), label="columns")
-        n = rows * cols
-        pairs = {(v, v + 1) for v in range(n) if (v + 1) % cols} | {
-            (v, v + cols) for v in range(n - cols)}
-    else:
-        n = draw(st.integers(3, max_nodes), label="nodes")
-        pairs = {(v, v + 1) for v in range(n - 1)} | {(0, n - 1)}
-        chord = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
-        for a, b in draw(st.lists(chord, max_size=n), label="chords"):
-            if a != b:
-                pairs.add((min(a, b), max(a, b)))
-    arcs = sorted(pairs) + sorted((b, a) for a, b in pairs)
-    t = [draw(st.floats(0.5, 2.0), label=f"t{a}-{b}") for a, b in arcs]
-    degree = max(sum(1 for a, _ in arcs if a == v) for v in range(n))
-    gamma = draw(st.floats(0.1, 0.9), label="gamma factor") * min(t) / math.log(degree)
-    node = st.integers(0, n - 1)
-    ends = st.tuples(node, node).filter(lambda od: od[0] != od[1])
-    ods = draw(st.lists(ends, min_size=1, max_size=8), label="OD pairs")
-    level = LevelGraph(
-        nodes=tuple(f"v{v}" for v in range(n)),
-        edges=tuple(Edge(f"e{a}-{b}", f"v{a}", f"v{b}", cost=ConstantCost(1.0)) for a, b in arcs),
-        od_pairs=tuple(
-            ODPair(f"v{o}", f"v{d}", draw(st.floats(0.5, 3.0), label="demand")) for o, d in ods
-        ),
-    )
-    return NetworkHierarchy([level], [gamma]), t
-
-
-# Every DAG hierarchy source above, for property tests of loading.
-any_dag_hierarchy = st.one_of(st.integers(0, 299).map(random_hierarchy), dag_hierarchies())
+    return NetworkHierarchy(levels=levels, gammas=gammas), [x for t in times for x in t]

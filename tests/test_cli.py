@@ -23,7 +23,7 @@ import sueflow
 from sueflow import AffineCost, ConstantCost, ODPair, ODRef, PowerCost, loading, solver
 from sueflow.cli import ParseError, load_config, load_times, main, network_from_dict, parse_network
 
-from conftest import FIXTURES, network_doc, parallel_net, random_hierarchy
+from conftest import FIXTURES, hierarchies, network_doc, parallel_net, random_hierarchy
 
 
 def run_cli(*args):
@@ -807,12 +807,6 @@ class TestOverflowingRuns:
         pytest.param([AffineCost(1.0, 1.0), PowerCost(1.0, 8.2e178, 1.0, 4.0)], 1.0,
                      {"L0": 1e-300, "max_iters": 200}, "the prox step overflows to inf",
                      id="infinite-step-weight"),
-        # c*s of the power cost passes the float range, so every cost
-        # integral and every gap reads inf; that coefficient once printed a
-        # numpy warning.
-        pytest.param([AffineCost(1.0, 1.0), PowerCost(1e9, 1.0, 1e300, 4.0)], 1.0,
-                     {"max_iters": 50}, "the duality gap is inf at T 50",
-                     id="integral-coefficient-past-the-float-range"),
     ])
     def test_one_level_overflow_exits_3(self, tmp_path, capsys, costs, demand, config, error):
         network = tmp_path / "net.json"
@@ -827,6 +821,26 @@ class TestOverflowingRuns:
         assert capsys.readouterr().err == f"error: {error}\n"
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         assert not out.exists()
+
+    def test_integral_coefficient_past_the_float_range_exits_0(self, tmp_path):
+        # c*s of the power cost passes the float range, but its integral
+        # c/(mu + 1) * f * (f/s)**mu does not. Formed as c*s/(mu + 1) first,
+        # it read every gap as inf, exit 3 at T 50, and once printed a numpy
+        # warning.
+        costs = [AffineCost(1.0, 1.0), PowerCost(1e9, 1.0, 1e300, 4.0)]
+        network = tmp_path / "net.json"
+        network.write_text(json.dumps(network_doc(parallel_net(costs))))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"max_iters": 50}')
+        out = tmp_path / "out"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run_cli("solve", "--network", network, "--config", cfg, "--out", out)
+        assert code == 0
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        cert = json.loads((out / "certificate.json").read_text())
+        assert cert["stop"] == "gap_reached"
+        assert math.isfinite(cert["gap"]) and cert["gap"] <= 1e-8
 
 
 def _two_level_inputs():
@@ -843,12 +857,12 @@ def _two_level_inputs():
 
 
 @st.composite
-def _random_hierarchy_edits(draw):
-    """A ``random_hierarchy`` draw in file form, and one or two of its
-    inputs to change: all gammas, the level-1 demand, one cost parameter
-    as ``(level, edge, param)``, ``L0`` or ``gap_tol``, each to a value
-    drawn log-uniformly from 1e-300 to 1e300."""
-    doc = network_doc(random_hierarchy(draw(st.integers(0, 299), label="seed"))[0])
+def _hierarchy_edits(draw):
+    """A ``hierarchies`` draw in file form, and one or two of its inputs
+    to change: all gammas, the level-1 demand, one cost parameter as
+    ``(level, edge, param)``, ``L0`` or ``gap_tol``, each to a value drawn
+    log-uniformly from 1e-300 to 1e300."""
+    doc = network_doc(draw(hierarchies(), label="hierarchy")[0])
     params = [
         (k, i, param)
         for k, level in enumerate(doc["levels"]) for i, edge in enumerate(level["edges"])
@@ -925,7 +939,7 @@ class TestRunContract:
             parsed = network_from_dict(json.loads(json.dumps(network_doc(net))))
             assert (parsed.levels, parsed.gammas) == (net.levels, net.gammas)
 
-    @given(case=_random_hierarchy_edits())
+    @given(case=_hierarchy_edits())
     @settings(max_examples=200, derandomize=True, deadline=None)
     def test_every_random_hierarchy_ends_in_an_allowed_outcome(self, case):
         # As on two_level.json, with a cost's mu set to 1 plus the value.

@@ -31,7 +31,7 @@ from sueflow import (
     solve,
 )
 
-from conftest import random_hierarchy
+from conftest import hierarchies
 
 SCALES = (2.0**-10, 1.0, 2.0**13)
 
@@ -100,10 +100,10 @@ class TestUnitScale:
         cert = assert_scales_exactly(net, net.free_flow_times(), 1e-9, 1000, c)
         assert cert.stop == "gap_reached"
 
-    @given(seed=st.integers(0, 10_000), c=st.sampled_from(SCALES))
+    @given(case=hierarchies(), c=st.sampled_from(SCALES))
     @settings(max_examples=30, deadline=None)
-    def test_random_hierarchies(self, seed, c):
-        net, t = random_hierarchy(seed)
+    def test_random_hierarchies(self, case, c):
+        net, t = case
         assert_scales_exactly(net, t, 1e-10, 200, c)
 
 
@@ -134,10 +134,10 @@ def plain_times_by_id(net: NetworkHierarchy, t) -> list[dict[str, float]]:
 
 
 class TestRelabelling:
-    @given(seed=st.integers(0, 10_000), data=st.data())
+    @given(case=hierarchies(), data=st.data())
     @settings(max_examples=30, deadline=None)
-    def test_node_and_edge_order(self, seed, data):
-        net, t = random_hierarchy(seed)
+    def test_node_and_edge_order(self, case, data):
+        net, t = case
         node_orders = [
             data.draw(st.permutations(range(len(level.nodes))), label=f"nodes {k}")
             for k, level in enumerate(net.levels)

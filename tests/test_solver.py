@@ -23,7 +23,6 @@ from sueflow import (
     PowerCost,
     ODRef,
     SolverConfig,
-    alpha_step,
     dual_objective,
     dual_smooth_value,
     lipschitz_bound_diagnostic,
@@ -39,15 +38,15 @@ from sueflow.loading import (
     surrogate_primal,
     verify_conservation,
 )
-from sueflow.solver import _DualSmooth, _stop_reason, minimize_composite
+from sueflow.solver import _DualSmooth, _stop_reason, alpha_step, minimize_composite
 from sueflow import oracle
 from sueflow import solver as solver_module
 
 from conftest import (
     FIXTURES,
-    any_dag_hierarchy,
     chain3_net,
     grid3_level,
+    hierarchies,
     parallel_net,
     plain_flows,
     random_hierarchy,
@@ -365,9 +364,9 @@ def assert_gradient_is_minus_plain_flows(net, t):
 
 
 class TestGradientGather:
-    @given(case=any_dag_hierarchy)
+    @given(case=hierarchies())
     @settings(max_examples=100, deadline=None)
-    def test_dag_hierarchies(self, case):
+    def test_hierarchies(self, case):
         net, t = case
         assert_gradient_is_minus_plain_flows(net, t)
 
@@ -635,10 +634,10 @@ class TestStepEstimate:
         assert cert.stop == "gap_reached"
         assert history[-1].n_func_evals <= 30
 
-    @given(seed=st.integers(0, 299), L0=st.sampled_from([1e-6, 1.0, 1e3]))
+    @given(case=hierarchies(), L0=st.sampled_from([1e-6, 1.0, 1e3]))
     @settings(max_examples=40, deadline=None)
-    def test_oracle_and_estimate_bounds(self, seed, L0):
-        net, t = random_hierarchy(seed)
+    def test_oracle_and_estimate_bounds(self, case, L0):
+        net, t = case
         _, _, history = solve(net, SolverConfig(L0=L0, gap_tol=1e-10, max_iters=100), t)
         L_max = max(r.L_used for r in history)
         # Each rejection at least doubles L, each iteration halves it at most once.
@@ -716,6 +715,27 @@ class TestBestPointCertificate:
         slack = 8 * np.finfo(float).eps * scale
         assert cert.primal_value <= average + slack
         assert cert.primal_value <= min(loadings) + slack
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "the primal value cancels its integral and entropy parts, so its round-off "
+        "scales with them, not with |dual| + |primal|"
+    ))
+    def test_a_cancelling_primal_value_keeps_the_gap_bound(self):
+        # The level-2 trip starts at its destination. The gap reads -2.08e-17
+        # at T 1, with dual 2.93e-3 and primal -2.93e-3: below the bound
+        # -8 eps (|dual| + |primal|) = -1.04e-17 that the test above holds
+        # its seeds to.
+        top = LevelGraph(("o", "d"), (
+            Edge("p", "o", "d", cost=PowerCost(1.0, 0.1015625, 1.0, 4.0)),
+            Edge("c", "o", "d", cost=ConstantCost(1.0)),
+            Edge("g", "o", "d", target_od=ODRef(1, 0)),
+        ), (ODPair("o", "d", 1.0),))
+        below = LevelGraph(("u", "v"), (Edge("q", "u", "v", cost=ConstantCost(1.0)),),
+                           (ODPair("u", "u"),))
+        net = NetworkHierarchy([top, below], [0.203125, 1.0])
+        _, cert, _ = solve(net, SolverConfig(gap_tol=1e-10, max_iters=100), [1.0, 1.0, 1.0])
+        scale = abs(cert.dual_value) + abs(cert.primal_value)
+        assert cert.gap >= -8 * np.finfo(float).eps * scale
 
     def test_step_weights_past_the_float_range_certify_nothing(self, two_level_net):
         # p2's cap of 1e-199 puts each loading's cost integral at +inf, and

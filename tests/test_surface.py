@@ -42,7 +42,6 @@ PUBLIC = [
     "GapCertificate",
     "IterationRecord",
     "SolverConfig",
-    "alpha_step",
     "lipschitz_bound_diagnostic",
     "solve",
 ]
